@@ -15,7 +15,7 @@ Archived as ``BENCH_longitudinal.json``.  Gates:
 * cache hit-rate equals the unchanged-country fraction *exactly*
   (hits == unchanged, misses == changed);
 * the incremental dataset is byte-identical (jsonl export) to the cold
-  run of the same derived config under serial, threads and processes
+  run of the same derived config under the serial and process
   executors.
 """
 
@@ -28,7 +28,7 @@ from conftest import BENCH_SCALE, BENCH_SEED, write_bench_json
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import CacheStats, ScanCache
 from repro.evolve import EvolutionRates, SnapshotSeries
-from repro.exec import make_executor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.io import save_dataset
 
 #: Monthly-churn evolution rates: a handful of the 61 countries see a
@@ -103,10 +103,11 @@ def test_incremental_snapshot_vs_cold(report, tmp_path_factory):
     # Byte identity: warm runs under every executor == the cold run.
     cold_bytes = _dataset_bytes(pipeline.run(), tmp, "cold")
     identical = {}
-    for name in ("serial", "threads", "processes"):
-        executor = make_executor(name)
+    for name, factory in (("serial", SerialExecutor),
+                          ("processes", ProcessExecutor)):
         cache = prime()
-        dataset = pipeline.run(executor=executor, cache=cache)
+        with factory() as executor:
+            dataset = pipeline.run(executor=executor, cache=cache)
         identical[name] = (
             _dataset_bytes(dataset, tmp, f"warm-{name}") == cold_bytes
             and cache.stats.hits == total - changed

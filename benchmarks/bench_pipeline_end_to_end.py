@@ -1,11 +1,9 @@
 """End-to-end timing: world generation and the full measurement pipeline.
 
-The parallel variants exercise the ``repro.exec`` strategies and verify
-the executor contract as they go: every strategy must reproduce the
-serial dataset exactly.  The speedup report compares serial against a
-4-worker process pool; the >=2x assertion only applies on machines with
-at least four cores (the scan phase is GIL-bound, so threads are not
-expected to beat serial on CPU-bound work).
+The process-pool variant exercises the ``repro.exec`` contract as it
+goes: it must reproduce the serial dataset exactly.  The speedup report
+compares serial against a 4-worker process pool; the >=2x assertion
+only applies on machines with at least four cores.
 """
 
 import os
@@ -15,7 +13,7 @@ from conftest import BENCH_SCALE, BENCH_SEED, write_bench_json
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import ScanCache
-from repro.exec import ProcessExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor
 from repro.io import save_dataset
 
 #: The cache speedup acceptance gate runs at this fixed scale (not
@@ -38,22 +36,6 @@ def test_full_pipeline(benchmark):
 
     dataset = benchmark.pedantic(run, rounds=1, iterations=1)
     assert dataset.summarize().total_unique_urls > 0
-
-
-def test_full_pipeline_threads(benchmark):
-    config = WorldConfig(seed=BENCH_SEED, scale=BENCH_SCALE)
-    world = SyntheticWorld.generate(config)
-    serial = Pipeline(world).run()
-    executor = ThreadExecutor(workers=4)
-    try:
-        dataset = benchmark.pedantic(
-            lambda: Pipeline(world).run(executor=executor),
-            rounds=1, iterations=1,
-        )
-    finally:
-        executor.close()
-    assert dataset.summarize() == serial.summarize()
-    assert dataset.validation == serial.validation
 
 
 def test_full_pipeline_processes(benchmark):

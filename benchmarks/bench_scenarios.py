@@ -9,8 +9,8 @@ Three gates, archived to ``BENCH_scenarios.json``:
     matrix leans on scan sharing (outage what-ifs share everything, a
     vantage shift re-keys two countries, an evolution step a handful);
 (c) **identity** — every scenario's dataset is byte-identical to a
-    standalone ``Pipeline.run`` of its config, under the serial,
-    thread and process executors alike.
+    standalone ``Pipeline.run`` of its config, under the serial and
+    process executors alike.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 
 from conftest import BENCH_SCALE, BENCH_SEED, write_bench_json
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.exec import make_executor
+from repro.exec import ProcessExecutor
 from repro.io import save_dataset
 from repro.scenarios import ScenarioMatrix, SweepRunner
 
@@ -78,24 +78,21 @@ def test_scenario_sweep_gates(report, tmp_path_factory):
     naive_s = time.perf_counter() - naive_started
     speedup = naive_s / sweep_s if sweep_s else float("inf")
 
-    # Gate (c): byte-identity vs standalone, across all three executors.
+    # Gate (c): byte-identity vs standalone, under both executors.
     reference = {
         name: _digest(dataset, tmp_path, f"standalone-{name}")
         for name, dataset in standalone.items()
     }
     digests = {}
     identity_pass = True
-    for executor_name in ("serial", "threads", "processes"):
+    for executor_name in ("serial", "processes"):
         if executor_name == "serial":
             executed_sweep = sweep
         else:
-            executor = make_executor(executor_name, workers=4)
-            try:
+            with ProcessExecutor(workers=4) as executor:
                 executed_sweep = SweepRunner(
                     _bench_matrix(base), executor=executor
                 ).run()
-            finally:
-                executor.close()
         digests[executor_name] = {
             result.name: _digest(
                 result.dataset, tmp_path,
@@ -140,7 +137,7 @@ def test_scenario_sweep_gates(report, tmp_path_factory):
         f"(gate >= {SPEEDUP_THRESHOLD:.0f}x)",
         f"executor identity: "
         f"{'byte-identical' if identity_pass else 'DIVERGED'} across "
-        f"serial/threads/processes",
+        f"serial/processes",
     ]))
 
     assert identity_pass

@@ -90,7 +90,8 @@ def feature_matrix(
         outcomes.append(intl)
     features = _standardize(np.array(raw_features, dtype=float))
     outcome = np.array(outcomes, dtype=float)
-    outcome = (outcome - outcome.mean()) / (outcome.std() or 1.0)
+    if outcome.size:  # an empty vector has no mean to standardize by
+        outcome = (outcome - outcome.mean()) / (outcome.std() or 1.0)
     return codes, features, outcome
 
 

@@ -4,7 +4,7 @@ A :class:`~repro.exec.partials.CountryPartial` is a pure function of
 ``(WorldConfig, country, max_depth, FaultPlan)`` — the whole phase-1
 scan (crawl, filter, DNS/WHOIS mapping, geolocation) is deterministic
 given those inputs.  :class:`ScanCache` memoizes that function on disk:
-each partial is pickled under a key derived from a canonical fingerprint
+each partial is stored under a key derived from a canonical fingerprint
 of every input (see :func:`scan_key`), so *any* parameter change
 invalidates exactly the affected entries and nothing silently goes
 stale.  Entries carry an integrity digest; corrupt, truncated or
@@ -13,7 +13,7 @@ mismatched entries are evicted and recomputed, never trusted.
 Warm starts are wired through the execution layer
 (:meth:`~repro.exec.base.ExecutionStrategy.scan_cached`): cache hits are
 loaded in canonical country order, misses fan out through whichever
-serial/thread/process executor the caller picked, and the merged dataset
+serial or process executor the caller picked, and the merged dataset
 is byte-identical cold vs. warm and across executors.
 """
 

@@ -17,10 +17,10 @@ stores the same data as typed columns and string tables (the
 * URL columns (url string table in archive order, hostname id ``i32``,
   size and depth ``i64``, via ``u8``).
 
-Decoding rebuilds the exact dict/list/tuple structures pickle would
-have -- same key order, same tuple layout, equal values -- so a
-columnar entry is indistinguishable from a pickled one downstream
-(held by ``tests/cache/test_columnar.py``).  Enum values ride as codes
+Decoding rebuilds the exact dict/list/tuple structures the scan
+produced -- same key order, same tuple layout, equal values -- so a
+cached partial is indistinguishable from a fresh one downstream (held
+by ``tests/cache/test_columnar.py``).  Enum values ride as codes
 into the declaration-order tuples of :mod:`repro.store.format`, the
 same code spaces the dataset store uses.
 """
@@ -38,10 +38,6 @@ from repro.store.format import (
     VIA_CODES,
 )
 
-#: Bulk codec names carried in the cache entry header.
-BULK_COLUMNAR = "columnar"
-BULK_PICKLE = "pickle"
-
 
 def encode_bulk(
     hosts: dict[str, HostAnnotation], urls: list[UrlObservation]
@@ -49,8 +45,8 @@ def encode_bulk(
     """Encode one bulk pair as a section pack.
 
     Raises (``KeyError``/``TypeError``/...) on anything that does not
-    fit the columnar model -- e.g. an out-of-enum via -- and the cache
-    then falls back to pickle, so the codec never has to be total.
+    fit the columnar model -- e.g. an out-of-enum via.  The cache has
+    no other bulk codec, so such a partial is not stored at all.
     """
     hostname_ids: dict[str, int] = {}
     for hostname in hosts:
@@ -182,4 +178,4 @@ def decode_bulk(blob: bytes) -> tuple[dict[str, HostAnnotation],
     return hosts, observed_urls
 
 
-__all__ = ["BULK_COLUMNAR", "BULK_PICKLE", "encode_bulk", "decode_bulk"]
+__all__ = ["encode_bulk", "decode_bulk"]

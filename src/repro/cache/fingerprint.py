@@ -44,7 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v3: keys split into global + per-country-slice fingerprints (the
 #: incremental snapshot scheme) and the generator's numbering plan
 #: became per-country hermetic, changing every generated world.
-CACHE_FORMAT_VERSION = 3
+#: v4: the bulk segment is always columnar and the header lost its
+#: ``bulk`` codec field, so a v3 entry (which may hold a pickled bulk)
+#: must miss rather than reach the columnar decoder.
+CACHE_FORMAT_VERSION = 4
 
 
 def _digest_payload(payload: object) -> str:

@@ -6,20 +6,22 @@ digits to keep directories small)::
     <cache_dir>/<key[:2]>/<key>.partial
     ┌──────────────────────────────────────────────┐
     │ header JSON line (format, key, country,      │
-    │   meta_bytes, bulk_bytes, bulk codec,        │
-    │   digest, scan_s)                            │
+    │   meta_bytes, bulk_bytes, digest, scan_s)    │
     │ meta pickle (merge inputs: counts, verdicts, │
     │   footprint, faults)                         │
     │ bulk segment ((hosts, urls) — record         │
-    │   assembly's inputs; columnar section pack   │
-    │   by default, pickle as fallback)            │
+    │   assembly's inputs, as a columnar section   │
+    │   pack: see :mod:`repro.cache.columnar`)     │
     └──────────────────────────────────────────────┘
 
 The payload is split so a warm start pays only for what the driver's
 merges touch: the meta segment is unpickled eagerly, while the much
 larger bulk segment (per-host annotations and per-URL rows) stays raw
 bytes behind the returned partial's deferred ``bulk`` loader until the
-country's records are actually materialized.
+country's records are actually materialized.  The bulk has one codec:
+a partial the columnar model cannot carry is refused at store time
+(:meth:`ScanCache.store` raises and writes nothing), never written in
+some other encoding.
 
 Loads trust nothing: the header must parse, carry the current format
 version and the expected key, the payload must match its recorded
@@ -244,8 +246,8 @@ class ScanCache:
         """Verify one entry and build a lazy-bulk partial from it.
 
         Integrity is checked in full here (sizes and digest cover both
-        pickle segments); only the *unpickling* of the bulk segment is
-        deferred.  Returns None on any inconsistency.
+        segments); only the *decoding* of the bulk segment is deferred.
+        Returns None on any inconsistency.
         """
         newline = blob.find(b"\n")
         if newline < 0:
@@ -268,14 +270,6 @@ class ScanCache:
             or header.get("digest") != _digest(payload)
         ):
             return None
-        bulk_codec = header.get("bulk", columnar.BULK_PICKLE)
-        if bulk_codec == columnar.BULK_COLUMNAR:
-            load_bulk = functools.partial(columnar.decode_bulk,
-                                          payload[meta_bytes:])
-        elif bulk_codec == columnar.BULK_PICKLE:
-            load_bulk = functools.partial(pickle.loads, payload[meta_bytes:])
-        else:
-            return None
         try:
             meta = pickle.loads(payload[:meta_bytes])
             (country_field, landing_count, discarded_url_count,
@@ -294,7 +288,8 @@ class ScanCache:
             verdicts=verdicts,
             footprint=footprint,
             faults=faults,
-            bulk=load_bulk,
+            bulk=functools.partial(columnar.decode_bulk,
+                                   payload[meta_bytes:]),
         )
         return header, partial
 
@@ -304,7 +299,10 @@ class ScanCache:
         """Persist one partial under ``key`` (atomically).
 
         ``scan_s`` records what the scan cost, so future hits can report
-        the time they saved.
+        the time they saved.  The bulk is encoded columnar; a partial
+        that does not fit the columnar model (e.g. an out-of-enum via)
+        raises from :func:`~repro.cache.columnar.encode_bulk` before
+        anything touches the disk.
         """
         meta = pickle.dumps(
             (partial.country, partial.landing_count,
@@ -313,18 +311,7 @@ class ScanCache:
              partial.footprint, partial.faults),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        # Bulk goes columnar (typed columns decode without building a
-        # pickle object graph); anything the columnar model can't carry
-        # falls back to pickle, flagged in the header.
-        try:
-            bulk = columnar.encode_bulk(partial.hosts, partial.urls)
-            bulk_codec = columnar.BULK_COLUMNAR
-        except Exception:
-            bulk = pickle.dumps(
-                (partial.hosts, partial.urls),
-                protocol=pickle.HIGHEST_PROTOCOL,
-            )
-            bulk_codec = columnar.BULK_PICKLE
+        bulk = columnar.encode_bulk(partial.hosts, partial.urls)
         payload = meta + bulk
         header = {
             "format": CACHE_FORMAT_VERSION,
@@ -332,7 +319,6 @@ class ScanCache:
             "country": partial.country,
             "meta_bytes": len(meta),
             "bulk_bytes": len(bulk),
-            "bulk": bulk_codec,
             "digest": _digest(payload),
             "scan_s": round(scan_s, 6),
         }

@@ -35,7 +35,7 @@ import sys
 from typing import Optional, Sequence
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.exec import EXECUTOR_NAMES, make_executor
+from repro.exec import make_executor
 from repro.faults import FAULT_PROFILE_NAMES
 from repro.reporting.sections import SECTION_NAMES
 from repro.reporting.tables import render_table
@@ -69,13 +69,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--store-dir", metavar="PATH",
                      help="write the dataset as a sharded columnar store "
                           "(mmap-backed analyses; see `repro-gov convert`)")
-    run.add_argument("--executor", choices=EXECUTOR_NAMES, default=None,
-                     help="execution strategy for the per-country scans "
-                          "(default: serial; --workers alone implies "
-                          "processes, the scan phase is GIL-bound)")
     run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker count for parallel executors "
-                          "(default: the machine's CPU count)")
+                     help="worker processes for the per-country scans "
+                          "(default: 1, serial; N >= 2 runs a pool of N)")
     run.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
                      help="probability in [0, 1] that a measurement "
                           "operation fails and must be retried or degraded "
@@ -139,12 +135,10 @@ def _build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--manifest", action="store_true",
                         help="write a provenance manifest per snapshot, "
                              "chained to its parent (requires --out-dir)")
-    evolve.add_argument("--executor", choices=EXECUTOR_NAMES,
-                        default="serial",
-                        help="execution strategy for the per-country "
-                             "scans (default: serial)")
     evolve.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker count for parallel executors")
+                        help="worker processes for the per-country scans "
+                             "(default: 1, serial; N >= 2 runs a pool "
+                             "of N)")
     evolve.add_argument("--registry", metavar="DIR", default=None,
                         help="append every snapshot's manifest to the "
                              "cross-run registry journal under DIR")
@@ -169,12 +163,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="persistent scan cache shared across the "
                             "whole sweep (and with `repro-gov run`)")
-    sweep.add_argument("--executor", choices=EXECUTOR_NAMES,
-                       default="serial",
-                       help="execution strategy for the deduplicated "
-                            "scan wave (default: serial)")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker count for parallel executors")
+                       help="worker processes for the deduplicated scan "
+                            "wave (default: 1, serial; N >= 2 runs a "
+                            "pool of N)")
     sweep.add_argument("--out-dir", metavar="PATH", default=None,
                        help="write each scenario's dataset as "
                             "<out-dir>/<scenario>.jsonl")
@@ -345,10 +337,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.manifest and not args.out:
         print("error: --manifest requires --out", file=sys.stderr)
         return 2
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
     world = SyntheticWorld.generate(config)
-    executor_name = args.executor
-    if executor_name is None:
-        executor_name = "processes" if args.workers else "serial"
     cache = None
     if args.cache_clear and not args.cache_dir:
         print("error: --cache-clear requires --cache-dir", file=sys.stderr)
@@ -371,7 +363,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         obs = Observability(
             progress=_progress_printer if args.progress else None
         )
-    executor = make_executor(executor_name, workers=args.workers)
+    executor = make_executor(args.workers)
     pipeline = Pipeline(world, obs=obs)
     try:
         dataset = pipeline.run(executor=executor, cache=cache)
@@ -505,6 +497,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         compare_sweep,
     )
 
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
     config = WorldConfig(
         seed=args.seed, scale=args.scale,
         countries=args.countries or None,
@@ -531,7 +526,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         from repro.obs import RunRegistry
 
         registry = RunRegistry(args.registry)
-    executor = make_executor(args.executor, workers=args.workers)
+    executor = make_executor(args.workers)
     try:
         runner = SweepRunner(matrix, cache=cache, executor=executor,
                              registry=registry)
@@ -640,6 +635,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.manifest and not args.out_dir:
         print("error: --manifest requires --out-dir", file=sys.stderr)
         return 2
+    if args.workers is not None and args.workers < 1:
+        print("error: --workers must be at least 1", file=sys.stderr)
+        return 2
     config = WorldConfig(
         seed=args.seed, scale=args.scale,
         countries=args.countries or None,
@@ -649,7 +647,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         from repro.obs import RunRegistry
 
         registry = RunRegistry(args.registry)
-    executor = make_executor(args.executor, workers=args.workers)
+    executor = make_executor(args.workers)
     series = SnapshotSeries(
         config, args.snapshots,
         evolution_seed=args.evolve_seed,
@@ -779,6 +777,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"tracing requests into {trace_log.directory} "
               f"(ring {trace_log.ring_size}, slow >= "
               f"{trace_log.slow_ms:g}ms)")
+    # A piped parent reads the bound port from the banner, and stdout is
+    # block-buffered when it is not a terminal.
+    sys.stdout.flush()
     try:
         server.serve_forever()
     except KeyboardInterrupt:

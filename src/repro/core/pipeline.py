@@ -415,7 +415,7 @@ class Pipeline:
                 else:
                     partials = strategy.scan(self, codes)
 
-            dataset = self._assemble(partials, strategy, phase)
+            dataset = self._assemble(partials, phase)
 
         if obs is not None:
             # Driver-side metrics: replayed from the partials in
@@ -427,7 +427,7 @@ class Pipeline:
         logger.info("pipeline run finished: %d countries", len(codes))
         return dataset
 
-    def _assemble(self, partials, strategy, phase) -> GovernmentHostingDataset:
+    def _assemble(self, partials, phase) -> GovernmentHostingDataset:
         """The merge barrier and phase 2, shared by :meth:`run`/:meth:`assemble`."""
         # Barrier: cross-country reductions, merged deterministically.
         with phase("merge"):
@@ -435,24 +435,24 @@ class Pipeline:
             validation = merge_validation(partials)
             faults = merge_faults(partials)
 
-        # Phase 2: categorize + record assembly, parallelizable again.
-        # One classifier snapshot serves every country's deferred
-        # assembler; per-country snapshots would each copy the footprint.
+        # Phase 2: snapshot categories and defer record assembly, inline
+        # (no per-URL work happens here).  One classifier snapshot
+        # serves every country's deferred assembler; per-country
+        # snapshots would each copy the footprint.
         with phase("finalize"):
-            finalize_one = functools.partial(
-                self.finalize_country, categories=self.categories.snapshot()
-            )
-            finalized = strategy.finalize(self, partials, finalize_one)
+            categories = self.categories.snapshot()
+            countries = {
+                partial.country: self.finalize_country(partial, categories)
+                for partial in partials
+            }
         return GovernmentHostingDataset(
-            countries={dataset.country: dataset for dataset in finalized},
+            countries=countries,
             validation=validation,
             faults=faults,
         )
 
     def assemble(
-        self,
-        partials: Sequence[CountryPartial],
-        executor: Optional[ExecutionStrategy] = None,
+        self, partials: Sequence[CountryPartial]
     ) -> GovernmentHostingDataset:
         """Merge + finalize externally supplied phase-1 partials.
 
@@ -461,14 +461,13 @@ class Pipeline:
         the entry point it assembles each scenario's dataset through.
         Produces exactly what :meth:`run` would for the same partials:
         the same merge barrier, one classifier snapshot, the same
-        executor-driven finalize.  Like :meth:`run`, it ingests the
-        merged footprint into this pipeline's classifier — assemble a
-        given pipeline's partials once, not repeatedly.
+        finalize.  Like :meth:`run`, it ingests the merged footprint
+        into this pipeline's classifier — assemble a given pipeline's
+        partials once, not repeatedly.
         """
-        strategy = executor or SerialExecutor()
         obs = self.obs
         phase = obs.phase if obs is not None else _null_span
-        dataset = self._assemble(partials, strategy, phase)
+        dataset = self._assemble(partials, phase)
         if obs is not None:
             obs.record_partials(partials)
             obs.record_faults(dataset.faults)

@@ -4,7 +4,6 @@
 :class:`~repro.exec.base.ExecutionStrategy`:
 
 * :class:`SerialExecutor` — one country after another (default);
-* :class:`ThreadExecutor` — a thread pool sharing the driver's world;
 * :class:`ProcessExecutor` — a process pool whose workers rebuild the
   world deterministically from its ``WorldConfig``.
 
@@ -26,37 +25,29 @@ from repro.exec.partials import (
 )
 from repro.exec.processes import ProcessExecutor
 from repro.exec.serial import SerialExecutor
-from repro.exec.threads import ThreadExecutor
-
-#: CLI names of the available strategies.
-EXECUTOR_NAMES = ("serial", "threads", "processes")
 
 
-def make_executor(
-    name: str, workers: Optional[int] = None
-) -> ExecutionStrategy:
-    """Build a strategy from its CLI name (``--executor``/``--workers``)."""
-    if name == "serial":
+def make_executor(workers: Optional[int] = None) -> ExecutionStrategy:
+    """The strategy for a worker count (the CLI's ``--workers``).
+
+    ``None`` or 1 runs serially; N >= 2 fans out over a pool of N
+    processes.  Anything below 1 raises :class:`ValueError`.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError("workers must be a positive integer")
+    if workers is None or workers == 1:
         return SerialExecutor()
-    if name == "threads":
-        return ThreadExecutor(workers=workers)
-    if name == "processes":
-        return ProcessExecutor(workers=workers)
-    raise ValueError(
-        f"unknown executor {name!r}; expected one of {', '.join(EXECUTOR_NAMES)}"
-    )
+    return ProcessExecutor(workers=workers)
 
 
 __all__ = [
     "ExecutionStrategy",
     "SerialExecutor",
-    "ThreadExecutor",
     "ProcessExecutor",
     "CountryPartial",
     "HostAnnotation",
     "merge_faults",
     "merge_footprints",
     "merge_validation",
-    "EXECUTOR_NAMES",
     "make_executor",
 ]

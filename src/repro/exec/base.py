@@ -1,26 +1,23 @@
 """Execution strategies for the measurement pipeline.
 
-A strategy answers two questions: how to fan the per-country phase-1
-scans out over workers, and how to run the cheap phase-2 finalization
-(categorize + record assembly) once the cross-country barrier has been
-resolved.  Strategies never decide *what* to compute — the pipeline
-does — and every strategy must return phase-1 partials in submission
-order so the driver's merges are deterministic.
+A strategy answers one question: how to fan the per-country phase-1
+scans out over workers.  Strategies never decide *what* to compute —
+the pipeline does, including the cheap phase-2 finalization it runs
+inline after the cross-country barrier — and every strategy must
+return phase-1 partials in submission order so the driver's merges
+are deterministic.
 """
 
 from __future__ import annotations
 
 import abc
-import time
-from typing import TYPE_CHECKING, Callable, Sequence, TypeVar
+from typing import TYPE_CHECKING, Sequence
 
 from repro.exec.partials import CountryPartial
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
     from repro.cache import ScanCache
     from repro.core.pipeline import Pipeline
-
-T = TypeVar("T")
 
 
 class ExecutionStrategy(abc.ABC):
@@ -67,10 +64,9 @@ class ExecutionStrategy(abc.ABC):
         scan's wall seconds (``Pipeline.scan_seconds``, which every
         strategy records per country), so future hits report the time
         actually saved rather than an even split of the batch.  The
-        batch average remains the fallback for strategies that did not
-        report a per-country figure.  The combined partials come back
-        in the order of ``codes``, so a warm run merges exactly like a
-        cold one and the resulting dataset is byte-identical either way.
+        combined partials come back in the order of ``codes``, so a
+        warm run merges exactly like a cold one and the resulting
+        dataset is byte-identical either way.
         """
         keyed = [(code, cache.key_for(pipeline, code)) for code in codes]
         partials: dict[str, CountryPartial] = {}
@@ -82,23 +78,12 @@ class ExecutionStrategy(abc.ABC):
             else:
                 partials[code] = hit
         if misses:
-            start = time.perf_counter()
             fresh = self.scan(pipeline, [code for code, _ in misses])
-            per_country = (time.perf_counter() - start) / len(misses)
             for (code, key), partial in zip(misses, fresh):
-                scan_s = pipeline.scan_seconds.get(code.upper(), per_country)
-                cache.store(key, partial, scan_s=scan_s)
+                cache.store(key, partial,
+                            scan_s=pipeline.scan_seconds[code.upper()])
                 partials[code] = partial
         return [partials[code] for code, _ in keyed]
-
-    def finalize(
-        self,
-        pipeline: "Pipeline",
-        partials: Sequence[CountryPartial],
-        finalize_one: Callable[[CountryPartial], T],
-    ) -> list[T]:
-        """Run phase 2 over the partials (default: in order, inline)."""
-        return [finalize_one(partial) for partial in partials]
 
     def close(self) -> None:
         """Release worker resources (no-op for in-process strategies)."""

@@ -57,7 +57,7 @@ class CountryPartial:
     assembly needs and nothing the driver's merges touch — may be given
     directly or through a deferred ``bulk`` loader returning the
     ``(hosts, urls)`` pair.  The scan cache uses the latter: a warm
-    start reads and integrity-checks every entry up front but unpickles
+    start reads and integrity-checks every entry up front but decodes
     the bulk only when (and if) the records are materialized.  Loaders
     must be pure, so a deferred partial equals its eager twin no matter
     when the bulk is first touched.

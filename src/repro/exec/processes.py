@@ -11,8 +11,10 @@ state (provider footprints, validation stats) is merged on the driver.
 
 The per-worker rebuild is a fixed cost amortized over the worker's
 whole shard, so processes win once the scan work dwarfs world
-generation (large scales, many countries); below that, threads or
-serial execution are faster.
+generation (large scales, many countries); below that, serial
+execution is faster.  Phase 2 (categorize + deferred record assembly)
+needs the driver's merged footprint and runs inline on the driver, so
+partials never cross the process boundary twice.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import concurrent.futures
 import dataclasses
 import logging
 import os
-from typing import TYPE_CHECKING, Callable, Optional, Sequence, TypeVar
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.datagen.config import WorldConfig
 from repro.exec.base import ExecutionStrategy
@@ -33,14 +35,12 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger(__name__)
 
-T = TypeVar("T")
-
 #: The rebuilt pipeline of the current worker process.
 _WORKER_PIPELINE: Optional["Pipeline"] = None
 
 #: One worker task's result: the partial plus its scan's wall seconds
 #: and (when the pool observes) the per-country observability scope.
-_ScanResult = tuple[CountryPartial, Optional[float], Optional["ScanObs"]]
+_ScanResult = tuple[CountryPartial, float, Optional["ScanObs"]]
 
 
 def _init_worker(config: WorldConfig, max_depth: int, observe: bool) -> None:
@@ -74,7 +74,7 @@ def _scan_one(code: str) -> _ScanResult:
     if pipeline.obs is not None:
         captured = pipeline.obs.take_scans()
         scope = captured[-1] if captured else None
-    return partial, pipeline.scan_seconds.get(code.upper()), scope
+    return partial, pipeline.scan_seconds[code.upper()], scope
 
 
 #: Sweep workers keep one rebuilt pipeline per distinct world config
@@ -86,7 +86,7 @@ _SWEEP_PIPELINES: dict[tuple[WorldConfig, int], "Pipeline"] = {}
 
 def _sweep_scan_one(
     config: WorldConfig, max_depth: int, code: str
-) -> tuple[CountryPartial, Optional[float]]:
+) -> tuple[CountryPartial, float]:
     """Sweep worker task: phase 1 for one (config, country) pair."""
     key = (config, max_depth)
     pipeline = _SWEEP_PIPELINES.get(key)
@@ -97,7 +97,7 @@ def _sweep_scan_one(
         pipeline = Pipeline(SyntheticWorld.generate(config), max_depth=max_depth)
         _SWEEP_PIPELINES[key] = pipeline
     partial = pipeline.scan_partial(code)
-    return partial, pipeline.scan_seconds.get(code.upper())
+    return partial, pipeline.scan_seconds[code.upper()]
 
 
 class ProcessExecutor(ExecutionStrategy):
@@ -143,8 +143,7 @@ class ProcessExecutor(ExecutionStrategy):
             raise ValueError(
                 "ProcessExecutor requires the pipeline's default geolocator "
                 "and a config-derived fault plan; custom objects cannot be "
-                "rebuilt inside worker processes — use SerialExecutor or "
-                "ThreadExecutor"
+                "rebuilt inside worker processes — use SerialExecutor"
             )
         obs = pipeline.obs
         pool = self._ensure_pool(
@@ -154,8 +153,7 @@ class ProcessExecutor(ExecutionStrategy):
         results: list[_ScanResult] = list(pool.map(_scan_one, codes))
         partials: list[CountryPartial] = []
         for code, (partial, seconds, scope) in zip(codes, results):
-            if seconds is not None:
-                pipeline.scan_seconds[code.upper()] = seconds
+            pipeline.scan_seconds[code.upper()] = seconds
             if obs is not None and scope is not None:
                 # Absorbing in submission order keeps the merged trace
                 # and metrics identical across executors.
@@ -180,13 +178,13 @@ class ProcessExecutor(ExecutionStrategy):
                     "ProcessExecutor requires the pipeline's default "
                     "geolocator and a config-derived fault plan; custom "
                     "objects cannot be rebuilt inside worker processes — "
-                    "use SerialExecutor or ThreadExecutor"
+                    "use SerialExecutor"
                 )
             if pipeline.obs is not None:
                 raise ValueError(
                     "sweep scan waves do not ship observability scopes "
                     "across the process boundary; trace sweeps with the "
-                    "serial or thread executor"
+                    "serial executor"
                 )
         pool = self._ensure_sweep_pool()
         # One pool-filling wave: every task of every group is submitted
@@ -214,25 +212,10 @@ class ProcessExecutor(ExecutionStrategy):
             partials: list[CountryPartial] = []
             for code, future in zip(codes, futures):
                 partial, seconds = future.result()
-                if seconds is not None:
-                    pipeline.scan_seconds[code.upper()] = seconds
+                pipeline.scan_seconds[code.upper()] = seconds
                 partials.append(partial)
             results.append(partials)
         return results
-
-    def finalize(
-        self,
-        pipeline: "Pipeline",
-        partials: Sequence[CountryPartial],
-        finalize_one: Callable[[CountryPartial], T],
-    ) -> list[T]:
-        # Phase 2 needs the driver's merged footprint and is cheap
-        # relative to the scan; a thread map avoids re-shipping the
-        # partials across the process boundary.
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.workers, 8), thread_name_prefix="repro-finalize"
-        ) as pool:
-            return list(pool.map(finalize_one, partials))
 
     def close(self) -> None:
         if self._pool is not None:

@@ -20,8 +20,8 @@ across the whole executor/fault/cache matrix.
 
 Per-worker metric shards merge on the driver as commutative monoids
 (:meth:`MetricsRegistry.merge`), the same algebra as the pipeline's
-footprint/validation/fault reductions, so thread and process runs
-yield deterministic merged metrics.
+footprint/validation/fault reductions, so serial and process runs
+yield identical merged metrics.
 """
 
 from __future__ import annotations
@@ -161,9 +161,9 @@ class Observability:
             finally:
                 if name == "scan":
                     self._scan_parent = None
-                    # Scopes were grafted in completion order (threads)
-                    # or submission order (serial/processes); canonical
-                    # country order keeps the tree shape deterministic.
+                    # Scopes were grafted in the caller's country order;
+                    # canonical country order keeps the tree shape
+                    # independent of it.
                     span.children.sort(
                         key=lambda child: str(child.tags.get("country", ""))
                     )

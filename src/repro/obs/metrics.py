@@ -1,7 +1,7 @@
 """Metrics: counters, gauges and histograms that merge as monoids.
 
-Parallel pipeline runs shard per-country work over threads or
-processes, so per-shard metrics must reduce to one registry without
+Parallel pipeline runs shard per-country work over worker processes,
+so per-shard metrics must reduce to one registry without
 caring how the work was split or in which order shards finished.  The
 registry therefore supports exactly the operations that commute:
 
@@ -15,7 +15,7 @@ monoid with the empty registry as identity — the same algebraic
 contract as ``merge_footprints`` / ``merge_validation`` /
 ``merge_faults`` in :mod:`repro.exec.partials`, and tested the same
 way (``tests/obs/test_metrics.py`` asserts the monoid laws).  That is
-what makes merged metrics from thread and process runs deterministic:
+what makes merged metrics from serial and process runs identical:
 every shard's delta is a pure function of its countries, and the
 reduction is order-independent.
 """

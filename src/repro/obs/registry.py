@@ -217,24 +217,31 @@ class RunRegistry:
 
         Prefixes must be unambiguous (>= 4 hex chars); anything that
         does not resolve raises :class:`RegistryError` naming the
-        candidates when there are several.
+        candidates when there are several.  Refs of 1-3 digits are
+        sequence numbers.  A longer all-digit ref may also be an id
+        prefix (ids are hex): it resolves to whichever reading
+        matches, and is ambiguous when both do.
         """
         runs = self.runs()
         text = str(ref).strip()
+        matches = (
+            [run for run in runs if run.id.startswith(text)]
+            if len(text) >= 4 else []
+        )
         if text.isdigit():
             seq = int(text)
-            if 0 <= seq < len(runs):
-                return runs[seq]
-            raise RegistryError(
-                f"no run #{seq} in {self.directory} "
-                f"({len(runs)} runs recorded)"
-            )
-        if len(text) < 4:
+            if seq < len(runs) and runs[seq] not in matches:
+                matches.insert(0, runs[seq])
+            if not matches:
+                raise RegistryError(
+                    f"no run #{seq} in {self.directory} "
+                    f"({len(runs)} runs recorded)"
+                )
+        elif len(text) < 4:
             raise RegistryError(
                 f"run reference {text!r} is too short; use a sequence "
                 f"number or at least 4 hex characters of the id"
             )
-        matches = [run for run in runs if run.id.startswith(text)]
         if len(matches) == 1:
             return matches[0]
         if not matches:
@@ -242,7 +249,7 @@ class RunRegistry:
                 f"no run with id prefix {text!r} in {self.directory}"
             )
         raise RegistryError(
-            f"run id prefix {text!r} is ambiguous: "
+            f"run reference {text!r} is ambiguous: "
             + ", ".join(f"#{run.seq} {run.id}" for run in matches)
         )
 

@@ -14,7 +14,7 @@ identical across executors.
 The geolocation-step **funnel** is the one family of metrics that must
 *not* be recorded where the work happens: the geolocator's shared
 memos mean whichever shard first observes an address pays for its
-computation, so computation-site counters would vary with thread
+computation, so computation-site counters would vary with worker
 scheduling.  Instead every verdict carries the step that resolved it
 (:attr:`~repro.core.geolocation.GeoVerdict.source`, a pure function of
 the world) and :func:`funnel_metrics` replays the per-country verdict

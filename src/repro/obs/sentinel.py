@@ -20,7 +20,7 @@ Gate kinds:
 * ``positive`` — strictly greater than zero;
 * ``truthy`` — byte-identity flags and friends;
 * ``all_truthy`` — a mapping whose every value must be truthy
-  (``byte_identical: {serial, threads, processes}``);
+  (``byte_identical: {serial, processes}``);
 * ``equals`` — two metrics in the same document must agree
   (``hit_rate == expected_hit_rate``);
 * ``at_least`` — one metric must be >= another

@@ -4,8 +4,8 @@ A :class:`Span` is one timed region of work — ``pipeline.run``, one
 country's ``scan``, the ``crawl`` inside it, one geolocation step —
 with a name, free-form tags and a list of child spans.  A
 :class:`Tracer` hands out spans through a context manager, keeps a
-per-thread stack so nesting is correct even when several scans run on
-a thread pool, and buffers every completed top-level span for export.
+per-thread stack so nesting is correct even when several threads trace
+at once, and buffers every completed top-level span for export.
 
 Zero-perturbation contract
 --------------------------

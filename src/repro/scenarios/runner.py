@@ -348,7 +348,7 @@ class SweepRunner:
         datasets: dict[str, GovernmentHostingDataset] = {}
         for fp, pipeline in pipelines.items():
             ordered = [partials[key] for _, key in tasks_by_fp[fp]]
-            datasets[fp] = pipeline.assemble(ordered, executor=strategy)
+            datasets[fp] = pipeline.assemble(ordered)
 
         if self.registry is not None:
             from repro.obs import RunManifest

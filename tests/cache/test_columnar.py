@@ -1,17 +1,14 @@
-"""Columnar bulk codec == pickle bulk, exactly."""
+"""Columnar bulk codec: exact round trips, and the cache's only codec."""
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
 
 import pytest
 
-from repro.cache.columnar import (
-    BULK_COLUMNAR,
-    BULK_PICKLE,
-    decode_bulk,
-    encode_bulk,
-)
+from repro.cache.columnar import decode_bulk, encode_bulk
 from repro.cache.store import ScanCache
 from repro.core.geolocation import ValidationMethod
 from repro.core.urlfilter import FilterVia
@@ -85,8 +82,8 @@ def _stored_entry(cache, partial):
     cache.store("ab" * 16, partial, scan_s=0.5)
     path = cache._entry_path("ab" * 16)
     blob = path.read_bytes()
-    header = json.loads(blob[:blob.find(b"\n")])
-    return path, header
+    newline = blob.find(b"\n")
+    return path, json.loads(blob[:newline]), blob[newline + 1:]
 
 
 def test_cache_stores_columnar_and_loads_equal(tmp_path, dataset):
@@ -98,29 +95,30 @@ def test_cache_stores_columnar_and_loads_equal(tmp_path, dataset):
         hosts=_hosts(), urls=_urls(),
     )
     cache = ScanCache(tmp_path)
-    _, header = _stored_entry(cache, partial)
-    assert header["bulk"] == BULK_COLUMNAR
+    _, header, payload = _stored_entry(cache, partial)
+    assert decode_bulk(payload[header["meta_bytes"]:]) == (_hosts(), _urls())
     loaded = cache.load("ab" * 16, "BR")
     assert loaded == partial
     assert loaded.hosts == partial.hosts
     assert loaded.urls == partial.urls
 
 
-def test_cache_falls_back_to_pickle(tmp_path):
+def test_cache_refuses_partials_outside_the_columnar_model(tmp_path):
     from repro.exec.partials import CountryPartial
 
-    # A stringly via is outside the FilterVia code space (encode_bulk
-    # raises), but pickles fine -- the fallback must kick in.
+    # A stringly via is outside the FilterVia code space: encode_bulk
+    # raises, and with no second codec nothing may reach the disk.
     partial = CountryPartial(
         country="BR", landing_count=0, discarded_url_count=0,
         unresolved_hostnames=[], depth_histogram={},
         hosts={}, urls=[("https://x/", "x", 1, "not-a-via", 0)],
     )
     cache = ScanCache(tmp_path)
-    _, header = _stored_entry(cache, partial)
-    assert header["bulk"] == BULK_PICKLE
-    loaded = cache.load("ab" * 16, "BR")
-    assert len(loaded.urls) == 1
+    with pytest.raises(KeyError):
+        cache.store("ab" * 16, partial, scan_s=0.5)
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+    assert cache.stats.stores == 0
+    assert cache.load("ab" * 16, "BR") is None
 
 
 def test_unknown_bulk_codec_evicts(tmp_path):
@@ -132,12 +130,15 @@ def test_unknown_bulk_codec_evicts(tmp_path):
         hosts=_hosts(), urls=_urls(),
     )
     cache = ScanCache(tmp_path)
-    path, header = _stored_entry(cache, partial)
-    blob = path.read_bytes()
-    payload = blob[blob.find(b"\n") + 1:]
-    import hashlib
-    header["bulk"] = "carrier-pigeon"
-    header["digest"] = hashlib.blake2b(payload, digest_size=16).hexdigest()
+    path, header, payload = _stored_entry(cache, partial)
+    # Rewrite the entry the way format 3 could: a pickled bulk flagged
+    # in the header, with a digest that verifies.  It must miss instead
+    # of reaching the columnar decoder.
+    meta = payload[:header["meta_bytes"]]
+    bulk = pickle.dumps((partial.hosts, partial.urls))
+    payload = meta + bulk
+    header.update(format=3, bulk="pickle", bulk_bytes=len(bulk),
+                  digest=hashlib.blake2b(payload, digest_size=16).hexdigest())
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n"
                      + payload)
     assert cache.load("ab" * 16, "BR") is None

@@ -14,7 +14,7 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import ScanCache
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 
 COUNTRIES = ("BR", "US", "FR", "JP")
 CONFIG = WorldConfig(seed=42, scale=0.03, countries=COUNTRIES,
@@ -37,9 +37,8 @@ def _entry_costs(cache: ScanCache) -> dict[str, float]:
 
 @pytest.mark.parametrize("executor_factory", [
     SerialExecutor,
-    lambda: ThreadExecutor(workers=2),
     lambda: ProcessExecutor(workers=2),
-], ids=["serial", "threads", "processes"])
+], ids=["serial", "processes"])
 def test_entries_record_their_own_scan_cost(cost_world, tmp_path,
                                             executor_factory):
     cache = ScanCache(tmp_path / "cache")
@@ -58,8 +57,7 @@ def test_entries_record_their_own_scan_cost(cost_world, tmp_path,
 
 
 def test_every_executor_records_scan_seconds(cost_world):
-    for factory in (SerialExecutor, lambda: ThreadExecutor(workers=2),
-                    lambda: ProcessExecutor(workers=2)):
+    for factory in (SerialExecutor, lambda: ProcessExecutor(workers=2)):
         pipeline = Pipeline(cost_world)
         with factory() as executor:
             pipeline.run(list(COUNTRIES), executor=executor)

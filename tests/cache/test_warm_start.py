@@ -10,7 +10,7 @@ import pytest
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import ScanCache
 from repro.core.geolocation import Geolocator
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.io import save_dataset
 
 CONFIG = WorldConfig(seed=42, scale=0.03, countries=("BR", "US", "FR", "JP"))
@@ -60,9 +60,8 @@ def test_faulted_cold_then_warm_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize("make_executor", [
-    lambda: ThreadExecutor(workers=2),
     lambda: ProcessExecutor(workers=2),
-], ids=["threads", "processes"])
+], ids=["processes"])
 def test_warm_start_under_parallel_executors(warm_world, tmp_path, make_executor):
     serial = _export(warm_world, tmp_path, "serial")
     # Cold fan-out through the parallel executor populates the cache...

@@ -10,12 +10,7 @@ merge deterministically.
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.exec import (
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    make_executor,
-)
+from repro.exec import ProcessExecutor, SerialExecutor, make_executor
 
 COUNTRIES = ("BR", "US", "FR", "MA")
 
@@ -48,12 +43,13 @@ def _fingerprint(dataset):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
-@pytest.mark.parametrize("strategy", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("strategy", ["serial", "processes"])
 def test_every_strategy_matches_serial(exec_world, serial_baseline,
                                        strategy, workers):
     if strategy == "serial" and workers > 1:
         pytest.skip("serial has no worker knob")
-    executor = make_executor(strategy, workers=workers)
+    executor = (SerialExecutor() if strategy == "serial"
+                else ProcessExecutor(workers=workers))
     try:
         dataset = Pipeline(exec_world).run(list(COUNTRIES), executor=executor)
     finally:
@@ -76,10 +72,13 @@ def test_process_pool_matches_serial_across_seeds(seed):
 
 
 def test_executor_pool_is_reusable_across_runs(exec_world, serial_baseline):
-    executor = ThreadExecutor(workers=2)
+    executor = ProcessExecutor(workers=2)
     try:
         first = Pipeline(exec_world).run(list(COUNTRIES), executor=executor)
+        pool = executor._pool
         second = Pipeline(exec_world).run(list(COUNTRIES), executor=executor)
+        # Same world config: the second run reuses the first run's workers.
+        assert executor._pool is pool
     finally:
         executor.close()
     assert _fingerprint(first) == _fingerprint(serial_baseline)
@@ -95,9 +94,15 @@ def test_country_order_does_not_change_records(exec_world):
         sorted(backward.iter_records(), key=key)
 
 
-def test_make_executor_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown executor"):
-        make_executor("fibers")
+def test_make_executor_follows_worker_count():
+    assert isinstance(make_executor(), SerialExecutor)
+    assert isinstance(make_executor(1), SerialExecutor)
+    with make_executor(3) as pooled:
+        assert isinstance(pooled, ProcessExecutor)
+        assert pooled.workers == 3
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="positive integer"):
+            make_executor(workers)
 
 
 def test_process_executor_rejects_custom_geolocator(exec_world):

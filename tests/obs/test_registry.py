@@ -185,6 +185,44 @@ def test_get_names_candidates_when_ambiguous(tmp_path):
         assert registry.get(a.id[:4]) is a
 
 
+def test_get_reads_all_digit_refs_as_id_prefixes_too(tmp_path, monkeypatch):
+    import repro.obs.registry as registry_module
+
+    # Ids are hex, so a prefix can be all digits; force such ids
+    # instead of waiting for hash luck.
+    forced = {
+        0: "0002" + "a" * 28,
+        1: "0001" + "b" * 28,
+        2: "c" * 32,
+        3: "98765432" + "d" * 24,
+    }
+    monkeypatch.setattr(registry_module, "manifest_id",
+                        lambda manifest: forced[manifest.seed])
+    registry = RunRegistry(tmp_path)
+    runs = [registry.record(make_manifest(seed=seed))[0]
+            for seed in sorted(forced)]
+    assert [run.id for run in runs] == [forced[seq] for seq in range(4)]
+
+    # No run #98765432: the digits can only be an id prefix.
+    assert registry.get("98765432") is runs[3]
+    assert registry.get("9876") is runs[3]
+    # Both readings name the same run.
+    assert registry.get("0001") is runs[1]
+    # No id starts with 0003: the sequence number wins.
+    assert registry.get("0003") is runs[3]
+    # Shorter refs stay sequence numbers.
+    assert registry.get("2") is runs[2]
+    with pytest.raises(RegistryError, match="no run #987"):
+        registry.get("987")
+    with pytest.raises(RegistryError, match="no run #9 "):
+        registry.get("0009")
+    # Id prefix of run #0, sequence number of run #2: name both.
+    with pytest.raises(RegistryError, match="ambiguous") as excinfo:
+        registry.get("0002")
+    assert f"#0 {forced[0]}" in str(excinfo.value)
+    assert f"#2 {forced[2]}" in str(excinfo.value)
+
+
 def test_find_filters_config_and_measurements(populated):
     assert [r.manifest.seed for r in populated.find(seed=2)] == [2]
     assert [r.manifest.seed

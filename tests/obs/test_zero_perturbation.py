@@ -19,7 +19,7 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import ScanCache
-from repro.exec import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.exec import ProcessExecutor, SerialExecutor
 from repro.io import save_dataset
 from repro.obs import Observability
 from repro.reporting.paper_report import render_paper_report
@@ -31,7 +31,6 @@ FAULTED = dataclasses.replace(CONFIG, fault_rate=0.15)
 
 EXECUTORS = {
     "serial": SerialExecutor,
-    "threads": lambda: ThreadExecutor(workers=2),
     "processes": lambda: ProcessExecutor(workers=2),
 }
 
@@ -130,7 +129,7 @@ def test_merged_metrics_are_executor_independent(plain_world, tmp_path):
         _, _, pipeline = _run(plain_world, tmp_path, f"metrics-{name}",
                               observed=True, executor_factory=factory)
         registries.append(pipeline.obs.metrics.to_dict())
-    assert registries[0] == registries[1] == registries[2]
+    assert registries[0] == registries[1]
 
 
 def test_trace_structure_is_executor_independent(plain_world, tmp_path):
@@ -146,7 +145,7 @@ def test_trace_structure_is_executor_independent(plain_world, tmp_path):
              [stage["name"] for stage in scan["children"]])
             for scan in scan_phase["children"]
         ])
-    assert shapes[0] == shapes[1] == shapes[2]
+    assert shapes[0] == shapes[1]
     # Canonical country order, not completion order.
     assert [country for country, _ in shapes[0]] == sorted(COUNTRIES)
 

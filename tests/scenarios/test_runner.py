@@ -14,7 +14,7 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld
 from repro.cache import ScanCache
-from repro.exec import make_executor
+from repro.exec import ProcessExecutor
 from repro.io import save_dataset
 from repro.reporting.scenarios import render_sweep_report
 from repro.scenarios import Scenario, SweepRunner, compare_sweep
@@ -96,10 +96,10 @@ def test_swept_datasets_match_standalone_runs(sweep, tmp_path):
             f"scenario {result.name} diverged from a standalone run"
 
 
-@pytest.mark.parametrize("executor_name", ["threads", "processes"])
+@pytest.mark.parametrize("executor_name", ["processes"])
 def test_executor_identity(sweep, executor_name, tmp_path):
     """Same matrix, parallel wave -> byte-identical datasets + report."""
-    executor = make_executor(executor_name, workers=2)
+    executor = ProcessExecutor(workers=2)
     try:
         parallel = SweepRunner(
             make_matrix(make_base()), executor=executor

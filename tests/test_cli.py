@@ -144,6 +144,41 @@ def test_run_manifest_requires_out(capsys):
     assert "--manifest requires --out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run"], ["evolve"],
+                                     ["sweep", "--demo"]],
+                         ids=["run", "evolve", "sweep"])
+def test_workers_below_one_exit_2(command, capsys):
+    assert main(command + ["--workers", "0"]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["evolve", "--snapshots", "2"],
+                                     ["sweep", "--demo"]],
+                         ids=["evolve", "sweep"])
+def test_workers_run_a_process_pool_with_serial_bytes(command, tmp_path,
+                                                      capsys):
+    from repro.obs import RunRegistry
+
+    outputs = {}
+    for workers, executor in (("1", "serial"), ("2", "processes")):
+        out_dir = tmp_path / f"out-{workers}"
+        registry = tmp_path / f"runs-{workers}"
+        assert main(command + [
+            "--seed", "7", "--scale", "0.01",
+            "--countries", "US", "DE", "EE", "UY",
+            "--workers", workers, "--out-dir", str(out_dir),
+            "--registry", str(registry),
+        ]) == 0
+        runs = RunRegistry(registry).runs()
+        assert runs
+        assert {run.manifest.executor for run in runs} == {executor}
+        outputs[workers] = {path.name: path.read_bytes()
+                            for path in out_dir.glob("*.jsonl")}
+    capsys.readouterr()
+    assert outputs["1"]
+    assert outputs["2"] == outputs["1"]
+
+
 def test_run_progress_heartbeat_on_stderr(capsys):
     assert main(["run", "--seed", "5", "--scale", "0.05",
                  "--countries", "UY", "PY", "--progress"]) == 0
@@ -331,6 +366,53 @@ def test_serve_answers_over_http(saved_dataset, capsys):
         thread.join(timeout=5)
 
 
+def test_serve_banner_reaches_a_pipe(tmp_path):
+    """A piped parent reads the bound port without PYTHONUNBUFFERED."""
+    import os
+    import pathlib
+    import queue
+    import re
+    import signal
+    import subprocess
+    import sys
+    import threading
+    import urllib.request
+
+    import repro
+
+    store = tmp_path / "ds.store"
+    assert main(["run", "--seed", "5", "--scale", "0.01", "--countries",
+                 "UY", "--store-dir", str(store)]) == 0
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "repro.cli", "serve",
+               "--store-dir", str(store), "--port", "0"]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        lines: queue.Queue = queue.Queue()
+        reader = threading.Thread(
+            target=lambda: lines.put(proc.stdout.readline()), daemon=True)
+        reader.start()
+        try:
+            banner = lines.get(timeout=60)
+            found = re.fullmatch(
+                r"serving store dataset \S+ on http://127\.0\.0\.1:(\d+) "
+                r"\(8 workers\)\n", banner)
+            assert found, banner
+            url = f"http://127.0.0.1:{found.group(1)}/healthz"
+            with urllib.request.urlopen(url, timeout=30) as response:
+                assert response.status == 200
+        finally:
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=30)
+        reader.join(timeout=5)
+        assert not reader.is_alive()
+    assert proc.returncode == 0, err
+
+
 # ------------------------------------------------- cross-run observability
 
 @pytest.fixture(scope="module")
@@ -425,8 +507,9 @@ def test_obs_bench_check_passes_on_checked_in_benchmarks(capsys):
 
 def test_obs_bench_check_fails_naming_the_culprit(tmp_path, capsys):
     import json
+    import pathlib
 
-    source = json.loads(open(_bench_paths()[0]).read())
+    source = json.loads(pathlib.Path(_bench_paths()[0]).read_text())
     source["speedup"] = 0.01
     bad = tmp_path / "BENCH_analysis.json"
     bad.write_text(json.dumps(source))
