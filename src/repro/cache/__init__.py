@@ -11,10 +11,11 @@ stale.  Entries carry an integrity digest; corrupt, truncated or
 mismatched entries are evicted and recomputed, never trusted.
 
 Warm starts are wired through the execution layer
-(:meth:`~repro.exec.base.ExecutionStrategy.scan_cached`): cache hits are
-loaded in canonical country order, misses fan out through whichever
-serial or process executor the caller picked, and the merged dataset
-is byte-identical cold vs. warm and across executors.
+(:func:`~repro.exec.base.scan_keyed`, used by ``Pipeline.run`` and the
+scenario sweep): cache hits are loaded in canonical country order,
+misses fan out in one wave through whichever serial or process executor
+the caller picked, and the merged dataset is byte-identical cold vs.
+warm and across executors.
 """
 
 from repro.cache.fingerprint import (

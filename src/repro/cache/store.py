@@ -36,6 +36,7 @@ can't leave a torn entry behind.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -96,9 +97,8 @@ class CacheStats:
     #: Bytes read for hits / written for stores.
     bytes_read: int = 0
     bytes_written: int = 0
-    #: Estimated scan time the hits avoided, from the per-entry scan
-    #: cost recorded at store time (wall clock of the miss batch spread
-    #: over its countries, so parallel fan-outs make this conservative).
+    #: Estimated scan time the hits avoided: the sum of each hit
+    #: entry's own scan wall seconds, recorded at store time.
     time_saved_s: float = 0.0
 
     @property
@@ -302,7 +302,9 @@ class ScanCache:
         the time they saved.  The bulk is encoded columnar; a partial
         that does not fit the columnar model (e.g. an out-of-enum via)
         raises from :func:`~repro.cache.columnar.encode_bulk` before
-        anything touches the disk.
+        anything touches the disk.  A failed write or rename removes
+        its temp file and re-raises, leaving any earlier entry under
+        ``key`` in place.
         """
         meta = pickle.dumps(
             (partial.country, partial.landing_count,
@@ -326,8 +328,15 @@ class ScanCache:
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
+        try:
+            tmp.write_bytes(blob)
+            os.replace(tmp, path)
+        except BaseException:
+            # Maintenance only globs finished entries, so a temp file
+            # left here would never be counted or reclaimed.
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            raise
         self.stats.stores += 1
         self.stats.bytes_written += len(blob)
 

@@ -46,6 +46,7 @@ from repro.exec import (
     merge_faults,
     merge_footprints,
     merge_validation,
+    scan_keyed,
 )
 from repro.exec.partials import CountryPartial, HostAnnotation, UrlObservation
 from repro.faults import FaultPlan, FaultReport, FaultSession
@@ -386,9 +387,10 @@ class Pipeline:
 
         ``cache`` enables warm starts: phase-1 partials are served from
         the :class:`~repro.cache.ScanCache` where valid and only the
-        misses are scanned (then stored back).  Warm runs are
-        byte-identical to cold ones under every executor; the cache's
-        ``stats`` record what the run hit, missed and saved.
+        misses are scanned, in one wave, then stored back
+        (:func:`~repro.exec.scan_keyed`).  Warm runs are byte-identical
+        to cold ones under every executor; the cache's ``stats`` record
+        what the run hit, missed and saved.
         """
         codes = [c.upper() for c in countries] if countries else self.world.country_codes()
         strategy = executor or SerialExecutor()
@@ -403,17 +405,15 @@ class Pipeline:
             # Phase 1: independent per-country scans, fanned out
             # (warm-started from the cache when one is given).
             with phase("scan", cached=cache is not None):
-                if cache is not None:
-                    if not self.supports_caching:
-                        raise ValueError(
-                            "caching requires the pipeline's default "
-                            "geolocator; a custom geolocator's results "
-                            "cannot be keyed by the world config — run "
-                            "without cache="
-                        )
-                    partials = strategy.scan_cached(self, codes, cache)
+                if cache is None:
+                    partials = strategy.scan([(self, codes)])[0]
                 else:
-                    partials = strategy.scan(self, codes)
+                    keys = [cache.key_for(self, code) for code in codes]
+                    found, _, _ = scan_keyed(
+                        strategy, {key: (self, code)
+                                   for key, code in zip(keys, codes)}, cache,
+                    )
+                    partials = [found[key] for key in keys]
 
             dataset = self._assemble(partials, phase)
 

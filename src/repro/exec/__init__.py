@@ -15,7 +15,7 @@ validation stats) are merged with order-independent functions in
 
 from typing import Optional
 
-from repro.exec.base import ExecutionStrategy
+from repro.exec.base import ExecutionStrategy, ScanIntegrityError, scan_keyed
 from repro.exec.partials import (
     CountryPartial,
     HostAnnotation,
@@ -42,6 +42,7 @@ def make_executor(workers: Optional[int] = None) -> ExecutionStrategy:
 
 __all__ = [
     "ExecutionStrategy",
+    "ScanIntegrityError",
     "SerialExecutor",
     "ProcessExecutor",
     "CountryPartial",
@@ -50,4 +51,5 @@ __all__ = [
     "merge_footprints",
     "merge_validation",
     "make_executor",
+    "scan_keyed",
 ]

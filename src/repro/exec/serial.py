@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from typing import TYPE_CHECKING, Sequence
 
 from repro.exec.base import ExecutionStrategy
@@ -11,8 +10,6 @@ from repro.exec.partials import CountryPartial
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pipeline import Pipeline
 
-logger = logging.getLogger(__name__)
-
 
 class SerialExecutor(ExecutionStrategy):
     """Runs every country inline on the calling thread."""
@@ -20,10 +17,10 @@ class SerialExecutor(ExecutionStrategy):
     name = "serial"
 
     def scan(
-        self, pipeline: "Pipeline", codes: Sequence[str]
-    ) -> list[CountryPartial]:
-        logger.debug("scanning %d countries inline", len(codes))
-        return [pipeline.scan_partial(code) for code in codes]
+        self, groups: Sequence[tuple["Pipeline", Sequence[str]]]
+    ) -> list[list[CountryPartial]]:
+        return [[pipeline.scan_partial(code) for code in codes]
+                for pipeline, codes in groups]
 
 
 __all__ = ["SerialExecutor"]

@@ -11,11 +11,12 @@ evolution step re-keys only the countries it touches.  The
 1. **dedup** — flatten the matrix into (scenario, country) tasks, key
    each with the cache fingerprint functions, and group by key so every
    unique key is scanned exactly once;
-2. **dispatch** — probe the shared :class:`~repro.cache.ScanCache` for
-   hits, then push *all* remaining unique tasks through the execution
-   strategy in one pool-filling wave
-   (:meth:`~repro.exec.base.ExecutionStrategy.scan_groups`) instead of
-   S sequential ``Pipeline.run`` calls.
+2. **dispatch** — hand the unique keys to
+   :func:`~repro.exec.base.scan_keyed`, which serves hits from the
+   shared :class:`~repro.cache.ScanCache` and pushes *all* remaining
+   tasks through the execution strategy in one pool-filling
+   :meth:`~repro.exec.base.ExecutionStrategy.scan` wave instead of S
+   sequential ``Pipeline.run`` calls.
 
 Each scenario's dataset is then assembled by fanning the shared
 partials back out (``Pipeline.assemble``), with scenarios whose configs
@@ -30,7 +31,8 @@ The dedup accounting is enforced at runtime the way
 :class:`~repro.evolve.series.SnapshotSeries` enforces
 ``hits == unchanged``: the number of scans actually executed must equal
 the unique keys minus the cache hits, and every scenario's every
-country must be covered — a violation raises
+country must be covered by a partial for that country — ``scan_keyed``
+verifies the wave, and the sweep re-raises any violation as
 :class:`SweepIntegrityError` instead of silently over- or
 under-scanning.
 """
@@ -55,8 +57,12 @@ from repro.core.crawler import DEFAULT_MAX_DEPTH
 from repro.core.dataset import GovernmentHostingDataset
 from repro.core.pipeline import Pipeline
 from repro.datagen.generator import SyntheticWorld
-from repro.exec import ExecutionStrategy, SerialExecutor
-from repro.exec.partials import CountryPartial
+from repro.exec import (
+    ExecutionStrategy,
+    ScanIntegrityError,
+    SerialExecutor,
+    scan_keyed,
+)
 from repro.faults import FaultPlan
 from repro.scenarios.matrix import Scenario, ScenarioMatrix
 
@@ -90,7 +96,7 @@ def _world_key(config: WorldConfig) -> str:
     return json.dumps(neutral.canonical_dict(), sort_keys=True)
 
 
-class SweepIntegrityError(RuntimeError):
+class SweepIntegrityError(ScanIntegrityError):
     """The sweep's dedup accounting failed its runtime verification."""
 
 
@@ -115,7 +121,7 @@ class SweepAccounting:
     #: Distinct generated worlds (configs differing only in the
     #: measurement plane -- faults, vantage ranks -- share one).
     distinct_worlds: int
-    #: Wall seconds of the scan wave.
+    #: Wall seconds of the scan wave, cache probe and store-back included.
     scan_wave_s: float
 
     @property
@@ -264,83 +270,25 @@ class SweepRunner:
                 ]
             scenario_fps.append(fp)
 
-        # Flatten to unique keys, first-occurrence order (scenario
-        # order, then canonical country order within each scenario).
-        unique: dict[str, tuple[str, str]] = {}
+        # Flatten to unique keys in first-occurrence order, each owned
+        # by the first pipeline to see it (by per-country hermeticity
+        # any sharing config would scan the identical partial).
+        unique: dict[str, tuple[Pipeline, str]] = {}
         for fp in scenario_fps:
             for code, key in tasks_by_fp[fp]:
-                if key not in unique:
-                    unique[key] = (fp, code)
+                unique.setdefault(key, (pipelines[fp], code))
 
-        # Level 2a: probe the shared cache for hits.
-        partials: dict[str, CountryPartial] = {}
-        cache_hits = 0
-        if self.cache is not None:
-            for key, (fp, code) in unique.items():
-                hit = self.cache.load(key, code)
-                if hit is not None:
-                    partials[key] = hit
-                    cache_hits += 1
-
-        # Level 2b: group the misses by their owning pipeline (the one
-        # whose scenario saw the key first — by per-country hermeticity
-        # any sharing config would scan the identical partial), keeping
-        # first-occurrence order, and dispatch them all in ONE wave.
-        miss_by_fp: dict[str, tuple[list[str], list[str]]] = {}
-        for key, (fp, code) in unique.items():
-            if key in partials:
-                continue
-            group_codes, group_keys = miss_by_fp.setdefault(fp, ([], []))
-            group_codes.append(code)
-            group_keys.append(key)
-        miss_groups = [
-            (pipelines[fp], group_codes)
-            for fp, (group_codes, _) in miss_by_fp.items()
-        ]
-        miss_keys = [
-            group_keys for _, (_, group_keys) in miss_by_fp.items()
-        ]
+        # Level 2: hits from the shared cache, every miss in ONE wave;
+        # scan_keyed verifies every unique key (hence every scenario's
+        # every country) is covered by a partial for its own country.
         wave_started = time.perf_counter()
-        executed = 0
-        if miss_groups:
-            scanned = strategy.scan_groups(miss_groups)
-            for (pipeline, group_codes), keys, fresh in zip(
-                miss_groups, miss_keys, scanned
-            ):
-                if len(fresh) != len(group_codes):
-                    raise SweepIntegrityError(
-                        f"scan wave returned {len(fresh)} partials for "
-                        f"{len(group_codes)} submitted countries"
-                    )
-                for code, key, partial in zip(group_codes, keys, fresh):
-                    partials[key] = partial
-                    executed += 1
-                    if self.cache is not None and pipeline.supports_caching:
-                        self.cache.store(
-                            key, partial,
-                            scan_s=pipeline.scan_seconds.get(code, 0.0),
-                        )
-        scan_wave_s = time.perf_counter() - wave_started
-
-        # Runtime verification, SnapshotSeries-style: the dedup promise
-        # is `executed == unique - hits` with every task covered.
-        if cache_hits + executed != len(unique):
-            raise SweepIntegrityError(
-                f"sweep dedup accounting broken: {cache_hits} hits + "
-                f"{executed} executed != {len(unique)} unique keys"
+        try:
+            partials, cache_hits, executed = scan_keyed(
+                strategy, unique, self.cache
             )
-        for fp in scenario_fps:
-            for code, key in tasks_by_fp[fp]:
-                partial = partials.get(key)
-                if partial is None:
-                    raise SweepIntegrityError(
-                        f"no partial for country {code} under key {key}"
-                    )
-                if partial.country != code:
-                    raise SweepIntegrityError(
-                        f"key {key} resolved to country {partial.country}, "
-                        f"expected {code}"
-                    )
+        except ScanIntegrityError as exc:
+            raise SweepIntegrityError(str(exc)) from exc
+        scan_wave_s = time.perf_counter() - wave_started
 
         # Fan out: assemble each distinct config's dataset exactly once
         # (scenarios sharing a fingerprint share the dataset OBJECT, so

@@ -1,9 +1,9 @@
-"""Per-country scan cost attribution in the cache (``scan_cached``).
+"""Per-country scan cost attribution in the cache (``scan_keyed``).
 
 Entries must record the wall seconds of *their own* country's scan —
-not an even split of the miss batch — so warm starts report the time
+not an even split of the miss wave — so warm starts report the time
 they actually saved.  Every executor records ``Pipeline.scan_seconds``
-per country (process shards ship theirs back with the partials).
+per country (process workers ship theirs back with the partials).
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
+import pathlib
 import pickle
 
 import pytest
@@ -129,6 +132,33 @@ def test_recompute_after_eviction_round_trips(populated):
     assert cache.load(key, "BR") is None
     cache.store(key, pipeline.scan_partial("BR"))
     assert cache.load(key, "BR") == partial
+
+
+@pytest.mark.parametrize("step", ["write", "replace"])
+def test_failed_store_removes_its_temp_file(populated, monkeypatch, step):
+    cache, _, key, partial = populated
+
+    def no_space(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    if step == "replace":
+        monkeypatch.setattr(os, "replace", no_space)
+    else:
+        write_bytes = pathlib.Path.write_bytes
+
+        def torn_write(path, data):
+            write_bytes(path, data[: len(data) // 2])
+            no_space()
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="No space"):
+        cache.store(key, partial, scan_s=9.0)
+    monkeypatch.undo()
+    assert not list(cache.cache_dir.glob("*/*.tmp.*"))
+    assert cache.stats.stores == 1
+    # The entry stored earlier under the same key still serves hits.
+    assert cache.load(key, "BR") == partial
+    assert cache.stats.time_saved_s == pytest.approx(1.5)
 
 
 def test_entry_count_and_clear(populated):

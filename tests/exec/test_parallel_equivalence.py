@@ -7,10 +7,15 @@ per-country work is order-independent and the cross-country reductions
 merge deterministically.
 """
 
+import dataclasses
+
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
+from repro.core.crawler import DEFAULT_MAX_DEPTH
 from repro.exec import ProcessExecutor, SerialExecutor, make_executor
+from repro.exec import processes
+from repro.obs import Observability
 
 COUNTRIES = ("BR", "US", "FR", "MA")
 
@@ -72,17 +77,52 @@ def test_process_pool_matches_serial_across_seeds(seed):
 
 
 def test_executor_pool_is_reusable_across_runs(exec_world, serial_baseline):
+    """Config A, then B, then A observed: one pool, serial results."""
+    other_world = SyntheticWorld.generate(
+        dataclasses.replace(exec_world.config, seed=14)
+    )
+    other_serial = Pipeline(other_world).run(list(COUNTRIES))
+    serial_observed = Pipeline(exec_world, obs=Observability())
+    serial_observed.run(list(COUNTRIES))
+    observed = Pipeline(exec_world, obs=Observability())
     executor = ProcessExecutor(workers=2)
     try:
         first = Pipeline(exec_world).run(list(COUNTRIES), executor=executor)
         pool = executor._pool
-        second = Pipeline(exec_world).run(list(COUNTRIES), executor=executor)
-        # Same world config: the second run reuses the first run's workers.
+        other = Pipeline(other_world).run(list(COUNTRIES), executor=executor)
+        assert executor._pool is pool
+        again = observed.run(list(COUNTRIES), executor=executor)
         assert executor._pool is pool
     finally:
         executor.close()
     assert _fingerprint(first) == _fingerprint(serial_baseline)
-    assert _fingerprint(second) == _fingerprint(serial_baseline)
+    assert _fingerprint(other) == _fingerprint(other_serial)
+    assert _fingerprint(again) == _fingerprint(serial_baseline)
+    assert observed.obs.metrics.to_dict() == \
+        serial_observed.obs.metrics.to_dict()
+
+
+def test_worker_rebuilds_only_for_a_new_build_key(monkeypatch):
+    """A worker reuses its last pipeline while (config, depth, observe)
+    compare equal, and rebuilds when any of them changes."""
+    monkeypatch.setattr(processes, "_LAST_BUILT", None)
+    config = WorldConfig(seed=5, scale=0.01, countries=("BR", "JP"),
+                         include_topsites=False)
+    processes._scan_one(config, DEFAULT_MAX_DEPTH, False, "BR")
+    built = processes._LAST_BUILT[1]
+    # An equal config (every task unpickles its own copy) is a reuse.
+    partial, seconds, scope = processes._scan_one(
+        dataclasses.replace(config), DEFAULT_MAX_DEPTH, False, "JP")
+    assert processes._LAST_BUILT[1] is built
+    assert partial.country == "JP" and seconds > 0.0 and scope is None
+
+    other = dataclasses.replace(config, seed=6)
+    processes._scan_one(other, DEFAULT_MAX_DEPTH, False, "BR")
+    rebuilt = processes._LAST_BUILT[1]
+    assert rebuilt is not built
+    _, _, scope = processes._scan_one(other, DEFAULT_MAX_DEPTH, True, "BR")
+    assert processes._LAST_BUILT[1] is not rebuilt
+    assert scope is not None and scope.country == "BR"
 
 
 def test_country_order_does_not_change_records(exec_world):

@@ -14,10 +14,15 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld
 from repro.cache import ScanCache
-from repro.exec import ProcessExecutor
+from repro.exec import ProcessExecutor, ScanIntegrityError, SerialExecutor
 from repro.io import save_dataset
 from repro.reporting.scenarios import render_sweep_report
-from repro.scenarios import Scenario, SweepRunner, compare_sweep
+from repro.scenarios import (
+    Scenario,
+    SweepIntegrityError,
+    SweepRunner,
+    compare_sweep,
+)
 from tests.scenarios.conftest import CODES, make_base, make_matrix
 
 
@@ -157,3 +162,45 @@ def test_sweep_rejects_duplicate_names_and_empty_matrices():
         SweepRunner((scenario, scenario))
     with pytest.raises(ValueError, match="at least one"):
         SweepRunner(())
+
+
+class _DroppingExecutor(SerialExecutor):
+    """Loses the last partial of the wave's first group."""
+
+    def scan(self, groups):
+        results = super().scan(groups)
+        results[0].pop()
+        return results
+
+
+class _MislabellingExecutor(SerialExecutor):
+    """Returns the first group's first two partials swapped."""
+
+    def scan(self, groups):
+        results = super().scan(groups)
+        first = results[0]
+        first[0], first[1] = first[1], first[0]
+        return results
+
+
+BROKEN_WAVES = pytest.mark.parametrize(
+    "strategy", [_DroppingExecutor, _MislabellingExecutor],
+    ids=["dropped", "mislabelled"],
+)
+
+
+@BROKEN_WAVES
+def test_sweep_rejects_a_broken_scan_wave(strategy):
+    baseline = Scenario(name="baseline", kind="baseline",
+                        config=make_base(countries=("US", "DE")))
+    with pytest.raises(SweepIntegrityError):
+        SweepRunner((baseline,), executor=strategy()).run()
+
+
+@BROKEN_WAVES
+def test_cached_run_rejects_a_broken_scan_wave(strategy, tmp_path):
+    pipeline = Pipeline(SyntheticWorld.generate(
+        make_base(countries=("US", "DE"))
+    ))
+    with pytest.raises(ScanIntegrityError):
+        pipeline.run(executor=strategy(), cache=ScanCache(tmp_path / "cache"))
