@@ -139,7 +139,7 @@ def bilateral_share(
     source = source.upper()
     destination = destination.upper()
     index = ensure_index(dataset)
-    index.span_of(source)  # KeyError for unknown countries, as before
+    index.chunk(source)  # KeyError for unknown countries, as before
     counts = index.location_counts().get(source, (0, 0, 0, 0))
     if basis == "registration":
         total = counts[0]

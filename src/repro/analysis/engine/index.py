@@ -4,13 +4,17 @@ Rendering the full paper report used to walk ``iter_records()`` about
 fifteen times: every Section 5-7 analysis re-derived its own per-country
 tallies from the same million-record dataset.  :class:`AnalysisIndex`
 replaces those repeated record scans with **one** pass that transposes
-the per-country record lists into compact parallel columns (stdlib
-``array`` buffers: category codes, sizes, ASNs, addresses, interned
-country/registration/server ids, boolean flags), plus lazily memoized
-aggregate tables derived from the columns with NumPy -- per-country
+each country's record list into one :class:`CountryChunk` of compact
+NumPy columns (:data:`COLUMNS`: category codes, sizes, ASNs, addresses,
+interned registration/server/organization ids, boolean flags), plus
+lazily memoized aggregate tables derived chunk by chunk -- per-country
 category URL/byte totals, registration and server-location splits,
 per-(source, destination) cross-border flows, per-(country, ASN)
 provider footprints, HHI inputs and the Table 3 summary counts.
+
+:meth:`AnalysisIndex.build` fills the chunks from records; a columnar
+store (:mod:`repro.store`) hands each shard's lazily mapped column
+files to the same constructor, so both sources share every aggregate.
 
 Exactness contract
 ------------------
@@ -49,9 +53,8 @@ are reference-identical across threads.
 from __future__ import annotations
 
 import threading
-import time
-from array import array
-from typing import Iterator, Optional, Union
+from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
+                    Sequence, Union)
 
 import numpy as np
 
@@ -64,6 +67,22 @@ from repro.world.countries import COUNTRIES
 #: Category code space of the ``categories`` column, in declaration order.
 CATEGORIES: tuple[HostingCategory, ...] = tuple(HostingCategory)
 _CATEGORY_CODE = {category: code for code, category in enumerate(CATEGORIES)}
+
+#: The analytic columns of every chunk: name -> dtype.  ``registered``,
+#: ``server`` and ``organizations`` hold ids into the index's
+#: ``country_table`` / ``organization_table``; ``server`` is ``-1`` for
+#: excluded (unlocated) records.
+COLUMNS: dict[str, type] = {
+    "sizes": np.int64,
+    "addresses": np.int64,
+    "asns": np.int64,
+    "categories": np.uint8,
+    "gov": np.uint8,
+    "anycast": np.uint8,
+    "registered": np.intc,
+    "server": np.intc,
+    "organizations": np.intc,
+}
 
 #: Attribute under which :meth:`AnalysisIndex.ensure` caches the index.
 _CACHE_ATTRIBUTE = "_analysis_index"
@@ -137,79 +156,88 @@ class _Interner(dict):
         return index
 
 
-class _Columns:
-    """NumPy views over the columnar buffers (zero-copy where possible)."""
+class CountryChunk(NamedTuple):
+    """One country's share of the index, in dataset order.
 
-    __slots__ = (
-        "sizes", "addresses", "asns", "categories",
-        "gov", "anycast", "countries", "registered", "server",
-        "organizations",
-    )
+    ``columns`` maps every :data:`COLUMNS` name to an array of
+    ``records`` values -- buffers filled by :meth:`AnalysisIndex.build`,
+    or a store shard's column files, mapped on first read.
+    """
 
-    def __init__(self, index: "AnalysisIndex") -> None:
-        self.sizes = _view(index._size_col, np.int64)
-        self.addresses = _view(index._addr_col, np.int64)
-        self.asns = _view(index._asn_col, np.int64)
-        self.categories = _view(index._cat_col, np.uint8)
-        self.gov = _view(index._gov_col, np.uint8)
-        self.anycast = _view(index._anycast_col, np.uint8)
-        self.countries = _view(index._cc_col, np.intc)
-        self.registered = _view(index._reg_col, np.intc)
-        self.server = _view(index._srv_col, np.intc)
-        self.organizations = _view(index._org_col, np.intc)
-
-
-def _view(column: array, dtype) -> np.ndarray:
-    if not len(column):
-        return np.zeros(0, dtype=dtype)
-    return np.frombuffer(column, dtype=dtype)
+    code: str
+    country_id: int
+    records: int
+    columns: Mapping[str, np.ndarray]
 
 
 class AnalysisIndex:
-    """One-pass columnar index with memoized Section 5-7 aggregate tables.
+    """Per-country columnar index with memoized Section 5-7 aggregate tables.
 
     Build with :meth:`build` (always a fresh scan) or :meth:`ensure`
     (transparently builds once and caches the index on the dataset).
     Every aggregate accessor is lazy and memoized: the first caller of a
-    table family pays one vectorized pass over the columns, every later
+    table family pays one vectorized pass over the chunks, every later
     caller -- including every other analysis sharing the table -- reads
     the memo.
     """
 
-    def __init__(self, dataset: GovernmentHostingDataset) -> None:
-        build_start = time.perf_counter()
+    def __init__(
+        self,
+        dataset: GovernmentHostingDataset,
+        chunks: Iterable[CountryChunk],
+        country_table: Sequence[str],
+        organization_table: Sequence[str],
+    ) -> None:
         self._dataset = dataset
         self._memo_lock = threading.RLock()
-        self._size_col = array("q")
-        self._addr_col = array("q")
-        self._asn_col = array("q")
-        self._cat_col = array("B")
-        self._gov_col = array("B")
-        self._anycast_col = array("B")
-        self._cc_col = array("i")
-        self._reg_col = array("i")
-        self._srv_col = array("i")
-        self._org_col = array("i")
-        self._countries = _Interner()
-        self._countries[None] = -1  # excluded server locations
-        self._organizations = _Interner()
-        #: (code, country id, start, stop) per country, dataset order.
-        self._spans: list[tuple[str, int, int, int]] = []
-        self._span_by_code: dict[str, tuple[int, int, int]] = {}
-        self._crossborder_tables: dict[str, dict] = {}
-        self._crossborder_flow_tables: dict[str, tuple] = {}
-        self._crossborder_flow_slices: dict[str, dict] = {}
-        self._scan(dataset)
-        #: Wall seconds the columnar scan took (observability only;
-        #: never feeds back into any analysis result).
-        self.build_seconds = time.perf_counter() - build_start
+        #: One chunk per country, dataset order.
+        self.chunks: tuple[CountryChunk, ...] = tuple(chunks)
+        self._chunk_by_code = {chunk.code: chunk for chunk in self.chunks}
+        #: Country codes and organization names by column id, in the
+        #: first-seen order of the record scan.
+        self.country_table: list[str] = list(country_table)
+        self.organization_table: list[str] = list(organization_table)
+        self.record_count: int = sum(chunk.records for chunk in self.chunks)
+        self._basis_memo: dict[tuple[str, str], object] = {}
 
     # ------------------------------------------------------------ build
 
     @classmethod
     def build(cls, dataset: GovernmentHostingDataset) -> "AnalysisIndex":
         """Construct a fresh index: the one record scan of an analysis run."""
-        return cls(dataset)
+        countries = _Interner()
+        countries[None] = -1  # excluded server locations
+        organizations = _Interner()
+        chunks = []
+        for code, country_dataset in dataset.countries.items():
+            country_id = countries[code]
+            records = country_dataset.records
+            values = dict.fromkeys(COLUMNS, ())
+            if records:
+                # C-level transpose of the per-country record list; the
+                # unpacking order mirrors the UrlRecord field order.
+                (_, _, _, sizes, _, _, addresses, asns, organizations_, regs,
+                 govs, cats, servers, anycasts, _) = zip(*records)
+                values = {
+                    "sizes": sizes,
+                    "addresses": addresses,
+                    "asns": asns,
+                    "categories": map(_CATEGORY_CODE.__getitem__, cats),
+                    "gov": govs,
+                    "anycast": anycasts,
+                    "registered": map(countries.__getitem__, regs),
+                    "server": map(countries.__getitem__, servers),
+                    "organizations": map(organizations.__getitem__,
+                                         organizations_),
+                }
+            # Filled in COLUMNS order, so registration countries intern
+            # before server countries -- the id order stores persist.
+            columns = {
+                name: np.fromiter(values[name], dtype, len(records))
+                for name, dtype in COLUMNS.items()
+            }
+            chunks.append(CountryChunk(code, country_id, len(records), columns))
+        return cls(dataset, chunks, countries.table, organizations.table)
 
     @classmethod
     def ensure(
@@ -244,33 +272,6 @@ class AnalysisIndex:
                 setattr(source, _CACHE_ATTRIBUTE, index)
         return index
 
-    def _scan(self, dataset: GovernmentHostingDataset) -> None:
-        cat_code = _CATEGORY_CODE
-        countries = self._countries
-        organizations = self._organizations
-        for code, country_dataset in dataset.countries.items():
-            country_id = countries[code]
-            records = country_dataset.records
-            start = len(self._size_col)
-            if records:
-                # C-level transpose of the per-country record list; the
-                # column order mirrors the UrlRecord field order.
-                (_, _, _, sizes, _, _, addresses, asns, organizations_, regs,
-                 govs, cats, servers, anycasts, _) = zip(*records)
-                self._size_col.extend(sizes)
-                self._addr_col.extend(addresses)
-                self._asn_col.extend(asns)
-                self._cat_col.extend(map(cat_code.__getitem__, cats))
-                self._gov_col.extend(govs)
-                self._anycast_col.extend(anycasts)
-                self._cc_col.extend([country_id] * len(records))
-                self._reg_col.extend(map(countries.__getitem__, regs))
-                self._srv_col.extend(map(countries.__getitem__, servers))
-                self._org_col.extend(map(organizations.__getitem__, organizations_))
-            stop = len(self._size_col)
-            self._spans.append((code, country_id, start, stop))
-            self._span_by_code[code] = (country_id, start, stop)
-
     # ------------------------------------------------------- basic shape
 
     @property
@@ -278,37 +279,43 @@ class AnalysisIndex:
         """The dataset the index was built from."""
         return self._dataset
 
-    @property
-    def record_count(self) -> int:
-        return len(self._size_col)
+    def chunk(self, code: str) -> CountryChunk:
+        """The chunk of ``code``; KeyError when unknown."""
+        return self._chunk_by_code[code]
 
-    def span_of(self, code: str) -> tuple[int, int, int]:
-        """(country id, start, stop) of ``code``; KeyError when unknown."""
-        return self._span_by_code[code]
+    def _populated_chunks(self) -> Iterator[CountryChunk]:
+        return (chunk for chunk in self.chunks if chunk.records)
 
-    def _populated_spans(self) -> Iterator[tuple[str, int, int, int]]:
-        for code, country_id, start, stop in self._spans:
-            if stop > start:
-                yield code, country_id, start, stop
+    def _per_basis(self, build: Callable[[str], object], basis: str):
+        """Memoize ``build(basis)`` per destination basis.
 
-    @locked_cached_property
-    def _cols(self) -> _Columns:
-        return _Columns(self)
+        Any basis other than ``"registration"`` means ``"server"``.
+        Double-checked under ``_memo_lock``, like
+        :class:`locked_cached_property` but without its memo events.
+        """
+        key = (build.__name__,
+               "registration" if basis == "registration" else "server")
+        value = self._basis_memo.get(key)
+        if value is None:
+            with self._memo_lock:
+                value = self._basis_memo.get(key)
+                if value is None:
+                    value = self._basis_memo[key] = build(key[1])
+        return value
 
     # -------------------------------------------------- category tables
 
     @locked_cached_property
     def _category_table(self) -> dict[str, tuple[tuple[int, ...], tuple[int, ...]]]:
-        cols = self._cols
         n_categories = len(CATEGORIES)
         table: dict[str, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        for code, _country_id, start, stop in self._populated_spans():
-            codes = cols.categories[start:stop]
+        for chunk in self._populated_chunks():
+            codes = chunk.columns["categories"]
             url_counts = np.bincount(codes, minlength=n_categories)
             byte_sums = np.bincount(
-                codes, weights=cols.sizes[start:stop], minlength=n_categories
+                codes, weights=chunk.columns["sizes"], minlength=n_categories
             )
-            table[code] = (
+            table[chunk.code] = (
                 tuple(int(value) for value in url_counts),
                 tuple(int(value) for value in byte_sums),
             )
@@ -341,16 +348,15 @@ class AnalysisIndex:
 
     @locked_cached_property
     def _location_table(self) -> dict[str, tuple[int, int, int, int]]:
-        cols = self._cols
         table: dict[str, tuple[int, int, int, int]] = {}
-        for code, country_id, start, stop in self._populated_spans():
-            registered = cols.registered[start:stop]
-            server = cols.server[start:stop]
-            table[code] = (
-                stop - start,
-                int(np.count_nonzero(registered == country_id)),
+        for chunk in self._populated_chunks():
+            registered = chunk.columns["registered"]
+            server = chunk.columns["server"]
+            table[chunk.code] = (
+                chunk.records,
+                int(np.count_nonzero(registered == chunk.country_id)),
                 int(np.count_nonzero(server >= 0)),
-                int(np.count_nonzero(server == country_id)),
+                int(np.count_nonzero(server == chunk.country_id)),
             )
         return table
 
@@ -375,35 +381,26 @@ class AnalysisIndex:
         country (mirroring ``crossborder._destination``).  Domestic and
         unlocated records carry no flow.
         """
-        key = "registration" if basis == "registration" else "server"
-        table = self._crossborder_tables.get(key)
-        if table is None:
-            with self._memo_lock:
-                table = self._crossborder_tables.get(key)
-                if table is None:
-                    table = self._build_crossborder(key)
-                    self._crossborder_tables[key] = table
-        return table
+        return self._per_basis(self._build_crossborder, basis)
 
     def _build_crossborder(self, basis: str) -> dict[tuple[str, str], tuple[int, int]]:
-        cols = self._cols
-        destination_col = cols.registered if basis == "registration" else cols.server
-        country_table = self._countries.table
+        column = "registered" if basis == "registration" else "server"
+        country_table = self.country_table
         table: dict[tuple[str, str], tuple[int, int]] = {}
-        for code, country_id, start, stop in self._populated_spans():
-            destinations = destination_col[start:stop]
+        for chunk in self._populated_chunks():
+            destinations = chunk.columns[column]
             if basis == "registration":
-                mask = destinations != country_id
+                mask = destinations != chunk.country_id
             else:
-                mask = (destinations >= 0) & (destinations != country_id)
+                mask = (destinations >= 0) & (destinations != chunk.country_id)
             if not mask.any():
                 continue
             selected = destinations[mask]
             unique, inverse = np.unique(selected, return_inverse=True)
             url_counts = np.bincount(inverse)
-            byte_sums = np.bincount(inverse, weights=cols.sizes[start:stop][mask])
+            byte_sums = np.bincount(inverse, weights=chunk.columns["sizes"][mask])
             for i, destination_id in enumerate(unique.tolist()):
-                table[(code, country_table[destination_id])] = (
+                table[(chunk.code, country_table[destination_id])] = (
                     int(url_counts[i]),
                     int(byte_sums[i]),
                 )
@@ -420,19 +417,13 @@ class AnalysisIndex:
         dict per request (the old p95 tail: every first-hit-per-thread
         rebuilt and re-sorted the full table).
         """
-        key = "registration" if basis == "registration" else "server"
-        memo = self._crossborder_flow_tables.get(key)
-        if memo is None:
-            with self._memo_lock:
-                memo = self._crossborder_flow_tables.get(key)
-                if memo is None:
-                    memo = tuple(
-                        (s, d, u, b)
-                        for (s, d), (u, b)
-                        in sorted(self.crossborder_counts(key).items())
-                    )
-                    self._crossborder_flow_tables[key] = memo
-        return memo
+        return self._per_basis(self._build_flow_table, basis)
+
+    def _build_flow_table(self, basis: str) -> tuple[tuple[str, str, int, int], ...]:
+        return tuple(
+            (s, d, u, b)
+            for (s, d), (u, b) in sorted(self.crossborder_counts(basis).items())
+        )
 
     def crossborder_flow_slices(
         self, basis: str = "server"
@@ -443,21 +434,16 @@ class AnalysisIndex:
         source's flows are a contiguous run; a per-source query is a
         slice, not a filter pass over every flow.
         """
-        key = "registration" if basis == "registration" else "server"
-        memo = self._crossborder_flow_slices.get(key)
-        if memo is None:
-            with self._memo_lock:
-                memo = self._crossborder_flow_slices.get(key)
-                if memo is None:
-                    memo = {}
-                    table = self.crossborder_flow_table(key)
-                    for position, (source, _, _, _) in enumerate(table):
-                        if source not in memo:
-                            memo[source] = (position, position + 1)
-                        else:
-                            memo[source] = (memo[source][0], position + 1)
-                    self._crossborder_flow_slices[key] = memo
-        return memo
+        return self._per_basis(self._build_flow_slices, basis)
+
+    def _build_flow_slices(self, basis: str) -> dict[str, tuple[int, int]]:
+        slices: dict[str, tuple[int, int]] = {}
+        for position, (source, _, _, _) in enumerate(
+            self.crossborder_flow_table(basis)
+        ):
+            start = slices[source][0] if source in slices else position
+            slices[source] = (start, position + 1)
+        return slices
 
     # --------------------------------------------------- provider tables
 
@@ -469,22 +455,21 @@ class AnalysisIndex:
         dict[int, set],                          # continents served
         set,                                     # government-operated ASNs
     ]:
-        cols = self._cols
-        organization_table = self._organizations.table
+        organization_table = self.organization_table
         per_country: dict[str, dict[int, tuple[int, int]]] = {}
         organization_by_asn: dict[int, str] = {}
         first_seen: list[int] = []
         continents: dict[int, set] = {}
         gov_asns: set = set()
-        for code, _country_id, start, stop in self._populated_spans():
-            span_asns = cols.asns[start:stop]
+        for chunk in self._populated_chunks():
+            asns = chunk.columns["asns"]
             unique, first, inverse = np.unique(
-                span_asns, return_index=True, return_inverse=True
+                asns, return_index=True, return_inverse=True
             )
             order = np.argsort(first)
             url_counts = np.bincount(inverse)
-            byte_sums = np.bincount(inverse, weights=cols.sizes[start:stop])
-            country = COUNTRIES.get(code)
+            byte_sums = np.bincount(inverse, weights=chunk.columns["sizes"])
+            country = COUNTRIES.get(chunk.code)
             stats: dict[int, tuple[int, int]] = {}
             for i in order.tolist():
                 asn = int(unique[i])
@@ -492,16 +477,14 @@ class AnalysisIndex:
                 if asn not in organization_by_asn:
                     first_seen.append(asn)
                     organization_by_asn[asn] = organization_table[
-                        cols.organizations[start + int(first[i])]
+                        chunk.columns["organizations"][first[i]]
                     ]
                 if country is not None:
                     continents.setdefault(asn, set()).add(country.continent)
-            per_country[code] = stats
-            gov_mask = cols.gov[start:stop] != 0
+            per_country[chunk.code] = stats
+            gov_mask = chunk.columns["gov"] != 0
             if gov_mask.any():
-                gov_asns.update(
-                    int(asn) for asn in np.unique(span_asns[gov_mask])
-                )
+                gov_asns.update(int(asn) for asn in np.unique(asns[gov_mask]))
         return per_country, organization_by_asn, tuple(first_seen), continents, gov_asns
 
     def asn_counts(self) -> dict[str, dict[int, tuple[int, int]]]:
@@ -550,17 +533,16 @@ class AnalysisIndex:
 
     @locked_cached_property
     def _address_location_table(self) -> dict[str, tuple[int, int]]:
-        cols = self._cols
         table: dict[str, tuple[int, int]] = {}
-        for code, country_id, start, stop in sorted(self._populated_spans()):
-            server = cols.server[start:stop]
+        for chunk in sorted(self._populated_chunks(), key=lambda c: c.code):
+            server = chunk.columns["server"]
             included = server >= 0
             if not included.any():
                 continue
-            addresses = cols.addresses[start:stop]
-            domestic = np.unique(addresses[server == country_id])
-            foreign = np.unique(addresses[included & (server != country_id)])
-            table[code] = (
+            addresses = chunk.columns["addresses"]
+            domestic = np.unique(addresses[server == chunk.country_id])
+            foreign = np.unique(addresses[included & (server != chunk.country_id)])
+            table[chunk.code] = (
                 int(foreign.size),
                 int(np.union1d(domestic, foreign).size),
             )
@@ -579,11 +561,11 @@ class AnalysisIndex:
     @locked_cached_property
     def _domains_by_country(self) -> dict[str, set[str]]:
         return {
-            code: {
+            chunk.code: {
                 registrable_domain(hostname)
-                for hostname in self._dataset.countries[code].hostnames
+                for hostname in self._dataset.countries[chunk.code].hostnames
             }
-            for code, _country_id, start, stop in self._populated_spans()
+            for chunk in self._populated_chunks()
         }
 
     def domains_by_country(self) -> dict[str, set[str]]:
@@ -594,15 +576,21 @@ class AnalysisIndex:
 
     @locked_cached_property
     def _summary(self) -> DatasetSummary:
-        cols = self._cols
         dataset = self._dataset
         landing = sum(cd.landing_count for cd in dataset.countries.values())
         total = self.record_count
         hostnames: set[str] = set()
         for country_dataset in dataset.countries.values():
             hostnames |= country_dataset.hostnames
-        anycast_mask = cols.anycast != 0
-        unique_server_ids = np.unique(cols.server)
+        # The union of per-chunk uniques is exact; only uniques, never
+        # whole columns, are concatenated.
+        addresses, anycast, servers = [], [], []
+        for chunk in self._populated_chunks():
+            chunk_addresses = chunk.columns["addresses"]
+            anycast_mask = chunk.columns["anycast"] != 0
+            addresses.append(np.unique(chunk_addresses))
+            anycast.append(np.unique(chunk_addresses[anycast_mask]))
+            servers.append(np.unique(chunk.columns["server"]))
         return DatasetSummary(
             landing_urls=landing,
             internal_urls=max(0, total - landing),
@@ -610,14 +598,19 @@ class AnalysisIndex:
             unique_hostnames=len(hostnames),
             ases=len(self.organization_by_asn()),
             government_ases=len(self.gov_asns()),
-            unique_addresses=int(np.unique(cols.addresses).size),
-            anycast_addresses=int(np.unique(cols.addresses[anycast_mask]).size),
-            countries_with_servers=int(np.count_nonzero(unique_server_ids >= 0)),
+            unique_addresses=_union(addresses).size,
+            anycast_addresses=_union(anycast).size,
+            countries_with_servers=int(np.count_nonzero(_union(servers) >= 0)),
         )
 
     def summary(self) -> DatasetSummary:
         """The Table 3 headline numbers (equals ``dataset.summarize()``)."""
         return self._summary
+
+
+def _union(uniques: list[np.ndarray]) -> np.ndarray:
+    """The sorted union of per-chunk unique arrays."""
+    return np.unique(np.concatenate(uniques)) if uniques else np.zeros(0)
 
 
 #: Either a dataset or a prebuilt index -- what every rewritten Section
@@ -639,7 +632,9 @@ def underlying_dataset(source: DatasetOrIndex) -> GovernmentHostingDataset:
 
 __all__ = [
     "CATEGORIES",
+    "COLUMNS",
     "AnalysisIndex",
+    "CountryChunk",
     "DatasetOrIndex",
     "ensure_index",
     "locked_cached_property",

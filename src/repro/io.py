@@ -115,6 +115,29 @@ def save_dataset(dataset: GovernmentHostingDataset, path: PathLike) -> int:
     return count
 
 
+def require(mapping, key: str, kind: type, where: str, error=ValueError):
+    """``mapping[key]`` if ``mapping`` is an object holding a ``kind``.
+
+    Raises ``error`` naming ``where`` and ``key`` otherwise, so a
+    damaged header or manifest fails with a message, not a traceback.
+    """
+    value = mapping.get(key) if isinstance(mapping, dict) else None
+    if not isinstance(value, kind):
+        raise error(f"{where}: {key!r} is missing or not of type "
+                    f"{kind.__name__}")
+    return value
+
+
+def validation_from_dict(data, where: str,
+                         error=ValueError) -> ValidationStats:
+    """The ``validation`` object of a header or manifest, checked."""
+    names = sorted(field.name for field in dataclasses.fields(ValidationStats))
+    if not isinstance(data, dict) or sorted(data) != names:
+        raise error(f"{where}: 'validation' must hold exactly the keys "
+                    f"{names}")
+    return ValidationStats(**data)
+
+
 def _reject_duplicate_keys(pairs: list) -> dict:
     """``object_pairs_hook`` for the header: a duplicate key (usually a
     country listed twice) silently drops data under plain ``json.loads``
@@ -146,24 +169,33 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
             )
         except ValueError as exc:
             raise ValueError(f"{path}:1: corrupt header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}:1: header is not a JSON object")
         if header.get("format") != FORMAT_VERSION:
             raise ValueError(
                 f"{path}: unsupported format {header.get('format')!r}"
             )
+        validation = validation_from_dict(header.get("validation"),
+                                          f"{path}:1")
         countries: dict[str, CountryDataset] = {}
         records_by_country: dict[str, list[UrlRecord]] = {}
-        for code, meta in header["countries"].items():
+        for code, meta in require(header, "countries", dict,
+                                  f"{path}:1").items():
+            where = f"{path}:1: country {code!r}"
             records: list[UrlRecord] = []
             records_by_country[code] = records
             countries[code] = CountryDataset(
                 country=code,
-                landing_count=meta["landing_count"],
+                landing_count=require(meta, "landing_count", int, where),
                 records=records,
-                discarded_url_count=meta["discarded_url_count"],
-                unresolved_hostnames=list(meta["unresolved_hostnames"]),
+                discarded_url_count=require(meta, "discarded_url_count",
+                                            int, where),
+                unresolved_hostnames=list(
+                    require(meta, "unresolved_hostnames", list, where)
+                ),
                 depth_histogram={
-                    int(depth): count
-                    for depth, count in meta["depth_histogram"].items()
+                    int(depth): count for depth, count
+                    in require(meta, "depth_histogram", dict, where).items()
                 },
             )
         count = 0
@@ -193,7 +225,6 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
                     path, f"{LARGE_FILE_RECORDS:,}",
                 )
 
-    validation = ValidationStats(**header["validation"])
     return GovernmentHostingDataset(
         countries=countries,
         validation=validation,
@@ -242,6 +273,8 @@ __all__ = [
     "dataset_header",
     "record_to_dict",
     "record_from_dict",
+    "require",
+    "validation_from_dict",
     "save_dataset",
     "load_dataset",
     "export_csv",

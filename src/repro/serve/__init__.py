@@ -3,8 +3,8 @@
 The batch path (``repro-gov report``) re-opens and re-indexes a
 dataset per invocation; this package is the long-running twin: load a
 dataset once (jsonl export or columnar store directory), keep its
-:class:`~repro.analysis.engine.AnalysisIndex` /
-:class:`~repro.store.index.StoreBackedIndex` warm, and answer
+:class:`~repro.analysis.engine.AnalysisIndex` warm (built from the
+records, or attached over the store's shards), and answer
 parameterized queries from many concurrent clients.
 
 Split gateway/service style:

@@ -9,22 +9,21 @@ is columnar at both ends.  This package is the storage format that cuts
 the middleman out:
 
 * :func:`write_store` -- one directory per country holding typed,
-  mmap-able column buffers (the exact buffers of a built
+  mmap-able column buffers (the per-country chunks of a built
   :class:`~repro.analysis.engine.AnalysisIndex`) plus url/hostname
   string tables, under a BLAKE2-digest-chained manifest;
 * :class:`DatasetStore` / :func:`load_store_dataset` -- open a store
-  and get a dataset whose analyses (including the byte-identical full
-  paper report) run zero-copy off the mmapped columns, while
+  and get a dataset whose analysis index takes each shard's mmapped
+  columns as its chunks, so analyses (including the byte-identical
+  full paper report) run zero-copy off the shards, while
   ``records`` / ``iter_records()`` remain available as lazy
   compatibility views;
-* :class:`StoreBackedIndex` -- the mmap-backed analysis index itself;
 * :func:`jsonl_to_store` / :func:`store_to_jsonl` -- lossless,
   byte-identical conversions (the CLI's ``repro-gov convert``).
 """
 
 from repro.store.convert import jsonl_to_store, store_to_jsonl
 from repro.store.format import STORE_FORMAT_VERSION, StoreError
-from repro.store.index import StoreBackedIndex
 from repro.store.reader import (
     DatasetStore,
     ShardReader,
@@ -36,7 +35,6 @@ from repro.store.writer import StoreWriteResult, write_store
 __all__ = [
     "STORE_FORMAT_VERSION",
     "StoreError",
-    "StoreBackedIndex",
     "DatasetStore",
     "ShardReader",
     "StoreWriteResult",

@@ -9,8 +9,8 @@ Both directions preserve bytes exactly:
   i.e. anything ``save_dataset`` wrote from a loaded or store-backed
   dataset, round-trip identically);
 * a report rendered over the store equals the report rendered over the
-  jsonl it was converted from, byte for byte (the store-backed index
-  reproduces the scan-built index exactly).
+  jsonl it was converted from, byte for byte (the index over the
+  store's shards reproduces the scan-built index exactly).
 
 ``store_to_jsonl`` streams: one country's records are materialized,
 written and dropped before the next shard is touched, so converting an

@@ -16,14 +16,14 @@ A store is one directory, sharded per country::
         urls.idx / urls.blob                 per-record URL string table
         hostnames.idx / hostnames.blob       shard hostname string table
 
-The analytic columns are bit-identical dumps of the corresponding
-:class:`~repro.analysis.engine.AnalysisIndex` buffers: ``registered``,
-``server`` and ``organization`` hold *globally* interned ids whose
-tables live in the root manifest, in the exact first-seen order the
-index's scan assigns, so a store-backed index reproduces every
-aggregate of a scan-built index bit for bit without re-interning.
-``server`` uses ``-1`` for excluded (unlocated) records, mirroring the
-index's ``None`` country id.
+A shard's analytic column files (:data:`INDEX_COLUMN_FILES`) hold the
+columns of its country's :class:`~repro.analysis.engine.index.CountryChunk`
+byte for byte: ``registered``, ``server`` and ``organization`` hold
+*globally* interned ids whose tables live in the root manifest, in the
+exact first-seen order the index's scan assigns, so an index over the
+mapped shards reproduces every aggregate of a scan-built index bit for
+bit without re-interning.  ``server`` uses ``-1`` for excluded
+(unlocated) records, mirroring the index's ``None`` country id.
 
 Integrity forms a digest chain (BLAKE2b-128, the ``repro.cache``
 discipline): each shard manifest records size and digest of every
@@ -35,7 +35,6 @@ re-hashes all column bytes.
 
 from __future__ import annotations
 
-from repro.categories import HostingCategory
 from repro.core.geolocation import ValidationMethod
 from repro.core.urlfilter import FilterVia
 
@@ -46,13 +45,11 @@ STORE_FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 SHARD_MANIFEST_NAME = "shard.json"
 
-#: Code spaces of the uint8 enum columns, in declaration order (the
-#: same order ``repro.analysis.engine.index.CATEGORIES`` fixes).
-CATEGORY_CODES: tuple[HostingCategory, ...] = tuple(HostingCategory)
+#: Code spaces of the uint8 enum columns the index does not carry, in
+#: declaration order (``category.u8`` uses the index's ``CATEGORIES``).
 VIA_CODES: tuple[FilterVia, ...] = tuple(FilterVia)
 VALIDATION_CODES: tuple[ValidationMethod, ...] = tuple(ValidationMethod)
 
-CATEGORY_CODE = {category: code for code, category in enumerate(CATEGORY_CODES)}
 VIA_CODE = {via: code for code, via in enumerate(VIA_CODES)}
 VALIDATION_CODE = {method: code for code, method in enumerate(VALIDATION_CODES)}
 
@@ -73,6 +70,20 @@ COLUMN_FILES: dict[str, str] = {
     "hostname.u32": "u32",
 }
 
+#: Shard file of each analytic column of an index chunk
+#: (``repro.analysis.engine.index.COLUMNS``).
+INDEX_COLUMN_FILES: dict[str, str] = {
+    "sizes": "sizes.i64",
+    "addresses": "addresses.i64",
+    "asns": "asns.i64",
+    "categories": "category.u8",
+    "gov": "gov.u8",
+    "anycast": "anycast.u8",
+    "registered": "registered.i32",
+    "server": "server.i32",
+    "organizations": "organization.i32",
+}
+
 #: String-table files of one shard (offsets column + UTF-8 blob pairs).
 STRTAB_FILES: tuple[tuple[str, str], ...] = (
     ("urls.idx", "urls.blob"),
@@ -88,13 +99,12 @@ __all__ = [
     "STORE_FORMAT_VERSION",
     "MANIFEST_NAME",
     "SHARD_MANIFEST_NAME",
-    "CATEGORY_CODES",
     "VIA_CODES",
     "VALIDATION_CODES",
-    "CATEGORY_CODE",
     "VIA_CODE",
     "VALIDATION_CODE",
     "COLUMN_FILES",
+    "INDEX_COLUMN_FILES",
     "STRTAB_FILES",
     "StoreError",
 ]

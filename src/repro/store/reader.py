@@ -5,9 +5,9 @@ digest chain and every column file's size up front (cheap stats -- no
 column bytes are read), and then serves three progressively heavier
 views:
 
-* **columns** -- zero-copy ``numpy.memmap`` views per shard, the input
-  of the store-backed analysis index
-  (:class:`~repro.store.index.StoreBackedIndex`);
+* **columns** -- zero-copy ``numpy.memmap`` views per shard, mapped on
+  first read: the chunks of the dataset's
+  :class:`~repro.analysis.engine.AnalysisIndex`;
 * **metadata** -- per-country landing counts, depth histograms,
   unresolved hostnames and hostname tables, enough for the full paper
   report without touching a single record;
@@ -18,10 +18,11 @@ views:
 
 :meth:`DatasetStore.dataset` assembles a
 :class:`~repro.core.dataset.GovernmentHostingDataset` whose country
-views defer record assembly to their shard and whose analysis index is
-the store-backed zero-copy one, pre-attached under the same cache
-attribute :meth:`AnalysisIndex.ensure` uses -- so every existing
-analysis entry point transparently runs off the mmapped columns.
+views defer record assembly to their shard, and pre-attaches an
+:class:`~repro.analysis.engine.AnalysisIndex` with one chunk per shard
+under the cache attribute :meth:`AnalysisIndex.ensure` uses -- so every
+existing analysis entry point transparently runs off the mmapped
+columns.
 
 Resource lifetime
 -----------------
@@ -38,20 +39,28 @@ lock-guarded, making concurrent reads from a shared store safe.
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import threading
-from typing import Iterator, Optional, Union
+from typing import Iterator, Mapping, Optional, Union
 
 import numpy as np
 
+from repro.analysis.engine.index import (
+    _CACHE_ATTRIBUTE,
+    CATEGORIES,
+    AnalysisIndex,
+    CountryChunk,
+)
 from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
 from repro.core.geolocation import ValidationStats
 from repro.faults.report import FaultReport
+from repro.io import require, validation_from_dict
 from repro.store import codec
 from repro.store.format import (
-    CATEGORY_CODES,
     COLUMN_FILES,
+    INDEX_COLUMN_FILES,
     MANIFEST_NAME,
     SHARD_MANIFEST_NAME,
     STORE_FORMAT_VERSION,
@@ -62,6 +71,10 @@ from repro.store.format import (
 )
 
 PathLike = Union[str, pathlib.Path]
+
+#: ``repro.io.require`` raising ``StoreError``: the root manifest is
+#: checked field by field because no digest covers it.
+_require = functools.partial(require, error=StoreError)
 
 #: Filenames every shard must carry.
 _SHARD_FILES = tuple(COLUMN_FILES) + tuple(
@@ -242,7 +255,7 @@ class ShardReader:
              for o in self.column("organization.i32").tolist()],
             [country_table[r] for r in self.column("registered.i32").tolist()],
             [bool(g) for g in self.column("gov.u8").tolist()],
-            [CATEGORY_CODES[c] for c in self.column("category.u8").tolist()],
+            [CATEGORIES[c] for c in self.column("category.u8").tolist()],
             [None if s < 0 else country_table[s]
              for s in self.column("server.i32").tolist()],
             [bool(a) for a in self.column("anycast.u8").tolist()],
@@ -280,6 +293,24 @@ class ShardReader:
                 raise StoreError(f"{self.shard_dir / name}: digest mismatch")
 
 
+class _IndexColumns(Mapping):
+    """A shard's analytic columns by index column name, mapped on first read."""
+
+    __slots__ = ("_shard",)
+
+    def __init__(self, shard: ShardReader) -> None:
+        self._shard = shard
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._shard.column(INDEX_COLUMN_FILES[name])
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(INDEX_COLUMN_FILES)
+
+    def __len__(self) -> int:
+        return len(INDEX_COLUMN_FILES)
+
+
 class DatasetStore:
     """An opened store directory (manifests parsed, sizes checked)."""
 
@@ -295,12 +326,15 @@ class DatasetStore:
                 f"{self.store_dir}: unsupported store format "
                 f"{self.manifest.get('format')!r}"
             )
-        self.record_count: int = self.manifest["record_count"]
-        self.countries: list[str] = list(self.manifest["countries"])
-        self.country_table: list[str] = list(self.manifest["country_table"])
+        field = functools.partial(_require, self.manifest,
+                                  where=str(manifest_path))
+        self.record_count: int = field("record_count", int)
+        self.countries: list[str] = list(field("countries", list))
+        self.country_table: list[str] = list(field("country_table", list))
         self.organization_table: list[str] = list(
-            self.manifest["organization_table"]
+            field("organization_table", list)
         )
+        self._shard_entries: dict = field("shards", dict)
         known = set(self.country_table)
         missing = [code for code in self.countries if code not in known]
         if missing:
@@ -321,21 +355,25 @@ class DatasetStore:
             )
 
     def _open_shard(self, code: str) -> ShardReader:
-        entry = self.manifest["shards"].get(code)
+        entry = self._shard_entries.get(code)
         if entry is None:
             raise StoreError(f"{self.store_dir}: no shard entry for {code}")
+        where = f"{self.store_dir / MANIFEST_NAME}: shard {code!r}"
+        expected_bytes = _require(entry, "manifest_bytes", int, where)
+        expected_digest = _require(entry, "manifest_digest", str, where)
+        records = _require(entry, "records", int, where)
         shard_dir = self.store_dir / code
         manifest, payload = _load_json(shard_dir / SHARD_MANIFEST_NAME)
         if (
-            len(payload) != entry["manifest_bytes"]
-            or codec.digest(payload) != entry["manifest_digest"]
+            len(payload) != expected_bytes
+            or codec.digest(payload) != expected_digest
         ):
             raise StoreError(
                 f"{shard_dir / SHARD_MANIFEST_NAME}: digest mismatch against "
                 f"the root manifest"
             )
         if manifest.get("country") != code or \
-                manifest.get("records") != entry["records"]:
+                manifest.get("records") != records:
             raise StoreError(
                 f"{shard_dir / SHARD_MANIFEST_NAME}: shard manifest "
                 f"contradicts the root manifest"
@@ -356,7 +394,10 @@ class DatasetStore:
 
     @property
     def validation(self) -> ValidationStats:
-        return ValidationStats(**self.manifest["validation"])
+        return validation_from_dict(
+            self.manifest.get("validation"),
+            str(self.store_dir / MANIFEST_NAME), StoreError,
+        )
 
     @property
     def faults(self) -> FaultReport:
@@ -396,11 +437,9 @@ class DatasetStore:
         hostnames, landing pages, summaries) and every analysis --
         including the full paper report -- without materializing a
         single record; ``records`` / ``iter_records()`` stay available
-        and assemble lazily per country from the shard columns.
+        and assemble lazily per country from the shard columns.  No
+        column file is mapped until an analysis reads it.
         """
-        from repro.analysis.engine.index import _CACHE_ATTRIBUTE
-        from repro.store.index import StoreBackedIndex
-
         countries: dict[str, CountryDataset] = {}
         for code in self.countries:
             shard = self._shards[code]
@@ -420,7 +459,15 @@ class DatasetStore:
             validation=self.validation,
             faults=self.faults,
         )
-        setattr(dataset, _CACHE_ATTRIBUTE, StoreBackedIndex(self, dataset))
+        country_ids = {code: i for i, code in enumerate(self.country_table)}
+        chunks = [
+            CountryChunk(code, country_ids[code], shard.record_count,
+                         _IndexColumns(shard))
+            for code, shard in self._shards.items()
+        ]
+        setattr(dataset, _CACHE_ATTRIBUTE, AnalysisIndex(
+            dataset, chunks, self.country_table, self.organization_table
+        ))
         return dataset
 
     def iter_records(self) -> Iterator[UrlRecord]:

@@ -1,6 +1,6 @@
 """Writing a dataset into the sharded columnar store layout.
 
-:func:`write_store` dumps the column buffers of a built
+:func:`write_store` dumps the per-country chunks of a built
 :class:`~repro.analysis.engine.AnalysisIndex` -- the one canonical
 columnar form of a dataset -- plus the per-record url/hostname/via/
 depth/validation columns the index does not carry (they are needed only
@@ -29,11 +29,12 @@ import pathlib
 import shutil
 from typing import Union
 
-from repro.analysis.engine.index import AnalysisIndex
+from repro.analysis.engine.index import AnalysisIndex, CountryChunk
 from repro.core.dataset import GovernmentHostingDataset
 from repro.store import codec
 from repro.store.format import (
     COLUMN_FILES,
+    INDEX_COLUMN_FILES,
     MANIFEST_NAME,
     SHARD_MANIFEST_NAME,
     STORE_FORMAT_VERSION,
@@ -53,21 +54,11 @@ def _write_file(directory: pathlib.Path, name: str, payload: bytes) -> dict:
     return {"bytes": len(payload), "digest": codec.digest(payload)}
 
 
-def _shard_columns(index: AnalysisIndex, records, start: int, stop: int) -> dict:
+def _shard_columns(chunk: CountryChunk, records) -> dict:
     """All column buffers of one shard, keyed by filename."""
-    cols = index._cols
     buffers: dict[str, bytes] = {
-        "sizes.i64": codec.column_bytes(cols.sizes[start:stop], "i64"),
-        "addresses.i64": codec.column_bytes(cols.addresses[start:stop], "i64"),
-        "asns.i64": codec.column_bytes(cols.asns[start:stop], "i64"),
-        "category.u8": codec.column_bytes(cols.categories[start:stop], "u8"),
-        "gov.u8": codec.column_bytes(cols.gov[start:stop], "u8"),
-        "anycast.u8": codec.column_bytes(cols.anycast[start:stop], "u8"),
-        "registered.i32": codec.column_bytes(cols.registered[start:stop], "i32"),
-        "server.i32": codec.column_bytes(cols.server[start:stop], "i32"),
-        "organization.i32": codec.column_bytes(
-            cols.organizations[start:stop], "i32"
-        ),
+        filename: codec.column_bytes(chunk.columns[name], COLUMN_FILES[filename])
+        for name, filename in INDEX_COLUMN_FILES.items()
     }
     if records:
         (urls, hostnames, _, _, vias, depths, *_rest) = zip(*records)
@@ -101,17 +92,12 @@ def _shard_columns(index: AnalysisIndex, records, start: int, stop: int) -> dict
 
 
 def _write_shard(
-    shard_dir: pathlib.Path,
-    code: str,
-    country_dataset,
-    index: AnalysisIndex,
-    start: int,
-    stop: int,
+    shard_dir: pathlib.Path, chunk: CountryChunk, country_dataset
 ) -> bytes:
     """Write one country's shard; returns the shard manifest bytes."""
     shard_dir.mkdir(parents=True)
     records = country_dataset.records
-    buffers = _shard_columns(index, records, start, stop)
+    buffers = _shard_columns(chunk, records)
     files = {}
     for name in list(COLUMN_FILES) + [n for pair in STRTAB_FILES for n in pair]:
         entry = _write_file(shard_dir, name, buffers[name])
@@ -120,8 +106,8 @@ def _write_shard(
         files[name] = entry
     manifest = {
         "format": STORE_FORMAT_VERSION,
-        "country": code,
-        "records": stop - start,
+        "country": chunk.code,
+        "records": chunk.records,
         "landing_count": country_dataset.landing_count,
         "discarded_url_count": country_dataset.discarded_url_count,
         "unresolved_hostnames": list(country_dataset.unresolved_hostnames),
@@ -159,7 +145,7 @@ def write_store(
     """Write ``dataset`` as a sharded columnar store under ``store_dir``.
 
     Builds (or reuses, via :meth:`AnalysisIndex.ensure`) the dataset's
-    analysis index and dumps its buffers per country span.  Refuses to
+    analysis index and dumps its columns chunk by chunk.  Refuses to
     clobber an existing path unless ``overwrite`` is set.
     """
     store_dir = pathlib.Path(store_dir)
@@ -172,22 +158,21 @@ def write_store(
     staging.mkdir(parents=True)
     try:
         shards = {}
-        for code, _country_id, start, stop in index._spans:
+        for chunk in index.chunks:
             manifest_bytes = _write_shard(
-                staging / code, code, dataset.countries[code],
-                index, start, stop,
+                staging / chunk.code, chunk, dataset.countries[chunk.code]
             )
-            shards[code] = {
-                "records": stop - start,
+            shards[chunk.code] = {
+                "records": chunk.records,
                 "manifest_bytes": len(manifest_bytes),
                 "manifest_digest": codec.digest(manifest_bytes),
             }
         root = {
             "format": STORE_FORMAT_VERSION,
             "record_count": index.record_count,
-            "countries": [code for code, *_ in index._spans],
-            "country_table": list(index._countries.table),
-            "organization_table": list(index._organizations.table),
+            "countries": [chunk.code for chunk in index.chunks],
+            "country_table": index.country_table,
+            "organization_table": index.organization_table,
             "validation": dataclasses.asdict(dataset.validation),
             "shards": shards,
         }

@@ -1,11 +1,12 @@
-"""Store-backed index == scan-built index, without records.
+"""Index over store shards == scan-built index, without records.
 
 The equivalence suite (tests/analysis/test_engine_equivalence.py) pins
 index-backed analyses to the record-loop baselines; this module pins the
-:class:`~repro.store.StoreBackedIndex` to the scan-built
-:class:`~repro.analysis.engine.AnalysisIndex` over the same dataset --
-same tables, same floats, same orderings -- and asserts the whole paper
-report renders without materializing a single record.
+:class:`~repro.analysis.engine.AnalysisIndex` a store attaches (one
+chunk per shard, columns mapped from the shard files) to the scan-built
+index over the same dataset -- same tables, same floats, same orderings
+-- and asserts the whole paper report renders without materializing a
+single record, and that no column file is mapped before it is read.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ from repro.analysis import (
     registration,
     resilience,
 )
-from repro.analysis.engine import ensure_index
+from repro.analysis.engine import AnalysisIndex, ensure_index
+from repro.analysis.engine.index import COLUMNS
 from repro.reporting.paper_report import render_paper_report
-from repro.store import load_store_dataset
-from repro.store.index import StoreBackedIndex, _ChunkedColumn
+from repro.store import DatasetStore, load_store_dataset
+from repro.store.codec import KINDS
+from repro.store.format import COLUMN_FILES, INDEX_COLUMN_FILES
 
 
 @pytest.fixture(scope="module")
@@ -33,10 +36,8 @@ def store_dataset(store_dir):
 
 
 @pytest.fixture(scope="module")
-def store_index(store_dataset) -> StoreBackedIndex:
-    index = ensure_index(store_dataset)
-    assert isinstance(index, StoreBackedIndex)
-    return index
+def store_index(store_dataset) -> AnalysisIndex:
+    return ensure_index(store_dataset)
 
 
 @pytest.fixture(scope="module")
@@ -44,34 +45,58 @@ def scan_index(dataset):
     return ensure_index(dataset)
 
 
+def _shape(index):
+    return [(chunk.code, chunk.country_id, chunk.records)
+            for chunk in index.chunks]
+
+
 def test_interners_match(store_index, scan_index):
-    assert store_index._countries.table == scan_index._countries.table
-    assert store_index._organizations.table == \
-        scan_index._organizations.table
-    assert store_index._spans == scan_index._spans
+    assert store_index.country_table == scan_index.country_table
+    assert store_index.organization_table == scan_index.organization_table
+    assert _shape(store_index) == _shape(scan_index)
 
 
 def test_columns_match(store_index, scan_index):
-    for name in ("sizes", "addresses", "asns", "categories", "gov",
-                 "anycast", "countries", "registered", "server",
-                 "organizations"):
-        ours = getattr(store_index._cols, name)
-        reference = getattr(scan_index._cols, name)
-        assert len(ours) == len(reference)
-        assert np.array_equal(ours[0:len(ours)], np.asarray(reference)), name
+    for ours, reference in zip(store_index.chunks, scan_index.chunks):
+        for name in COLUMNS:
+            assert len(ours.columns[name]) == ours.records
+            assert np.array_equal(ours.columns[name],
+                                  reference.columns[name]), name
 
 
-def test_span_slices_are_zero_copy(store_index):
-    for code, _country_id, start, stop in store_index._spans:
-        if stop == start:
-            continue
-        view = store_index._cols.sizes[start:stop]
-        # A span-aligned slice is the shard's own (possibly mmapped)
-        # array view, never a concatenated copy.
-        chunk = store_index._cols.sizes._chunk(
-            store_index._cols.sizes._locate(start)
-        )
-        assert view.base is chunk or view.base is chunk.base
+def test_store_chunk_columns_are_memmap_views(store_index):
+    populated = [chunk for chunk in store_index.chunks if chunk.records]
+    assert populated
+    for chunk in populated:
+        for name in COLUMNS:
+            # The shard file's own mapping, never a copy.
+            assert isinstance(chunk.columns[name], np.memmap), name
+
+
+def test_index_column_files_cover_exactly_the_index_columns():
+    assert set(INDEX_COLUMN_FILES) == set(COLUMNS)
+    for name, filename in INDEX_COLUMN_FILES.items():
+        stored = np.dtype(KINDS[COLUMN_FILES[filename]])
+        indexed = np.dtype(COLUMNS[name])
+        assert (stored.kind, stored.itemsize) == \
+            (indexed.kind, indexed.itemsize), name
+
+
+def test_attaching_the_index_maps_no_column_file(store_dir):
+    with DatasetStore(store_dir) as store:
+        index = ensure_index(store.dataset())
+        assert [chunk.code for chunk in index.chunks] == store.countries
+        assert all(not shard._columns for shard in store.shards())
+        index.summary()
+        # Table 3 reads the address, anycast and server columns plus the
+        # provider table's ASN, size, organization and gov columns.
+        read = {INDEX_COLUMN_FILES[name] for name in (
+            "addresses", "anycast", "server",
+            "asns", "sizes", "organizations", "gov",
+        )}
+        for shard in store.shards():
+            expected = read if shard.record_count else set()
+            assert set(shard._columns) == expected, shard.code
 
 
 def test_summary_matches(store_index, scan_index, dataset):
@@ -126,40 +151,3 @@ def test_lazy_records_still_work(store_dataset, dataset):
     assert lazy.records == dataset.countries[code].records
     assert lazy.materialized
 
-
-# --------------------------------------------------- chunked column unit
-
-def _column(chunks):
-    bounds, loaders, cursor = [], [], 0
-    for chunk in chunks:
-        data = np.asarray(chunk, dtype=np.int64)
-        bounds.append((cursor, cursor + len(data)))
-        loaders.append(lambda d=data: d)
-        cursor += len(data)
-    return _ChunkedColumn(bounds, loaders, cursor, np.int64)
-
-
-def test_chunked_column_slicing():
-    column = _column([[1, 2, 3], [4, 5], [6]])
-    assert len(column) == 6
-    assert column[0:3].tolist() == [1, 2, 3]
-    assert column[3:5].tolist() == [4, 5]
-    assert column[1:2].tolist() == [2]
-    assert column[0:6].tolist() == [1, 2, 3, 4, 5, 6]  # crosses chunks
-    assert column[2:4].tolist() == [3, 4]
-    assert column[4:4].tolist() == []
-    assert column[0:0].tolist() == []
-
-
-def test_chunked_column_int_indexing():
-    column = _column([[10, 11], [12]])
-    assert [column[i] for i in range(3)] == [10, 11, 12]
-    assert column[-1] == 12
-    with pytest.raises(IndexError):
-        column[3]
-
-
-def test_chunked_column_rejects_strided_slices():
-    column = _column([[1, 2, 3]])
-    with pytest.raises(ValueError):
-        column[0:3:2]

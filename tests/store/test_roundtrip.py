@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 
 import pytest
 
+from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.io import load_dataset, save_dataset
 from repro.store import (
     DatasetStore,
@@ -45,6 +48,35 @@ def test_write_is_deterministic(tmp_path, tiny_dataset):
         twin = second / path.relative_to(first)
         if path.is_file():
             assert path.read_bytes() == twin.read_bytes(), path.name
+
+
+def _tree_digest(root) -> str:
+    """sha256 over every file's relative path, size and bytes."""
+    digest = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        payload = path.read_bytes()
+        digest.update(f"{path.relative_to(root).as_posix()}\0"
+                      f"{len(payload)}\0".encode())
+        digest.update(payload)
+    return digest.hexdigest()
+
+
+#: ``_tree_digest`` of the golden store below.  Any change to the store
+#: layout, the codecs, the interning order or the measured world moves
+#: it; such a change must bump ``STORE_FORMAT_VERSION`` or be explained.
+GOLDEN_STORE_SHA256 = (
+    "ccef8041c25d5254fd26d8062686d76122017a5f4cf68f54574d1f64d632a97f"
+)
+
+
+def test_golden_store_bytes(tmp_path):
+    codes = ("BR", "US", "FR")
+    world = SyntheticWorld.generate(
+        WorldConfig(seed=7, scale=0.02, countries=codes)
+    )
+    target = tmp_path / "golden.store"
+    write_store(Pipeline(world).run(list(codes)), target)
+    assert _tree_digest(target) == GOLDEN_STORE_SHA256
 
 
 def test_records_roundtrip_exactly(store, dataset):
@@ -122,6 +154,34 @@ def test_wrong_format_version_rejected(tmp_path, tiny_dataset):
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(StoreError, match="unsupported store format"):
         DatasetStore(target)
+
+
+@pytest.mark.parametrize("edit,key", [
+    (lambda m: m.pop("record_count"), "record_count"),
+    (lambda m: m.pop("countries"), "countries"),
+    (lambda m: m.pop("country_table"), "country_table"),
+    (lambda m: m.pop("shards"), "shards"),
+    (lambda m: m.pop("validation"), "validation"),
+    (lambda m: next(iter(m["shards"].values())).pop("manifest_digest"),
+     "manifest_digest"),
+    (lambda m: m.update(organization_table=None), "organization_table"),
+    (lambda m: m["validation"].update(bogus=1), "validation"),
+    (lambda m: m.update(record_count=str(m["record_count"])), "record_count"),
+], ids=["no-record_count", "no-countries", "no-country_table", "no-shards",
+        "no-validation", "no-manifest_digest", "null-organization_table",
+        "extra-validation-key", "string-record_count"])
+def test_damaged_root_manifest_raises_store_error(tmp_path, tiny_store_dir,
+                                                  edit, key):
+    target = tmp_path / "damaged.store"
+    shutil.copytree(tiny_store_dir, target)
+    manifest_path = target / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    edit(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StoreError) as caught:
+        load_store_dataset(target)
+    assert str(manifest_path) in str(caught.value)
+    assert repr(key) in str(caught.value)
 
 
 def test_not_a_store_rejected(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the repro-gov command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -305,6 +307,35 @@ def test_report_corrupt_store_manifest_exits_cleanly(saved_dataset,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "manifest" in err
+
+
+def test_report_damaged_store_manifest_exits_cleanly(saved_dataset,
+                                                    tmp_path, capsys):
+    store = tmp_path / "damaged.store"
+    assert main(["convert", str(saved_dataset), str(store)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((store / "manifest.json").read_text())
+    del manifest["record_count"]
+    (store / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["report", str(store)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'record_count'" in err
+    assert "Traceback" not in err
+
+
+def test_report_damaged_jsonl_header_exits_cleanly(saved_dataset, tmp_path,
+                                                   capsys):
+    damaged = tmp_path / "damaged.jsonl"
+    header, rest = saved_dataset.read_text().split("\n", 1)
+    header = json.loads(header)
+    del header["countries"]
+    damaged.write_text(json.dumps(header) + "\n" + rest)
+    assert main(["report", str(damaged)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'countries'" in err
+    assert "Traceback" not in err
 
 
 def test_report_plain_directory_exits_cleanly(tmp_path, capsys):

@@ -143,6 +143,35 @@ def test_duplicate_country_key_in_header_rejected(tmp_path, tiny_dataset):
         load_dataset(path)
 
 
+@pytest.mark.parametrize("edit,key", [
+    (lambda h: h.pop("countries"), "'countries'"),
+    (lambda h: h.pop("validation"), "'validation'"),
+    (lambda h: next(iter(h["countries"].values())).pop("landing_count"),
+     "'landing_count'"),
+    (lambda h: h["validation"].update(bogus=1), "'validation'"),
+], ids=["no-countries", "no-validation", "no-landing_count",
+        "extra-validation-key"])
+def test_damaged_header_raises_value_error(tmp_path, tiny_dataset, edit, key):
+    path = tmp_path / "damaged.jsonl"
+    save_dataset(tiny_dataset, path)
+    lines = path.read_text().splitlines()
+    header = json.loads(lines[0])
+    edit(header)
+    lines[0] = json.dumps(header)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as caught:
+        load_dataset(path)
+    assert f"{path}:1:" in str(caught.value)
+    assert key in str(caught.value)
+
+
+def test_non_object_header_rejected(tmp_path):
+    path = tmp_path / "list.jsonl"
+    path.write_text(json.dumps([{"format": FORMAT_VERSION}]) + "\n")
+    with pytest.raises(ValueError, match=":1: header is not a JSON object"):
+        load_dataset(path)
+
+
 @pytest.mark.parametrize("field,bogus", [
     ("category", "no-such-category"),
     ("via", "carrier-pigeon"),
