@@ -65,7 +65,7 @@ def test_incremental_snapshot_vs_cold(report, tmp_path_factory):
 
     series = SnapshotSeries(base, 2, evolution_seed=BENCH_SEED,
                             rates=_MONTHLY, cache=str(tmp / "series-cache"))
-    records = series.run()  # verifies the hit-rate contract internally
+    records = series.run()  # checks re-keyed == mutated per step
     evolved = records[1]
     total = len(base.country_codes())
     changed = len(evolved.changed_countries)

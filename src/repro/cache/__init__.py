@@ -5,10 +5,11 @@ A :class:`~repro.exec.partials.CountryPartial` is a pure function of
 scan (crawl, filter, DNS/WHOIS mapping, geolocation) is deterministic
 given those inputs.  :class:`ScanCache` memoizes that function on disk:
 each partial is stored under a key derived from a canonical fingerprint
-of every input (see :func:`scan_key`), so *any* parameter change
-invalidates exactly the affected entries and nothing silently goes
-stale.  Entries carry an integrity digest; corrupt, truncated or
-mismatched entries are evicted and recomputed, never trusted.
+of every input (see :func:`scan_keys`, which reads only the config and
+never a generated world), so *any* parameter change invalidates exactly
+the affected entries and nothing silently goes stale.  Entries carry an
+integrity digest; corrupt, truncated or mismatched entries are evicted
+and recomputed, never trusted.
 
 Warm starts are wired through the execution layer
 (:func:`~repro.exec.base.scan_keyed`, used by ``Pipeline.run`` and the
@@ -24,7 +25,7 @@ from repro.cache.fingerprint import (
     country_slice_fingerprint,
     global_fingerprint,
     run_fingerprint,
-    scan_key,
+    scan_keys,
 )
 from repro.cache.store import (
     CacheEntryInfo,
@@ -43,5 +44,5 @@ __all__ = [
     "country_slice_fingerprint",
     "global_fingerprint",
     "run_fingerprint",
-    "scan_key",
+    "scan_keys",
 ]

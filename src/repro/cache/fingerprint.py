@@ -13,7 +13,10 @@ own override slice), the key splits the same way:
   ``max_depth`` and :data:`CACHE_FORMAT_VERSION`;
 * :func:`country_slice_fingerprint` digests one country's slice of the
   config (its :class:`~repro.datagen.config.CountryOverride`, if any);
-* :func:`country_key` combines both with the country code.
+* :func:`country_key` combines both with the country code;
+* :func:`scan_keys` derives a run's keys: one global fingerprint, one
+  country key per selected country.  ``Pipeline.run``, the scenario
+  sweep and the snapshot series all key through it.
 
 Neither the country *selection* nor any other country's override enters
 a key, which is the incremental-snapshot guarantee: evolving one
@@ -30,7 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.config import WorldConfig
@@ -77,8 +80,8 @@ def global_fingerprint(
     """Fingerprint of everything a scan depends on except the country.
 
     Canonicalizing the config is the expensive part of key derivation,
-    so callers derive this once per run and fan per-country keys out
-    with :func:`country_key`.
+    so :func:`scan_keys` derives this once per run and fans per-country
+    keys out with :func:`country_key`.
     """
     return _digest_payload({
         "format": CACHE_FORMAT_VERSION,
@@ -104,18 +107,23 @@ def country_key(global_fp: str, country: str, slice_fp: str = "") -> str:
     return hasher.hexdigest()
 
 
-def scan_key(
+def scan_keys(
     config: "WorldConfig",
-    country: str,
     max_depth: int,
     plan: "FaultPlan",
-) -> str:
-    """Content address of one country's phase-1 scan result."""
-    return country_key(
-        global_fingerprint(config, max_depth, plan),
-        country,
-        country_slice_fingerprint(config, country),
-    )
+    countries: Sequence[str],
+) -> list[str]:
+    """Content address of each country's phase-1 scan result.
+
+    One global fingerprint, then one :func:`country_key` per country,
+    in the order given.  Needs no generated world, only the config.
+    """
+    global_fp = global_fingerprint(config, max_depth, plan)
+    return [
+        country_key(global_fp, country,
+                    country_slice_fingerprint(config, country))
+        for country in countries
+    ]
 
 
 __all__ = [
@@ -124,5 +132,5 @@ __all__ = [
     "country_slice_fingerprint",
     "global_fingerprint",
     "run_fingerprint",
-    "scan_key",
+    "scan_keys",
 ]

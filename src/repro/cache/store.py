@@ -46,20 +46,11 @@ import os
 import pathlib
 import pickle
 import time
-import weakref
-from typing import TYPE_CHECKING, Optional, Union
+from typing import Optional, Union
 
 from repro.cache import columnar
-from repro.cache.fingerprint import (
-    CACHE_FORMAT_VERSION,
-    country_key,
-    country_slice_fingerprint,
-    global_fingerprint,
-)
+from repro.cache.fingerprint import CACHE_FORMAT_VERSION
 from repro.exec.partials import CountryPartial
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.pipeline import Pipeline
 
 logger = logging.getLogger(__name__)
 
@@ -178,30 +169,6 @@ class ScanCache:
         self.cache_dir = pathlib.Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.stats = CacheStats()
-        #: Global fingerprints memoized per pipeline (config
-        #: canonicalization costs more than the per-country key).
-        self._global_fps: "weakref.WeakKeyDictionary" = \
-            weakref.WeakKeyDictionary()
-
-    # ------------------------------------------------------------- keys
-
-    def key_for(self, pipeline: "Pipeline", country: str) -> str:
-        """The content address of one country's scan under ``pipeline``.
-
-        Composed from the run's global fingerprint plus the country's
-        own config slice, so an evolved snapshot re-keys exactly the
-        mutated countries and hits on everything else.
-        """
-        global_fp = self._global_fps.get(pipeline)
-        if global_fp is None:
-            global_fp = global_fingerprint(
-                pipeline.world.config,
-                pipeline.crawler.max_depth,
-                pipeline.fault_plan,
-            )
-            self._global_fps[pipeline] = global_fp
-        slice_fp = country_slice_fingerprint(pipeline.world.config, country)
-        return country_key(global_fp, country, slice_fp)
 
     def _entry_path(self, key: str) -> pathlib.Path:
         return self.cache_dir / key[:2] / f"{key}{ENTRY_SUFFIX}"

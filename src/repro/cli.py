@@ -326,14 +326,29 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
+def _world_config(args: argparse.Namespace,
+                  **fields) -> Optional[WorldConfig]:
+    """The command's validated ``WorldConfig`` (country codes included),
+    or None after printing why it is invalid."""
+    try:
+        config = WorldConfig(seed=args.seed, scale=args.scale, **fields)
+        config.country_codes()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+    return config
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = WorldConfig(
-        seed=args.seed, scale=args.scale,
+    config = _world_config(
+        args,
         countries=args.countries or None,
         fault_rate=args.fault_rate,
         fault_profile=args.fault_profile,
         fault_seed=args.fault_seed,
     )
+    if config is None:
+        return 2
     if args.manifest and not args.out:
         print("error: --manifest requires --out", file=sys.stderr)
         return 2
@@ -500,10 +515,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
-    config = WorldConfig(
-        seed=args.seed, scale=args.scale,
-        countries=args.countries or None,
-    )
+    config = _world_config(args, countries=args.countries or None)
+    if config is None:
+        return 2
     try:
         if args.matrix:
             with open(args.matrix, "r", encoding="utf-8") as handle:
@@ -638,10 +652,9 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
-    config = WorldConfig(
-        seed=args.seed, scale=args.scale,
-        countries=args.countries or None,
-    )
+    config = _world_config(args, countries=args.countries or None)
+    if config is None:
+        return 2
     registry = None
     if args.registry:
         from repro.obs import RunRegistry
@@ -926,9 +939,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    world = SyntheticWorld.generate(
-        WorldConfig(seed=args.seed, scale=args.scale)
-    )
+    config = _world_config(args)
+    if config is None:
+        return 2
+    world = SyntheticWorld.generate(config)
     pipeline = Pipeline(world)
     hostname = args.hostname.lower()
     truth = world.truth.hosts.get(hostname)

@@ -13,7 +13,7 @@ from repro.core.urlfilter import GovernmentUrlFilter, FilterOutcome, FilterVia
 from repro.core.infrastructure import InfrastructureMapper, HostInfrastructure
 from repro.core.asclassify import GovernmentASClassifier, Evidence
 from repro.core.geolocation import Geolocator, GeoVerdict, ValidationMethod, ValidationStats
-from repro.core.classification import CategoryClassifier
+from repro.core.classification import categorize
 from repro.core.dataset import UrlRecord, CountryDataset, GovernmentHostingDataset
 from repro.core.pipeline import Pipeline
 
@@ -35,7 +35,7 @@ __all__ = [
     "GeoVerdict",
     "ValidationMethod",
     "ValidationStats",
-    "CategoryClassifier",
+    "categorize",
     "UrlRecord",
     "CountryDataset",
     "GovernmentHostingDataset",

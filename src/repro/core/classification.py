@@ -1,9 +1,10 @@
 """Hosting-category classification (Section 5.1).
 
-Combines government-ownership verdicts with provider footprints to sort
-every (government, serving AS) pair into the four categories:
+Combines the phase-1 government-ownership verdict with the run's
+provider footprint to sort every (government, serving AS) pair into the
+four categories:
 
-* ``Govt&SOE`` -- the operator is government-owned;
+* ``Govt&SOE`` -- the operator is government-owned (Section 3.4);
 * ``3P Global`` -- a network serving governments across multiple
   continents;
 * ``3P Local`` -- registered in the same country as the government it
@@ -19,10 +20,8 @@ the paper's operational definition.
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
 
 from repro.categories import HostingCategory
-from repro.core.asclassify import GovernmentASClassifier
 from repro.world.countries import COUNTRIES
 from repro.world.regions import Continent
 
@@ -69,68 +68,26 @@ class ProviderFootprint:
         return len(self.continents_by_asn)
 
 
-class CategoryClassifier:
-    """Categorizes serving infrastructure once footprints are known."""
+def categorize(
+    gov_operated: bool,
+    asn: int,
+    registered_country: str,
+    government_country: str,
+    footprint: ProviderFootprint,
+) -> HostingCategory:
+    """Category of one (government, serving AS) pair.
 
-    def __init__(self, ownership: GovernmentASClassifier) -> None:
-        self._ownership = ownership
-        self._footprint = ProviderFootprint()
-
-    def observe(self, asn: int, government_country: str) -> None:
-        """Record that ``asn`` serves the government of a country."""
-        self._footprint.observe(asn, government_country)
-
-    def observe_all(self, pairs: Iterable[tuple[int, str]]) -> None:
-        """Bulk version of :meth:`observe`."""
-        for asn, government_country in pairs:
-            self.observe(asn, government_country)
-
-    def ingest(self, footprint: ProviderFootprint) -> None:
-        """Merge an externally collected footprint (parallel reduction)."""
-        self._footprint = self._footprint.merge(footprint)
-
-    def snapshot(self) -> "CategoryClassifier":
-        """A classifier frozen at the current footprint.
-
-        The clone owns a private copy of the footprint, so deferred
-        record assemblers that capture it categorize against exactly
-        the footprint that existed at the barrier — even if this
-        classifier later observes or ingests more countries.
-        """
-        clone = CategoryClassifier(self._ownership)
-        clone._footprint = ProviderFootprint().merge(self._footprint)
-        return clone
-
-    def footprint(self, asn: int) -> frozenset[Continent]:
-        """Continents of the governments ``asn`` serves in the dataset."""
-        return self._footprint.continents(asn)
-
-    def is_global_provider(self, asn: int) -> bool:
-        """Whether ``asn`` meets the paper's Global definition."""
-        return len(self._footprint.continents_by_asn.get(asn, ())) >= 2
-
-    def categorize(
-        self,
-        asn: int,
-        registered_country: str,
-        government_country: str,
-    ) -> HostingCategory:
-        """Category of one (government, serving AS) pair."""
-        if self._ownership.is_government(asn):
-            return HostingCategory.GOVT_SOE
-        if self.is_global_provider(asn):
-            return HostingCategory.P3_GLOBAL
-        if registered_country.upper() == government_country.upper():
-            return HostingCategory.P3_LOCAL
-        return HostingCategory.P3_REGIONAL
-
-    def global_provider_asns(self) -> list[int]:
-        """All ASNs classified Global by footprint (and not government)."""
-        return sorted(
-            asn
-            for asn, continents in self._footprint.continents_by_asn.items()
-            if len(continents) >= 2 and not self._ownership.is_government(asn)
-        )
+    ``gov_operated`` is the phase-1 ownership verdict for the serving
+    AS; ``footprint`` is the run's merged footprint, so the Global test
+    sees every government the AS serves in the collected dataset.
+    """
+    if gov_operated:
+        return HostingCategory.GOVT_SOE
+    if len(footprint.continents_by_asn.get(asn, ())) >= 2:
+        return HostingCategory.P3_GLOBAL
+    if registered_country.upper() == government_country.upper():
+        return HostingCategory.P3_LOCAL
+    return HostingCategory.P3_REGIONAL
 
 
-__all__ = ["ProviderFootprint", "CategoryClassifier"]
+__all__ = ["ProviderFootprint", "categorize"]

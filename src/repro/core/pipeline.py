@@ -19,6 +19,11 @@ needs every AS's cross-country footprint).  Phase 1 fans out over any
 reductions — provider footprints and Table 4 validation stats — are
 merged deterministically on the driver, so parallel runs are
 bit-identical to serial ones.
+
+Phase 2 (:func:`assemble`) is a pure function of the partials: the
+ownership verdict is the one phase 1 recorded, and the footprint is the
+union of the given partials' own, so a dataset never depends on what
+the pipeline ran before.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ import functools
 import logging
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Optional, Sequence
 
 from repro.core.asclassify import GovernmentASClassifier
-from repro.core.classification import CategoryClassifier, ProviderFootprint
+from repro.core.classification import ProviderFootprint, categorize
 from repro.core.crawler import DEFAULT_MAX_DEPTH, Crawler, CrawlResult
 from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
 from repro.core.gathering import compile_directory
@@ -80,7 +85,7 @@ class _CountryScan:
 
 
 def _assemble_records(
-    partial: CountryPartial, categories: CategoryClassifier
+    partial: CountryPartial, footprint: ProviderFootprint
 ) -> list[UrlRecord]:
     """Build one country's URL records from its phase-1 partial.
 
@@ -91,13 +96,13 @@ def _assemble_records(
     ~1M records at full scale.
     """
     country = partial.country
-    categorize = categories.categorize
     new = tuple.__new__
     suffix = {
         hostname: (
             note.address, note.asn, note.organization,
             note.registered_country, note.gov_operated,
-            categorize(note.asn, note.registered_country, country),
+            categorize(note.gov_operated, note.asn, note.registered_country,
+                       country, footprint),
             note.server_country, note.anycast, note.validation,
         )
         for hostname, note in partial.hosts.items()
@@ -107,6 +112,41 @@ def _assemble_records(
             + suffix[hostname])
         for url, hostname, size_bytes, via, depth in partial.urls
     ]
+
+
+def assemble(
+    partials: Sequence[CountryPartial],
+    phase: Callable[..., ContextManager] = _null_span,
+) -> GovernmentHostingDataset:
+    """Phase 2: merge the partials, then defer each country's records.
+
+    ``partials`` must be in canonical country order.  Footprints,
+    Table 4 validation and fault reports are merged once; each
+    country's deferred record assembler categorizes against that one
+    merged footprint, so the per-URL cost is paid only when the records
+    are read.  ``phase`` opens the ``merge`` and ``finalize`` spans.
+    """
+    with phase("merge"):
+        footprint = merge_footprints(partials)
+        validation = merge_validation(partials)
+        faults = merge_faults(partials)
+    with phase("finalize"):
+        countries = {
+            partial.country: CountryDataset(
+                country=partial.country,
+                landing_count=partial.landing_count,
+                records=functools.partial(
+                    _assemble_records, partial, footprint
+                ),
+                discarded_url_count=partial.discarded_url_count,
+                unresolved_hostnames=partial.unresolved_hostnames,
+                depth_histogram=partial.depth_histogram,
+            )
+            for partial in partials
+        }
+    return GovernmentHostingDataset(
+        countries=countries, validation=validation, faults=faults,
+    )
 
 
 class Pipeline:
@@ -136,7 +176,6 @@ class Pipeline:
         self.ownership = GovernmentASClassifier(
             world.peeringdb, world.whois, world.websearch
         )
-        self.categories = CategoryClassifier(self.ownership)
         self.atlas = self._make_atlas(world)
         #: The fault-injection plan (default: whatever the world's config
         #: asks for, which is "no faults" unless ``fault_rate`` is set).
@@ -343,34 +382,6 @@ class Pipeline:
             faults=session.report if session is not None else FaultReport(),
         )
 
-    def finalize_country(
-        self,
-        partial: CountryPartial,
-        categories: Optional[CategoryClassifier] = None,
-    ) -> CountryDataset:
-        """Phase 2 for one country: snapshot categories, defer assembly.
-
-        Requires :meth:`CategoryClassifier.ingest` (or ``observe``) to
-        have absorbed the *global* footprint first — the Global-provider
-        definition spans countries.  The returned dataset holds a
-        deferred record assembler over a frozen snapshot of the
-        classifier, so the dominant per-URL construction cost is paid
-        only when the records are actually read, and the assembly is
-        identical no matter when it runs (even if this pipeline later
-        ingests further footprints).  ``categories`` lets a driver that
-        finalizes many countries take that snapshot once and share it.
-        """
-        if categories is None:
-            categories = self.categories.snapshot()
-        return CountryDataset(
-            country=partial.country,
-            landing_count=partial.landing_count,
-            records=functools.partial(_assemble_records, partial, categories),
-            discarded_url_count=partial.discarded_url_count,
-            unresolved_hostnames=partial.unresolved_hostnames,
-            depth_histogram=partial.depth_histogram,
-        )
-
     def run(
         self,
         countries: Optional[Sequence[str]] = None,
@@ -408,14 +419,19 @@ class Pipeline:
                 if cache is None:
                     partials = strategy.scan([(self, codes)])[0]
                 else:
-                    keys = [cache.key_for(self, code) for code in codes]
+                    # Imported here: repro.cache loads the store codecs,
+                    # which an uncached run (and `import repro`) never needs.
+                    from repro.cache.fingerprint import scan_keys
+
+                    keys = scan_keys(self.world.config, self.crawler.max_depth,
+                                     self.fault_plan, codes)
                     found, _, _ = scan_keyed(
                         strategy, {key: (self, code)
                                    for key, code in zip(keys, codes)}, cache,
                     )
                     partials = [found[key] for key in keys]
 
-            dataset = self._assemble(partials, phase)
+            dataset = assemble(partials, phase=phase)
 
         if obs is not None:
             # Driver-side metrics: replayed from the partials in
@@ -427,51 +443,5 @@ class Pipeline:
         logger.info("pipeline run finished: %d countries", len(codes))
         return dataset
 
-    def _assemble(self, partials, phase) -> GovernmentHostingDataset:
-        """The merge barrier and phase 2, shared by :meth:`run`/:meth:`assemble`."""
-        # Barrier: cross-country reductions, merged deterministically.
-        with phase("merge"):
-            self.categories.ingest(merge_footprints(partials))
-            validation = merge_validation(partials)
-            faults = merge_faults(partials)
 
-        # Phase 2: snapshot categories and defer record assembly, inline
-        # (no per-URL work happens here).  One classifier snapshot
-        # serves every country's deferred assembler; per-country
-        # snapshots would each copy the footprint.
-        with phase("finalize"):
-            categories = self.categories.snapshot()
-            countries = {
-                partial.country: self.finalize_country(partial, categories)
-                for partial in partials
-            }
-        return GovernmentHostingDataset(
-            countries=countries,
-            validation=validation,
-            faults=faults,
-        )
-
-    def assemble(
-        self, partials: Sequence[CountryPartial]
-    ) -> GovernmentHostingDataset:
-        """Merge + finalize externally supplied phase-1 partials.
-
-        The scenario sweep scans each unique ``(global, country-slice)``
-        key once and fans the partials back out per scenario; this is
-        the entry point it assembles each scenario's dataset through.
-        Produces exactly what :meth:`run` would for the same partials:
-        the same merge barrier, one classifier snapshot, the same
-        finalize.  Like :meth:`run`, it ingests the merged footprint
-        into this pipeline's classifier — assemble a given pipeline's
-        partials once, not repeatedly.
-        """
-        obs = self.obs
-        phase = obs.phase if obs is not None else _null_span
-        dataset = self._assemble(partials, phase)
-        if obs is not None:
-            obs.record_partials(partials)
-            obs.record_faults(dataset.faults)
-        return dataset
-
-
-__all__ = ["Pipeline"]
+__all__ = ["Pipeline", "assemble"]

@@ -5,10 +5,14 @@ a shared :class:`~repro.cache.ScanCache`.  Snapshot 0 measures the base
 configuration; each later snapshot's configuration is derived by the
 :class:`~repro.evolve.model.EvolutionModel` from its predecessor.
 Because unchanged countries keep their cache keys, every incremental
-snapshot re-scans exactly the countries its evolution step touched —
-the runner *asserts* this (``verify_hit_rates``): a snapshot whose
-misses are not exactly its changed countries means the hermeticity
-contract broke, which is a bug, not a degradation.
+snapshot re-scans exactly the countries its evolution step touched.
+The runner *asserts* the contract behind this on the keys themselves,
+before each incremental snapshot scans: the countries whose
+:func:`~repro.cache.fingerprint.scan_keys` key moved since the previous
+snapshot must be exactly the countries the step mutated, or
+:class:`SeriesIntegrityError` is raised — a hermeticity bug, not a
+degradation.  The check needs no cache, and a cache that already holds
+the whole series is legal: a warm re-run serves every snapshot from it.
 
 Each snapshot's accounting is a fresh
 :class:`~repro.cache.CacheStats` (the shared cache's cumulative stats
@@ -23,23 +27,21 @@ seed, the step number and the changed-country list.
 from __future__ import annotations
 
 import dataclasses
-import logging
 from typing import TYPE_CHECKING, Optional, Union
 
-from repro.cache import CacheStats, ScanCache, run_fingerprint
+from repro.cache import CacheStats, ScanCache, run_fingerprint, scan_keys
 from repro.core.pipeline import DEFAULT_MAX_DEPTH, Pipeline
 from repro.datagen.config import WorldConfig
 from repro.datagen.generator import SyntheticWorld
 from repro.evolve.model import EvolutionModel, EvolutionRates
 from repro.evolve.mutations import Mutation
+from repro.faults import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dataset import GovernmentHostingDataset
     from repro.exec import ExecutionStrategy
     from repro.obs import Observability, RunManifest
     from repro.obs.registry import RunRegistry
-
-logger = logging.getLogger(__name__)
 
 
 @dataclasses.dataclass
@@ -80,7 +82,7 @@ class SnapshotRecord:
 
 
 class SeriesIntegrityError(RuntimeError):
-    """An incremental snapshot's cache behavior broke the contract."""
+    """An evolution step re-keyed other countries than it mutated."""
 
 
 class SnapshotSeries:
@@ -98,7 +100,6 @@ class SnapshotSeries:
         executor: Optional["ExecutionStrategy"] = None,
         obs: Optional["Observability"] = None,
         collect_manifests: bool = False,
-        verify_hit_rates: bool = True,
         registry: Optional["RunRegistry"] = None,
     ) -> None:
         if snapshots < 1:
@@ -111,7 +112,6 @@ class SnapshotSeries:
         self.executor = executor
         self.obs = obs
         self.collect_manifests = collect_manifests
-        self.verify_hit_rates = verify_hit_rates
         #: When set, every snapshot's manifest (built even if
         #: ``collect_manifests`` is off) is appended to this cross-run
         #: registry, chaining the whole series into queryable history.
@@ -124,17 +124,24 @@ class SnapshotSeries:
         records: list[SnapshotRecord] = []
         config = self.base_config
         parent_fingerprint: Optional[str] = None
+        parent_keys: Optional[dict[str, str]] = None
         mutations: tuple[Mutation, ...] = ()
         for step in range(self.snapshots):
+            if step:
+                evolution = self.model.evolve(config, step)
+                config, mutations = evolution.config, evolution.mutations
+            codes = config.country_codes()
+            keys = dict(zip(codes, scan_keys(
+                config, self.max_depth, FaultPlan.from_config(config), codes
+            )))
+            if parent_keys is not None:
+                self._verify(f"T+{step}", keys, parent_keys, mutations)
             record = self._run_snapshot(
                 step, config, mutations, parent_fingerprint
             )
             records.append(record)
             parent_fingerprint = record.fingerprint
-            if step + 1 < self.snapshots:
-                evolution = self.model.evolve(config, step + 1)
-                config = evolution.config
-                mutations = evolution.mutations
+            parent_keys = keys
         return records
 
     # --------------------------------------------------------- internals
@@ -172,9 +179,6 @@ class SnapshotSeries:
             parent_fingerprint=parent_fingerprint,
         )
         self._observe(record)
-        if (self.verify_hit_rates and snapshot_stats is not None
-                and parent_fingerprint is not None):
-            self._verify(record, snapshot_stats)
         if self.collect_manifests or self.registry is not None:
             from repro.obs import RunManifest
 
@@ -224,29 +228,30 @@ class SnapshotSeries:
         if expected is not None:
             metrics.gauge(f"{prefix}.expected_hit_rate", expected)
 
-    def _verify(self, record: SnapshotRecord, stats: CacheStats) -> None:
-        """Incremental contract: misses are exactly the changed countries.
+    @staticmethod
+    def _verify(
+        label: str,
+        keys: dict[str, str],
+        parent_keys: dict[str, str],
+        mutations: tuple[Mutation, ...],
+    ) -> None:
+        """Incremental contract: re-keyed countries == mutated countries.
 
-        Only binding when the parent snapshot populated the same cache
-        (which :meth:`run` guarantees); a mismatch means a supposedly
-        untouched country's key or bytes moved — a hermeticity bug.
+        A country re-keyed without a mutation means an untouched config
+        slice moved; a mutated country that kept its key means the
+        mutation never reached its slice.  Either is a hermeticity bug.
         """
-        expected_misses = len(record.changed_countries)
-        total = len(record.config.country_codes())
-        if stats.misses != expected_misses or \
-                stats.hits != total - expected_misses:
-            raise SeriesIntegrityError(
-                f"snapshot {record.label}: expected "
-                f"{total - expected_misses} hits / {expected_misses} misses "
-                f"(changed: {', '.join(record.changed_countries) or 'none'}) "
-                f"but observed {stats.hits} hits / {stats.misses} misses — "
-                "the per-country hermeticity contract is broken"
-            )
-        logger.info(
-            "snapshot %s: %s (expected hit rate %.0f%%)",
-            record.label, stats.summary(),
-            100.0 * (record.expected_hit_rate or 0.0),
+        rekeyed = sorted(
+            code for code, key in keys.items() if parent_keys.get(code) != key
         )
+        mutated = sorted({mutation.country for mutation in mutations})
+        if rekeyed != mutated:
+            raise SeriesIntegrityError(
+                f"snapshot {label}: re-keyed "
+                f"{', '.join(rekeyed) or 'none'} but the evolution step "
+                f"mutated {', '.join(mutated) or 'none'} — the "
+                "per-country hermeticity contract is broken"
+            )
 
 
 __all__ = [

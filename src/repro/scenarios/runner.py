@@ -9,8 +9,9 @@ evolution step re-keys only the countries it touches.  The
 :class:`SweepRunner` therefore works in two levels:
 
 1. **dedup** — flatten the matrix into (scenario, country) tasks, key
-   each with the cache fingerprint functions, and group by key so every
-   unique key is scanned exactly once;
+   each with :func:`~repro.cache.fingerprint.scan_keys` (the derivation
+   ``Pipeline.run`` uses), and group by key so every unique key is
+   scanned exactly once;
 2. **dispatch** — hand the unique keys to
    :func:`~repro.exec.base.scan_keyed`, which serves hits from the
    shared :class:`~repro.cache.ScanCache` and pushes *all* remaining
@@ -19,21 +20,20 @@ evolution step re-keys only the countries it touches.  The
    sequential ``Pipeline.run`` calls.
 
 Each scenario's dataset is then assembled by fanning the shared
-partials back out (``Pipeline.assemble``), with scenarios whose configs
-are identical (run fingerprint) sharing one dataset *object* — so the
-comparison layer's :func:`~repro.analysis.engine.index.ensure_index`
-builds each distinct index once.  World *generation* is deduplicated
-one level further: configs that differ only in measurement-plane knobs
-(fault plan, vantage ranks) describe the same world, which is generated
-once and shared across their pipelines (:func:`_world_key`).
+partials back out (:func:`~repro.core.pipeline.assemble`, the phase 2
+of ``Pipeline.run``), with scenarios whose configs are identical (run
+fingerprint) sharing one dataset *object* — so the comparison layer's
+:func:`~repro.analysis.engine.index.ensure_index` builds each distinct
+index once.  World *generation* is deduplicated one level further:
+configs that differ only in measurement-plane knobs (fault plan,
+vantage ranks) describe the same world, which is generated once and
+shared across their pipelines (:func:`_world_key`).
 
-The dedup accounting is enforced at runtime the way
-:class:`~repro.evolve.series.SnapshotSeries` enforces
-``hits == unchanged``: the number of scans actually executed must equal
-the unique keys minus the cache hits, and every scenario's every
-country must be covered by a partial for that country — ``scan_keyed``
-verifies the wave, and the sweep re-raises any violation as
-:class:`SweepIntegrityError` instead of silently over- or
+The dedup accounting is enforced at runtime: the number of scans
+actually executed must equal the unique keys minus the cache hits, and
+every scenario's every country must be covered by a partial for that
+country — ``scan_keyed`` verifies the wave, and the sweep re-raises any
+violation as :class:`SweepIntegrityError` instead of silently over- or
 under-scanning.
 """
 
@@ -47,15 +47,10 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.datagen.config import WorldConfig
 
-from repro.cache.fingerprint import (
-    country_key,
-    country_slice_fingerprint,
-    global_fingerprint,
-    run_fingerprint,
-)
+from repro.cache.fingerprint import run_fingerprint, scan_keys
 from repro.core.crawler import DEFAULT_MAX_DEPTH
 from repro.core.dataset import GovernmentHostingDataset
-from repro.core.pipeline import Pipeline
+from repro.core.pipeline import Pipeline, assemble
 from repro.datagen.generator import SyntheticWorld
 from repro.exec import (
     ExecutionStrategy,
@@ -239,8 +234,7 @@ class SweepRunner:
         # run fingerprint — configs themselves are not hashable), plus
         # each distinct config's (country, scan key) task list.  The
         # resolved plan matches what Pipeline builds for itself, so the
-        # keys here are exactly what `cache.key_for(pipeline, code)`
-        # would derive.
+        # keys are exactly the ones `Pipeline.run` derives.
         pipelines: dict[str, Pipeline] = {}
         worlds: dict[str, "SyntheticWorld"] = {}
         scenario_fps: list[str] = []
@@ -260,14 +254,9 @@ class SweepRunner:
                     # expensive substrates, swap in the scenario config.
                     world = dataclasses.replace(world, config=config)
                 pipelines[fp] = Pipeline(world, max_depth=self.max_depth)
-                global_fp = global_fingerprint(config, self.max_depth, plan)
-                tasks_by_fp[fp] = [
-                    (code, country_key(
-                        global_fp, code,
-                        country_slice_fingerprint(config, code),
-                    ))
-                    for code in codes
-                ]
+                tasks_by_fp[fp] = list(zip(
+                    codes, scan_keys(config, self.max_depth, plan, codes)
+                ))
             scenario_fps.append(fp)
 
         # Flatten to unique keys in first-occurrence order, each owned
@@ -294,9 +283,8 @@ class SweepRunner:
         # (scenarios sharing a fingerprint share the dataset OBJECT, so
         # downstream ensure_index() builds one index for all of them).
         datasets: dict[str, GovernmentHostingDataset] = {}
-        for fp, pipeline in pipelines.items():
-            ordered = [partials[key] for _, key in tasks_by_fp[fp]]
-            datasets[fp] = pipeline.assemble(ordered)
+        for fp, tasks in tasks_by_fp.items():
+            datasets[fp] = assemble([partials[key] for _, key in tasks])
 
         if self.registry is not None:
             from repro.obs import RunManifest

@@ -11,14 +11,16 @@ from repro.cache import (
     country_key,
     country_slice_fingerprint,
     global_fingerprint,
-    scan_key,
+    scan_keys,
 )
 from repro.datagen.config import CountryOverride
 from repro.faults.plan import FaultPlan
 
 
 def _key(config: WorldConfig, country: str = "BR", max_depth: int = 7) -> str:
-    return scan_key(config, country, max_depth, FaultPlan.from_config(config))
+    [key] = scan_keys(config, max_depth, FaultPlan.from_config(config),
+                      [country])
+    return key
 
 
 def test_same_inputs_same_key():
@@ -30,7 +32,8 @@ def test_same_inputs_same_key():
 def test_country_spelling_normalized():
     config = WorldConfig(seed=42, scale=0.05)
     plan = FaultPlan.from_config(config)
-    assert scan_key(config, "br", 7, plan) == scan_key(config, "BR", 7, plan)
+    assert scan_keys(config, 7, plan, ["br"]) == \
+        scan_keys(config, 7, plan, ["BR"])
 
 
 def test_countries_field_spelling_normalized():
@@ -86,17 +89,18 @@ def test_custom_fault_plan_fingerprints_its_fields():
     config = WorldConfig(seed=42, scale=0.05)
     plan = FaultPlan.from_config(config)
     bumped = dataclasses.replace(plan, max_retries=plan.max_retries + 1)
-    assert scan_key(config, "BR", 7, plan) != scan_key(config, "BR", 7, bumped)
+    assert scan_keys(config, 7, plan, ["BR"]) != \
+        scan_keys(config, 7, bumped, ["BR"])
 
 
 def test_country_key_composes_global_fingerprint():
     config = WorldConfig(seed=42, scale=0.05)
     plan = FaultPlan.from_config(config)
     global_fp = global_fingerprint(config, 7, plan)
-    slice_fp = country_slice_fingerprint(config, "BR")
-    assert scan_key(config, "BR", 7, plan) == country_key(
-        global_fp, "BR", slice_fp
-    )
+    assert scan_keys(config, 7, plan, ["US", "BR"]) == [
+        country_key(global_fp, code, country_slice_fingerprint(config, code))
+        for code in ("US", "BR")
+    ]
 
 
 # ------------------------------------------------ per-country key stability

@@ -11,7 +11,7 @@ import pickle
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.cache import CACHE_FORMAT_VERSION, ScanCache
+from repro.cache import CACHE_FORMAT_VERSION, ScanCache, scan_keys
 from repro.exec.partials import CountryPartial
 
 
@@ -22,12 +22,18 @@ def cache_world() -> SyntheticWorld:
     )
 
 
+def _key(pipeline: Pipeline, country: str) -> str:
+    [key] = scan_keys(pipeline.world.config, pipeline.crawler.max_depth,
+                      pipeline.fault_plan, [country])
+    return key
+
+
 @pytest.fixture()
 def populated(cache_world, tmp_path):
     """A cache holding BR's partial, plus the pipeline and key."""
     pipeline = Pipeline(cache_world)
     cache = ScanCache(tmp_path / "cache")
-    key = cache.key_for(pipeline, "BR")
+    key = _key(pipeline, "BR")
     partial = pipeline.scan_partial("BR")
     cache.store(key, partial, scan_s=1.5)
     return cache, pipeline, key, partial
@@ -120,7 +126,7 @@ def test_key_mismatch_evicted(populated):
 
 def test_country_mismatch_evicted(populated):
     cache, pipeline, _, partial = populated
-    us_key = cache.key_for(pipeline, "US")
+    us_key = _key(pipeline, "US")
     cache.store(us_key, partial)  # BR's partial filed under US's key
     assert cache.load(us_key, "US") is None
     assert cache.stats.evicted == 1
@@ -163,7 +169,7 @@ def test_failed_store_removes_its_temp_file(populated, monkeypatch, step):
 
 def test_entry_count_and_clear(populated):
     cache, pipeline, _, partial = populated
-    cache.store(cache.key_for(pipeline, "US"), partial)
+    cache.store(_key(pipeline, "US"), partial)
     assert cache.entry_count() == 2
     assert cache.clear() == 2
     assert cache.entry_count() == 0

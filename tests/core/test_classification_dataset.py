@@ -3,44 +3,48 @@
 import pytest
 
 from repro.categories import HostingCategory
-from repro.core.classification import CategoryClassifier
+from repro.core.classification import ProviderFootprint, categorize
 from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
 from repro.core.geolocation import ValidationMethod, ValidationStats
 from repro.core.urlfilter import FilterVia
 
 
-class _FakeOwnership:
-    def __init__(self, gov_asns):
-        self._gov = set(gov_asns)
-
-    def is_government(self, asn):
-        return asn in self._gov
+def _footprint(pairs):
+    footprint = ProviderFootprint()
+    for asn, government_country in pairs:
+        footprint.observe(asn, government_country)
+    return footprint
 
 
 def test_category_precedence():
-    classifier = CategoryClassifier(_FakeOwnership({900}))
-    classifier.observe_all([
+    footprint = _footprint([
         (13335, "BR"), (13335, "DE"),   # two continents -> global
         (700, "BR"),                    # only South America
         (900, "BR"),                    # government network
     ])
-    assert classifier.categorize(900, "BR", "BR") is HostingCategory.GOVT_SOE
-    assert classifier.categorize(13335, "US", "BR") is HostingCategory.P3_GLOBAL
-    assert classifier.categorize(700, "BR", "BR") is HostingCategory.P3_LOCAL
-    assert classifier.categorize(700, "CO", "BR") is HostingCategory.P3_REGIONAL
+    assert categorize(True, 900, "BR", "BR", footprint) \
+        is HostingCategory.GOVT_SOE
+    assert categorize(False, 13335, "US", "BR", footprint) \
+        is HostingCategory.P3_GLOBAL
+    assert categorize(False, 700, "BR", "BR", footprint) \
+        is HostingCategory.P3_LOCAL
+    assert categorize(False, 700, "CO", "BR", footprint) \
+        is HostingCategory.P3_REGIONAL
 
 
 def test_government_outranks_global_footprint():
-    classifier = CategoryClassifier(_FakeOwnership({900}))
-    classifier.observe_all([(900, "BR"), (900, "DE")])
-    assert classifier.categorize(900, "NC", "FR") is HostingCategory.GOVT_SOE
-    assert classifier.global_provider_asns() == []
+    footprint = _footprint([(900, "BR"), (900, "DE")])
+    assert categorize(True, 900, "NC", "FR", footprint) \
+        is HostingCategory.GOVT_SOE
+    assert categorize(False, 900, "NC", "FR", footprint) \
+        is HostingCategory.P3_GLOBAL
 
 
 def test_footprint_ignores_unknown_countries():
-    classifier = CategoryClassifier(_FakeOwnership(set()))
-    classifier.observe(13335, "ZZ")
-    assert classifier.footprint(13335) == frozenset()
+    footprint = _footprint([(13335, "ZZ")])
+    assert footprint.continents(13335) == frozenset()
+    assert categorize(False, 13335, "US", "BR", footprint) \
+        is HostingCategory.P3_REGIONAL
 
 
 def _record(url="https://x.gov.br/", country="BR", size=100,

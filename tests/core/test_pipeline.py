@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Pipeline
 from repro.categories import HostingCategory
 from repro.core.urlfilter import FilterVia
 
@@ -91,6 +92,16 @@ def test_validation_stats_populated(dataset):
 def test_country_subset_run(pipeline):
     subset = pipeline.run(["UY", "PY"])
     assert set(subset.countries) == {"UY", "PY"}
+
+
+def test_reused_pipeline_matches_fresh_pipeline(tiny_world):
+    """A run's categories come from its own partials alone, never from
+    the footprints of countries the pipeline measured earlier."""
+    reused = Pipeline(tiny_world)
+    reused.run(["BR", "US"])
+    fresh = Pipeline(tiny_world).run(["FR"])
+    assert list(reused.run(["FR"]).iter_records()) == \
+        list(fresh.iter_records())
 
 
 def test_depth_histogram_recorded(dataset):

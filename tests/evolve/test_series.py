@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
+from repro.datagen.config import CountryOverride
 from repro.evolve import EvolutionRates, SnapshotSeries
+from repro.evolve.model import EvolutionStep
+from repro.evolve.mutations import Mutation
 from repro.evolve.series import SeriesIntegrityError
 
 CODES = ("BR", "US", "FR", "DE", "JP", "IN", "ZA", "MX")
@@ -123,22 +128,51 @@ def test_no_cache_series_still_runs(tmp_path):
     assert records[0].cache_stats is None
 
 
-def test_integrity_error_on_broken_contract(tmp_path):
-    """Clearing the cache mid-series makes the incremental snapshot miss
-    everything — the runner must refuse to call that incremental."""
+def test_warm_rerun_serves_every_snapshot_from_cache(series_records,
+                                                    tmp_path):
+    """Re-running a series into the cache it filled is legal: every
+    snapshot is served from the cache and nothing moves."""
+    series, records = series_records
+    rerun = SnapshotSeries(
+        _base_config(), 3, evolution_seed=11,
+        cache=str(series.cache.cache_dir),
+    ).run()
+    for original, warm in zip(records, rerun):
+        assert warm.cache_stats.misses == 0
+        assert warm.cache_stats.hits == len(CODES)
+        assert warm.fingerprint == original.fingerprint
+        assert _dataset_bytes(warm.dataset, tmp_path, f"warm-{warm.step}") \
+            == _dataset_bytes(original.dataset, tmp_path,
+                              f"cold-{original.step}")
+
+
+@pytest.mark.parametrize(
+    "rekey, mutate",
+    [(True, False), (False, True)],
+    ids=["unmutated-country-rekeyed", "mutated-country-kept-its-key"],
+)
+def test_integrity_error_when_rekeyed_differs_from_mutated(monkeypatch,
+                                                           rekey, mutate):
+    """The series refuses a step whose re-keyed countries are not
+    exactly its mutated ones, with or without a cache."""
     series = SnapshotSeries(
         WorldConfig(seed=7, scale=0.05, countries=("BR", "US", "FR")),
-        3, evolution_seed=11, cache=str(tmp_path / "cache"),
+        2, evolution_seed=11,
     )
-    original = series._run_snapshot
 
-    def clearing(step, config, mutations, parent_fingerprint):
-        if step == 1:
-            series.cache.clear()
-        return original(step, config, mutations, parent_fingerprint)
+    def evolve(config, step):
+        overrides = (CountryOverride(country="US", extra_soes=1),) \
+            if rekey else ()
+        mutations = (Mutation(country="US", kind="new-soe"),) \
+            if mutate else ()
+        return EvolutionStep(
+            step=step,
+            config=dataclasses.replace(config, country_overrides=overrides),
+            mutations=mutations,
+        )
 
-    series._run_snapshot = clearing
-    with pytest.raises(SeriesIntegrityError):
+    monkeypatch.setattr(series.model, "evolve", evolve)
+    with pytest.raises(SeriesIntegrityError, match="T\\+1: re-keyed"):
         series.run()
 
 

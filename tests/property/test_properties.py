@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.analysis.diversification import hhi
+from repro.analysis.engine.index import AnalysisIndex
 from repro.categories import HostingCategory
 from repro.datagen.sitebuilder import largest_remainder
 from repro.netsim.anycast import AnycastGroup
@@ -13,6 +15,7 @@ from repro.netsim.asn import PoP
 from repro.netsim.latency import country_threshold_ms, propagation_rtt_ms
 from repro.netsim.tls import Certificate
 from repro.urltools import registrable_domain
+from repro.world.countries import COUNTRIES
 from repro.world.geography import haversine_km
 
 _share_lists = st.lists(
@@ -121,3 +124,22 @@ def test_mix_assignment_matches_targets(seed, n_slots):
     biggest = budgets[0]
     for category in HostingCategory:
         assert abs(assigned[category] - targets[category]) <= biggest + 1e-9
+
+
+@settings(max_examples=18, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.lists(st.sampled_from(sorted(COUNTRIES)), min_size=1, max_size=3,
+             unique=True),
+)
+def test_summarize_equals_index_summary(seed, fault_rate, countries):
+    """Table 3 has two implementations (the record loop behind ``run``
+    and the index behind ``report``/``serve``); they must agree."""
+    dataset = Pipeline(SyntheticWorld.generate(WorldConfig(
+        seed=seed, scale=0.02, countries=tuple(countries),
+        include_topsites=False, fault_rate=fault_rate,
+    ))).run()
+    assert dataset.summarize() == AnalysisIndex.build(dataset).summary()
+    assert all((record.category is HostingCategory.GOVT_SOE)
+               == record.gov_operated for record in dataset.iter_records())

@@ -154,6 +154,22 @@ def test_workers_below_one_exit_2(command, capsys):
     assert "--workers must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--countries", "ZZ"],
+    ["evolve", "--countries", "ZZ"],
+    ["sweep", "--demo", "--countries", "ZZ"],
+    ["run", "--scale", "0"],
+    ["evolve", "--scale", "-1"],
+    ["run", "--fault-rate", "2"],
+    ["inspect", "--hostname", "gouv.nc", "--scale", "0"],
+], ids=["run-country", "evolve-country", "sweep-country", "run-scale",
+        "evolve-scale", "run-fault-rate", "inspect-scale"])
+def test_invalid_world_config_exits_2_with_one_error_line(command, capsys):
+    assert main(command) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", [["evolve", "--snapshots", "2"],
                                      ["sweep", "--demo"]],
                          ids=["evolve", "sweep"])
