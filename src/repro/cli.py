@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8321,
                        help="bind port; 0 picks a free one (default: 8321)")
     serve.add_argument("--workers", type=int, default=8, metavar="N",
-                       help="max concurrent request threads (default: 8)")
+                       help="max concurrent connections (default: 8)")
     serve.add_argument("--trace-dir", metavar="DIR", default=None,
                        help="trace every request into a bounded on-disk "
                             "ring under DIR (request-NNNN.json slot files "

@@ -202,6 +202,16 @@ GATES: dict[str, tuple[Gate, ...]] = {
              why="percentiles must be self-consistent"),
         Gate("requests", "equals", reference="latency.count",
              why="every request must be latency-accounted"),
+        Gate("http.identical_to_serial", "truthy",
+             why="every HTTP body must match the serial pass byte for byte"),
+        Gate("http.sequential.p50_ms", "max", threshold=10.0,
+             why="a keep-alive request must not wait for a delayed ACK "
+                 "(~40 ms when a response leaves in two writes)"),
+        Gate("http.latency.p50_ms", "ordered",
+             others=("http.latency.p95_ms", "http.latency.p99_ms"),
+             why="percentiles must be self-consistent"),
+        Gate("http.requests", "equals", reference="http.latency.count",
+             why="every HTTP request must be latency-accounted"),
     ),
     "longitudinal": (
         Gate("hit_rate", "equals", reference="expected_hit_rate",

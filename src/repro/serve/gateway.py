@@ -18,12 +18,28 @@ see the same behavior.  Every client error is a structured body
 unexpected server failures answer 500 with code ``internal`` and no
 traceback leakage.
 
+Errors that ``http.server`` raises itself before a handler runs (an
+unsupported method answers 501, an over-long request line 414, too
+many or too long headers 431, a malformed request line 400) use the
+same error shape, with one stable code per status, and close the
+connection as stdlib does.  So does a POST body whose
+``Content-Length`` is unusable: the end of the body is unknown, so
+nothing after it can be read as the next request.
+
+Wire: every response -- status line, headers and body -- leaves in one
+socket write, and accepted connections set TCP_NODELAY.  Two writes
+would let Nagle hold the second until the client's delayed ACK
+(~40 ms per keep-alive request).
+
 Concurrency: ``ThreadingHTTPServer`` spawns unboundedly by default, so
 :class:`DatasetHTTPServer` routes connections through a bounded
-``ThreadPoolExecutor`` -- ``--workers N`` is a real cap on concurrent
-request threads, and excess connections queue instead of piling up
-threads.  Responses carry accurate ``Content-Length`` so HTTP/1.1
-keep-alive works for closed-loop load generators.
+``ThreadPoolExecutor``.  A keep-alive connection holds its pool thread
+for its whole life, so ``--workers N`` caps concurrent connections,
+and excess connections queue instead of piling up threads.  A
+connection idle for :data:`IDLE_TIMEOUT_S` is closed, which frees its
+thread for a queued one and bounds how long shutdown waits.
+Responses carry accurate ``Content-Length`` so HTTP/1.1 keep-alive
+works for closed-loop load generators.
 """
 
 from __future__ import annotations
@@ -32,6 +48,7 @@ import json
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Optional
 
@@ -46,9 +63,24 @@ from repro.serve.tracing import RequestTraceLog, measure_ms
 #: a client bug or abuse.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds a connection may sit idle (or stall mid-request) before the
+#: gateway closes it and frees its pool thread.
+IDLE_TIMEOUT_S = 5.0
+
+#: The error code of each status answered through ``send_error``: the
+#: errors ``http.server`` raises itself, and unframeable POST bodies.
+SEND_ERROR_CODES = {
+    HTTPStatus.BAD_REQUEST: "bad-request",
+    HTTPStatus.REQUEST_ENTITY_TOO_LARGE: "too-large",
+    HTTPStatus.REQUEST_URI_TOO_LONG: "uri-too-long",
+    HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE: "headers-too-large",
+    HTTPStatus.NOT_IMPLEMENTED: "unsupported-method",
+    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED: "unsupported-version",
+}
+
 
 class DatasetHTTPServer(ThreadingHTTPServer):
-    """A ``ThreadingHTTPServer`` with a bounded request-thread pool."""
+    """A ``ThreadingHTTPServer`` with a bounded connection-thread pool."""
 
     daemon_threads = True
 
@@ -82,7 +114,17 @@ class DatasetHTTPServer(ThreadingHTTPServer):
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # stdlib's StreamRequestHandler sets TCP_NODELAY on each connection.
+    disable_nagle_algorithm = True
     server: DatasetHTTPServer
+
+    @property
+    def timeout(self) -> float:
+        """The connection's socket timeout: :data:`IDLE_TIMEOUT_S`.
+
+        On expiry stdlib's ``handle_one_request`` closes the connection.
+        """
+        return IDLE_TIMEOUT_S
 
     # --------------------------------------------------------- plumbing
 
@@ -90,46 +132,65 @@ class _Handler(BaseHTTPRequestHandler):
         # Per-request stderr chatter off; /metrics is the signal.
         pass
 
-    def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, body: bytes, content_type: str, *,
+              close: bool = False) -> None:
+        """Write one response -- status line, headers, body -- at once."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        if close:
+            self.send_header("Connection", "close")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        # What end_headers() would send on its own, joined to the body.
+        head = b""
+        if self.request_version != "HTTP/0.9":  # 0.9 answers have no head
+            head = b"".join(self._headers_buffer) + b"\r\n"
+            self._headers_buffer = []
+        self.wfile.write(head if self.command == "HEAD" else head + body)
+
+    def _send_json(self, status: int, payload: dict, *,
+                   close: bool = False) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self._send(status, body, "application/json", close=close)
 
     def _send_error_json(self, error: RequestError) -> None:
         self._send_json(error.status, {"error": error.to_dict()})
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def send_error(self, code: int, message: Optional[str] = None,
+                   explain: Optional[str] = None) -> None:
+        """Answer an error in the JSON error shape and close.
 
-    def _read_body(self) -> Mapping:
+        ``http.server`` calls this for requests it refuses before a
+        ``do_*`` method runs.  Statuses that carry no body (1xx, 204,
+        205, 304) keep stdlib's headers-only answer.
+        """
+        status = HTTPStatus(code)
+        if status < 200 or status in (HTTPStatus.NO_CONTENT,
+                                      HTTPStatus.RESET_CONTENT,
+                                      HTTPStatus.NOT_MODIFIED):
+            super().send_error(code, message, explain)
+            return
+        error = RequestError(SEND_ERROR_CODES.get(status, "http-error"),
+                             message or status.phrase)
+        self._send_json(status, {"error": error.to_dict()}, close=True)
+
+    def _read_body(self) -> Optional[bytes]:
+        """The request body; None (answered, closing) if its length is
+        unusable."""
         length = self.headers.get("Content-Length")
         if length is None:
-            return {}
+            return b""
         try:
             size = int(length)
         except ValueError:
-            raise RequestError("bad-request", "invalid Content-Length")
+            size = -1
+        if size < 0:
+            self.send_error(HTTPStatus.BAD_REQUEST, "invalid Content-Length")
+            return None
         if size > MAX_BODY_BYTES:
-            raise RequestError("too-large", "request body too large",
-                               status=413)
-        raw = self.rfile.read(size)
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw)
-        except ValueError:
-            raise RequestError("bad-json", "request body is not valid JSON")
-        if not isinstance(payload, dict):
-            raise RequestError("bad-type", "request body must be an object")
-        return payload
+            self.send_error(HTTPStatus.REQUEST_ENTITY_TOO_LARGE,
+                            "request body too large")
+            return None
+        return self.rfile.read(size)
 
     def _query_params(self) -> dict:
         parsed = urllib.parse.urlsplit(self.path)
@@ -165,6 +226,11 @@ class _Handler(BaseHTTPRequestHandler):
         self._answer(endpoint, self._query_params())
 
     def do_POST(self) -> None:
+        # Read the body first: a keep-alive connection's next request
+        # starts where this body ends.
+        raw = self._read_body()
+        if raw is None:
+            return
         endpoint = self._endpoint()
         if endpoint is None:
             self._send_error_json(RequestError(
@@ -172,7 +238,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "POST queries live under /v1/<endpoint>", status=404))
             return
         try:
-            payload = self._read_body()
+            payload = _json_object(raw)
         except RequestError as exc:
             self._send_error_json(exc)
             return
@@ -196,9 +262,10 @@ class _Handler(BaseHTTPRequestHandler):
         if requested == "json":
             self._send_json(200, self.server.service.metrics_snapshot())
         elif requested == "prometheus":
-            self._send_text(
+            self._send(
                 200,
-                render_prometheus(self.server.service.metrics_snapshot()),
+                render_prometheus(
+                    self.server.service.metrics_snapshot()).encode("utf-8"),
                 PROMETHEUS_CONTENT_TYPE,
             )
         else:
@@ -245,6 +312,19 @@ class _Handler(BaseHTTPRequestHandler):
                          error=error)
 
 
+def _json_object(raw: bytes) -> Mapping:
+    """A POST body's JSON object; an empty body is an empty query."""
+    if not raw:
+        return {}
+    try:
+        payload = json.loads(raw)
+    except (ValueError, RecursionError):  # RecursionError: deep nesting
+        raise RequestError("bad-json", "request body is not valid JSON")
+    if not isinstance(payload, dict):
+        raise RequestError("bad-type", "request body must be an object")
+    return payload
+
+
 def create_server(service: DatasetService, *, host: str = "127.0.0.1",
                   port: int = 0, workers: int = 8,
                   trace_log: Optional[RequestTraceLog] = None
@@ -260,4 +340,5 @@ def create_server(service: DatasetService, *, host: str = "127.0.0.1",
                              workers=workers, trace_log=trace_log)
 
 
-__all__ = ["DatasetHTTPServer", "MAX_BODY_BYTES", "create_server"]
+__all__ = ["DatasetHTTPServer", "IDLE_TIMEOUT_S", "MAX_BODY_BYTES",
+           "create_server"]

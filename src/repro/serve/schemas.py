@@ -75,8 +75,11 @@ def _integer(data: Mapping, field: str, *, default: int,
     if field not in data:
         return default
     value = data[field]
-    if isinstance(value, str) and value.lstrip("-").isdigit():
-        value = int(value)  # query-string form
+    if isinstance(value, str) and value.removeprefix("-").isdecimal():
+        try:
+            value = int(value)  # query-string form
+        except ValueError:  # past int()'s digit limit; bad-type below
+            pass
     if isinstance(value, bool) or not isinstance(value, int):
         raise RequestError("bad-type",
                            f"field {field!r} must be an integer",

@@ -53,6 +53,20 @@ def test_regressed_copy_fails_naming_the_culprit(tmp_path):
     assert "minimum 5.0" in failure.message
 
 
+def test_serve_gates_catch_the_delayed_ack_floor(tmp_path):
+    bench = json.loads((REPO_ROOT / "BENCH_serve.json").read_text())
+    # What a response split over two writes measures: ~44 ms per
+    # sequential keep-alive request.
+    bench["http"]["sequential"]["p50_ms"] = 44.0
+    bad = tmp_path / "BENCH_serve.json"
+    bad.write_text(json.dumps(bench))
+
+    (result,) = check([bad])
+    (failure,) = result.failures
+    assert failure.metric == "http.sequential.p50_ms"
+    assert "maximum 10.0" in failure.message
+
+
 # ------------------------------------------------------------ gate kinds
 
 

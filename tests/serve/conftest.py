@@ -7,7 +7,9 @@ written once per session for the load-path equivalence tests.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -88,3 +90,17 @@ def http_post(url: str, payload) -> tuple:
             return response.status, json.load(response)
     except urllib.error.HTTPError as exc:
         return exc.code, json.load(exc)
+
+
+def raw_exchange(address, request: bytes, *, method: str = "GET",
+                 timeout: float = 3.0) -> tuple:
+    """(status, headers, body) of raw ``request`` bytes sent on a fresh
+    socket; a server that hangs raises TimeoutError after ``timeout``."""
+    with socket.create_connection(address, timeout=timeout) as sock:
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock, method=method)
+        try:
+            response.begin()
+            return response.status, response.msg, response.read()
+        finally:
+            response.close()

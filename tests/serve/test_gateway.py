@@ -1,14 +1,23 @@
-"""HTTP gateway behavior: JSON endpoints, structured 4xx errors, and
-byte-equality between what travels over the wire and the service."""
+"""HTTP gateway behavior: JSON endpoints, structured 4xx errors,
+byte-equality between what travels over the wire and the service, and
+the wire itself: one write per response, keep-alive, idle release."""
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.request
+import socket
+import statistics
+import threading
+import time
+import urllib.parse
+
+import pytest
 
 from repro.reporting import render_report_section
+from repro.serve import DatasetHTTPServer, create_server, gateway
 
-from .conftest import http_get, http_post
+from .conftest import http_get, http_post, raw_exchange
 
 
 def test_healthz(base_url, tiny_dataset):
@@ -89,10 +98,179 @@ def test_unknown_path_is_404(base_url):
     assert body["error"]["code"] == "not-found"
 
 
-def test_keepalive_serves_sequential_requests(base_url):
-    # One opener reusing the stack; mainly asserts Content-Length is
-    # right (a wrong length wedges or truncates the second response).
-    for _ in range(3):
-        with urllib.request.urlopen(f"{base_url}/v1/summary") as response:
-            payload = json.load(response)
+def test_keepalive_serves_sequential_requests(http_server):
+    # One connection, twenty requests: a wrong Content-Length wedges or
+    # truncates the next response, and a response split over two
+    # writes waits ~40 ms for the client's delayed ACK (Nagle).
+    conn = http.client.HTTPConnection(*http_server.server_address[:2],
+                                      timeout=10)
+    latencies_ms = []
+    try:
+        conn.connect()
+        first_socket = conn.sock
+        for _ in range(20):
+            started = time.perf_counter()
+            conn.request("GET", "/v1/summary")
+            response = conn.getresponse()
+            payload = json.loads(response.read())
+            latencies_ms.append((time.perf_counter() - started) * 1e3)
+            assert response.status == 200
             assert "summary" in payload
+            assert conn.sock is first_socket
+    finally:
+        conn.close()
+    assert statistics.median(latencies_ms) < 10, latencies_ms
+
+
+def test_refused_post_body_is_consumed_on_keepalive(http_server):
+    # A 404 POST must still read its body: the next request on the
+    # connection starts where the body ends.
+    conn = http.client.HTTPConnection(*http_server.server_address[:2],
+                                      timeout=3)
+    try:
+        conn.request("POST", "/nope", body=b'{"top": 3}')
+        response = conn.getresponse()
+        assert response.status == 404
+        assert json.loads(response.read())["error"]["code"] == "not-found"
+        first_socket = conn.sock
+        conn.request("GET", "/healthz")
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+        assert conn.sock is first_socket
+    finally:
+        conn.close()
+
+
+def test_negative_content_length_is_400(http_server):
+    # rfile.read(-1) would read to EOF: a keep-alive client never sees
+    # an answer.
+    status, headers, body = raw_exchange(
+        http_server.server_address,
+        b"POST /v1/summary HTTP/1.1\r\nHost: t\r\n"
+        b"Content-Length: -1\r\n\r\n{}")
+    assert status == 400
+    assert json.loads(body)["error"]["code"] == "bad-request"
+    assert headers["Connection"] == "close"
+
+
+def test_deeply_nested_json_body_is_400(http_server):
+    # Under MAX_BODY_BYTES, but json.loads raises RecursionError on it.
+    nested = b"[" * 100_000
+    status, _, body = raw_exchange(
+        http_server.server_address,
+        b"POST /v1/summary HTTP/1.1\r\nHost: t\r\nContent-Length: "
+        + str(len(nested)).encode() + b"\r\n\r\n" + nested)
+    assert status == 400
+    assert json.loads(body)["error"]["code"] == "bad-json"
+
+
+def test_query_string_integer_that_int_refuses_is_400(base_url):
+    for top in ("--5", "\u00b2", "9" * 5000):
+        status, body = http_get(
+            f"{base_url}/v1/providers?top={urllib.parse.quote(top)}")
+        assert status == 400
+        assert body["error"] == {
+            "code": "bad-type", "field": "top",
+            "message": "field 'top' must be an integer"}
+
+
+# ------------------------------------------------------------ the wire
+
+
+@pytest.fixture()
+def spied_server(service):
+    """A gateway recording each socket write's size and whether the
+    accepted socket has TCP_NODELAY set."""
+    writes, nodelay = [], []
+
+    class SpiedHandler(gateway._Handler):
+        def setup(self):
+            super().setup()
+            nodelay.append(self.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            send = self.wfile.write
+
+            def write(data):
+                writes.append(len(data))
+                return send(data)
+
+            self.wfile.write = write
+
+    server = DatasetHTTPServer(("127.0.0.1", 0), SpiedHandler, service,
+                               workers=2)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server, writes, nodelay
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("request_line, status, content_type", [
+    (b"GET /v1/summary", 200, "application/json"),
+    (b"GET /metrics?format=prometheus", 200, "text/plain"),
+    (b"GET /v1/categories?country=ZZ", 404, "application/json"),
+], ids=["json", "prometheus", "request-error"])
+def test_every_response_leaves_in_one_write(spied_server, request_line,
+                                            status, content_type):
+    server, writes, nodelay = spied_server
+    request = request_line + b" HTTP/1.1\r\nHost: t\r\n" \
+        b"Connection: close\r\n\r\n"
+    with socket.create_connection(server.server_address, timeout=3) as sock:
+        sock.sendall(request)
+        raw = b""
+        while chunk := sock.recv(1 << 16):
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 %d " % status)
+    assert f"Content-Type: {content_type}".encode() in head
+    assert body
+    assert writes == [len(raw)]
+    assert nodelay == [1]
+
+
+@pytest.mark.parametrize("request_bytes, status, code", [
+    (b"PUT /v1/summary HTTP/1.1\r\nHost: t\r\n\r\n", 501,
+     "unsupported-method"),
+    (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\nHost: t\r\n\r\n", 414,
+     "uri-too-long"),
+], ids=["put", "long-request-line"])
+def test_stdlib_errors_are_json_in_one_write(spied_server, request_bytes,
+                                             status, code):
+    server, writes, _ = spied_server
+    got, headers, body = raw_exchange(server.server_address, request_bytes)
+    assert got == status
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
+    assert json.loads(body)["error"]["code"] == code
+    assert len(writes) == 1
+
+
+def test_idle_keepalive_connection_is_released(service, monkeypatch):
+    # One worker thread, held by an idle keep-alive connection: the
+    # next client is served once the idle connection times out.
+    monkeypatch.setattr(gateway, "IDLE_TIMEOUT_S", 0.5)
+    server = create_server(service, workers=1)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    address = server.server_address[:2]
+    idle = http.client.HTTPConnection(*address, timeout=10)
+    waiting = http.client.HTTPConnection(*address, timeout=3)
+    try:
+        idle.request("GET", "/healthz")
+        assert idle.getresponse().read()
+        started = time.perf_counter()
+        waiting.request("GET", "/healthz")
+        response = waiting.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["status"] == "ok"
+        assert time.perf_counter() - started < 0.5 + 2.0
+    finally:
+        idle.close()
+        waiting.close()
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

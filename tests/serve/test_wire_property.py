@@ -1,0 +1,140 @@
+"""Wire property: whatever raw HTTP/1.0 or HTTP/1.1 request a client
+sends, the gateway answers with a status line, a JSON body (Prometheus
+text aside), an ``error.code`` on every non-200, and never a 500 or a
+dropped connection -- and it keeps answering afterwards.
+
+Only versions that parse are drawn: for an unparseable one stdlib
+answers as HTTP/0.9, which has no status line.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import string
+import threading
+import urllib.parse
+from typing import Optional
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro.obs.exposition import PROMETHEUS_CONTENT_TYPE
+from repro.serve import QUERY_ENDPOINTS, create_server
+
+from .conftest import raw_exchange
+
+#: Request fields of every endpoint, plus /metrics' ``format``.
+FIELDS = ("country", "weighting", "sources", "basis", "top", "section",
+          "format")
+TOKEN = string.ascii_letters + string.digits + "-_.~"
+#: Printable ASCII: what a header value may carry.
+HEADER_TEXT = st.text(alphabet=string.printable.strip(), max_size=40)
+
+
+@dataclasses.dataclass(frozen=True)
+class RawRequest:
+    method: str
+    target: str
+    version: str = "HTTP/1.1"
+    accept: Optional[str] = None
+    body: Optional[bytes] = None
+    #: ``exact``, a negative number, or a non-numeric string.
+    length: str = "exact"
+
+    def encode(self) -> bytes:
+        lines = [f"{self.method} {self.target} {self.version}", "Host: t"]
+        if self.accept is not None:
+            lines.append(f"Accept: {self.accept}")
+        if self.body is not None:
+            length = (str(len(self.body)) if self.length == "exact"
+                      else self.length)
+            lines.append(f"Content-Length: {length}")
+        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+        return head + (self.body or b"")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=10)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=6),
+                      children, max_size=3),
+    max_leaves=8,
+)
+bodies = st.one_of(
+    json_values.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.binary(max_size=64),
+    st.integers(min_value=1, max_value=100_000).map(lambda n: b"[" * n),
+)
+lengths = st.one_of(
+    st.just("exact"),
+    st.integers(max_value=-1).map(str),
+    st.text(alphabet=string.ascii_letters + "+-. ", min_size=1,
+            max_size=6),
+)
+
+
+@st.composite
+def raw_requests(draw) -> RawRequest:
+    method = draw(st.sampled_from(["GET", "POST", "HEAD", "PUT", "DELETE"])
+                  | st.text(alphabet=string.ascii_uppercase, min_size=1,
+                            max_size=8))
+    path = draw(st.one_of(
+        st.sampled_from(["/healthz", "/metrics"]),
+        st.sampled_from(sorted(QUERY_ENDPOINTS)).map(lambda e: f"/v1/{e}"),
+        st.text(alphabet=TOKEN, max_size=12).map(lambda t: f"/v1/{t}"),
+        st.text(max_size=20).map(lambda t: "/" + urllib.parse.quote(t)),
+    ))
+    query = draw(st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=8),
+                                 st.text(max_size=12), max_size=3))
+    body = draw(bodies) if method == "POST" else None
+    return RawRequest(
+        method=method,
+        target=path + ("?" + urllib.parse.urlencode(query) if query else ""),
+        version=draw(st.sampled_from(["HTTP/1.0", "HTTP/1.1"])),
+        accept=draw(st.none() | st.sampled_from(
+            ["application/json", "text/plain", "*/*"]) | HEADER_TEXT),
+        body=body,
+        length=draw(lengths) if body is not None else "exact",
+    )
+
+
+@pytest.fixture(scope="module")
+def wire_server(service):
+    server = create_server(service, workers=4)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(request=raw_requests())
+@example(request=RawRequest("PUT", "/v1/summary"))
+@example(request=RawRequest("POST", "/v1/summary", body=b"{}", length="-1"))
+@example(request=RawRequest("POST", "/v1/summary", body=b"[" * 100_000))
+@example(request=RawRequest("GET", "/v1/providers?top=--5"))
+def test_every_request_gets_a_structured_answer(wire_server, request):
+    address = wire_server.server_address[:2]
+    status, headers, body = raw_exchange(address, request.encode(),
+                                         method=request.method)
+    assert status == 200 or 400 <= status < 500 or status == 501, status
+    if request.method == "HEAD":
+        assert body == b""
+    elif headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE:
+        assert status == 200
+        assert body.decode("utf-8").endswith("\n")
+    else:
+        assert headers["Content-Type"] == "application/json"
+        answer = json.loads(body)
+        if status != 200:
+            assert isinstance(answer["error"]["code"], str)
+
+    status, _, body = raw_exchange(address, b"GET /healthz HTTP/1.1\r\n"
+                                            b"Host: t\r\n\r\n")
+    assert status == 200
+    assert json.loads(body)["status"] == "ok"
