@@ -5,12 +5,15 @@ signature (its URL or byte fractions over the hosting categories);
 Hierarchical Agglomerative Clustering with Ward linkage groups the
 signatures, yielding the three-branch dendrograms of Figure 5 whose
 main branches correspond to the dominant hosting source.
+
+``scipy.cluster`` is imported inside the functions that call it, so
+importing this module (every ``repro-gov`` command does, through
+``repro.analysis``) does not load scipy.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster import hierarchy
 
 from repro.categories import CATEGORY_ORDER, HostingCategory
 from repro.core.dataset import GovernmentHostingDataset
@@ -42,6 +45,8 @@ def ward_linkage(signatures: np.ndarray) -> np.ndarray:
     """Ward-distance HCA linkage matrix over signature rows."""
     if len(signatures) < 2:
         raise ValueError("clustering needs at least two countries")
+    from scipy.cluster import hierarchy
+
     return hierarchy.linkage(signatures, method="ward")
 
 
@@ -49,6 +54,8 @@ def cluster_assignments(
     codes: list[str], linkage: np.ndarray, n_clusters: int = 3
 ) -> dict[str, int]:
     """Flat cluster labels (1-based) after cutting the dendrogram."""
+    from scipy.cluster import hierarchy
+
     labels = hierarchy.fcluster(linkage, t=n_clusters, criterion="maxclust")
     return dict(zip(codes, (int(label) for label in labels)))
 
@@ -77,6 +84,8 @@ def dominant_category_of_cluster(
 
 def dendrogram_order(linkage: np.ndarray, codes: list[str]) -> list[str]:
     """Leaf ordering of the dendrogram (the x-axis of Figure 5)."""
+    from scipy.cluster import hierarchy
+
     order = hierarchy.leaves_list(linkage)
     return [codes[index] for index in order]
 

@@ -14,7 +14,6 @@ import dataclasses
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.analysis.engine.index import DatasetOrIndex, ensure_index
 from repro.world.countries import get_country
@@ -97,6 +96,12 @@ def feature_matrix(
 
 def fit_ols(features: np.ndarray, outcome: np.ndarray) -> RegressionResult:
     """Fit the Appendix E OLS model over prepared matrices."""
+    # Imported on first call, so that importing this module (every
+    # ``repro-gov`` command does) does not load scipy.  ``stdtrit`` and
+    # ``stdtr`` are the routines behind ``scipy.stats.t.ppf`` and
+    # ``t.sf`` (equal floats), without the far larger ``scipy.stats``.
+    from scipy.special import stdtr, stdtrit
+
     n, k = features.shape
     if n <= k + 1:
         raise ValueError("not enough countries for the regression")
@@ -107,14 +112,14 @@ def fit_ols(features: np.ndarray, outcome: np.ndarray) -> RegressionResult:
     sigma2 = float(residuals @ residuals) / dof
     covariance = sigma2 * np.linalg.inv(design.T @ design)
     stderrs = np.sqrt(np.diag(covariance))
-    t_crit = stats.t.ppf(0.975, dof)
+    t_crit = stdtrit(dof, 0.975)
 
     coefficients: dict[str, Coefficient] = {}
     for index, name in enumerate(FEATURE_NAMES):
         estimate = float(beta[index + 1])
         stderr = float(stderrs[index + 1])
         t_stat = estimate / stderr if stderr > 0 else math.inf
-        p_value = float(2 * stats.t.sf(abs(t_stat), dof))
+        p_value = float(2 * stdtr(dof, -abs(t_stat)))
         coefficients[name] = Coefficient(
             name=name,
             estimate=estimate,

@@ -355,6 +355,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
+    registry = None
+    if args.registry:
+        from repro.obs import RegistryError, RunRegistry
+
+        try:
+            registry = RunRegistry(args.registry)
+        except RegistryError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     world = SyntheticWorld.generate(config)
     cache = None
     if args.cache_clear and not args.cache_dir:
@@ -434,10 +443,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.manifest:
                 path = manifest.write(manifest_path_for(args.out))
                 print(f"wrote manifest to {path}")
-            if args.registry:
-                from repro.obs import RunRegistry
-
-                run, created = RunRegistry(args.registry).record(manifest)
+            if registry is not None:
+                run, created = registry.record(manifest)
                 verb = "recorded" if created else "already recorded as"
                 print(f"registry: {verb} run #{run.seq} {run.id[:12]} "
                       f"in {args.registry}")
@@ -537,9 +544,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cache = ScanCache(args.cache_dir)
     registry = None
     if args.registry:
-        from repro.obs import RunRegistry
+        from repro.obs import RegistryError, RunRegistry
 
-        registry = RunRegistry(args.registry)
+        try:
+            registry = RunRegistry(args.registry)
+        except RegistryError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     executor = make_executor(args.workers)
     try:
         runner = SweepRunner(matrix, cache=cache, executor=executor,
@@ -657,9 +668,13 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         return 2
     registry = None
     if args.registry:
-        from repro.obs import RunRegistry
+        from repro.obs import RegistryError, RunRegistry
 
-        registry = RunRegistry(args.registry)
+        try:
+            registry = RunRegistry(args.registry)
+        except RegistryError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
     executor = make_executor(args.workers)
     series = SnapshotSeries(
         config, args.snapshots,

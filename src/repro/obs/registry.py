@@ -121,6 +121,8 @@ class RunRegistry:
         self._lock = threading.Lock()
         self._runs: list[RegisteredRun] = []
         self._by_id: dict[str, RegisteredRun] = {}
+        #: Byte offset just past the journal's last complete line.
+        self._end = 0
         self._load()
 
     # ---------------------------------------------------------- loading
@@ -128,23 +130,22 @@ class RunRegistry:
     def _load(self) -> None:
         if not self.journal_path.exists():
             return
-        raw = self.journal_path.read_text(encoding="utf-8")
-        complete = raw.split("\n")
-        if complete and complete[-1] == "":
-            complete.pop()  # trailing newline, the normal case
-        elif complete:
+        raw = self.journal_path.read_bytes()
+        self._end = raw.rfind(b"\n") + 1
+        if self._end < len(raw):
             # A final fragment without its newline is a torn append from
-            # a crashed writer: recover everything before it.
-            complete.pop()
+            # a crashed writer: recover everything before it.  The next
+            # record() truncates the fragment away.
             logger.warning(
                 "%s: ignoring torn final journal line (interrupted append)",
                 self.journal_path,
             )
+        complete = raw[:self._end].split(b"\n")[:-1]
         for number, line in enumerate(complete, start=1):
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 run = RegisteredRun(
                     id=record["id"],
                     seq=record["seq"],
@@ -192,9 +193,17 @@ class RunRegistry:
                 manifest=manifest,
             )
             line = json.dumps(run.to_dict(), sort_keys=True,
-                              separators=(",", ":"))
-            with open(self.journal_path, "a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
+                              separators=(",", ":")).encode("utf-8") + b"\n"
+            with open(self.journal_path, "a+b") as handle:
+                handle.seek(self._end)
+                tail = handle.read()
+                if tail and b"\n" not in tail:
+                    # Drop a torn final line, so the new line starts on
+                    # a line boundary.  Lines another writer completed
+                    # since the load are left alone.
+                    handle.truncate(self._end)
+                handle.write(line)
+            self._end += len(line)
             self._runs.append(run)
             self._by_id[run_id] = run
         self.events.emit("run.recorded", id=run_id, seq=run.seq,

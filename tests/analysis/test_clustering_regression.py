@@ -1,5 +1,7 @@
 """Tests for HCA clustering (Figure 5) and the OLS regression (Figure 12)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.analysis.regression import (
     FEATURE_NAMES,
     explanatory_regression,
     feature_matrix,
+    fit_ols,
     variance_inflation_factors,
 )
 from repro.categories import HostingCategory
@@ -93,6 +96,35 @@ def test_confidence_intervals_bracket_estimates(dataset):
     for coefficient in result.coefficients.values():
         assert coefficient.ci_low < coefficient.estimate < coefficient.ci_high
         assert coefficient.stderr > 0
+
+
+@pytest.mark.parametrize("noise", [1.0, 0.0],
+                         ids=["finite-t", "zero-stderr"])
+def test_fit_ols_student_t_values_equal_scipy_stats(noise):
+    """``fit_ols`` calls ``scipy.special`` directly; its p-values and CI
+    bounds must be the very floats ``scipy.stats.t`` gives, including
+    t = inf (a zero outcome fits exactly: every standard error is 0)."""
+    from scipy import stats
+
+    rng = np.random.default_rng(20)
+    n = 24
+    features = rng.normal(size=(n, len(FEATURE_NAMES)))
+    outcome = noise * (features @ np.array([3.0, 0.4, 0.0, 0.1, -1.0, 0.0])
+                       + rng.normal(size=n))
+    result = fit_ols(features, outcome)
+    dof = n - (len(FEATURE_NAMES) + 1)
+    t_crit = stats.t.ppf(0.975, dof)
+    for coefficient in result.coefficients.values():
+        estimate, stderr = coefficient.estimate, coefficient.stderr
+        t_stat = estimate / stderr if stderr > 0 else math.inf
+        assert coefficient.p_value == float(2 * stats.t.sf(abs(t_stat), dof))
+        assert coefficient.ci_low == estimate - t_crit * stderr
+        assert coefficient.ci_high == estimate + t_crit * stderr
+    p_values = [c.p_value for c in result.coefficients.values()]
+    if noise:
+        assert min(p_values) < 1e-6 < max(p_values) < 1.0
+    else:
+        assert p_values == [0.0] * len(FEATURE_NAMES)
 
 
 def test_vifs_below_ten(dataset):

@@ -99,6 +99,40 @@ def test_torn_final_line_is_recovered(tmp_path, caplog):
     assert any("torn" in record.message for record in caplog.records)
 
 
+def test_record_after_a_torn_append_keeps_the_journal_readable(tmp_path):
+    registry = RunRegistry(tmp_path)
+    registry.record(make_manifest(seed=1, fingerprint="b" * 32))
+    registry.record(make_manifest(seed=2, fingerprint="c" * 32))
+    journal = tmp_path / JOURNAL_NAME
+    first_line = journal.read_bytes().split(b"\n")[0] + b"\n"
+    journal.write_bytes(journal.read_bytes()[:-40])
+
+    recovered = RunRegistry(tmp_path)
+    run, created = recovered.record(make_manifest(seed=3,
+                                                  fingerprint="d" * 32))
+    assert created and run.seq == 1
+    # Old complete lines plus the new one: the torn fragment is gone.
+    data = journal.read_bytes()
+    assert data.startswith(first_line)
+    new_line = data[len(first_line):]
+    assert new_line.count(b"\n") == 1 and new_line.endswith(b"\n")
+    assert json.loads(new_line)["manifest"]["seed"] == 3
+    reloaded = RunRegistry(tmp_path)
+    assert [r.manifest.seed for r in reloaded.runs()] == [1, 3]
+    assert reloaded.runs() == recovered.runs()
+
+
+def test_non_utf8_byte_names_the_line(tmp_path):
+    registry = RunRegistry(tmp_path)
+    registry.record(make_manifest(seed=1, fingerprint="b" * 32))
+    registry.record(make_manifest(seed=2, fingerprint="c" * 32))
+    journal = tmp_path / JOURNAL_NAME
+    first, second = journal.read_bytes().splitlines(keepends=True)
+    journal.write_bytes(first + second[:10] + b"\xff" + second[11:])
+    with pytest.raises(RegistryError, match="line 2 is not a valid"):
+        RunRegistry(tmp_path)
+
+
 def test_corrupt_middle_line_names_the_line(tmp_path):
     registry = RunRegistry(tmp_path)
     registry.record(make_manifest(seed=1, fingerprint="b" * 32))

@@ -492,6 +492,48 @@ def test_run_registry_records_each_execution(tmp_path, capsys):
     assert first.id != second.id
 
 
+def test_run_registry_after_a_torn_append(tmp_path, capsys):
+    registry = tmp_path / "registry"
+    for seed in ("5", "6"):
+        assert main(["run", "--seed", seed, "--scale", "0.01",
+                     "--countries", "UY", "--registry", str(registry)]) == 0
+    journal = registry / "journal.jsonl"
+    journal.write_bytes(journal.read_bytes()[:-40])
+    assert main(["run", "--seed", "7", "--scale", "0.01", "--countries",
+                 "UY", "--registry", str(registry)]) == 0
+    assert "registry: recorded run #1" in capsys.readouterr().out
+    assert main(["obs", "runs", "--registry", str(registry), "--json"]) == 0
+    runs = json.loads(capsys.readouterr().out)
+    assert [run["manifest"]["seed"] for run in runs] == [5, 7]
+
+
+@pytest.mark.parametrize("damage", [b'{"id": "\xff"}\n', b"{not json\n"],
+                         ids=["non-utf8", "not-json"])
+@pytest.mark.parametrize("command", [
+    ["run", "--scale", "0.01", "--countries", "UY", "--out"],
+    ["evolve", "--scale", "0.01", "--countries", "UY", "--out-dir"],
+    ["sweep", "--demo", "--scale", "0.01", "--countries", "UY", "--out-dir"],
+], ids=["run", "evolve", "sweep"])
+def test_damaged_registry_fails_before_the_run(command, damage, tmp_path,
+                                               capsys):
+    registry = tmp_path / "registry"
+    registry.mkdir()
+    (registry / "journal.jsonl").write_bytes(damage)
+    out = tmp_path / "out"
+    assert main(command + [str(out), "--registry", str(registry)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1 is not a valid journal record" in err
+    assert not out.exists()  # nothing ran
+
+
+def test_obs_runs_on_a_non_utf8_journal_exits_cleanly(tmp_path, capsys):
+    (tmp_path / "journal.jsonl").write_bytes(b'{"id": "\xff"}\n')
+    assert main(["obs", "runs", "--registry", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "line 1" in err
+
+
 def test_obs_runs_lists_registered_runs(registry_dir, capsys):
     assert main(["obs", "runs", "--registry", str(registry_dir)]) == 0
     out = capsys.readouterr().out
