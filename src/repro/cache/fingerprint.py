@@ -50,7 +50,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v4: the bulk segment is always columnar and the header lost its
 #: ``bulk`` codec field, so a v3 entry (which may hold a pickled bulk)
 #: must miss rather than reach the columnar decoder.
-CACHE_FORMAT_VERSION = 4
+#: v5: the bulk segment is a pickle of ``(hosts, urls)``, like the
+#: meta segment, so a v4 entry (whose bulk is columnar) must miss
+#: rather than reach ``pickle.loads``.
+CACHE_FORMAT_VERSION = 5
 
 
 def _digest_payload(payload: object) -> str:

@@ -9,22 +9,19 @@ digits to keep directories small)::
     │   meta_bytes, bulk_bytes, digest, scan_s)    │
     │ meta pickle (merge inputs: counts, verdicts, │
     │   footprint, faults)                         │
-    │ bulk segment ((hosts, urls) — record         │
-    │   assembly's inputs, as a columnar section   │
-    │   pack: see :mod:`repro.cache.columnar`)     │
+    │ bulk pickle ((hosts, urls) — record          │
+    │   assembly's inputs)                         │
     └──────────────────────────────────────────────┘
 
 The payload is split so a warm start pays only for what the driver's
 merges touch: the meta segment is unpickled eagerly, while the much
 larger bulk segment (per-host annotations and per-URL rows) stays raw
 bytes behind the returned partial's deferred ``bulk`` loader until the
-country's records are actually materialized.  The bulk has one codec:
-a partial the columnar model cannot carry is refused at store time
-(:meth:`ScanCache.store` raises and writes nothing), never written in
-some other encoding.
+country's records are actually materialized.
 
 Loads trust nothing: the header must parse, carry the current format
-version and the expected key, the payload must match its recorded
+version, the expected key and a numeric scan cost (``scan_s``, which
+hits add to ``time_saved_s``), the payload must match its recorded
 segment sizes and BLAKE2 digest (covering *both* segments, checked
 up front — a deferred bulk never skips verification), and the meta
 must decode to the expected country's merge inputs.  Any failed check
@@ -48,7 +45,6 @@ import pickle
 import time
 from typing import Optional, Union
 
-from repro.cache import columnar
 from repro.cache.fingerprint import CACHE_FORMAT_VERSION
 from repro.exec.partials import CountryPartial
 
@@ -58,6 +54,15 @@ PathLike = Union[str, pathlib.Path]
 
 #: Filename suffix of cache entries.
 ENTRY_SUFFIX = ".partial"
+
+#: The partial's attributes the meta segment pickles, as one tuple in
+#: this order.  Changing the order, or the fields of any class an entry
+#: pickles, needs a new :data:`CACHE_FORMAT_VERSION`.
+META_FIELDS = (
+    "country", "landing_count", "discarded_url_count",
+    "unresolved_hostnames", "depth_histogram", "verdicts", "footprint",
+    "faults",
+)
 
 
 def _digest(payload: bytes) -> str:
@@ -203,7 +208,7 @@ class ScanCache:
         header, partial = decoded
         self.stats.hits += 1
         self.stats.bytes_read += len(blob)
-        self.stats.time_saved_s += float(header.get("scan_s", 0.0) or 0.0)
+        self.stats.time_saved_s += header.get("scan_s", 0.0)
         return partial
 
     @staticmethod
@@ -233,30 +238,20 @@ class ScanCache:
             or header.get("key") != key
             or not isinstance(meta_bytes, int)
             or not isinstance(bulk_bytes, int)
+            or not isinstance(header.get("scan_s", 0.0), (int, float))
             or meta_bytes + bulk_bytes != len(payload)
             or header.get("digest") != _digest(payload)
         ):
             return None
         try:
-            meta = pickle.loads(payload[:meta_bytes])
-            (country_field, landing_count, discarded_url_count,
-             unresolved_hostnames, depth_histogram, verdicts,
-             footprint, faults) = meta
+            meta = dict(zip(META_FIELDS, pickle.loads(payload[:meta_bytes]),
+                            strict=True))
         except Exception:
             return None
-        if country_field != country.upper():
+        if meta["country"] != country.upper():
             return None
         partial = CountryPartial(
-            country=country_field,
-            landing_count=landing_count,
-            discarded_url_count=discarded_url_count,
-            unresolved_hostnames=unresolved_hostnames,
-            depth_histogram=depth_histogram,
-            verdicts=verdicts,
-            footprint=footprint,
-            faults=faults,
-            bulk=functools.partial(columnar.decode_bulk,
-                                   payload[meta_bytes:]),
+            **meta, bulk=functools.partial(pickle.loads, payload[meta_bytes:])
         )
         return header, partial
 
@@ -266,21 +261,16 @@ class ScanCache:
         """Persist one partial under ``key`` (atomically).
 
         ``scan_s`` records what the scan cost, so future hits can report
-        the time they saved.  The bulk is encoded columnar; a partial
-        that does not fit the columnar model (e.g. an out-of-enum via)
-        raises from :func:`~repro.cache.columnar.encode_bulk` before
-        anything touches the disk.  A failed write or rename removes
-        its temp file and re-raises, leaving any earlier entry under
-        ``key`` in place.
+        the time they saved.  A failed write or rename removes its temp
+        file and re-raises, leaving any earlier entry under ``key`` in
+        place.
         """
         meta = pickle.dumps(
-            (partial.country, partial.landing_count,
-             partial.discarded_url_count, partial.unresolved_hostnames,
-             partial.depth_histogram, partial.verdicts,
-             partial.footprint, partial.faults),
+            tuple(getattr(partial, name) for name in META_FIELDS),
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        bulk = columnar.encode_bulk(partial.hosts, partial.urls)
+        bulk = pickle.dumps((partial.hosts, partial.urls),
+                            protocol=pickle.HIGHEST_PROTOCOL)
         payload = meta + bulk
         header = {
             "format": CACHE_FORMAT_VERSION,
@@ -442,4 +432,5 @@ __all__ = [
     "PruneResult",
     "ScanCache",
     "ENTRY_SUFFIX",
+    "META_FIELDS",
 ]

@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -355,6 +356,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.workers is not None and args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
+    if args.cache_clear and not args.cache_dir:
+        print("error: --cache-clear requires --cache-dir", file=sys.stderr)
+        return 2
     registry = None
     if args.registry:
         from repro.obs import RegistryError, RunRegistry
@@ -366,9 +370,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return 1
     world = SyntheticWorld.generate(config)
     cache = None
-    if args.cache_clear and not args.cache_dir:
-        print("error: --cache-clear requires --cache-dir", file=sys.stderr)
-        return 2
     if args.cache_dir:
         from repro.cache import ScanCache
 
@@ -466,15 +467,17 @@ def _parse_duration(text: str) -> float:
         multiplier = _DURATION_UNITS[text[-1]]
         text = text[:-1]
     try:
-        value = float(text)
+        value = float(text) * multiplier
     except ValueError:
+        value = math.nan  # not a number: rejected below, like inf
+    if not math.isfinite(value):
         raise ValueError(
             f"invalid duration {text!r} (expected a number with an "
             f"optional s/m/h/d suffix, e.g. 7d)"
-        ) from None
+        )
     if value < 0:
         raise ValueError("durations must be non-negative")
-    return value * multiplier
+    return value
 
 
 def _parse_size(text: str) -> int:
@@ -485,15 +488,17 @@ def _parse_size(text: str) -> int:
         multiplier = _SIZE_UNITS[text[-1]]
         text = text[:-1]
     try:
-        value = float(text)
+        value = float(text) * multiplier
     except ValueError:
+        value = math.nan  # not a number: rejected below, like inf
+    if not math.isfinite(value):
         raise ValueError(
             f"invalid size {text!r} (expected a number with an optional "
             f"K/M/G suffix, e.g. 500M)"
-        ) from None
+        )
     if value < 0:
         raise ValueError("sizes must be non-negative")
-    return int(value * multiplier)
+    return int(value)
 
 
 def _demo_matrix(config: WorldConfig):

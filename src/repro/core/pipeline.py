@@ -419,8 +419,8 @@ class Pipeline:
                 if cache is None:
                     partials = strategy.scan([(self, codes)])[0]
                 else:
-                    # Imported here: repro.cache loads the store codecs,
-                    # which an uncached run (and `import repro`) never needs.
+                    # Imported here, so an uncached run (and `import
+                    # repro`) never loads repro.cache.
                     from repro.cache.fingerprint import scan_keys
 
                     keys = scan_keys(self.world.config, self.crawler.max_depth,

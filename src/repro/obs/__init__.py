@@ -30,7 +30,7 @@ import threading
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
-from repro.obs.events import Event, EventLog
+from repro.obs.events import Event
 from repro.obs.manifest import (
     MANIFEST_FORMAT_VERSION,
     SUPPORTED_MANIFEST_FORMATS,
@@ -218,7 +218,6 @@ __all__ = [
     "SUPPORTED_MANIFEST_FORMATS",
     "TRACE_FORMAT_VERSION",
     "Event",
-    "EventLog",
     "ManifestDiff",
     "MetricsRegistry",
     "Observability",

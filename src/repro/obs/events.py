@@ -1,22 +1,13 @@
-"""Structured observability events: a bounded stream plus a scoped hook.
+"""Structured observability events and a scoped hook to collect them.
 
-Two small pieces that the cross-run observability layer shares:
-
-* :class:`EventLog` — a thread-safe, bounded ring of :class:`Event`
-  records with monotonically increasing sequence numbers.  Long-lived
-  components (the run registry, the serve request tracer, the bench
-  sentinel) emit lifecycle events into one log so "what happened, in
-  order" is answerable without correlating separate files.  The ring is
-  bounded, so an always-on log can never grow without limit.
-
-* :func:`emit` / :func:`collecting` — a per-thread collection scope.
-  Instrumented code deep in the analysis engine (index-table memo
-  builds, service-level memo hits) calls :func:`emit`; when no scope is
-  active this is a single thread-local read and a ``None`` check, cheap
-  enough for hot paths and — by the zero-perturbation rule — never
-  influencing what the instrumented code computes.  A request tracer
-  opens a scope around dispatch and folds whatever was emitted into the
-  request's span tags.
+:func:`emit` / :func:`collecting` form a per-thread collection scope.
+Instrumented code deep in the analysis engine (index-table memo builds,
+service-level memo hits) calls :func:`emit`; when no scope is active
+this is a single thread-local read and a ``None`` check, cheap enough
+for hot paths and — by the zero-perturbation rule — never influencing
+what the instrumented code computes.  The serve request tracer opens a
+scope around dispatch and folds whatever was emitted into the
+request's span tags.
 
 Timestamps are :func:`time.perf_counter_ns` readings — monotonic, never
 wall-clock, so event deltas cannot go negative under clock adjustment
@@ -28,94 +19,21 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
-
-#: Default capacity of an :class:`EventLog` ring.
-DEFAULT_EVENT_CAPACITY = 1024
 
 
 @dataclasses.dataclass(frozen=True)
 class Event:
     """One observability event: a kind, a payload, a monotonic stamp."""
 
-    #: Dotted kind string (``"run.recorded"``, ``"request.slow"``,
-    #: ``"memo.build"``, ``"bench.gate.failed"``).
+    #: Dotted kind string (``"memo.build"``, ``"memo.hit"``).
     kind: str
     #: Free-form, JSON-ready details.
     payload: dict[str, Any]
-    #: Position in the owning log (0-based, gap-free), or -1 for
-    #: events captured in a :func:`collecting` scope.
-    seq: int = -1
     #: Monotonic nanoseconds (:func:`time.perf_counter_ns`).
     monotonic_ns: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "seq": self.seq,
-            "kind": self.kind,
-            "monotonic_ns": self.monotonic_ns,
-            "payload": dict(self.payload),
-        }
-
-
-class EventLog:
-    """Bounded, thread-safe, append-only-in-spirit event ring.
-
-    Appends never block readers for long: the lock only guards the
-    deque and the sequence counter.  When the ring is full the oldest
-    events fall off, but sequence numbers keep counting — a reader can
-    always tell how many events were dropped (``first kept seq > 0``).
-    """
-
-    def __init__(self, capacity: int = DEFAULT_EVENT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._events: deque[Event] = deque(maxlen=capacity)
-        self._lock = threading.Lock()
-        self._next_seq = 0
-
-    def emit(self, kind: str, **payload: Any) -> Event:
-        """Append one event; returns it with its assigned sequence."""
-        with self._lock:
-            event = Event(
-                kind=kind, payload=payload, seq=self._next_seq,
-                monotonic_ns=time.perf_counter_ns(),
-            )
-            self._next_seq += 1
-            self._events.append(event)
-        return event
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    @property
-    def emitted(self) -> int:
-        """Total events ever emitted (>= ``len`` once the ring wraps)."""
-        with self._lock:
-            return self._next_seq
-
-    def tail(self, count: Optional[int] = None) -> tuple[Event, ...]:
-        """The newest ``count`` events, oldest first (all when None)."""
-        with self._lock:
-            events = tuple(self._events)
-        if count is None or count >= len(events):
-            return events
-        return events[len(events) - count:]
-
-    def of_kind(self, kind: str) -> tuple[Event, ...]:
-        """Buffered events whose kind matches exactly, oldest first."""
-        return tuple(e for e in self.tail() if e.kind == kind)
-
-    def to_dicts(self) -> list[dict]:
-        """JSON-ready rendering of the buffered events, oldest first."""
-        return [event.to_dict() for event in self.tail()]
-
-
-# --------------------------------------------------------------- scoping
 
 _SCOPE = threading.local()
 
@@ -153,9 +71,7 @@ def collecting(sink: Optional[list[Event]] = None
 
 
 __all__ = [
-    "DEFAULT_EVENT_CAPACITY",
     "Event",
-    "EventLog",
     "collecting",
     "emit",
 ]

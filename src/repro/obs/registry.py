@@ -42,7 +42,6 @@ import threading
 import time
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from repro.obs.events import EventLog
 from repro.obs.manifest import RunManifest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -112,12 +111,10 @@ class RegisteredRun:
 class RunRegistry:
     """Append-only journal of run manifests under one directory."""
 
-    def __init__(self, directory: PathLike,
-                 events: Optional[EventLog] = None) -> None:
+    def __init__(self, directory: PathLike) -> None:
         self.directory = pathlib.Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.journal_path = self.directory / JOURNAL_NAME
-        self.events = events if events is not None else EventLog()
         self._lock = threading.Lock()
         self._runs: list[RegisteredRun] = []
         self._by_id: dict[str, RegisteredRun] = {}
@@ -206,8 +203,6 @@ class RunRegistry:
             self._end += len(line)
             self._runs.append(run)
             self._by_id[run_id] = run
-        self.events.emit("run.recorded", id=run_id, seq=run.seq,
-                         fingerprint=manifest.fingerprint)
         return run, True
 
     # ----------------------------------------------------------- queries

@@ -1,6 +1,6 @@
-"""Low-level column and string-table codecs shared by the store and cache.
+"""Low-level column and string-table codecs of the dataset store.
 
-Three byte-level building blocks, all little-endian and
+Two byte-level building blocks, both little-endian and
 platform-independent:
 
 * **typed columns** -- a flat buffer of one fixed-width dtype
@@ -12,9 +12,6 @@ platform-independent:
   length ``n + 1`` (``offsets[0] == 0``), so table entry ``i`` is
   ``blob[offsets[i]:offsets[i + 1]]``.  Encoding preserves order, so a
   first-seen interner round-trips exactly.
-* **section packs** -- several named byte sections concatenated behind
-  a tiny JSON directory, for single-blob consumers like the scan
-  cache's bulk segment (:mod:`repro.cache.columnar`).
 
 Content digests use BLAKE2b-128, the same discipline as
 :mod:`repro.cache.fingerprint`.
@@ -23,8 +20,7 @@ Content digests use BLAKE2b-128, the same discipline as
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -93,47 +89,6 @@ def strtab_length(offsets_buffer) -> int:
     return max(0, count - 1)
 
 
-# -------------------------------------------------------- section packs
-
-def pack_sections(sections: Sequence[tuple[str, bytes]]) -> bytes:
-    """Concatenate named byte sections behind a JSON directory."""
-    directory = json.dumps(
-        [[name, len(data)] for name, data in sections]
-    ).encode("ascii")
-    return (
-        len(directory).to_bytes(4, "little")
-        + directory
-        + b"".join(data for _, data in sections)
-    )
-
-
-def unpack_sections(blob: bytes) -> dict[str, bytes]:
-    """Inverse of :func:`pack_sections`; raises ``ValueError`` on a
-    malformed pack (truncated directory or payload)."""
-    if len(blob) < 4:
-        raise ValueError("section pack too short for its directory size")
-    directory_size = int.from_bytes(blob[:4], "little")
-    directory_end = 4 + directory_size
-    if directory_end > len(blob):
-        raise ValueError("section pack directory truncated")
-    try:
-        directory = json.loads(blob[4:directory_end])
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"corrupt section pack directory ({exc})") from exc
-    sections: dict[str, bytes] = {}
-    cursor = directory_end
-    for entry in directory:
-        name, size = entry
-        stop = cursor + size
-        if stop > len(blob):
-            raise ValueError(f"section pack payload truncated at {name!r}")
-        sections[name] = blob[cursor:stop]
-        cursor = stop
-    if cursor != len(blob):
-        raise ValueError("section pack carries trailing bytes")
-    return sections
-
-
 __all__ = [
     "KINDS",
     "KIND_ITEMSIZE",
@@ -143,6 +98,4 @@ __all__ = [
     "strtab_bytes",
     "strtab_decode",
     "strtab_length",
-    "pack_sections",
-    "unpack_sections",
 ]

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 import errno
+import hashlib
+import io
 import json
 import os
 import pathlib
@@ -12,7 +16,13 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cache import CACHE_FORMAT_VERSION, ScanCache, scan_keys
-from repro.exec.partials import CountryPartial
+from repro.cache.store import META_FIELDS
+from repro.core.classification import ProviderFootprint
+from repro.core.geolocation import GeoVerdict, ValidationMethod
+from repro.core.urlfilter import FilterVia
+from repro.exec.partials import CountryPartial, HostAnnotation
+from repro.faults.report import DomainTally, FaultReport
+from repro.world.regions import Continent
 
 
 @pytest.fixture(scope="module")
@@ -98,16 +108,51 @@ def test_garbage_header_evicted(populated):
     assert cache.stats.evicted == 1
 
 
-def test_stale_format_version_evicted(populated):
+def _split_entry(blob: bytes) -> tuple[dict, bytes]:
+    newline = blob.find(b"\n")
+    return json.loads(blob[:newline]), blob[newline + 1:]
+
+
+def _join_entry(header: dict, payload: bytes) -> bytes:
+    return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
+
+
+@pytest.mark.parametrize("version", [CACHE_FORMAT_VERSION - 1,
+                                     CACHE_FORMAT_VERSION + 1],
+                         ids=["previous", "next"])
+def test_stale_format_version_evicted(populated, version):
     cache, _, key, _ = populated
     path = _entry_path(cache, key)
-    blob = path.read_bytes()
-    newline = blob.find(b"\n")
-    header = json.loads(blob[:newline])
-    header["format"] = CACHE_FORMAT_VERSION + 1
-    path.write_bytes(
-        json.dumps(header, sort_keys=True).encode() + blob[newline:]
-    )
+    header, payload = _split_entry(path.read_bytes())
+    if version == CACHE_FORMAT_VERSION - 1:
+        # Format 4 wrote the bulk as a columnar section pack (a 4-byte
+        # directory size, a JSON directory, the sections).  With a
+        # digest that verifies, only the version check keeps it from
+        # reaching pickle.loads.
+        directory = json.dumps([["meta.json", 2]]).encode()
+        bulk = len(directory).to_bytes(4, "little") + directory + b"{}"
+        payload = payload[:header["meta_bytes"]] + bulk
+        header.update(
+            bulk_bytes=len(bulk),
+            digest=hashlib.blake2b(payload, digest_size=16).hexdigest(),
+        )
+    header["format"] = version
+    path.write_bytes(_join_entry(header, payload))
+    assert cache.load(key, "BR") is None
+    assert cache.stats.evicted == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("scan_s", ["fast", None, [1.5]],
+                         ids=["string", "null", "list"])
+def test_hand_edited_scan_s_evicted(populated, scan_s):
+    # The digest does not cover the header, so its recorded scan cost
+    # is checked like the other header fields, not trusted.
+    cache, _, key, _ = populated
+    path = _entry_path(cache, key)
+    header, payload = _split_entry(path.read_bytes())
+    header["scan_s"] = scan_s
+    path.write_bytes(_join_entry(header, payload))
     assert cache.load(key, "BR") is None
     assert cache.stats.evicted == 1
 
@@ -194,3 +239,157 @@ def test_partial_pickles_with_bulk_forced(populated):
     assert isinstance(clone, CountryPartial)
     assert clone == partial
     assert clone._hosts is not None
+
+
+def _small_partial() -> CountryPartial:
+    hosts = {
+        "www.gov.br": HostAnnotation(
+            address=123456, asn=64500, organization="Serpro",
+            registered_country="BR", gov_operated=True,
+            server_country="BR", anycast=False,
+            validation=ValidationMethod.ACTIVE_PROBING,
+        ),
+        "cdn.example": HostAnnotation(
+            address=789, asn=13335, organization="Cloudflare, Inc.",
+            registered_country="US", gov_operated=False,
+            server_country=None, anycast=True,
+            validation=ValidationMethod.MULTISTAGE,
+        ),
+    }
+    urls = [
+        ("https://www.gov.br/", "www.gov.br", 1000, FilterVia.TLD, 0),
+        ("https://www.gov.br/a", "www.gov.br", 2048, FilterVia.DOMAIN, 1),
+        # A hostname absent from hosts must still round-trip.
+        ("https://stray.gov.br/", "stray.gov.br", 5, FilterVia.SAN, 2),
+    ]
+    return CountryPartial(
+        country="BR", landing_count=1, discarded_url_count=0,
+        unresolved_hostnames=[], depth_histogram={0: 3},
+        hosts=hosts, urls=urls,
+    )
+
+
+def test_every_flip_and_truncation_evicts_or_loads_equal(tmp_path):
+    """Single-bit flips at every byte, and every truncation length.
+
+    Each damaged entry is evicted, or loads equal to the original.  The
+    digest covers the whole payload, and every header field but two
+    must hold exactly what the load expects; the two, ``country`` and
+    ``scan_s``, feed only ``cache stats`` and ``time_saved_s``, so only
+    flips inside those members may load.
+    """
+    partial = _small_partial()
+    cache = ScanCache(tmp_path)
+    key = "ab" * 16
+    cache.store(key, partial, scan_s=0.5)
+    path = _entry_path(cache, key)
+    blob = path.read_bytes()
+    header_line = blob[:blob.find(b"\n")]
+    harmless = []
+    for member in (b'"country": "BR"', b'"scan_s": 0.5'):
+        start = header_line.index(member)
+        harmless.append(range(start, start + len(member)))
+
+    # Truncations carry a position past the header, so none may load.
+    damaged = [(len(blob), blob[:length]) for length in range(len(blob))]
+    for position in range(len(blob)):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[position] ^= 1 << bit
+            damaged.append((position, bytes(flipped)))
+
+    loaded_equal = 0
+    for position, data in damaged:
+        path.write_bytes(data)
+        evicted = cache.stats.evicted
+        loaded = cache.load(key, "BR")
+        if loaded is None:
+            assert cache.stats.evicted == evicted + 1
+            assert not path.exists()
+            continue
+        assert any(position in span for span in harmless), position
+        assert loaded == partial
+        assert loaded.hosts == partial.hosts
+        assert loaded.urls == partial.urls
+        loaded_equal += 1
+    assert cache.stats.evicted == len(damaged) - loaded_equal
+    assert 0 < loaded_equal < len(blob)
+
+
+#: What an entry's pickles depend on, per format version: the order of
+#: the meta tuple, the dataclass field names of every class an entry
+#: pickles and the member values of every enum.  ``HostAnnotation`` is
+#: a slots dataclass, which pickles its field values by position, so a
+#: reordered field would load into the wrong slot without any error.
+#: A layout change therefore needs a new entry, and a new version.
+LAYOUTS = {
+    5: {
+        "meta": (
+            "country", "landing_count", "discarded_url_count",
+            "unresolved_hostnames", "depth_histogram", "verdicts",
+            "footprint", "faults",
+        ),
+        "repro.core.classification.ProviderFootprint": (
+            "continents_by_asn",
+        ),
+        "repro.core.geolocation.GeoVerdict": (
+            "address", "country", "method", "anycast", "claimed_country",
+            "conflict", "source",
+        ),
+        "repro.core.geolocation.ValidationMethod": ("AP", "MG", "UR"),
+        "repro.core.urlfilter.FilterVia": ("tld", "domain", "san"),
+        "repro.exec.partials.HostAnnotation": (
+            "address", "asn", "organization", "registered_country",
+            "gov_operated", "server_country", "anycast", "validation",
+        ),
+        "repro.faults.report.DomainTally": (
+            "injected", "retried", "recovered", "degraded", "backoff_ms",
+        ),
+        "repro.faults.report.FaultReport": ("countries",),
+        "repro.world.regions.Continent": (
+            "North America", "South America", "Europe", "Africa", "Asia",
+            "Oceania",
+        ),
+    },
+}
+
+
+def _layout_of(cls) -> tuple:
+    if issubclass(cls, enum.Enum):
+        return tuple(member.value for member in cls)
+    return tuple(field.name for field in dataclasses.fields(cls))
+
+
+class _ClassRecorder(pickle.Unpickler):
+    """Unpickles while noting every class the stream refers to."""
+
+    def __init__(self, data: bytes, seen: set) -> None:
+        super().__init__(io.BytesIO(data))
+        self.seen = seen
+
+    def find_class(self, module, name):
+        self.seen.add(f"{module}.{name}")
+        return super().find_class(module, name)
+
+
+def test_entry_layout_is_pinned_to_the_format_version(populated):
+    classes = (ProviderFootprint, GeoVerdict, ValidationMethod, FilterVia,
+               HostAnnotation, DomainTally, FaultReport, Continent)
+    current = {"meta": META_FIELDS}
+    current.update({f"{cls.__module__}.{cls.__qualname__}": _layout_of(cls)
+                    for cls in classes})
+    assert LAYOUTS[CACHE_FORMAT_VERSION] == current
+
+    # The pinned classes are exactly the ones a real entry pickles: a
+    # scanned country, with a fault tally added.
+    cache, _, key, partial = populated
+    faults = FaultReport()
+    faults.tally("BR", "dns").injected = 1
+    partial.faults = faults
+    cache.store(key, partial)
+    header, payload = _split_entry(_entry_path(cache, key).read_bytes())
+    seen: set = set()
+    for segment in (payload[:header["meta_bytes"]],
+                    payload[header["meta_bytes"]:]):
+        _ClassRecorder(segment, seen).load()
+    assert seen == set(current) - {"meta"}

@@ -1,73 +1,8 @@
-"""The event layer: bounded ring semantics and thread-local scoping."""
+"""The event layer: thread-local collection scopes."""
 
 import threading
 
-import pytest
-
-from repro.obs.events import EventLog, collecting, emit
-
-
-# --------------------------------------------------------------- EventLog
-
-
-def test_ring_is_bounded_but_sequence_keeps_counting():
-    log = EventLog(capacity=3)
-    for i in range(10):
-        log.emit("tick", i=i)
-    assert len(log) == 3
-    assert log.emitted == 10
-    kept = log.tail()
-    assert [e.seq for e in kept] == [7, 8, 9]
-    # The first kept seq tells a reader how many fell off.
-    assert kept[0].seq == 7
-
-
-def test_sequence_is_gap_free_in_append_order():
-    log = EventLog()
-    for i in range(5):
-        log.emit("tick", i=i)
-    assert [e.seq for e in log.tail()] == [0, 1, 2, 3, 4]
-
-
-def test_tail_and_of_kind():
-    log = EventLog()
-    log.emit("a", n=1)
-    log.emit("b", n=2)
-    log.emit("a", n=3)
-    assert [e.payload["n"] for e in log.tail(2)] == [2, 3]
-    assert [e.payload["n"] for e in log.of_kind("a")] == [1, 3]
-    assert log.of_kind("missing") == ()
-
-
-def test_to_dicts_is_json_ready():
-    log = EventLog()
-    event = log.emit("run.recorded", id="abc")
-    (payload,) = log.to_dicts()
-    assert payload == {"seq": 0, "kind": "run.recorded",
-                       "monotonic_ns": event.monotonic_ns,
-                       "payload": {"id": "abc"}}
-
-
-def test_capacity_must_be_positive():
-    with pytest.raises(ValueError, match="capacity"):
-        EventLog(capacity=0)
-
-
-def test_concurrent_emitters_never_lose_or_duplicate_sequences():
-    log = EventLog(capacity=10_000)
-    def hammer():
-        for _ in range(250):
-            log.emit("tick")
-    threads = [threading.Thread(target=hammer) for _ in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert log.emitted == 1000
-    assert sorted(e.seq for e in log.tail()) == list(range(1000))
-
-
-# ---------------------------------------------------------------- scoping
+from repro.obs.events import collecting, emit
 
 
 def test_emit_without_scope_is_a_no_op():
@@ -83,8 +18,6 @@ def test_collecting_captures_emits_on_this_thread():
         emit("memo.hit", table="flow")
     assert [e.kind for e in sink] == ["memo.build", "memo.hit"]
     assert sink[0].payload == {"table": "flow"}
-    # Captured events carry a monotonic stamp but no log sequence.
-    assert sink[0].seq == -1
     # The scope is closed: further emits go nowhere.
     emit("memo.hit", table="flow")
     assert len(sink) == 2

@@ -74,14 +74,6 @@ def test_journal_reloads_identically(tmp_path):
     assert [run.seq for run in reloaded.runs()] == [0, 1]
 
 
-def test_recording_emits_an_event(tmp_path):
-    registry = RunRegistry(tmp_path)
-    registry.record(make_manifest())
-    events = registry.events.of_kind("run.recorded")
-    assert len(events) == 1
-    assert events[0].payload["seq"] == 0
-
-
 def test_torn_final_line_is_recovered(tmp_path, caplog):
     registry = RunRegistry(tmp_path)
     registry.record(make_manifest(seed=1, fingerprint="b" * 32))

@@ -102,6 +102,14 @@ def test_cache_prune_argument_errors(tmp_path, capsys):
     assert main(["cache", "prune", "--cache-dir", cache_dir,
                  "--older-than", "soon"]) == 2
     assert "invalid duration" in capsys.readouterr().err
+    for size in ("inf", "1e400", "nan", "1e308G"):
+        assert main(["cache", "prune", "--cache-dir", cache_dir,
+                     "--max-bytes", size]) == 2
+        assert "invalid size" in capsys.readouterr().err
+    for age in ("nan", "inf", "1e400d"):
+        assert main(["cache", "prune", "--cache-dir", cache_dir,
+                     "--older-than", age]) == 2
+        assert "invalid duration" in capsys.readouterr().err
 
 
 def test_suffix_parsing():
@@ -117,3 +125,9 @@ def test_suffix_parsing():
         _parse_duration("-5s")
     with pytest.raises(ValueError):
         _parse_size("lots")
+    for text in ("inf", "1e400", "nan", "1e308G"):
+        with pytest.raises(ValueError, match="invalid size"):
+            _parse_size(text)
+    for text in ("nan", "inf", "-inf", "1e308d"):
+        with pytest.raises(ValueError, match="invalid duration"):
+            _parse_duration(text)

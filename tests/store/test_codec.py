@@ -1,4 +1,4 @@
-"""Unit tests for the byte-level column/strtab/section codecs."""
+"""Unit tests for the byte-level column and string-table codecs."""
 
 from __future__ import annotations
 
@@ -41,24 +41,6 @@ def test_strtab_roundtrip(strings):
     offsets, blob = codec.strtab_bytes(strings)
     assert codec.strtab_decode(offsets, blob) == strings
     assert codec.strtab_length(offsets) == len(strings)
-
-
-def test_pack_sections_roundtrip():
-    sections = [("a", b"hello"), ("b", b""), ("c", b"\x00\xff" * 10)]
-    blob = codec.pack_sections(sections)
-    assert codec.unpack_sections(blob) == dict(sections)
-
-
-@pytest.mark.parametrize("mangle", [
-    lambda blob: blob[:3],            # directory size truncated
-    lambda blob: blob[:-1],           # payload truncated
-    lambda blob: blob + b"x",         # trailing bytes
-    lambda blob: b"\xff\xff\xff\xff" + blob[4:],  # absurd directory size
-])
-def test_unpack_sections_rejects_malformed(mangle):
-    blob = codec.pack_sections([("a", b"data")])
-    with pytest.raises(ValueError):
-        codec.unpack_sections(mangle(blob))
 
 
 def test_digest_is_blake2b_128():

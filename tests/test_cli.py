@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import SyntheticWorld
 from repro.cli import main
 
 
@@ -97,8 +98,13 @@ def test_run_cache_clear(tmp_path, capsys):
     assert "1 misses" in out  # cleared, so the run recomputed
 
 
-def test_run_cache_clear_requires_cache_dir(capsys):
-    assert main(["run", "--cache-clear"]) == 2
+def test_run_cache_clear_requires_cache_dir(capsys, monkeypatch):
+    # The usage error comes before any world is generated.
+    def no_world(config):
+        raise AssertionError("generated a world before a usage check")
+
+    monkeypatch.setattr(SyntheticWorld, "generate", staticmethod(no_world))
+    assert main(["run", "--scale", "0.05", "--cache-clear"]) == 2
     assert "--cache-clear requires --cache-dir" in capsys.readouterr().err
 
 
