@@ -1,16 +1,21 @@
 """Canonical cache-key derivation.
 
-A cache entry is valid only for the exact scan inputs it was computed
-from.  Since the generator is *per-country hermetic* (one country's
-world slice is a pure function of the global knobs plus that country's
-own override slice), the key splits the same way:
+A scan is identified by its :class:`~repro.datagen.config.WorldConfig`
+alone: every function here takes the config and derives the rest
+itself — the fault plan (:meth:`~repro.faults.FaultPlan.from_config`)
+and the crawl depth (the paper's seven levels,
+:data:`~repro.core.crawler.DEFAULT_MAX_DEPTH`) — so this module alone
+decides what a scan's identity is.  Since the generator is
+*per-country hermetic* (one country's world slice is a pure function of
+the global knobs plus that country's own override slice), the key
+splits the same way:
 
 * :func:`global_fingerprint` digests every country-independent input —
-  the :class:`~repro.datagen.config.WorldConfig` global fields (via
+  the config's global fields (via
   :meth:`~repro.datagen.config.WorldConfig.canonical_global_dict`), the
-  resolved :class:`~repro.faults.FaultPlan` (via
+  resolved fault plan (via
   :meth:`~repro.faults.FaultPlan.fingerprint_components`), the crawl
-  ``max_depth`` and :data:`CACHE_FORMAT_VERSION`;
+  depth and :data:`CACHE_FORMAT_VERSION`;
 * :func:`country_slice_fingerprint` digests one country's slice of the
   config (its :class:`~repro.datagen.config.CountryOverride`, if any);
 * :func:`country_key` combines both with the country code;
@@ -35,9 +40,11 @@ import hashlib
 import json
 from typing import TYPE_CHECKING, Sequence
 
+from repro.core.crawler import DEFAULT_MAX_DEPTH
+from repro.faults.plan import FaultPlan
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.datagen.config import WorldConfig
-    from repro.faults.plan import FaultPlan
 
 #: Version of the on-disk entry format *and* of the fingerprint scheme.
 #: Bump whenever :class:`~repro.exec.partials.CountryPartial` or the
@@ -53,7 +60,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: v5: the bulk segment is a pickle of ``(hosts, urls)``, like the
 #: meta segment, so a v4 entry (whose bulk is columnar) must miss
 #: rather than reach ``pickle.loads``.
-CACHE_FORMAT_VERSION = 5
+#: v6: the entry digest covers every header member but itself, where
+#: a v5 digest covers only the payload and leaves the header's
+#: ``country`` and ``scan_s`` unverified.
+CACHE_FORMAT_VERSION = 6
 
 
 def _digest_payload(payload: object) -> str:
@@ -61,37 +71,34 @@ def _digest_payload(payload: object) -> str:
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def run_fingerprint(
-    config: "WorldConfig", max_depth: int, plan: "FaultPlan"
-) -> str:
-    """Fingerprint of the complete run (config, faults, depth).
+def _digest_config(config: "WorldConfig", world: dict) -> str:
+    """Digest ``world`` (a canonical form of ``config``) with the scan
+    inputs the config implies: its fault plan and the crawl depth."""
+    return _digest_payload({
+        "format": CACHE_FORMAT_VERSION,
+        "world": world,
+        "faults": FaultPlan.from_config(config).fingerprint_components(),
+        "max_depth": DEFAULT_MAX_DEPTH,
+    })
+
+
+def run_fingerprint(config: "WorldConfig") -> str:
+    """Fingerprint of the complete run (the whole config).
 
     Identifies a run in manifests and snapshot provenance chains; the
     scan cache keys entries by the global/slice split below instead.
     """
-    return _digest_payload({
-        "format": CACHE_FORMAT_VERSION,
-        "world": config.canonical_dict(),
-        "faults": plan.fingerprint_components(),
-        "max_depth": int(max_depth),
-    })
+    return _digest_config(config, config.canonical_dict())
 
 
-def global_fingerprint(
-    config: "WorldConfig", max_depth: int, plan: "FaultPlan"
-) -> str:
+def global_fingerprint(config: "WorldConfig") -> str:
     """Fingerprint of everything a scan depends on except the country.
 
     Canonicalizing the config is the expensive part of key derivation,
     so :func:`scan_keys` derives this once per run and fans per-country
     keys out with :func:`country_key`.
     """
-    return _digest_payload({
-        "format": CACHE_FORMAT_VERSION,
-        "world": config.canonical_global_dict(),
-        "faults": plan.fingerprint_components(),
-        "max_depth": int(max_depth),
-    })
+    return _digest_config(config, config.canonical_global_dict())
 
 
 def country_slice_fingerprint(config: "WorldConfig", country: str) -> str:
@@ -99,7 +106,7 @@ def country_slice_fingerprint(config: "WorldConfig", country: str) -> str:
     return _digest_payload(config.country_slice_dict(country))
 
 
-def country_key(global_fp: str, country: str, slice_fp: str = "") -> str:
+def country_key(global_fp: str, country: str, slice_fp: str) -> str:
     """Entry key of one country's scan under a global fingerprint."""
     hasher = hashlib.blake2b(digest_size=16)
     hasher.update(global_fp.encode("ascii"))
@@ -110,18 +117,13 @@ def country_key(global_fp: str, country: str, slice_fp: str = "") -> str:
     return hasher.hexdigest()
 
 
-def scan_keys(
-    config: "WorldConfig",
-    max_depth: int,
-    plan: "FaultPlan",
-    countries: Sequence[str],
-) -> list[str]:
+def scan_keys(config: "WorldConfig", countries: Sequence[str]) -> list[str]:
     """Content address of each country's phase-1 scan result.
 
     One global fingerprint, then one :func:`country_key` per country,
     in the order given.  Needs no generated world, only the config.
     """
-    global_fp = global_fingerprint(config, max_depth, plan)
+    global_fp = global_fingerprint(config)
     return [
         country_key(global_fp, country,
                     country_slice_fingerprint(config, country))

@@ -20,15 +20,16 @@ bytes behind the returned partial's deferred ``bulk`` loader until the
 country's records are actually materialized.
 
 Loads trust nothing: the header must parse, carry the current format
-version, the expected key and a numeric scan cost (``scan_s``, which
-hits add to ``time_saved_s``), the payload must match its recorded
-segment sizes and BLAKE2 digest (covering *both* segments, checked
-up front — a deferred bulk never skips verification), and the meta
-must decode to the expected country's merge inputs.  Any failed check
-evicts the entry and reports a miss, so the pipeline recomputes — a
-corrupt cache can cost time, never correctness.  Stores are atomic
-(write-to-temp + ``os.replace``), so a crashed or concurrent writer
-can't leave a torn entry behind.
+version, the expected key and country and a numeric scan cost
+(``scan_s``, which hits add to ``time_saved_s``), the payload must match
+its recorded segment sizes and BLAKE2 digest (covering every other
+header member and *both* segments, checked up front — a deferred bulk
+never skips verification), and the meta must decode to the expected
+country's merge inputs.  Any failed check evicts the entry and reports
+a miss, so the pipeline recomputes — a corrupt cache can cost time,
+never correctness, and a damaged header cannot skew the accounting.
+Stores are atomic (write-to-temp + ``os.replace``), so a crashed or
+concurrent writer can't leave a torn entry behind.
 """
 
 from __future__ import annotations
@@ -65,8 +66,17 @@ META_FIELDS = (
 )
 
 
-def _digest(payload: bytes) -> str:
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
+def _digest(header: dict, payload: bytes) -> str:
+    """Digest of an entry: every header member but ``digest``, then the
+    payload."""
+    hasher = hashlib.blake2b(digest_size=16)
+    hasher.update(json.dumps(
+        {name: value for name, value in header.items() if name != "digest"},
+        sort_keys=True,
+    ).encode("ascii"))
+    hasher.update(b"\n")
+    hasher.update(payload)
+    return hasher.hexdigest()
 
 
 def _format_bytes(count: int) -> str:
@@ -236,11 +246,12 @@ class ScanCache:
         if (
             header.get("format") != CACHE_FORMAT_VERSION
             or header.get("key") != key
+            or header.get("country") != country.upper()
             or not isinstance(meta_bytes, int)
             or not isinstance(bulk_bytes, int)
             or not isinstance(header.get("scan_s", 0.0), (int, float))
             or meta_bytes + bulk_bytes != len(payload)
-            or header.get("digest") != _digest(payload)
+            or header.get("digest") != _digest(header, payload)
         ):
             return None
         try:
@@ -278,9 +289,9 @@ class ScanCache:
             "country": partial.country,
             "meta_bytes": len(meta),
             "bulk_bytes": len(bulk),
-            "digest": _digest(payload),
             "scan_s": round(scan_s, 6),
         }
+        header["digest"] = _digest(header, payload)
         blob = json.dumps(header, sort_keys=True).encode("ascii") + b"\n" + payload
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -319,8 +330,11 @@ class ScanCache:
 
         Reads only each entry's stat and header line — never the
         payload — so inventorying a multi-gigabyte cache stays cheap.
-        Entries whose header no longer parses are still listed (with an
-        unknown country) so pruning can get rid of them.
+        The headers are therefore unverified: ``cache stats`` lists a
+        damaged entry's country and scan cost as its header reads until
+        a load evicts it.  Entries whose header no longer parses are
+        still listed (with an unknown country) so pruning can get rid of
+        them.
         """
         entries = []
         for path in self.cache_dir.glob(f"*/*{ENTRY_SUFFIX}"):

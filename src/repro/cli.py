@@ -88,9 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="persistent scan cache: per-country phase-1 "
                           "results are stored here and re-served on "
                           "matching re-runs (default: no caching)")
-    run.add_argument("--no-cache", action="store_true",
-                     help="ignore --cache-dir for this run (neither read "
-                          "nor write the cache)")
     run.add_argument("--cache-clear", action="store_true",
                      help="empty the cache under --cache-dir before "
                           "running")
@@ -292,11 +289,6 @@ def _build_parser() -> argparse.ArgumentParser:
     obs_bench.add_argument("--check", action="store_true",
                            help="exit non-zero if any gate fails "
                                 "(naming the culprit metric)")
-    obs_bench.add_argument("--tolerance", type=float, default=0.0,
-                           metavar="T",
-                           help="relax numeric min/max thresholds by this "
-                                "fraction (default: 0; exactness gates "
-                                "are never relaxed)")
     obs_bench.add_argument("--json", dest="json_out", action="store_true",
                            help="print gate results as JSON")
     obs_bench.add_argument("--registry", metavar="DIR", default=None,
@@ -377,8 +369,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if args.cache_clear:
             removed = cache.clear()
             print(f"cache: cleared {removed} entries from {args.cache_dir}")
-        if args.no_cache:
-            cache = None
     obs = None
     observed = (args.trace_out or args.metrics_out or args.manifest
                 or args.progress or args.registry)
@@ -911,7 +901,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         from repro.obs.sentinel import SentinelError, check, trajectory
 
         try:
-            checks = check(args.benches, tolerance=args.tolerance)
+            checks = check(args.benches)
         except SentinelError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

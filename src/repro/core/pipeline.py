@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, ContextManager, Optional, Sequence
 
 from repro.core.asclassify import GovernmentASClassifier
 from repro.core.classification import ProviderFootprint, categorize
-from repro.core.crawler import DEFAULT_MAX_DEPTH, Crawler, CrawlResult
+from repro.core.crawler import Crawler, CrawlResult
 from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
 from repro.core.gathering import compile_directory
 from repro.core.geolocation import GeoVerdict, Geolocator
@@ -155,9 +155,7 @@ class Pipeline:
     def __init__(
         self,
         world: SyntheticWorld,
-        max_depth: int = DEFAULT_MAX_DEPTH,
         geolocator: Optional[Geolocator] = None,
-        faults: Optional[FaultPlan] = None,
         obs: Optional["Observability"] = None,
     ) -> None:
         self.world = world
@@ -171,26 +169,19 @@ class Pipeline:
         #: heartbeat; never serialized into datasets.
         self.scan_seconds: dict[str, float] = {}
         self.browser = Browser(world.web)
-        self.crawler = Crawler(self.browser, max_depth=max_depth)
+        self.crawler = Crawler(self.browser)
         self.mapper = InfrastructureMapper(world.resolver, world.whois)
         self.ownership = GovernmentASClassifier(
             world.peeringdb, world.whois, world.websearch
         )
         self.atlas = self._make_atlas(world)
-        #: The fault-injection plan (default: whatever the world's config
-        #: asks for, which is "no faults" unless ``fault_rate`` is set).
-        self.fault_plan = faults if faults is not None else FaultPlan.from_config(
-            world.config
-        )
-        #: Whether worker processes can rebuild an equivalent pipeline
-        #: from the world's config alone (False once a custom geolocator
-        #: or fault plan is injected; their configuration cannot be
-        #: shipped to workers).
-        self.supports_process_execution = geolocator is None and faults is None
-        #: Whether scan results may be served from a persistent cache.
-        #: A custom fault plan is fine — the frozen plan fingerprints
-        #: exactly — but a custom geolocator's behavior is opaque, so
-        #: its partials must not be memoized under a config-derived key.
+        #: The fault-injection plan the world's config asks for ("no
+        #: faults" unless ``fault_rate`` is set).
+        self.fault_plan = FaultPlan.from_config(world.config)
+        #: Whether the config alone reproduces this pipeline's scans, so
+        #: they may be served from a persistent cache or rebuilt in
+        #: worker processes.  A custom geolocator's behavior is opaque:
+        #: its partials can be neither keyed nor rebuilt from the config.
         self.supports_caching = geolocator is None
         self.geolocator = geolocator or Geolocator(
             ipinfo=world.ipinfo,
@@ -284,12 +275,17 @@ class Pipeline:
             landing_count=directory.landing_count,
         )
 
-    def scan_partial(self, code: str) -> CountryPartial:
+    def scan_partial(
+        self, code: str, scope: Optional["ScanObs"] = None
+    ) -> CountryPartial:
         """Phase 1 for one country: scan, geolocate, annotate.
 
         Returns a picklable :class:`CountryPartial` holding everything
         except hosting categories, which need the cross-country
-        footprint barrier (phase 2).
+        footprint barrier (phase 2).  The scan records into ``scope``
+        when one is given (a worker process ships it back with the
+        partial); an observed pipeline opens its own scope otherwise,
+        and absorbs the scan's scope into :attr:`obs`.
         """
         code = code.upper()
         started = time.perf_counter()
@@ -299,7 +295,8 @@ class Pipeline:
             else None
         )
         obs = self.obs
-        scope = obs.scan_scope(code) if obs is not None else None
+        if scope is None and obs is not None:
+            scope = obs.scan_scope(code)
         scan = self.scan_country(code, faults=session, obs=scope)
         country = scan.country
         footprint = ProviderFootprint()
@@ -361,10 +358,10 @@ class Pipeline:
                         depth_get(url, 0)))
 
         self.scan_seconds[country] = time.perf_counter() - started
-        if scope is not None:
-            if session is not None:
-                scope.metrics.count("faults.operations",
-                                    session.episodes_evaluated)
+        if scope is not None and session is not None:
+            scope.metrics.count("faults.operations",
+                                session.episodes_evaluated)
+        if obs is not None:
             obs.absorb_scan(scope)
 
         return CountryPartial(
@@ -423,8 +420,7 @@ class Pipeline:
                     # repro`) never loads repro.cache.
                     from repro.cache.fingerprint import scan_keys
 
-                    keys = scan_keys(self.world.config, self.crawler.max_depth,
-                                     self.fault_plan, codes)
+                    keys = scan_keys(self.world.config, codes)
                     found, _, _ = scan_keyed(
                         strategy, {key: (self, code)
                                    for key, code in zip(keys, codes)}, cache,

@@ -14,14 +14,15 @@ snapshot must be exactly the countries the step mutated, or
 degradation.  The check needs no cache, and a cache that already holds
 the whole series is legal: a warm re-run serves every snapshot from it.
 
-Each snapshot's accounting is a fresh
-:class:`~repro.cache.CacheStats` (the shared cache's cumulative stats
-are preserved in :attr:`SnapshotSeries.total_stats`), and when
-observability is on the per-snapshot hit rate is exported as a gauge.
-With ``collect_manifests`` the runner emits one
-:class:`~repro.obs.RunManifest` per snapshot whose ``evolution`` block
-chains it to its parent: the parent's run fingerprint, the mutation
-seed, the step number and the changed-country list.
+Each snapshot is identified by its configuration alone: its keys and
+run fingerprint come from :mod:`repro.cache.fingerprint`.  Each
+snapshot's accounting is a fresh :class:`~repro.cache.CacheStats` (the
+shared cache's cumulative stats are preserved in
+:attr:`SnapshotSeries.total_stats`).  With ``collect_manifests`` the
+runner emits one :class:`~repro.obs.RunManifest` per snapshot whose
+``evolution`` block chains it to its parent: the parent's run
+fingerprint, the mutation seed, the step number and the
+changed-country list.
 """
 
 from __future__ import annotations
@@ -30,17 +31,16 @@ import dataclasses
 from typing import TYPE_CHECKING, Optional, Union
 
 from repro.cache import CacheStats, ScanCache, run_fingerprint, scan_keys
-from repro.core.pipeline import DEFAULT_MAX_DEPTH, Pipeline
+from repro.core.pipeline import Pipeline
 from repro.datagen.config import WorldConfig
 from repro.datagen.generator import SyntheticWorld
 from repro.evolve.model import EvolutionModel, EvolutionRates
 from repro.evolve.mutations import Mutation
-from repro.faults import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dataset import GovernmentHostingDataset
     from repro.exec import ExecutionStrategy
-    from repro.obs import Observability, RunManifest
+    from repro.obs import RunManifest
     from repro.obs.registry import RunRegistry
 
 
@@ -96,9 +96,7 @@ class SnapshotSeries:
         evolution_seed: int = 1,
         rates: Optional[EvolutionRates] = None,
         cache: Optional[Union[ScanCache, str]] = None,
-        max_depth: int = DEFAULT_MAX_DEPTH,
         executor: Optional["ExecutionStrategy"] = None,
-        obs: Optional["Observability"] = None,
         collect_manifests: bool = False,
         registry: Optional["RunRegistry"] = None,
     ) -> None:
@@ -108,9 +106,7 @@ class SnapshotSeries:
         self.snapshots = snapshots
         self.model = EvolutionModel(evolution_seed, rates)
         self.cache = ScanCache(cache) if isinstance(cache, str) else cache
-        self.max_depth = max_depth
         self.executor = executor
-        self.obs = obs
         self.collect_manifests = collect_manifests
         #: When set, every snapshot's manifest (built even if
         #: ``collect_manifests`` is off) is appended to this cross-run
@@ -131,9 +127,7 @@ class SnapshotSeries:
                 evolution = self.model.evolve(config, step)
                 config, mutations = evolution.config, evolution.mutations
             codes = config.country_codes()
-            keys = dict(zip(codes, scan_keys(
-                config, self.max_depth, FaultPlan.from_config(config), codes
-            )))
+            keys = dict(zip(codes, scan_keys(config, codes)))
             if parent_keys is not None:
                 self._verify(f"T+{step}", keys, parent_keys, mutations)
             record = self._run_snapshot(
@@ -154,7 +148,7 @@ class SnapshotSeries:
         parent_fingerprint: Optional[str],
     ) -> SnapshotRecord:
         world = SyntheticWorld.generate(config)
-        pipeline = Pipeline(world, max_depth=self.max_depth, obs=self.obs)
+        pipeline = Pipeline(world)
         snapshot_stats: Optional[CacheStats] = None
         if self.cache is not None:
             # Fresh per-snapshot accounting; the cumulative view lives
@@ -170,21 +164,18 @@ class SnapshotSeries:
             label=f"T+{step}",
             config=config,
             dataset=dataset,
-            fingerprint=run_fingerprint(
-                config, pipeline.crawler.max_depth, pipeline.fault_plan
-            ),
+            fingerprint=run_fingerprint(config),
             cache_stats=snapshot_stats,
             mutations=mutations,
             changed_countries=changed,
             parent_fingerprint=parent_fingerprint,
         )
-        self._observe(record)
         if self.collect_manifests or self.registry is not None:
             from repro.obs import RunManifest
 
             manifest = RunManifest.collect(
                 pipeline, dataset, executor=self.executor,
-                cache=self.cache, obs=self.obs,
+                cache=self.cache,
                 evolution=self.evolution_provenance(record),
             )
             if self.collect_manifests:
@@ -215,18 +206,6 @@ class SnapshotSeries:
         total.bytes_read += stats.bytes_read
         total.bytes_written += stats.bytes_written
         total.time_saved_s += stats.time_saved_s
-
-    def _observe(self, record: SnapshotRecord) -> None:
-        if self.obs is None or record.cache_stats is None:
-            return
-        metrics = self.obs.metrics
-        prefix = f"evolve.snapshot.{record.step}"
-        metrics.gauge(f"{prefix}.hit_rate", record.cache_stats.hit_rate)
-        metrics.gauge(f"{prefix}.changed_countries",
-                      len(record.changed_countries))
-        expected = record.expected_hit_rate
-        if expected is not None:
-            metrics.gauge(f"{prefix}.expected_hit_rate", expected)
 
     @staticmethod
     def _verify(

@@ -4,11 +4,14 @@ Sidesteps the GIL for the CPU-bound scan phase.  Worker processes do
 not receive the (unpicklable) synthetic world: each task carries its
 pipeline's :class:`~repro.datagen.config.WorldConfig`, from which the
 worker deterministically *rebuilds* the world — world generation is a
-pure function of its config.  A worker keeps only the pipeline it
-built last, so one pool serves any sequence of configs; as workers
-take tasks in submission order and a wave submits each config's
-countries contiguously, a worker builds each config at most once per
-wave.  Workers return picklable
+pure function of its config, which alone identifies a scan.  A worker
+keeps only the pipeline it built last, so one pool serves any sequence
+of configs; as workers take tasks in submission order and a wave
+submits each config's countries contiguously, a worker builds each
+config at most once per wave.  Whether a task is observed does not
+change what the worker builds: an observed task records into a fresh
+:class:`~repro.obs.scan.ScanObs` that travels back with its partial.
+Workers return picklable
 :class:`~repro.exec.partials.CountryPartial` objects; all cross-country
 state (provider footprints, validation stats) is merged on the driver.
 
@@ -37,42 +40,36 @@ if TYPE_CHECKING:  # pragma: no cover
 
 logger = logging.getLogger(__name__)
 
-#: The pipeline this worker process built last, with the
-#: ``(config, max_depth, observe)`` it was built for.
-_LAST_BUILT: Optional[tuple[tuple[WorldConfig, int, bool], "Pipeline"]] = None
+#: The pipeline this worker process built last, with the config it was
+#: built for.
+_LAST_BUILT: Optional[tuple[WorldConfig, "Pipeline"]] = None
 
 
 def _scan_one(
-    config: WorldConfig, max_depth: int, observe: bool, code: str
+    config: WorldConfig, observe: bool, code: str
 ) -> tuple[CountryPartial, float, Optional["ScanObs"]]:
     """Worker task: one country's partial, scan seconds and scope.
 
-    An observing task's pipeline gets a capture-only sink: the scope is
-    shipped back with the partial and merged by the calling process, in
-    submission order, so long-lived workers never accumulate spans.
+    An observing task records into a fresh scope that is shipped back
+    with the partial and merged by the calling process, in submission
+    order, so long-lived workers never accumulate spans.
     """
     global _LAST_BUILT
-    key = (config, max_depth, observe)
-    if _LAST_BUILT is None or _LAST_BUILT[0] != key:
+    if _LAST_BUILT is None or _LAST_BUILT[0] != config:
         _LAST_BUILT = None  # free the old world before building the next
         from repro.core.pipeline import Pipeline
         from repro.datagen.generator import SyntheticWorld
 
-        obs = None
-        if observe:
-            from repro.obs import Observability
-
-            obs = Observability(capture_only=True)
-        pipeline = Pipeline(SyntheticWorld.generate(config),
-                            max_depth=max_depth, obs=obs)
-        _LAST_BUILT = (key, pipeline)
+        _LAST_BUILT = (config, Pipeline(SyntheticWorld.generate(config)))
     pipeline = _LAST_BUILT[1]
-    partial = pipeline.scan_partial(code)
+    code = code.upper()
     scope = None
-    if pipeline.obs is not None:
-        captured = pipeline.obs.take_scans()
-        scope = captured[-1] if captured else None
-    return partial, pipeline.scan_seconds[code.upper()], scope
+    if observe:
+        from repro.obs.scan import ScanObs
+
+        scope = ScanObs(code)
+    partial = pipeline.scan_partial(code, scope)
+    return partial, pipeline.scan_seconds[code], scope
 
 
 class ProcessExecutor(ExecutionStrategy):
@@ -90,12 +87,11 @@ class ProcessExecutor(ExecutionStrategy):
         self, groups: Sequence[tuple["Pipeline", Sequence[str]]]
     ) -> list[list[CountryPartial]]:
         for pipeline, _ in groups:
-            if not pipeline.supports_process_execution:
+            if not pipeline.supports_caching:
                 raise ValueError(
                     "ProcessExecutor requires the pipeline's default "
-                    "geolocator and a config-derived fault plan; custom "
-                    "objects cannot be rebuilt inside worker processes — "
-                    "use SerialExecutor"
+                    "geolocator; a custom one cannot be rebuilt inside "
+                    "worker processes — use SerialExecutor"
                 )
         if self._pool is None:
             logger.debug("starting process pool: workers=%d", self.workers)
@@ -106,7 +102,6 @@ class ProcessExecutor(ExecutionStrategy):
         # before any result is collected, each group contiguously.
         submitted = [
             [self._pool.submit(_scan_one, pipeline.world.config,
-                               pipeline.crawler.max_depth,
                                pipeline.obs is not None, code)
              for code in codes]
             for pipeline, codes in groups
@@ -117,7 +112,7 @@ class ProcessExecutor(ExecutionStrategy):
             for code, future in zip(codes, futures):
                 partial, seconds, scope = future.result()
                 pipeline.scan_seconds[code.upper()] = seconds
-                if pipeline.obs is not None and scope is not None:
+                if scope is not None:
                     # Absorbing in submission order keeps the merged
                     # trace and metrics identical across executors.
                     pipeline.obs.absorb_scan(scope)

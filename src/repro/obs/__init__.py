@@ -21,7 +21,10 @@ across the whole executor/fault/cache matrix.
 Per-worker metric shards merge on the driver as commutative monoids
 (:meth:`MetricsRegistry.merge`), the same algebra as the pipeline's
 footprint/validation/fault reductions, so serial and process runs
-yield identical merged metrics.
+yield identical merged metrics.  A worker process holds no
+:class:`Observability`: an observed task records into a fresh
+:class:`ScanObs` that travels back with its partial, so observing a run
+never changes which world a worker builds.
 """
 
 from __future__ import annotations
@@ -68,21 +71,16 @@ class Observability:
     """One run's tracer, metrics registry and scan-scope collector.
 
     The driver's pipeline owns one instance per observed run.  Worker
-    processes get their own ``capture_only`` instance: it buffers each
-    scan's scope instead of merging it, so the shard can ship scopes
-    back with its partials and the *driver* absorbs them in submission
-    order — keeping long-lived worker pools from accumulating state.
+    processes hold none: an observed task records into a fresh
+    :class:`ScanObs` that is shipped back with its partial, and the
+    *driver* absorbs the scopes in submission order — keeping
+    long-lived worker pools from accumulating state.
     """
 
-    def __init__(
-        self,
-        progress: Optional[ProgressCallback] = None,
-        capture_only: bool = False,
-    ) -> None:
+    def __init__(self, progress: Optional[ProgressCallback] = None) -> None:
         self.tracer = Tracer()
         self.metrics = MetricsRegistry()
         self.progress = progress
-        self.capture_only = capture_only
         #: Number of scans the current run will perform (set by the
         #: pipeline before the fan-out; feeds the progress heartbeat).
         self.expected_scans: Optional[int] = None
@@ -91,8 +89,6 @@ class Observability:
         #: Span under which absorbed scan scopes nest (the run's scan
         #: phase span while a run is active).
         self._scan_parent: Optional[Span] = None
-        #: Captured scopes awaiting pickup (capture-only mode).
-        self._pending: list[ScanObs] = []
 
     # -------------------------------------------------------- scan scopes
 
@@ -105,14 +101,8 @@ class Observability:
 
         Thread-safe; metric absorption is a commutative merge, so the
         registry is deterministic no matter which shard finishes first.
-        In capture-only mode the scope is buffered for :meth:`take_scans`
-        instead.
         """
         scope.finish()
-        if self.capture_only:
-            with self._lock:
-                self._pending.append(scope)
-            return
         with self._lock:
             self.metrics.merge_in(scope.metrics)
             parent = self._scan_parent
@@ -125,12 +115,6 @@ class Observability:
         if self.progress is not None:
             self.progress(scope.country, scope.duration_s, completed,
                           self.expected_scans)
-
-    def take_scans(self) -> list[ScanObs]:
-        """Drain buffered scopes (capture-only workers)."""
-        with self._lock:
-            pending, self._pending = self._pending, []
-        return pending
 
     # --------------------------------------------------------- run phases
 

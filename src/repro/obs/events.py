@@ -7,32 +7,26 @@ this is a single thread-local read and a ``None`` check, cheap enough
 for hot paths and — by the zero-perturbation rule — never influencing
 what the instrumented code computes.  The serve request tracer opens a
 scope around dispatch and folds whatever was emitted into the
-request's span tags.
-
-Timestamps are :func:`time.perf_counter_ns` readings — monotonic, never
-wall-clock, so event deltas cannot go negative under clock adjustment
-(the same discipline as :mod:`repro.obs.trace`).
+request's span tags.  An event carries what happened, not when: the
+span it is folded into holds the timing.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import threading
-import time
 from contextlib import contextmanager
 from typing import Any, Iterator, Optional
 
 
 @dataclasses.dataclass(frozen=True)
 class Event:
-    """One observability event: a kind, a payload, a monotonic stamp."""
+    """One observability event: a kind and a payload."""
 
     #: Dotted kind string (``"memo.build"``, ``"memo.hit"``).
     kind: str
     #: Free-form, JSON-ready details.
     payload: dict[str, Any]
-    #: Monotonic nanoseconds (:func:`time.perf_counter_ns`).
-    monotonic_ns: int = 0
 
 
 _SCOPE = threading.local()
@@ -47,8 +41,7 @@ def emit(kind: str, **payload: Any) -> None:
     """
     sink = getattr(_SCOPE, "sink", None)
     if sink is not None:
-        sink.append(Event(kind=kind, payload=payload,
-                          monotonic_ns=time.perf_counter_ns()))
+        sink.append(Event(kind=kind, payload=payload))
 
 
 @contextmanager

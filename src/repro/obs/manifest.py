@@ -85,8 +85,8 @@ def _library_versions() -> dict[str, str]:
 class RunManifest:
     """Provenance record for one pipeline run."""
 
-    #: Content address of the run's inputs (config + fault plan +
-    #: max_depth), shared with the scan cache's key derivation.
+    #: Content address of the run's config
+    #: (:func:`~repro.cache.fingerprint.run_fingerprint`).
     fingerprint: str
     seed: int
     scale: float
@@ -147,9 +147,7 @@ class RunManifest:
                     stage_seconds[stage.name] = round(stage.duration_s, 6)
         fault_total = dataset.faults.total()
         return cls(
-            fingerprint=run_fingerprint(
-                config, pipeline.crawler.max_depth, pipeline.fault_plan
-            ),
+            fingerprint=run_fingerprint(config),
             seed=config.seed,
             scale=config.scale,
             countries=sorted(dataset.countries),

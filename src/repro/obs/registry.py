@@ -13,8 +13,8 @@ The query API answers the questions manual archaeology used to:
 
 * :meth:`RunRegistry.runs` — everything, in append order;
 * :meth:`RunRegistry.get` — one run by sequence number or id prefix;
-* :meth:`RunRegistry.find` — filter by run fingerprint, config slice
-  (seed/scale/executor/fault profile), wall time or cache hit rate;
+* :meth:`RunRegistry.by_fingerprint` — runs grouped by run fingerprint
+  (the history :func:`~repro.obs.sentinel.trajectory` judges);
 * :func:`diff_manifests` — what changed between run A and run B:
   config knobs, country selection, dataset shape, per-stage wall
   times, cache behavior and library/tool versions.
@@ -256,59 +256,6 @@ class RunRegistry:
             f"run reference {text!r} is ambiguous: "
             + ", ".join(f"#{run.seq} {run.id}" for run in matches)
         )
-
-    def find(
-        self,
-        *,
-        fingerprint: Optional[str] = None,
-        seed: Optional[int] = None,
-        scale: Optional[float] = None,
-        executor: Optional[str] = None,
-        fault_profile: Optional[str] = None,
-        min_wall_s: Optional[float] = None,
-        max_wall_s: Optional[float] = None,
-        min_hit_rate: Optional[float] = None,
-        max_hit_rate: Optional[float] = None,
-    ) -> tuple[RegisteredRun, ...]:
-        """Filter runs by fingerprint, config slice, wall time, hit rate.
-
-        Wall-time and hit-rate filters only match runs that *have* the
-        measurement (an untraced run has no wall time; an uncached run
-        has no hit rate).
-        """
-        selected: list[RegisteredRun] = []
-        for run in self.runs():
-            manifest = run.manifest
-            if fingerprint is not None and \
-                    not manifest.fingerprint.startswith(fingerprint):
-                continue
-            if seed is not None and manifest.seed != seed:
-                continue
-            if scale is not None and manifest.scale != scale:
-                continue
-            if executor is not None and manifest.executor != executor:
-                continue
-            if fault_profile is not None and \
-                    manifest.fault_profile != fault_profile:
-                continue
-            if min_wall_s is not None or max_wall_s is not None:
-                wall = run.wall_s
-                if wall is None:
-                    continue
-                if min_wall_s is not None and wall < min_wall_s:
-                    continue
-                if max_wall_s is not None and wall > max_wall_s:
-                    continue
-            if min_hit_rate is not None or max_hit_rate is not None:
-                rate = run.hit_rate
-                if rate is None:
-                    continue
-                if min_hit_rate is not None and rate < min_hit_rate:
-                    continue
-                if max_hit_rate is not None and rate > max_hit_rate:
-                    continue
-            selected.append(run)
-        return tuple(selected)
 
     def by_fingerprint(self) -> dict[str, tuple[RegisteredRun, ...]]:
         """Runs grouped by run fingerprint, groups in first-seen order."""

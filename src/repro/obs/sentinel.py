@@ -14,9 +14,7 @@ crossed — never a bare ``AssertionError``.
 
 Gate kinds:
 
-* ``min`` / ``max`` — numeric threshold; ``--tolerance`` relaxes these
-  (a min of 5 with tolerance 0.2 accepts 4.0) so host-speed jitter does
-  not flap CI, while exactness gates stay exact;
+* ``min`` / ``max`` — numeric threshold;
 * ``positive`` — strictly greater than zero;
 * ``truthy`` — byte-identity flags and friends;
 * ``all_truthy`` — a mapping whose every value must be truthy
@@ -35,7 +33,8 @@ heredocs with ``obs bench --check`` keeps the bar where it was.
 :func:`trajectory` extends the same idea across *time*: given a
 :class:`~repro.obs.registry.RunRegistry`, it compares the latest run of
 each fingerprint against the median of its predecessors and flags wall
-time inflations and cache hit-rate drops.
+time inflations and cache hit-rate drops beyond
+:data:`TRAJECTORY_TOLERANCE`.
 """
 
 from __future__ import annotations
@@ -52,6 +51,14 @@ from repro.obs.registry import RegisteredRun, RunRegistry
 PathLike = Union[str, pathlib.Path]
 
 _BENCH_NAME = re.compile(r"BENCH_([a-z0-9_]+)\.json$")
+
+#: How far a fingerprint's latest run may drift from the median of its
+#: history: wall time up to ``1 + TRAJECTORY_TOLERANCE`` times it, hit
+#: rate down to ``median - TRAJECTORY_TOLERANCE``.
+TRAJECTORY_TOLERANCE = 0.25
+
+#: Earlier runs a fingerprint needs before its latest run is judged.
+TRAJECTORY_MIN_HISTORY = 2
 
 
 class SentinelError(ValueError):
@@ -84,23 +91,20 @@ class Gate:
     #: Human explanation shown on failure.
     why: str = ""
 
-    def evaluate(self, bench: Mapping, tolerance: float = 0.0
-                 ) -> "GateResult":
+    def evaluate(self, bench: Mapping) -> "GateResult":
         try:
             actual = _lookup(bench, self.metric)
         except KeyError:
             return GateResult(self, ok=False, actual=None,
                               message=f"{self.metric}: metric missing")
         if self.kind == "min":
-            limit = self.threshold * (1.0 - tolerance)
-            ok = actual >= limit
+            ok = actual >= self.threshold
             message = (f"{self.metric} = {actual} "
-                       f"(minimum {round(limit, 6)})")
+                       f"(minimum {float(self.threshold)})")
         elif self.kind == "max":
-            limit = self.threshold * (1.0 + tolerance)
-            ok = actual <= limit
+            ok = actual <= self.threshold
             message = (f"{self.metric} = {actual} "
-                       f"(maximum {round(limit, 6)})")
+                       f"(maximum {float(self.threshold)})")
         elif self.kind == "positive":
             ok = isinstance(actual, (int, float)) and actual > 0
             message = f"{self.metric} = {actual} (must be > 0)"
@@ -254,12 +258,11 @@ def bench_kind(path: PathLike) -> str:
     return kind
 
 
-def evaluate(kind: str, bench: Mapping, tolerance: float = 0.0
-             ) -> tuple[GateResult, ...]:
+def evaluate(kind: str, bench: Mapping) -> tuple[GateResult, ...]:
     """Run every gate of one kind over one bench document."""
     if kind not in GATES:
         raise SentinelError(f"no gate table for bench kind {kind!r}")
-    return tuple(gate.evaluate(bench, tolerance) for gate in GATES[kind])
+    return tuple(gate.evaluate(bench) for gate in GATES[kind])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,8 +290,7 @@ class BenchCheck:
         }
 
 
-def check(paths: Sequence[PathLike], tolerance: float = 0.0
-          ) -> tuple[BenchCheck, ...]:
+def check(paths: Sequence[PathLike]) -> tuple[BenchCheck, ...]:
     """Evaluate the gate table over a set of bench files.
 
     Unreadable JSON and unknown kinds raise :class:`SentinelError`;
@@ -306,7 +308,7 @@ def check(paths: Sequence[PathLike], tolerance: float = 0.0
                 from exc
         checks.append(BenchCheck(
             path=str(path), kind=kind,
-            results=evaluate(kind, bench, tolerance),
+            results=evaluate(kind, bench),
         ))
     return tuple(checks)
 
@@ -329,34 +331,33 @@ class TrajectoryFinding:
         return dataclasses.asdict(self)
 
 
-def trajectory(registry: RunRegistry, *, tolerance: float = 0.25,
-               min_history: int = 2) -> tuple[TrajectoryFinding, ...]:
+def trajectory(registry: RunRegistry) -> tuple[TrajectoryFinding, ...]:
     """Compare each fingerprint's latest run against its own history.
 
-    For every fingerprint with at least ``min_history`` earlier runs,
-    the latest run's total wall time must stay within ``1 + tolerance``
-    of the median of its predecessors, and its cache hit rate must not
-    drop below ``median - tolerance``.  Runs without the measurement
-    (untraced, uncached) are skipped — absence of telemetry is not a
-    regression.
+    For every fingerprint with at least :data:`TRAJECTORY_MIN_HISTORY`
+    earlier runs, the latest run's total wall time must stay within
+    ``1 + TRAJECTORY_TOLERANCE`` of the median of its predecessors, and
+    its cache hit rate must not drop below ``median -
+    TRAJECTORY_TOLERANCE``.  Runs without the measurement (untraced,
+    uncached) are skipped — absence of telemetry is not a regression.
     """
     findings: list[TrajectoryFinding] = []
     for fingerprint, runs in registry.by_fingerprint().items():
-        if len(runs) < min_history + 1:
+        if len(runs) < TRAJECTORY_MIN_HISTORY + 1:
             continue
         *history, latest = runs
-        findings.extend(_judge(fingerprint, history, latest, tolerance))
+        findings.extend(_judge(fingerprint, history, latest))
     return tuple(findings)
 
 
 def _judge(fingerprint: str, history: Sequence[RegisteredRun],
-           latest: RegisteredRun, tolerance: float
-           ) -> list[TrajectoryFinding]:
+           latest: RegisteredRun) -> list[TrajectoryFinding]:
     findings = []
     walls = [run.wall_s for run in history if run.wall_s is not None]
     if walls and latest.wall_s is not None:
         baseline = statistics.median(walls)
-        if baseline > 0 and latest.wall_s > baseline * (1.0 + tolerance):
+        if baseline > 0 and \
+                latest.wall_s > baseline * (1.0 + TRAJECTORY_TOLERANCE):
             findings.append(TrajectoryFinding(
                 fingerprint=fingerprint, metric="wall_s",
                 latest=round(latest.wall_s, 6),
@@ -367,7 +368,7 @@ def _judge(fingerprint: str, history: Sequence[RegisteredRun],
     rates = [run.hit_rate for run in history if run.hit_rate is not None]
     if rates and latest.hit_rate is not None:
         baseline = statistics.median(rates)
-        if latest.hit_rate < baseline - tolerance:
+        if latest.hit_rate < baseline - TRAJECTORY_TOLERANCE:
             findings.append(TrajectoryFinding(
                 fingerprint=fingerprint, metric="hit_rate",
                 latest=round(latest.hit_rate, 6),

@@ -93,10 +93,10 @@ class Tracer:
     """Thread-safe span factory and buffer.
 
     Spans opened on the same thread nest through a thread-local stack;
-    spans recorded elsewhere (a worker's scan scope, a process shard)
-    are grafted under an explicit parent with :meth:`attach`.  The
-    buffer only ever grows by whole, finished top-level spans, so an
-    export taken at any time is well-formed.
+    spans recorded elsewhere (a worker's scan scope) are grafted by
+    :meth:`~repro.obs.Observability.absorb_scan`.  The buffer only ever
+    grows by whole, finished top-level spans, so an export taken at any
+    time is well-formed.
     """
 
     def __init__(self) -> None:
@@ -129,11 +129,6 @@ class Tracer:
             if not stack:
                 with self._lock:
                     self.roots.append(span)
-
-    def attach(self, parent: Span, child: Span) -> None:
-        """Graft a foreign (already finished) span under ``parent``."""
-        with self._lock:
-            parent.children.append(child)
 
     def find(self, name: str) -> Optional[Span]:
         """First buffered span with ``name``, depth-first over roots."""

@@ -48,7 +48,6 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from repro.datagen.config import WorldConfig
 
 from repro.cache.fingerprint import run_fingerprint, scan_keys
-from repro.core.crawler import DEFAULT_MAX_DEPTH
 from repro.core.dataset import GovernmentHostingDataset
 from repro.core.pipeline import Pipeline, assemble
 from repro.datagen.generator import SyntheticWorld
@@ -58,7 +57,6 @@ from repro.exec import (
     SerialExecutor,
     scan_keyed,
 )
-from repro.faults import FaultPlan
 from repro.scenarios.matrix import Scenario, ScenarioMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -191,7 +189,6 @@ class SweepRunner:
     def __init__(
         self,
         matrix: Union[ScenarioMatrix, Sequence[Scenario]],
-        max_depth: int = DEFAULT_MAX_DEPTH,
         cache: Optional["ScanCache"] = None,
         executor: Optional[ExecutionStrategy] = None,
         registry: Optional["RunRegistry"] = None,
@@ -215,7 +212,6 @@ class SweepRunner:
                 )
         self.scenarios = scenarios
         self.codes = base_codes
-        self.max_depth = max_depth
         self.cache = cache
         self._executor = executor
         #: When set, one manifest per distinct config is recorded into
@@ -232,17 +228,15 @@ class SweepRunner:
 
         # Level 1: one pipeline per distinct config (keyed by the full
         # run fingerprint — configs themselves are not hashable), plus
-        # each distinct config's (country, scan key) task list.  The
-        # resolved plan matches what Pipeline builds for itself, so the
-        # keys are exactly the ones `Pipeline.run` derives.
+        # each distinct config's (country, scan key) task list: exactly
+        # the keys `Pipeline.run` derives from the same config.
         pipelines: dict[str, Pipeline] = {}
         worlds: dict[str, "SyntheticWorld"] = {}
         scenario_fps: list[str] = []
         tasks_by_fp: dict[str, list[tuple[str, str]]] = {}
         for scenario in scenarios:
             config = scenario.config
-            plan = FaultPlan.from_config(config)
-            fp = run_fingerprint(config, self.max_depth, plan)
+            fp = run_fingerprint(config)
             if fp not in pipelines:
                 world_key = _world_key(config)
                 world = worlds.get(world_key)
@@ -253,10 +247,8 @@ class SweepRunner:
                     # Same world, different measurement plane: share the
                     # expensive substrates, swap in the scenario config.
                     world = dataclasses.replace(world, config=config)
-                pipelines[fp] = Pipeline(world, max_depth=self.max_depth)
-                tasks_by_fp[fp] = list(zip(
-                    codes, scan_keys(config, self.max_depth, plan, codes)
-                ))
+                pipelines[fp] = Pipeline(world)
+                tasks_by_fp[fp] = list(zip(codes, scan_keys(config, codes)))
             scenario_fps.append(fp)
 
         # Flatten to unique keys in first-occurrence order, each owned

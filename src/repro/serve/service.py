@@ -60,8 +60,7 @@ class DatasetService:
     def __init__(self, source: Union[GovernmentHostingDataset,
                                      LoadedDataset], *,
                  history: Sequence[Union[GovernmentHostingDataset,
-                                         LoadedDataset]] = (),
-                 metrics: Optional[ServiceMetrics] = None) -> None:
+                                         LoadedDataset]] = ()) -> None:
         if isinstance(source, LoadedDataset):
             self._loaded: Optional[LoadedDataset] = source
             dataset = source.dataset
@@ -84,7 +83,7 @@ class DatasetService:
         self._trend_lock = threading.Lock()
         self._index = ensure_index(dataset)
         self._index.summary()  # warm the hot table up front
-        self.metrics = metrics if metrics is not None else ServiceMetrics()
+        self.metrics = ServiceMetrics()
         #: Per-basis FlowEntry renderings of the index's sorted flow
         #: table, built once under the lock -- the /v1/crossborder tail
         #: came from every first-hit-per-thread re-sorting and
@@ -95,10 +94,9 @@ class DatasetService:
         self._close_lock = threading.Lock()
 
     @classmethod
-    def open(cls, path, *, metrics: Optional[ServiceMetrics] = None
-             ) -> "DatasetService":
+    def open(cls, path) -> "DatasetService":
         """Load a jsonl export or store directory and serve it."""
-        return cls(open_any_dataset(path), metrics=metrics)
+        return cls(open_any_dataset(path))
 
     # ----------------------------------------------------------- queries
 

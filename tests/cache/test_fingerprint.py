@@ -8,19 +8,49 @@ import pytest
 
 from repro import WorldConfig
 from repro.cache import (
+    CACHE_FORMAT_VERSION,
     country_key,
     country_slice_fingerprint,
     global_fingerprint,
+    run_fingerprint,
     scan_keys,
 )
 from repro.datagen.config import CountryOverride
 from repro.faults.plan import FaultPlan
 
 
-def _key(config: WorldConfig, country: str = "BR", max_depth: int = 7) -> str:
-    [key] = scan_keys(config, max_depth, FaultPlan.from_config(config),
-                      [country])
+def _key(config: WorldConfig, country: str = "BR") -> str:
+    [key] = scan_keys(config, [country])
     return key
+
+
+#: (config, run fingerprint, keys of BR and US) at format 6.  The keys
+#: hash the resolved fault plan and the crawl depth of 7, so a change to
+#: either derivation — not only to the config — fails here before it
+#: silently retires every cache entry and manifest identity.
+PINNED = [
+    (WorldConfig(seed=42, scale=0.05),
+     "3a38cf94c45192c6d8587f382d6f7d47",
+     ["6ccd2006320dad20f0ebb4d8788946f8",
+      "28b76d45f25485ac1f174d0d8072dce3"]),
+    (WorldConfig(seed=7, scale=0.05, fault_rate=0.2),
+     "d538bc58c2c88aa6414dd3b0b4190c61",
+     ["b1bcf8815ff0bcc159be7d6f8c913c90",
+      "b2c7e0e95c7ad0cb74d0f63241049d55"]),
+    (WorldConfig(seed=42, scale=0.05, country_overrides=(
+        CountryOverride(country="BR", extra_soes=1),)),
+     "c91a1262ce2e7cb5a20f5b76a9c455db",
+     ["e52a911ddd211e497b833b35f74dd890",
+      "28b76d45f25485ac1f174d0d8072dce3"]),
+]
+
+
+@pytest.mark.parametrize("config, run_fp, keys", PINNED,
+                         ids=["base", "faulted", "override"])
+def test_keys_and_run_fingerprints_are_pinned(config, run_fp, keys):
+    assert CACHE_FORMAT_VERSION == 6  # a version bump re-pins the table
+    assert run_fingerprint(config) == run_fp
+    assert scan_keys(config, ["BR", "US"]) == keys
 
 
 def test_same_inputs_same_key():
@@ -31,9 +61,7 @@ def test_same_inputs_same_key():
 
 def test_country_spelling_normalized():
     config = WorldConfig(seed=42, scale=0.05)
-    plan = FaultPlan.from_config(config)
-    assert scan_keys(config, 7, plan, ["br"]) == \
-        scan_keys(config, 7, plan, ["BR"])
+    assert scan_keys(config, ["br"]) == scan_keys(config, ["BR"])
 
 
 def test_countries_field_spelling_normalized():
@@ -75,29 +103,15 @@ def test_country_selection_does_not_invalidate():
     assert _key(base) == _key(subset)
 
 
-def test_max_depth_change_invalidates():
-    config = WorldConfig(seed=42, scale=0.05)
-    assert _key(config, max_depth=7) != _key(config, max_depth=3)
-
-
 def test_countries_differ():
     config = WorldConfig(seed=42, scale=0.05)
     assert _key(config, "BR") != _key(config, "US")
 
 
-def test_custom_fault_plan_fingerprints_its_fields():
-    config = WorldConfig(seed=42, scale=0.05)
-    plan = FaultPlan.from_config(config)
-    bumped = dataclasses.replace(plan, max_retries=plan.max_retries + 1)
-    assert scan_keys(config, 7, plan, ["BR"]) != \
-        scan_keys(config, 7, bumped, ["BR"])
-
-
 def test_country_key_composes_global_fingerprint():
     config = WorldConfig(seed=42, scale=0.05)
-    plan = FaultPlan.from_config(config)
-    global_fp = global_fingerprint(config, 7, plan)
-    assert scan_keys(config, 7, plan, ["US", "BR"]) == [
+    global_fp = global_fingerprint(config)
+    assert scan_keys(config, ["US", "BR"]) == [
         country_key(global_fp, code, country_slice_fingerprint(config, code))
         for code in ("US", "BR")
     ]
@@ -154,6 +168,4 @@ def test_global_fingerprint_ignores_overrides_and_selection():
         countries=("BR", "US"),
         country_overrides=(CountryOverride(country="BR", extra_soes=2),),
     )
-    plan = FaultPlan.from_config(base)
-    assert global_fingerprint(base, 7, plan) == \
-        global_fingerprint(mutated, 7, plan)
+    assert global_fingerprint(base) == global_fingerprint(mutated)

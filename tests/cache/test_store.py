@@ -33,8 +33,7 @@ def cache_world() -> SyntheticWorld:
 
 
 def _key(pipeline: Pipeline, country: str) -> str:
-    [key] = scan_keys(pipeline.world.config, pipeline.crawler.max_depth,
-                      pipeline.fault_plan, [country])
+    [key] = scan_keys(pipeline.world.config, [country])
     return key
 
 
@@ -117,27 +116,32 @@ def _join_entry(header: dict, payload: bytes) -> bytes:
     return json.dumps(header, sort_keys=True).encode() + b"\n" + payload
 
 
+def _redigest(header: dict, payload: bytes) -> dict:
+    """``header`` with the digest a format-6 writer would record: over
+    every other header member (canonical JSON), a newline, the payload."""
+    members = {name: value for name, value in header.items()
+               if name != "digest"}
+    blob = json.dumps(members, sort_keys=True).encode() + b"\n" + payload
+    return dict(members,
+                digest=hashlib.blake2b(blob, digest_size=16).hexdigest())
+
+
+def test_digest_covers_the_header(populated):
+    cache, _, key, _ = populated
+    header, payload = _split_entry(_entry_path(cache, key).read_bytes())
+    assert _redigest(header, payload) == header
+
+
 @pytest.mark.parametrize("version", [CACHE_FORMAT_VERSION - 1,
                                      CACHE_FORMAT_VERSION + 1],
                          ids=["previous", "next"])
 def test_stale_format_version_evicted(populated, version):
+    # With a digest that verifies, only the version check evicts.
     cache, _, key, _ = populated
     path = _entry_path(cache, key)
     header, payload = _split_entry(path.read_bytes())
-    if version == CACHE_FORMAT_VERSION - 1:
-        # Format 4 wrote the bulk as a columnar section pack (a 4-byte
-        # directory size, a JSON directory, the sections).  With a
-        # digest that verifies, only the version check keeps it from
-        # reaching pickle.loads.
-        directory = json.dumps([["meta.json", 2]]).encode()
-        bulk = len(directory).to_bytes(4, "little") + directory + b"{}"
-        payload = payload[:header["meta_bytes"]] + bulk
-        header.update(
-            bulk_bytes=len(bulk),
-            digest=hashlib.blake2b(payload, digest_size=16).hexdigest(),
-        )
     header["format"] = version
-    path.write_bytes(_join_entry(header, payload))
+    path.write_bytes(_join_entry(_redigest(header, payload), payload))
     assert cache.load(key, "BR") is None
     assert cache.stats.evicted == 1
     assert not path.exists()
@@ -146,13 +150,25 @@ def test_stale_format_version_evicted(populated, version):
 @pytest.mark.parametrize("scan_s", ["fast", None, [1.5]],
                          ids=["string", "null", "list"])
 def test_hand_edited_scan_s_evicted(populated, scan_s):
-    # The digest does not cover the header, so its recorded scan cost
-    # is checked like the other header fields, not trusted.
+    # Even under a digest that verifies, the recorded scan cost is
+    # checked like the other header fields, not trusted.
     cache, _, key, _ = populated
     path = _entry_path(cache, key)
     header, payload = _split_entry(path.read_bytes())
     header["scan_s"] = scan_s
-    path.write_bytes(_join_entry(header, payload))
+    path.write_bytes(_join_entry(_redigest(header, payload), payload))
+    assert cache.load(key, "BR") is None
+    assert cache.stats.evicted == 1
+
+
+def test_header_country_mismatch_evicted(populated):
+    # The meta still decodes to BR, so only the header check evicts an
+    # entry whose header names another country.
+    cache, _, key, _ = populated
+    path = _entry_path(cache, key)
+    header, payload = _split_entry(path.read_bytes())
+    header["country"] = "US"
+    path.write_bytes(_join_entry(_redigest(header, payload), payload))
     assert cache.load(key, "BR") is None
     assert cache.stats.evicted == 1
 
@@ -272,11 +288,10 @@ def _small_partial() -> CountryPartial:
 def test_every_flip_and_truncation_evicts_or_loads_equal(tmp_path):
     """Single-bit flips at every byte, and every truncation length.
 
-    Each damaged entry is evicted, or loads equal to the original.  The
-    digest covers the whole payload, and every header field but two
-    must hold exactly what the load expects; the two, ``country`` and
-    ``scan_s``, feed only ``cache stats`` and ``time_saved_s``, so only
-    flips inside those members may load.
+    Every damaged entry is evicted: the digest covers the payload and
+    every header member but itself, and the digest member must match
+    it, so no flip anywhere — ``country`` and ``scan_s`` included — can
+    load, nor can any truncation.
     """
     partial = _small_partial()
     cache = ScanCache(tmp_path)
@@ -284,36 +299,21 @@ def test_every_flip_and_truncation_evicts_or_loads_equal(tmp_path):
     cache.store(key, partial, scan_s=0.5)
     path = _entry_path(cache, key)
     blob = path.read_bytes()
-    header_line = blob[:blob.find(b"\n")]
-    harmless = []
-    for member in (b'"country": "BR"', b'"scan_s": 0.5'):
-        start = header_line.index(member)
-        harmless.append(range(start, start + len(member)))
-
-    # Truncations carry a position past the header, so none may load.
-    damaged = [(len(blob), blob[:length]) for length in range(len(blob))]
+    damaged = [blob[:length] for length in range(len(blob))]
     for position in range(len(blob)):
         for bit in range(8):
             flipped = bytearray(blob)
             flipped[position] ^= 1 << bit
-            damaged.append((position, bytes(flipped)))
+            damaged.append(bytes(flipped))
 
-    loaded_equal = 0
-    for position, data in damaged:
+    for data in damaged:
         path.write_bytes(data)
         evicted = cache.stats.evicted
-        loaded = cache.load(key, "BR")
-        if loaded is None:
-            assert cache.stats.evicted == evicted + 1
-            assert not path.exists()
-            continue
-        assert any(position in span for span in harmless), position
-        assert loaded == partial
-        assert loaded.hosts == partial.hosts
-        assert loaded.urls == partial.urls
-        loaded_equal += 1
-    assert cache.stats.evicted == len(damaged) - loaded_equal
-    assert 0 < loaded_equal < len(blob)
+        assert cache.load(key, "BR") is None, data[:data.find(b"\n")]
+        assert cache.stats.evicted == evicted + 1
+        assert not path.exists()
+    assert cache.stats.hits == 0
+    assert cache.stats.time_saved_s == 0.0
 
 
 #: What an entry's pickles depend on, per format version: the order of
@@ -352,6 +352,8 @@ LAYOUTS = {
         ),
     },
 }
+#: v6 changed what the digest covers, not what an entry pickles.
+LAYOUTS[6] = LAYOUTS[5]
 
 
 def _layout_of(cls) -> tuple:

@@ -12,7 +12,6 @@ import dataclasses
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.core.crawler import DEFAULT_MAX_DEPTH
 from repro.exec import ProcessExecutor, SerialExecutor, make_executor
 from repro.exec import processes
 from repro.obs import Observability
@@ -103,26 +102,28 @@ def test_executor_pool_is_reusable_across_runs(exec_world, serial_baseline):
 
 
 def test_worker_rebuilds_only_for_a_new_build_key(monkeypatch):
-    """A worker reuses its last pipeline while (config, depth, observe)
-    compare equal, and rebuilds when any of them changes."""
+    """A worker reuses its last pipeline while the config compares
+    equal, observed or not, and rebuilds when the config changes."""
     monkeypatch.setattr(processes, "_LAST_BUILT", None)
     config = WorldConfig(seed=5, scale=0.01, countries=("BR", "JP"),
                          include_topsites=False)
-    processes._scan_one(config, DEFAULT_MAX_DEPTH, False, "BR")
+    processes._scan_one(config, False, "BR")
     built = processes._LAST_BUILT[1]
     # An equal config (every task unpickles its own copy) is a reuse.
     partial, seconds, scope = processes._scan_one(
-        dataclasses.replace(config), DEFAULT_MAX_DEPTH, False, "JP")
+        dataclasses.replace(config), False, "JP")
     assert processes._LAST_BUILT[1] is built
     assert partial.country == "JP" and seconds > 0.0 and scope is None
+    # Observing records into a fresh scope on the same pipeline.
+    observed, _, scope = processes._scan_one(config, True, "jp")
+    assert processes._LAST_BUILT[1] is built and built.obs is None
+    assert observed == partial
+    assert scope.country == "JP" and scope.metrics.to_dict()["counters"]
+    _, _, again = processes._scan_one(config, True, "BR")
+    assert again is not scope and again.country == "BR"
 
-    other = dataclasses.replace(config, seed=6)
-    processes._scan_one(other, DEFAULT_MAX_DEPTH, False, "BR")
-    rebuilt = processes._LAST_BUILT[1]
-    assert rebuilt is not built
-    _, _, scope = processes._scan_one(other, DEFAULT_MAX_DEPTH, True, "BR")
-    assert processes._LAST_BUILT[1] is not rebuilt
-    assert scope is not None and scope.country == "BR"
+    processes._scan_one(dataclasses.replace(config, seed=6), False, "BR")
+    assert processes._LAST_BUILT[1] is not built
 
 
 def test_country_order_does_not_change_records(exec_world):

@@ -15,8 +15,8 @@ import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.core.geolocation import ValidationMethod
-from repro.exec import ProcessExecutor, make_executor
-from repro.faults import FaultPlan, FaultReport
+from repro.exec import make_executor
+from repro.faults import FaultReport
 from repro.io import save_dataset
 
 COUNTRIES = ("BR", "US", "FR", "MA")
@@ -159,15 +159,3 @@ def test_fault_report_round_trips_through_io(tmp_path, faulted_dataset):
     save_dataset(faulted_dataset, path)
     loaded = load_dataset(path)
     assert loaded.faults == faulted_dataset.faults
-
-
-def test_explicit_fault_plan_blocks_process_execution():
-    world = SyntheticWorld.generate(_config())
-    pipeline = Pipeline(world, faults=FaultPlan(rate=0.1, seed=9))
-    assert not pipeline.supports_process_execution
-    executor = ProcessExecutor(workers=1)
-    try:
-        with pytest.raises(ValueError, match="default geolocator"):
-            pipeline.run(["BR"], executor=executor)
-    finally:
-        executor.close()

@@ -48,9 +48,7 @@ def test_collect_records_run_identity(observed_run):
 def test_collect_fingerprint_matches_cache_derivation(observed_run):
     pipeline, dataset = observed_run
     manifest = RunManifest.collect(pipeline, dataset)
-    assert manifest.fingerprint == run_fingerprint(
-        CONFIG, pipeline.crawler.max_depth, pipeline.fault_plan
-    )
+    assert manifest.fingerprint == run_fingerprint(CONFIG)
 
 
 def test_fingerprint_is_stable_and_input_sensitive(observed_run):
@@ -61,9 +59,7 @@ def test_fingerprint_is_stable_and_input_sensitive(observed_run):
 
     other_config = WorldConfig(seed=22, scale=0.02, countries=COUNTRIES,
                                include_topsites=False)
-    assert run_fingerprint(
-        other_config, pipeline.crawler.max_depth, pipeline.fault_plan
-    ) != first.fingerprint
+    assert run_fingerprint(other_config) != first.fingerprint
 
 
 def test_stage_seconds_come_from_the_trace(observed_run):

@@ -249,25 +249,6 @@ def test_get_reads_all_digit_refs_as_id_prefixes_too(tmp_path, monkeypatch):
     assert f"#2 {forced[2]}" in str(excinfo.value)
 
 
-def test_find_filters_config_and_measurements(populated):
-    assert [r.manifest.seed for r in populated.find(seed=2)] == [2]
-    assert [r.manifest.seed
-            for r in populated.find(executor="threads")] == [2]
-    assert [r.manifest.seed for r in populated.find(scale=0.1)] == [3]
-    assert [r.manifest.seed
-            for r in populated.find(fingerprint="b")] == [1]
-    # Wall filters skip the run with no "total" stage (seed=3).
-    assert [r.manifest.seed
-            for r in populated.find(min_wall_s=2.0)] == [2]
-    assert [r.manifest.seed
-            for r in populated.find(max_wall_s=2.0)] == [1]
-    # Hit-rate filters skip the uncached run (seed=2).
-    assert [r.manifest.seed
-            for r in populated.find(min_hit_rate=0.5)] == [1]
-    assert [r.manifest.seed
-            for r in populated.find(max_hit_rate=0.5)] == [3]
-
-
 def test_by_fingerprint_groups_in_first_seen_order(tmp_path):
     registry = RunRegistry(tmp_path)
     registry.record(make_manifest(seed=1, fingerprint="b" * 32))

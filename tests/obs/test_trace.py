@@ -92,11 +92,3 @@ def test_chrome_export_is_one_complete_event_per_span():
         assert event["dur"] >= 0.0
     assert events[0]["args"] == {"label": "x"}
     json.dumps(chrome)
-
-
-def test_attach_grafts_foreign_spans():
-    tracer = Tracer()
-    foreign = Span(name="shipped", start_s=0.0, end_s=1.0)
-    with tracer.span("run") as run:
-        tracer.attach(run, foreign)
-    assert tracer.find("shipped") is foreign

@@ -75,17 +75,6 @@ def test_run_with_cache_warm_start(tmp_path, capsys):
     assert warm.read_bytes() == cold.read_bytes()
 
 
-def test_run_no_cache_overrides_cache_dir(tmp_path, capsys):
-    cache_dir = tmp_path / "cache"
-    out = tmp_path / "ds.jsonl"
-    assert main([
-        "run", "--seed", "5", "--scale", "0.05", "--countries", "UY",
-        "--cache-dir", str(cache_dir), "--no-cache", "--out", str(out),
-    ]) == 0
-    assert "cache:" not in capsys.readouterr().out
-    assert not list(cache_dir.glob("*/*.partial"))
-
-
 def test_run_cache_clear(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     base = ["run", "--seed", "5", "--scale", "0.05", "--countries", "UY",
