@@ -21,7 +21,7 @@ def _url_count_at_depth(world, max_depth, codes):
 
 
 def test_ablation_crawl_depth(benchmark, bench_world, report):
-    codes = bench_world.country_codes()
+    codes = bench_world.config.country_codes()
     full = benchmark.pedantic(
         _url_count_at_depth, args=(bench_world, 7, codes),
         rounds=1, iterations=1,

@@ -18,7 +18,7 @@ from repro.websim.browser import Browser
 def archives(bench_world):
     crawler = Crawler(Browser(bench_world.web))
     result = {}
-    for code in bench_world.country_codes():
+    for code in bench_world.config.country_codes():
         directory = compile_directory(bench_world, code)
         vantage = bench_world.vpn.vantage_for(code)
         result[code] = (

@@ -3,10 +3,9 @@ Government Hosting" (IMC 2024).
 
 Quickstart::
 
-    from repro import SyntheticWorld, WorldConfig, Pipeline
+    from repro import WorldConfig, Pipeline
 
-    world = SyntheticWorld.generate(WorldConfig(seed=42, scale=0.02))
-    dataset = Pipeline(world).run()
+    dataset = Pipeline(WorldConfig(seed=42, scale=0.02)).run()
     print(dataset.summarize())
 
 See :mod:`repro.analysis` for the Section 5-7 analyses and the

@@ -30,8 +30,8 @@ still hits.  Changing a global field (a fault rate, the scale, the
 seed) still retires every entry, as before.
 
 :func:`run_fingerprint` digests the *whole* config including selection
-and overrides — it identifies a run (manifests, provenance chains), not
-a cache entry.
+and overrides, but not the format version — it identifies a run
+(manifests, provenance chains), not a cache entry.
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ def _digest_payload(payload: object) -> str:
     return hashlib.blake2b(blob.encode("utf-8"), digest_size=16).hexdigest()
 
 
-def _digest_config(config: "WorldConfig", world: dict) -> str:
+def _digest_config(config: "WorldConfig", world: dict, **extra) -> str:
     """Digest ``world`` (a canonical form of ``config``) with the scan
     inputs the config implies: its fault plan and the crawl depth."""
     return _digest_payload({
-        "format": CACHE_FORMAT_VERSION,
+        **extra,
         "world": world,
         "faults": FaultPlan.from_config(config).fingerprint_components(),
         "max_depth": DEFAULT_MAX_DEPTH,
@@ -87,6 +87,8 @@ def run_fingerprint(config: "WorldConfig") -> str:
 
     Identifies a run in manifests and snapshot provenance chains; the
     scan cache keys entries by the global/slice split below instead.
+    The format version is left out: a cache layout change re-keys every
+    entry, not the runs.
     """
     return _digest_config(config, config.canonical_dict())
 
@@ -98,7 +100,8 @@ def global_fingerprint(config: "WorldConfig") -> str:
     so :func:`scan_keys` derives this once per run and fans per-country
     keys out with :func:`country_key`.
     """
-    return _digest_config(config, config.canonical_global_dict())
+    return _digest_config(config, config.canonical_global_dict(),
+                          format=CACHE_FORMAT_VERSION)
 
 
 def country_slice_fingerprint(config: "WorldConfig", country: str) -> str:

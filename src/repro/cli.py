@@ -360,7 +360,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except RegistryError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    world = SyntheticWorld.generate(config)
     cache = None
     if args.cache_dir:
         from repro.cache import ScanCache
@@ -379,7 +378,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             progress=_progress_printer if args.progress else None
         )
     executor = make_executor(args.workers)
-    pipeline = Pipeline(world, obs=obs)
+    pipeline = Pipeline(config, obs=obs)
     try:
         dataset = pipeline.run(executor=executor, cache=cache)
     finally:
@@ -1015,6 +1014,13 @@ def _configure_logging(verbose: int, quiet: bool) -> None:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro-gov`` console script."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    # argparse takes a value starting with "-" for a missing one, so a
+    # negative age or size is joined to its option to reach its check.
+    for at in range(len(argv) - 1, 0, -1):
+        if (argv[at - 1] in ("--older-than", "--max-bytes")
+                and argv[at].startswith("-") and argv[at][1:2] != "-"):
+            argv[at - 1:at + 1] = [f"{argv[at - 1]}={argv[at]}"]
     args = _build_parser().parse_args(argv)
     _configure_logging(args.verbose, args.quiet)
     if args.command == "run":

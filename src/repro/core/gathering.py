@@ -49,13 +49,14 @@ def compile_directory(world, country_code: str) -> GovernmentDirectory:
     ``world`` is a :class:`~repro.datagen.generator.SyntheticWorld`; the
     directory corresponds to the self-reported government listings the
     paper collects (and shares their main limitation: inclusion criteria
-    vary by country).
+    vary by country).  A country the world did not generate raises
+    :class:`ValueError` rather than scanning as an empty partial.
     """
-    urls = world.truth.directories.get(country_code.upper(), [])
-    return GovernmentDirectory(
-        country=country_code.upper(),
-        landing_urls=tuple(urls),
-    )
+    code = country_code.upper()
+    urls = world.truth.directories.get(code)
+    if urls is None:
+        raise ValueError(f"this world did not generate country {code}")
+    return GovernmentDirectory(country=code, landing_urls=tuple(urls))
 
 
 __all__ = ["GovernmentDirectory", "compile_directory"]

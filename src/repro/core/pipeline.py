@@ -20,6 +20,10 @@ reductions — provider footprints and Table 4 validation stats — are
 merged deterministically on the driver, so parallel runs are
 bit-identical to serial ones.
 
+A country's partial does not depend on which other countries its world
+holds, so a pipeline built from a config generates only the countries
+the cache misses; a world never scans a country it did not generate.
+
 Phase 2 (:func:`assemble`) is a pure function of the partials: the
 ownership verdict is the one phase 1 recorded, and the footprint is the
 union of the given partials' own, so a dataset never depends on what
@@ -33,7 +37,7 @@ import functools
 import logging
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, ContextManager, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, ContextManager, Optional, Sequence, Union
 
 from repro.core.asclassify import GovernmentASClassifier
 from repro.core.classification import ProviderFootprint, categorize
@@ -43,6 +47,7 @@ from repro.core.gathering import compile_directory
 from repro.core.geolocation import GeoVerdict, Geolocator
 from repro.core.infrastructure import HostInfrastructure, InfrastructureMapper
 from repro.core.urlfilter import FilterOutcome, GovernmentUrlFilter
+from repro.datagen.config import WorldConfig
 from repro.datagen.generator import SyntheticWorld
 from repro.datagen.seeds import derive_rng
 from repro.exec import (
@@ -150,14 +155,28 @@ def assemble(
 
 
 class Pipeline:
-    """Drives the full methodology over one synthetic world."""
+    """Drives the full methodology over a synthetic world.
+
+    Built from a world, a pipeline scans in it.  Built from a config, it
+    holds no world: each scan wave of :meth:`run` generates one over the
+    countries the wave scans (:func:`~repro.exec.base.plan_wave`).  The
+    fault plan, vantage ranks and seed always come from :attr:`config`.
+    """
 
     def __init__(
         self,
-        world: SyntheticWorld,
+        source: Union[SyntheticWorld, WorldConfig],
         geolocator: Optional[Geolocator] = None,
         obs: Optional["Observability"] = None,
     ) -> None:
+        world = source if isinstance(source, SyntheticWorld) else None
+        if world is None and geolocator is not None:
+            raise ValueError("a custom geolocator needs the world it "
+                             "locates in: build the pipeline from it")
+        #: The config that alone identifies (and reproduces) the scans.
+        self.config: WorldConfig = source if world is None else world.config
+        #: The world this pipeline was built from and scans in (None:
+        #: built from a config).
         self.world = world
         #: Observability sink (None: no tracing/metrics).  Purely
         #: read-side instrumentation — a run with ``obs`` set produces a
@@ -168,43 +187,43 @@ class Pipeline:
         #: Feeds the cache's per-entry cost accounting and the progress
         #: heartbeat; never serialized into datasets.
         self.scan_seconds: dict[str, float] = {}
-        self.browser = Browser(world.web)
-        self.crawler = Crawler(self.browser)
-        self.mapper = InfrastructureMapper(world.resolver, world.whois)
-        self.ownership = GovernmentASClassifier(
-            world.peeringdb, world.whois, world.websearch
-        )
-        self.atlas = self._make_atlas(world)
-        #: The fault-injection plan the world's config asks for ("no
-        #: faults" unless ``fault_rate`` is set).
-        self.fault_plan = FaultPlan.from_config(world.config)
+        #: The fault-injection plan the config asks for ("no faults"
+        #: unless ``fault_rate`` is set).
+        self.fault_plan = FaultPlan.from_config(self.config)
         #: Whether the config alone reproduces this pipeline's scans, so
         #: they may be served from a persistent cache or rebuilt in
         #: worker processes.  A custom geolocator's behavior is opaque:
         #: its partials can be neither keyed nor rebuilt from the config.
         self.supports_caching = geolocator is None
+        #: The world the substrates below are bound to.
+        self._scanning: Optional[SyntheticWorld] = None
+        if world is not None:
+            self._bind(world, geolocator)
+
+    def _bind(self, world: SyntheticWorld,
+              geolocator: Optional[Geolocator] = None) -> None:
+        """Scan in ``world``'s substrates from now on, under this
+        pipeline's config; a scan wave binds a config-built pipeline to
+        the world it generated for it."""
+        self._scanning = world
+        self.crawler = Crawler(Browser(world.web))
+        self.mapper = InfrastructureMapper(world.resolver, world.whois)
+        self.ownership = GovernmentASClassifier(
+            world.peeringdb, world.whois, world.websearch
+        )
+        seed = self.config.seed
+        self.atlas = AtlasClient(
+            fabric=world.fabric,
+            latency=LatencyModel(derive_rng(seed, "pipeline", "latency")),
+            country_codes=all_location_codes(),
+            rng=derive_rng(seed, "pipeline", "atlas"),
+        )
         self.geolocator = geolocator or Geolocator(
             ipinfo=world.ipinfo,
             manycast=world.manycast,
             atlas=self.atlas,
             hoiho=world.hoiho,
             ipmap=world.ipmap,
-        )
-        #: Geolocation verdict per (hostname, vantage country), shared
-        #: across shards and repeated runs.  Sound because verdicts are
-        #: pure functions of the world (ping jitter is keyed per
-        #: probe/address pair, not drawn from a shared stream).
-        self._host_verdicts: dict[tuple[str, str], GeoVerdict] = {}
-
-    @staticmethod
-    def _make_atlas(world: SyntheticWorld) -> AtlasClient:
-        """Build the probe mesh against the world's serving fabric."""
-        latency = LatencyModel(derive_rng(world.config.seed, "pipeline", "latency"))
-        return AtlasClient(
-            fabric=world.fabric,
-            latency=latency,
-            country_codes=all_location_codes(),
-            rng=derive_rng(world.config.seed, "pipeline", "atlas"),
         )
 
     # ------------------------------------------------------------------ runs
@@ -227,23 +246,28 @@ class Pipeline:
         bare scans are identical.
         """
         code = code.upper()
+        world = self._scanning
+        if world is None:
+            raise RuntimeError("a pipeline built from a config scans in the "
+                               "worlds run() generates; build it from a "
+                               "world to scan one country alone")
         span = obs.span if obs is not None else _null_span
         with span("directory"):
-            directory = compile_directory(self.world, code)
+            directory = compile_directory(world, code)
         # The exit rank is part of the country's config slice, so a
         # vantage-shifted scenario re-keys (and re-scans) only the
         # countries it moves.
-        rank = self.world.config.vantage_rank_for(code)
+        rank = self.config.vantage_rank_for(code)
         if faults is not None:
-            vantage = faults.select_vantage(self.world.vpn, code, rank)
+            vantage = faults.select_vantage(world.vpn, code, rank)
         elif rank:
-            vantage = self.world.vpn.vantage_at(code, rank)
+            vantage = world.vpn.vantage_at(code, rank)
         else:
-            vantage = self.world.vpn.vantage_for(code)
+            vantage = world.vpn.vantage_for(code)
         with span("crawl") as crawl_span:
             crawl = self.crawler.crawl(list(directory.landing_urls), vantage)
         with span("filter") as filter_span:
-            url_filter = GovernmentUrlFilter(directory, self.world.certificates)
+            url_filter = GovernmentUrlFilter(directory, world.certificates)
             outcome = url_filter.run(crawl.archive)
         with span("resolve") as resolve_span:
             infrastructure = self.mapper.map_hosts(
@@ -302,7 +326,6 @@ class Pipeline:
         footprint = ProviderFootprint()
         hosts: dict[str, HostAnnotation] = {}
         verdicts: list[GeoVerdict] = []
-        host_verdicts = self._host_verdicts
         is_government = self.ownership.is_government
         locate = self.geolocator.locate
         geolocate_cm = (scope.span("geolocate", hosts=len(scan.infrastructure))
@@ -315,17 +338,9 @@ class Pipeline:
             for hostname, info in scan.infrastructure.items():
                 if scope is not None:
                     lookup_started = time.perf_counter()
-                if session is not None:
-                    # Faulted verdicts are scoped to this country's session
-                    # (its own memo dedupes repeat addresses); the shared
-                    # cross-run cache only ever holds fault-free verdicts.
-                    verdict = locate(info.address, country, faults=session)
-                else:
-                    key = (hostname, country)
-                    verdict = host_verdicts.get(key)
-                    if verdict is None:
-                        verdict = locate(info.address, country)
-                        host_verdicts[key] = verdict
+                # Faulted verdicts are memoized on this country's session,
+                # fault-free ones in the geolocator's shared caches.
+                verdict = locate(info.address, country, faults=session)
                 if scope is not None:
                     step = verdict.source or "unresolved"
                     step_seconds[step] = (step_seconds.get(step, 0.0)
@@ -400,7 +415,13 @@ class Pipeline:
         to cold ones under every executor; the cache's ``stats`` record
         what the run hit, missed and saved.
         """
-        codes = [c.upper() for c in countries] if countries else self.world.country_codes()
+        codes = ([c.upper() for c in countries] if countries
+                 else self.config.country_codes())
+        if self.world is not None:
+            # Checked before dispatch, so every executor (and a cache
+            # holding the country's key) answers alike.
+            for code in codes:
+                compile_directory(self.world, code)
         strategy = executor or SerialExecutor()
         obs = self.obs
         logger.info("pipeline run: %d countries via %s", len(codes),
@@ -420,7 +441,7 @@ class Pipeline:
                     # repro`) never loads repro.cache.
                     from repro.cache.fingerprint import scan_keys
 
-                    keys = scan_keys(self.world.config, codes)
+                    keys = scan_keys(self.config, codes)
                     found, _, _ = scan_keyed(
                         strategy, {key: (self, code)
                                    for key, code in zip(keys, codes)}, cache,

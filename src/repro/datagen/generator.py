@@ -14,6 +14,7 @@ generated world through the same steps the paper describes.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import random
 from typing import Optional
@@ -155,9 +156,24 @@ class SyntheticWorld:
         """Build a world from a configuration (defaults if omitted)."""
         return _Generator(config or WorldConfig()).run()
 
-    def country_codes(self) -> list[str]:
-        """The generated sample countries."""
-        return self.config.country_codes()
+
+def world_key(config: WorldConfig) -> str:
+    """Identity of the generator input ``config`` describes: the
+    generator never reads the fault fields or the vantage ranks, and no
+    country's slice depends on which others are generated, so configs
+    differing only in those share one world over all they scan."""
+    neutral = dataclasses.replace(
+        config,
+        countries=None,
+        fault_rate=0.0, fault_profile="mixed", fault_seed=None,
+        country_overrides=tuple(
+            dataclasses.replace(override, vantage_rank=0)
+            for override in config.country_overrides
+        ),
+    )
+    # canonical_dict drops now-default overrides, so a config whose only
+    # override was a vantage shift keys like the un-overridden baseline.
+    return json.dumps(neutral.canonical_dict(), sort_keys=True)
 
 
 class _Generator:
@@ -1486,4 +1502,7 @@ class _Generator:
         )
 
 
-__all__ = ["HostTruth", "GroundTruth", "SyntheticWorld", "SYNTHETIC_ASN_BASE"]
+__all__ = [
+    "HostTruth", "GroundTruth", "SyntheticWorld", "SYNTHETIC_ASN_BASE",
+    "world_key",
+]

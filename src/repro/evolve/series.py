@@ -5,7 +5,9 @@ a shared :class:`~repro.cache.ScanCache`.  Snapshot 0 measures the base
 configuration; each later snapshot's configuration is derived by the
 :class:`~repro.evolve.model.EvolutionModel` from its predecessor.
 Because unchanged countries keep their cache keys, every incremental
-snapshot re-scans exactly the countries its evolution step touched.
+snapshot re-scans exactly the countries its evolution step touched, and
+as each snapshot's pipeline is built from its config, it generates a
+world over those countries only (a warm re-run generates none).
 The runner *asserts* the contract behind this on the keys themselves,
 before each incremental snapshot scans: the countries whose
 :func:`~repro.cache.fingerprint.scan_keys` key moved since the previous
@@ -33,7 +35,6 @@ from typing import TYPE_CHECKING, Optional, Union
 from repro.cache import CacheStats, ScanCache, run_fingerprint, scan_keys
 from repro.core.pipeline import Pipeline
 from repro.datagen.config import WorldConfig
-from repro.datagen.generator import SyntheticWorld
 from repro.evolve.model import EvolutionModel, EvolutionRates
 from repro.evolve.mutations import Mutation
 
@@ -147,8 +148,7 @@ class SnapshotSeries:
         mutations: tuple[Mutation, ...],
         parent_fingerprint: Optional[str],
     ) -> SnapshotRecord:
-        world = SyntheticWorld.generate(config)
-        pipeline = Pipeline(world)
+        pipeline = Pipeline(config)
         snapshot_stats: Optional[CacheStats] = None
         if self.cache is not None:
             # Fresh per-snapshot accounting; the cumulative view lives

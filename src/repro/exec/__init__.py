@@ -4,8 +4,9 @@
 :class:`~repro.exec.base.ExecutionStrategy`:
 
 * :class:`SerialExecutor` — one country after another (default);
-* :class:`ProcessExecutor` — a process pool whose workers rebuild the
-  world deterministically from its ``WorldConfig``.
+* :class:`ProcessExecutor` — a process pool whose tasks each generate
+  the world of one unit of the wave from its ``WorldConfig``
+  (:func:`~repro.exec.base.plan_wave`, the rule both follow).
 
 All strategies produce **bit-identical** datasets: per-country work is
 independent, and the two cross-country reductions (provider footprints,

@@ -7,15 +7,21 @@ per world config and returns each group's partials in submission
 order, so the cross-country merges are deterministic.  Strategies never
 decide *what* to compute — the pipeline does, including the cheap
 phase-2 finalization it runs inline after the cross-country barrier.
-:func:`scan_keyed` puts the scan cache in front of a wave.
+:func:`plan_wave` decides which world each scan of a wave runs in, for
+every strategy; :func:`scan_keyed` puts the scan cache in front of a
+wave.
 """
 
 from __future__ import annotations
 
 import abc
+import dataclasses
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
+from repro.datagen.config import WorldConfig
+from repro.datagen.generator import world_key
 from repro.exec.partials import CountryPartial
+from repro.world.countries import COUNTRIES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (pipeline imports us)
     from repro.cache import ScanCache
@@ -55,6 +61,55 @@ class ExecutionStrategy(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} name={self.name!r}>"
+
+
+def _deal(codes: Sequence[str], parts: int) -> list[set[str]]:
+    """Split ``codes`` into at most ``parts`` sets of similar scan cost.
+    A country weighs its paper-scale internal URL count (the crawl
+    dominates a scan); the heaviest goes first, each to the lightest
+    set."""
+    weight = {code: getattr(COUNTRIES.get(code), "internal_urls", 0)
+              for code in codes}
+    loads = [(0, at, set()) for at in range(min(parts, len(codes)))]
+    for code in sorted(codes, key=weight.__getitem__, reverse=True):
+        load, at, part = min(loads)
+        part.add(code)
+        loads[at] = (load + weight[code], at, part)
+    return [part for _, _, part in loads]
+
+
+def plan_wave(
+    groups: Sequence[tuple["Pipeline", Sequence[str]]], parts: int = 1,
+) -> list[tuple[WorldConfig, list[tuple[int, list[str]]]]]:
+    """Split a scan wave into units of work: the generator input of the
+    world each unit scans in, with the ``(group index, codes)`` it scans.
+
+    A pipeline built from a world scans in that world, so its units
+    carry the world's own config.  Pipelines built from configs with one
+    :func:`~repro.datagen.generator.world_key` share worlds generated
+    over exactly the countries they scan (a country's partial does not
+    depend on which others its world holds); those countries are dealt
+    by size over at most ``parts`` units, one world each.
+    """
+    shared: dict[object, tuple[WorldConfig, bool, list]] = {}
+    for index, (pipeline, codes) in enumerate(groups):
+        held = pipeline.world
+        _, _, members = shared.setdefault(
+            index if held is not None else world_key(pipeline.config),
+            (pipeline.config, held is not None, []))
+        members.append((index, [code.upper() for code in codes]))
+    units = []
+    for config, held, members in shared.values():
+        wanted = list(dict.fromkeys(
+            code for _, codes in members for code in codes))
+        for part in _deal(wanted, parts):
+            units.append((
+                config if held else dataclasses.replace(config, countries=tuple(
+                    code for code in wanted if code in part)),
+                [(index, [code for code in codes if code in part])
+                 for index, codes in members if not part.isdisjoint(codes)],
+            ))
+    return units
 
 
 def scan_keyed(
@@ -119,4 +174,4 @@ def scan_keyed(
     return partials, hits, executed
 
 
-__all__ = ["ExecutionStrategy", "ScanIntegrityError", "scan_keyed"]
+__all__ = ["ExecutionStrategy", "ScanIntegrityError", "plan_wave", "scan_keyed"]

@@ -1,26 +1,19 @@
 """Process-pool execution strategy.
 
 Sidesteps the GIL for the CPU-bound scan phase.  Worker processes do
-not receive the (unpicklable) synthetic world: each task carries its
-pipeline's :class:`~repro.datagen.config.WorldConfig`, from which the
-worker deterministically *rebuilds* the world — world generation is a
-pure function of its config, which alone identifies a scan.  A worker
-keeps only the pipeline it built last, so one pool serves any sequence
-of configs; as workers take tasks in submission order and a wave
-submits each config's countries contiguously, a worker builds each
-config at most once per wave.  Whether a task is observed does not
-change what the worker builds: an observed task records into a fresh
-:class:`~repro.obs.scan.ScanObs` that travels back with its partial.
-Workers return picklable
-:class:`~repro.exec.partials.CountryPartial` objects; all cross-country
-state (provider footprints, validation stats) is merged on the driver.
-
-The per-worker rebuild is a fixed cost amortized over the worker's
-shard of each config, so processes win once the scan work dwarfs world
-generation (large scales, many countries); below that, serial
-execution is faster.  Phase 2 (categorize + deferred record assembly)
-needs the driver's merged footprint and runs inline on the driver, so
-partials never cross the process boundary twice.
+not receive the (unpicklable) synthetic world: a wave is split into
+about one unit per worker by the rule the serial strategy follows too
+(:func:`~repro.exec.base.plan_wave`), and each task carries its unit's
+:class:`~repro.datagen.config.WorldConfig`, from which the worker
+generates the world (a pure function of its config).  A worker keeps
+the world of its last task and the pipelines it built there, so a pool
+that scans one world wave after wave generates it once per worker.  An
+observed scan records into a fresh :class:`~repro.obs.scan.ScanObs`
+that travels back with its picklable
+:class:`~repro.exec.partials.CountryPartial`; cross-country merges and
+phase 2 stay on the driver, so partials cross the process boundary
+once.  Processes win once the scan work dwarfs world generation (large
+scales, many countries); below that, serial execution is faster.
 """
 
 from __future__ import annotations
@@ -31,45 +24,60 @@ import os
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.datagen.config import WorldConfig
-from repro.exec.base import ExecutionStrategy
+from repro.exec.base import ExecutionStrategy, plan_wave
 from repro.exec.partials import CountryPartial
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pipeline import Pipeline
+    from repro.datagen.generator import SyntheticWorld
     from repro.obs.scan import ScanObs
 
 logger = logging.getLogger(__name__)
 
-#: The pipeline this worker process built last, with the config it was
-#: built for.
-_LAST_BUILT: Optional[tuple[WorldConfig, "Pipeline"]] = None
+#: The world this worker process generated last, with its generator
+#: input and the pipelines (one per scan config) it built there.
+_LAST_BUILT: Optional[
+    tuple[WorldConfig, "SyntheticWorld", list["Pipeline"]]
+] = None
 
 
-def _scan_one(
-    config: WorldConfig, observe: bool, code: str
-) -> tuple[CountryPartial, float, Optional["ScanObs"]]:
-    """Worker task: one country's partial, scan seconds and scope.
+def _scan_unit(
+    world_config: WorldConfig,
+    entries: Sequence[tuple[WorldConfig, bool, Sequence[str]]],
+) -> list[tuple[CountryPartial, float, Optional["ScanObs"]]]:
+    """Worker task: scan ``(config, observe, codes)`` entries in the
+    world ``world_config`` generates; returns each scan's partial, wall
+    seconds and scope, in order.
 
-    An observing task records into a fresh scope that is shipped back
-    with the partial and merged by the calling process, in submission
-    order, so long-lived workers never accumulate spans.
+    An observing entry records each scan into a fresh scope that is
+    shipped back with the partial and merged by the calling process, in
+    submission order, so long-lived workers never accumulate spans.
     """
+    from repro.core.pipeline import Pipeline
+    from repro.datagen.generator import SyntheticWorld
+
     global _LAST_BUILT
-    if _LAST_BUILT is None or _LAST_BUILT[0] != config:
-        _LAST_BUILT = None  # free the old world before building the next
-        from repro.core.pipeline import Pipeline
-        from repro.datagen.generator import SyntheticWorld
+    if _LAST_BUILT is None or _LAST_BUILT[0] != world_config:
+        _LAST_BUILT = None  # free the old world before generating the next
+        _LAST_BUILT = (world_config, SyntheticWorld.generate(world_config), [])
+    _, world, pipelines = _LAST_BUILT
+    scanned = []
+    for config, observe, codes in entries:
+        pipeline = next(
+            (built for built in pipelines if built.config == config), None)
+        if pipeline is None:
+            pipeline = Pipeline(config)
+            pipeline._bind(world)
+            pipelines.append(pipeline)
+        for code in codes:
+            scope = None
+            if observe:
+                from repro.obs.scan import ScanObs
 
-        _LAST_BUILT = (config, Pipeline(SyntheticWorld.generate(config)))
-    pipeline = _LAST_BUILT[1]
-    code = code.upper()
-    scope = None
-    if observe:
-        from repro.obs.scan import ScanObs
-
-        scope = ScanObs(code)
-    partial = pipeline.scan_partial(code, scope)
-    return partial, pipeline.scan_seconds[code], scope
+                scope = ScanObs(code)
+            partial = pipeline.scan_partial(code, scope)
+            scanned.append((partial, pipeline.scan_seconds[code], scope))
+    return scanned
 
 
 class ProcessExecutor(ExecutionStrategy):
@@ -98,20 +106,28 @@ class ProcessExecutor(ExecutionStrategy):
             self._pool = concurrent.futures.ProcessPoolExecutor(
                 max_workers=self.workers
             )
-        # One pool-filling wave: every task of every group is submitted
-        # before any result is collected, each group contiguously.
-        submitted = [
-            [self._pool.submit(_scan_one, pipeline.world.config,
-                               pipeline.obs is not None, code)
-             for code in codes]
-            for pipeline, codes in groups
+        # One pool-filling wave: every unit is submitted before any
+        # result is collected.
+        units = plan_wave(groups, self.workers)
+        futures = [
+            self._pool.submit(_scan_unit, world_config, [
+                (groups[index][0].config, groups[index][0].obs is not None,
+                 codes)
+                for index, codes in members
+            ])
+            for world_config, members in units
         ]
+        found: list[dict[str, tuple]] = [{} for _ in groups]
+        for (_, members), future in zip(units, futures):
+            scanned = iter(future.result())
+            for index, codes in members:
+                found[index].update((code, next(scanned)) for code in codes)
         results: list[list[CountryPartial]] = []
-        for (pipeline, codes), futures in zip(groups, submitted):
+        for (pipeline, codes), by_code in zip(groups, found):
             partials: list[CountryPartial] = []
-            for code, future in zip(codes, futures):
-                partial, seconds, scope = future.result()
-                pipeline.scan_seconds[code.upper()] = seconds
+            for code in codes:
+                partial, seconds, scope = by_code[code.upper()]
+                pipeline.scan_seconds[partial.country] = seconds
                 if scope is not None:
                     # Absorbing in submission order keeps the merged
                     # trace and metrics identical across executors.

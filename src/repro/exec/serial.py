@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.exec.base import ExecutionStrategy
+from repro.datagen.generator import SyntheticWorld
+from repro.exec.base import ExecutionStrategy, plan_wave
 from repro.exec.partials import CountryPartial
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -19,6 +20,14 @@ class SerialExecutor(ExecutionStrategy):
     def scan(
         self, groups: Sequence[tuple["Pipeline", Sequence[str]]]
     ) -> list[list[CountryPartial]]:
+        # One unit per world: a config-built pipeline is bound to the
+        # world its unit generates, a world-built one keeps its own.
+        for world_config, members in plan_wave(groups):
+            sharing = [groups[index][0] for index, _ in members]
+            if sharing[0].world is None:
+                world = SyntheticWorld.generate(world_config)
+                for pipeline in sharing:
+                    pipeline._bind(world)
         return [[pipeline.scan_partial(code) for code in codes]
                 for pipeline, codes in groups]
 

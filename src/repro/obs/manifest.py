@@ -135,8 +135,9 @@ class RunManifest:
     ) -> "RunManifest":
         """Assemble the manifest for one completed ``Pipeline.run``."""
         from repro.cache.fingerprint import run_fingerprint
+        from repro.core.crawler import DEFAULT_MAX_DEPTH
 
-        config = pipeline.world.config
+        config = pipeline.config
         summary = dataset.summarize()
         stage_seconds: dict[str, float] = {}
         if obs is not None:
@@ -153,7 +154,7 @@ class RunManifest:
             countries=sorted(dataset.countries),
             executor=executor.name if executor is not None else "serial",
             workers=getattr(executor, "workers", None),
-            max_depth=pipeline.crawler.max_depth,
+            max_depth=DEFAULT_MAX_DEPTH,
             fault_rate=config.fault_rate,
             fault_profile=config.fault_profile,
             fault_seed=pipeline.fault_plan.seed if pipeline.fault_plan.enabled

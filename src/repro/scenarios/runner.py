@@ -24,10 +24,10 @@ partials back out (:func:`~repro.core.pipeline.assemble`, the phase 2
 of ``Pipeline.run``), with scenarios whose configs are identical (run
 fingerprint) sharing one dataset *object* — so the comparison layer's
 :func:`~repro.analysis.engine.index.ensure_index` builds each distinct
-index once.  World *generation* is deduplicated one level further:
-configs that differ only in measurement-plane knobs (fault plan,
-vantage ranks) describe the same world, which is generated once and
-shared across their pipelines (:func:`_world_key`).
+index once.  Every pipeline is built from its scenario's config, so
+the wave generates worlds over the cache's misses only, shared by all
+the configs that differ only in fault plan or vantage ranks
+(:func:`~repro.exec.base.plan_wave`).
 
 The dedup accounting is enforced at runtime: the number of scans
 actually executed must equal the unique keys minus the cache hits, and
@@ -40,17 +40,13 @@ under-scanning.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import time
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from repro.datagen.config import WorldConfig
-
 from repro.cache.fingerprint import run_fingerprint, scan_keys
 from repro.core.dataset import GovernmentHostingDataset
 from repro.core.pipeline import Pipeline, assemble
-from repro.datagen.generator import SyntheticWorld
 from repro.exec import (
     ExecutionStrategy,
     ScanIntegrityError,
@@ -64,29 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.registry import RunRegistry
 
 logger = logging.getLogger(__name__)
-
-
-def _world_key(config: WorldConfig) -> str:
-    """Identity of the *generated world* a config describes.
-
-    The fault plan and per-country vantage ranks steer the measurement
-    plane only -- :mod:`repro.datagen` never reads them -- so configs
-    that differ in nothing else describe byte-identical worlds.  The
-    runner generates each distinct world once (generation dominates a
-    run's cost at bench scales) and hands every sharing pipeline a
-    shallow config-swapped view of it.
-    """
-    neutral = dataclasses.replace(
-        config,
-        fault_rate=0.0, fault_profile="mixed", fault_seed=None,
-        country_overrides=tuple(
-            dataclasses.replace(override, vantage_rank=0)
-            for override in config.country_overrides
-        ),
-    )
-    # canonical_dict drops now-default overrides, so a config whose only
-    # override was a vantage shift keys like the un-overridden baseline.
-    return json.dumps(neutral.canonical_dict(), sort_keys=True)
 
 
 class SweepIntegrityError(ScanIntegrityError):
@@ -111,10 +84,7 @@ class SweepAccounting:
     executed: int
     #: Distinct world configs (= pipelines built = datasets assembled).
     distinct_configs: int
-    #: Distinct generated worlds (configs differing only in the
-    #: measurement plane -- faults, vantage ranks -- share one).
-    distinct_worlds: int
-    #: Wall seconds of the scan wave, cache probe and store-back included.
+    #: Wall seconds of the scan wave, generation and cache I/O included.
     scan_wave_s: float
 
     @property
@@ -129,8 +99,7 @@ class SweepAccounting:
             f"= {self.total_tasks} tasks -> {self.unique_keys} unique scans "
             f"({self.cache_hits} cache hits, {self.executed} executed, "
             f"dedup {self.dedup_factor:.2f}x), "
-            f"{self.distinct_configs} distinct configs, "
-            f"{self.distinct_worlds} worlds"
+            f"{self.distinct_configs} distinct configs"
         )
 
     def to_dict(self) -> dict:
@@ -231,23 +200,13 @@ class SweepRunner:
         # each distinct config's (country, scan key) task list: exactly
         # the keys `Pipeline.run` derives from the same config.
         pipelines: dict[str, Pipeline] = {}
-        worlds: dict[str, "SyntheticWorld"] = {}
         scenario_fps: list[str] = []
         tasks_by_fp: dict[str, list[tuple[str, str]]] = {}
         for scenario in scenarios:
             config = scenario.config
             fp = run_fingerprint(config)
             if fp not in pipelines:
-                world_key = _world_key(config)
-                world = worlds.get(world_key)
-                if world is None:
-                    world = SyntheticWorld.generate(config)
-                    worlds[world_key] = world
-                if world.config is not config:
-                    # Same world, different measurement plane: share the
-                    # expensive substrates, swap in the scenario config.
-                    world = dataclasses.replace(world, config=config)
-                pipelines[fp] = Pipeline(world)
+                pipelines[fp] = Pipeline(config)
                 tasks_by_fp[fp] = list(zip(codes, scan_keys(config, codes)))
             scenario_fps.append(fp)
 
@@ -311,7 +270,6 @@ class SweepRunner:
             cache_hits=cache_hits,
             executed=executed,
             distinct_configs=len(pipelines),
-            distinct_worlds=len(worlds),
             scan_wave_s=round(scan_wave_s, 6),
         )
         logger.info("%s", accounting.summary())

@@ -24,22 +24,23 @@ def _key(config: WorldConfig, country: str = "BR") -> str:
     return key
 
 
-#: (config, run fingerprint, keys of BR and US) at format 6.  The keys
-#: hash the resolved fault plan and the crawl depth of 7, so a change to
+#: (config, run fingerprint, keys of BR and US) at format 6.  Both hash
+#: the resolved fault plan and the crawl depth of 7, so a change to
 #: either derivation — not only to the config — fails here before it
-#: silently retires every cache entry and manifest identity.
+#: silently retires every cache entry and manifest identity.  Only the
+#: keys hash the format version.
 PINNED = [
     (WorldConfig(seed=42, scale=0.05),
-     "3a38cf94c45192c6d8587f382d6f7d47",
+     "3acafaee69a9b9d0e28ce0b5916ae03b",
      ["6ccd2006320dad20f0ebb4d8788946f8",
       "28b76d45f25485ac1f174d0d8072dce3"]),
     (WorldConfig(seed=7, scale=0.05, fault_rate=0.2),
-     "d538bc58c2c88aa6414dd3b0b4190c61",
+     "34e95683e53e12b0c0780b61ee5e907e",
      ["b1bcf8815ff0bcc159be7d6f8c913c90",
       "b2c7e0e95c7ad0cb74d0f63241049d55"]),
     (WorldConfig(seed=42, scale=0.05, country_overrides=(
         CountryOverride(country="BR", extra_soes=1),)),
-     "c91a1262ce2e7cb5a20f5b76a9c455db",
+     "6f6bff0d10aedebf4e4ced465a517ad4",
      ["e52a911ddd211e497b833b35f74dd890",
       "28b76d45f25485ac1f174d0d8072dce3"]),
 ]
@@ -51,6 +52,23 @@ def test_keys_and_run_fingerprints_are_pinned(config, run_fp, keys):
     assert CACHE_FORMAT_VERSION == 6  # a version bump re-pins the table
     assert run_fingerprint(config) == run_fp
     assert scan_keys(config, ["BR", "US"]) == keys
+
+
+@pytest.mark.parametrize("config", [entry[0] for entry in PINNED],
+                         ids=["base", "faulted", "override"])
+def test_format_bump_moves_every_key_and_no_run_fingerprint(config,
+                                                           monkeypatch):
+    """A cache layout change retires the entries, not the run
+    identities that manifests and the registry chain by."""
+    from repro.cache import fingerprint
+
+    keys = scan_keys(config, ["BR", "US"])
+    run_fp = run_fingerprint(config)
+    monkeypatch.setattr(fingerprint, "CACHE_FORMAT_VERSION",
+                        CACHE_FORMAT_VERSION + 1)
+    bumped = scan_keys(config, ["BR", "US"])
+    assert all(old != new for old, new in zip(keys, bumped))
+    assert run_fingerprint(config) == run_fp
 
 
 def test_same_inputs_same_key():

@@ -106,6 +106,52 @@ def test_partial_hit_scans_only_misses(warm_world, tmp_path):
     assert full.validation == uncached.validation
 
 
+def test_partially_warm_config_run_generates_only_its_misses(
+        warm_world, tmp_path, generated_worlds):
+    """A pipeline built from a config probes the cache first, then
+    generates one world over exactly its misses, in run order."""
+    Pipeline(warm_world).run(["US", "JP"], cache=ScanCache(tmp_path / "c"))
+    uncached = _export(warm_world, tmp_path, "uncached")
+    generated_worlds.clear()
+    cache = ScanCache(tmp_path / "c")
+    dataset = Pipeline(CONFIG).run(cache=cache)
+    assert [c.countries for c in generated_worlds] == [("BR", "FR")]
+    assert (cache.stats.hits, cache.stats.misses) == (2, 2)
+    save_dataset(dataset, tmp_path / "partial.jsonl")
+    assert (tmp_path / "partial.jsonl").read_bytes() == uncached
+
+
+@pytest.mark.parametrize("executor", [None, 2], ids=["serial", "processes"])
+def test_a_world_never_scans_a_country_it_did_not_generate(executor,
+                                                          tmp_path):
+    """A country outside the world raises under every executor, before
+    anything is stored, so no empty partial reaches the cache under that
+    country's key."""
+    br_only = SyntheticWorld.generate(
+        dataclasses.replace(CONFIG, countries=("BR",)))
+    with pytest.raises(ValueError, match="did not generate country US"):
+        _export(br_only, tmp_path, "foreign", cache=ScanCache(tmp_path / "c"),
+                executor=executor and ProcessExecutor(executor),
+                countries=["BR", "US"])
+    assert not list((tmp_path / "c").glob("*/*.partial"))
+    both = SyntheticWorld.generate(
+        dataclasses.replace(CONFIG, countries=("BR", "US")))
+    cached = _export(both, tmp_path, "cached", cache=ScanCache(tmp_path / "c"))
+    assert cached == _export(both, tmp_path, "uncached")
+
+
+def test_a_config_pipeline_scans_only_in_a_wave():
+    """A config-built pipeline holds no world outside ``run``, so a lone
+    scan says so instead of failing on a missing substrate."""
+    with pytest.raises(RuntimeError, match="build it from a world"):
+        Pipeline(CONFIG).scan_partial("BR")
+
+
+def test_custom_geolocator_needs_a_world():
+    with pytest.raises(ValueError, match="custom geolocator"):
+        Pipeline(CONFIG, geolocator=object())
+
+
 def test_config_change_misses_cleanly(tmp_path):
     world = SyntheticWorld.generate(CONFIG)
     cache = ScanCache(tmp_path / "cache")

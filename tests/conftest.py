@@ -36,6 +36,20 @@ def dataset(pipeline):
     return pipeline.run()
 
 
+@pytest.fixture
+def generated_worlds(monkeypatch) -> list:
+    """The config of every world the test generates from here on."""
+    generate = SyntheticWorld.generate
+    configs = []
+
+    def recording(config):
+        configs.append(config)
+        return generate(config)
+
+    monkeypatch.setattr(SyntheticWorld, "generate", recording)
+    return configs
+
+
 @pytest.fixture(scope="session")
 def tiny_world() -> SyntheticWorld:
     """A three-country world for focused component tests."""

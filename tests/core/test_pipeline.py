@@ -8,7 +8,7 @@ from repro.core.urlfilter import FilterVia
 
 
 def test_pipeline_covers_all_countries(dataset, world):
-    assert set(dataset.countries) == set(world.country_codes())
+    assert set(dataset.countries) == set(world.config.country_codes())
 
 
 def test_dataset_sizes_track_scale(dataset, world):

@@ -7,6 +7,7 @@ import dataclasses
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
+from repro.cache import ScanCache
 from repro.datagen.config import CountryOverride
 from repro.evolve import EvolutionRates, SnapshotSeries
 from repro.evolve.model import EvolutionStep
@@ -119,6 +120,22 @@ def test_series_replay_is_deterministic(series_records, tmp_path):
                            f"orig-{original.step}")
 
 
+def test_incremental_snapshot_generates_only_its_changed_countries(
+        series_records, tmp_path, generated_worlds):
+    """T+1 into a cache holding T+0 generates one world, over the
+    countries its evolution step changed."""
+    _, records = series_records
+    cache = ScanCache(tmp_path / "cache")
+    SnapshotSeries(_base_config(), 1, cache=cache).run()
+    generated_worlds.clear()
+    series = SnapshotSeries(_base_config(), 2, evolution_seed=11, cache=cache)
+    second = series.run()[1]
+    assert [c.countries for c in generated_worlds] == [tuple(
+        code for code in CODES if code in records[1].changed_countries)]
+    assert _dataset_bytes(second.dataset, tmp_path, "t1") == \
+        _dataset_bytes(records[1].dataset, tmp_path, "recorded-t1")
+
+
 def test_no_cache_series_still_runs(tmp_path):
     records = SnapshotSeries(
         WorldConfig(seed=7, scale=0.05, countries=("BR", "US")),
@@ -129,10 +146,16 @@ def test_no_cache_series_still_runs(tmp_path):
 
 
 def test_warm_rerun_serves_every_snapshot_from_cache(series_records,
-                                                    tmp_path):
+                                                    tmp_path, monkeypatch):
     """Re-running a series into the cache it filled is legal: every
-    snapshot is served from the cache and nothing moves."""
+    snapshot is served from the cache, no world is generated and
+    nothing moves."""
     series, records = series_records
+
+    def no_world(config):
+        raise AssertionError("a warm snapshot generated a world")
+
+    monkeypatch.setattr(SyntheticWorld, "generate", staticmethod(no_world))
     rerun = SnapshotSeries(
         _base_config(), 3, evolution_seed=11,
         cache=str(series.cache.cache_dir),

@@ -8,12 +8,14 @@ merge deterministically.
 """
 
 import dataclasses
+import pickle
 
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.exec import ProcessExecutor, SerialExecutor, make_executor
 from repro.exec import processes
+from repro.exec.base import plan_wave
 from repro.obs import Observability
 
 COUNTRIES = ("BR", "US", "FR", "MA")
@@ -101,29 +103,57 @@ def test_executor_pool_is_reusable_across_runs(exec_world, serial_baseline):
         serial_observed.obs.metrics.to_dict()
 
 
-def test_worker_rebuilds_only_for_a_new_build_key(monkeypatch):
-    """A worker reuses its last pipeline while the config compares
-    equal, observed or not, and rebuilds when the config changes."""
+def test_worker_rebuilds_only_for_a_new_build_key(monkeypatch,
+                                                  generated_worlds):
+    """A worker keeps the world of its last unit and the pipelines it
+    built there: an equal unit reuses both, observed or not, and a new
+    one rebuilds.  A unit's world holds only the countries it scans, and
+    its partials equal those of a world over every country."""
     monkeypatch.setattr(processes, "_LAST_BUILT", None)
     config = WorldConfig(seed=5, scale=0.01, countries=("BR", "JP"),
                          include_topsites=False)
-    processes._scan_one(config, False, "BR")
-    built = processes._LAST_BUILT[1]
-    # An equal config (every task unpickles its own copy) is a reuse.
-    partial, seconds, scope = processes._scan_one(
-        dataclasses.replace(config), False, "JP")
-    assert processes._LAST_BUILT[1] is built
-    assert partial.country == "JP" and seconds > 0.0 and scope is None
-    # Observing records into a fresh scope on the same pipeline.
-    observed, _, scope = processes._scan_one(config, True, "jp")
-    assert processes._LAST_BUILT[1] is built and built.obs is None
+    full = Pipeline(SyntheticWorld.generate(config)).scan_partial("JP")
+    generated_worlds.clear()
+    unit = dataclasses.replace(config, countries=("JP",))
+    [(partial, seconds, scope)] = processes._scan_unit(
+        unit, [(config, False, ["JP"])])
+    [built] = processes._LAST_BUILT[2]
+    assert pickle.dumps(partial) == pickle.dumps(full)
+    assert seconds > 0.0 and scope is None
+    # An equal config (every task unpickles its own copy) is a reuse;
+    # observing records into a fresh scope on the same pipeline.
+    [(observed, _, scope)] = processes._scan_unit(
+        dataclasses.replace(unit), [(dataclasses.replace(config), True, ["JP"])])
+    assert processes._LAST_BUILT[2] == [built] and built.obs is None
     assert observed == partial
     assert scope.country == "JP" and scope.metrics.to_dict()["counters"]
-    _, _, again = processes._scan_one(config, True, "BR")
-    assert again is not scope and again.country == "BR"
+    assert [c.countries for c in generated_worlds] == [("JP",)]
 
-    processes._scan_one(dataclasses.replace(config, seed=6), False, "BR")
-    assert processes._LAST_BUILT[1] is not built
+    reseeded = dataclasses.replace(config, seed=6)
+    processes._scan_unit(dataclasses.replace(unit, seed=6),
+                         [(reseeded, False, ["JP"])])
+    assert built not in processes._LAST_BUILT[2]
+    assert len(generated_worlds) == 2
+
+
+def test_a_pool_wave_generates_one_world_per_unit(exec_world, serial_baseline,
+                                                   generated_worlds):
+    """A config-built wave over two workers generates two worlds that
+    split its countries by size; a world-built one rebuilds its world."""
+    config = exec_world.config
+    with ProcessExecutor(workers=2) as executor:
+        assert plan_wave([(Pipeline(config), list(COUNTRIES))], 2) == [
+            (dataclasses.replace(config, countries=("US",)), [(0, ["US"])]),
+            (dataclasses.replace(config, countries=("BR", "FR", "MA")),
+             [(0, ["BR", "FR", "MA"])]),
+        ]
+        dataset = Pipeline(config).run(list(COUNTRIES), executor=executor)
+        assert plan_wave([(Pipeline(exec_world), ["MA", "US"])], 2) == [
+            (config, [(0, ["US"])]), (config, [(0, ["MA"])]),
+        ]
+    assert _fingerprint(dataset) == _fingerprint(serial_baseline)
+    # The workers generate in their own processes; the driver none.
+    assert generated_worlds == []
 
 
 def test_country_order_does_not_change_records(exec_world):

@@ -1,5 +1,7 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -10,6 +12,7 @@ from repro.analysis.diversification import hhi
 from repro.analysis.engine.index import AnalysisIndex
 from repro.categories import HostingCategory
 from repro.datagen.sitebuilder import largest_remainder
+from repro.evolve import EvolutionModel
 from repro.netsim.anycast import AnycastGroup
 from repro.netsim.asn import PoP
 from repro.netsim.latency import country_threshold_ms, propagation_rtt_ms
@@ -143,3 +146,50 @@ def test_summarize_equals_index_summary(seed, fault_rate, countries):
     assert dataset.summarize() == AnalysisIndex.build(dataset).summary()
     assert all((record.category is HostingCategory.GOVT_SOE)
                == record.gov_operated for record in dataset.iter_records())
+
+
+def _partial_bytes(config: WorldConfig, countries, code: str) -> bytes:
+    """``code``'s pickled partial from a world over ``countries``."""
+    world = SyntheticWorld.generate(
+        dataclasses.replace(config, countries=tuple(countries)))
+    return pickle.dumps(Pipeline(world).scan_partial(code))
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**16),
+    st.floats(min_value=0.005, max_value=0.02),
+    st.sampled_from([0.0, 0.2, 1.0]),
+    st.integers(min_value=0, max_value=2),
+    st.lists(st.sampled_from(sorted(COUNTRIES)), min_size=2, max_size=4,
+             unique=True),
+    st.data(),
+)
+def test_partial_does_not_depend_on_the_world_s_other_countries(
+        seed, scale, fault_rate, steps, countries, data):
+    """What lets a run generate only the countries it scans: a
+    country's partial is the same in a world over it alone as in a
+    world over more countries, evolved and faulted alike."""
+    config = WorldConfig(seed=seed, scale=scale, countries=tuple(countries),
+                         fault_rate=fault_rate)
+    model = EvolutionModel(seed)
+    for step in range(1, steps + 1):
+        config = model.evolve(config, step).config
+    code = data.draw(st.sampled_from(countries))
+    assert _partial_bytes(config, countries, code) == \
+        _partial_bytes(config, [code], code)
+
+
+def test_topsite_name_collisions_stay_out_of_partials():
+    """At 0.05/42 a ZA and an IN topsite CDN name collide with FR's and
+    AE's and get a numeric suffix in the full world only; neither name
+    reaches a partial, so ZA and IN scan the same as in one-country
+    worlds."""
+    config = WorldConfig(seed=42, scale=0.05)
+    full = SyntheticWorld.generate(config)
+    assert full.zone.get("www.auto11.za").target == "cdn2.auto11-static.com"
+    assert full.zone.get("www.news1.in").target == "cdn2.news1-static.com"
+    pipeline = Pipeline(full)
+    for code in ("ZA", "IN"):
+        assert pickle.dumps(pipeline.scan_partial(code)) == \
+            _partial_bytes(config, [code], code)

@@ -19,6 +19,7 @@ from repro.io import save_dataset
 from repro.reporting.scenarios import render_sweep_report
 from repro.scenarios import (
     Scenario,
+    ScenarioMatrix,
     SweepIntegrityError,
     SweepRunner,
     compare_sweep,
@@ -122,13 +123,37 @@ def test_executor_identity(sweep, executor_name, tmp_path):
         _strip_timing(render_sweep_report(sweep))
 
 
+def _no_world(config):
+    raise AssertionError("a fully warm sweep generated a world")
+
+
+def test_measurement_plane_scenarios_share_one_generated_world(
+        sweep, generated_worlds, tmp_path):
+    """Baseline, fault and vantage scenarios differ only in what the
+    generator never reads: one wave generates one world for all three,
+    over every country, and each scenario still matches its own sweep
+    result byte for byte."""
+    matrix = ScenarioMatrix(make_base())
+    matrix.add_vantage("alt-vantage", countries=("US", "DE"), rank=1)
+    matrix.add_faults("dns-stress", rate=0.3, profile="dns")
+    shared = SweepRunner(matrix).run()
+    assert [c.countries for c in generated_worlds] == [CODES]
+    for result in shared:
+        assert _dataset_bytes(result.dataset, tmp_path,
+                              f"shared-{result.name}") == \
+            _dataset_bytes(sweep.by_name(result.name).dataset, tmp_path,
+                           f"sweep-{result.name}")
+
+
 def test_cold_then_warm_cache_is_deterministic(sweep, tmp_path):
     cache = ScanCache(tmp_path / "cache")
     cold = SweepRunner(make_matrix(make_base()), cache=cache).run()
     assert cold.accounting.cache_hits == 0
     assert cold.accounting.executed == cold.accounting.unique_keys
 
-    warm = SweepRunner(make_matrix(make_base()), cache=cache).run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SyntheticWorld, "generate", staticmethod(_no_world))
+        warm = SweepRunner(make_matrix(make_base()), cache=cache).run()
     assert warm.accounting.cache_hits == warm.accounting.unique_keys
     assert warm.accounting.executed == 0
 

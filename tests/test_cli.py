@@ -75,6 +75,46 @@ def test_run_with_cache_warm_start(tmp_path, capsys):
     assert warm.read_bytes() == cold.read_bytes()
 
 
+def test_fully_warm_run_generates_no_world(tmp_path, capsys, monkeypatch):
+    """Every scan is cached, so no world is generated, with or without
+    a pool, and the manifest still describes the run."""
+    args = ["run", "--seed", "5", "--scale", "0.05", "--countries", "UY",
+            "PY", "--cache-dir", str(tmp_path / "cache")]
+    cold = tmp_path / "cold.jsonl"
+    assert main(args + ["--out", str(cold), "--manifest"]) == 0
+
+    def no_world(config):
+        raise AssertionError("a fully warm run generated a world")
+
+    monkeypatch.setattr(SyntheticWorld, "generate", staticmethod(no_world))
+    for workers in ("1", "2"):
+        warm = tmp_path / f"warm-{workers}.jsonl"
+        assert main(args + ["--out", str(warm), "--manifest",
+                            "--workers", workers]) == 0
+        assert warm.read_bytes() == cold.read_bytes()
+        manifest = json.loads(
+            (tmp_path / f"warm-{workers}.jsonl.manifest.json").read_text())
+        original = json.loads(
+            (tmp_path / "cold.jsonl.manifest.json").read_text())
+        assert manifest["fingerprint"] == original["fingerprint"]
+        assert manifest["max_depth"] == original["max_depth"] == 7
+    assert "2 hits, 0 misses" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--older-than", "-5s", "durations must be non-negative"),
+    ("--max-bytes", "-inf", "invalid size"),
+])
+def test_cache_prune_negative_value_reaches_its_check(option, value, message,
+                                                      tmp_path, capsys):
+    """``--older-than -5s`` is answered like ``--older-than=-5s``."""
+    cache_dir = str(tmp_path / "cache")
+    for spelling in ([option, value], [f"{option}={value}"]):
+        assert main(["cache", "prune", "--cache-dir", cache_dir]
+                    + spelling) == 2
+        assert message in capsys.readouterr().err
+
+
 def test_run_cache_clear(tmp_path, capsys):
     cache_dir = tmp_path / "cache"
     base = ["run", "--seed", "5", "--scale", "0.05", "--countries", "UY",
