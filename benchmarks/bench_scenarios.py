@@ -6,8 +6,8 @@ Three gates, archived to ``BENCH_scenarios.json``:
     (no cache, so every unique key is a miss), never more or fewer;
 (b) **speedup** — the deduplicated wave beats S independent
     ``Pipeline.run`` calls by >= 4x at the benchmark scale, because the
-    matrix leans on scan sharing (outage what-ifs share everything, a
-    vantage shift re-keys two countries, an evolution step a handful);
+    matrix leans on scan sharing (outage what-ifs share everything, an
+    evolution step re-keys a handful of countries);
 (c) **identity** — every scenario's dataset is byte-identical to a
     standalone ``Pipeline.run`` of its config, under the serial and
     process executors alike.
@@ -28,11 +28,9 @@ SPEEDUP_THRESHOLD = 4.0
 
 
 def _bench_matrix(base: WorldConfig) -> ScenarioMatrix:
-    """A realistic sensitivity matrix: two vantage shifts, what-if
-    outages of the five biggest government hosts, one evolution step."""
+    """A realistic sensitivity matrix: what-if outages of the five
+    biggest government hosts, one evolution step."""
     matrix = ScenarioMatrix(base)
-    matrix.add_vantage("vantage-shift", countries=("US", "DE"), rank=1)
-    matrix.add_vantage("vantage-deep", countries=("US", "IN"), rank=2)
     for provider in ("cloudflare", "amazon", "akamai", "microsoft",
                      "google"):
         matrix.add_outage(f"{provider}-outage", provider=provider)

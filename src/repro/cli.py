@@ -156,8 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                     "API.md, `repro.scenarios`)")
     matrix_source.add_argument("--demo", action="store_true",
                                help="use a built-in matrix exercising all "
-                                    "four axes (vantage, dns faults, "
-                                    "provider outage, evolution)")
+                                    "three axes (dns faults, provider "
+                                    "outage, evolution)")
     sweep.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="persistent scan cache shared across the "
                             "whole sweep (and with `repro-gov run`)")
@@ -495,7 +495,6 @@ def _demo_matrix(config: WorldConfig):
     from repro.scenarios import ScenarioMatrix
 
     matrix = ScenarioMatrix(config)
-    matrix.add_vantage("alt-vantage", countries="all", rank=1)
     matrix.add_faults("dns-stress", rate=0.3, profile="dns")
     matrix.add_outage("cloudflare-outage", provider="cloudflare")
     matrix.add_evolution("evolved-1", steps=1)
@@ -729,85 +728,90 @@ def _load_any_dataset(path: str):
     done), or ``None`` after printing a one-line error -- the same
     ``FileNotFoundError``/``StoreError``/``ValueError`` mapping
     ``repro-gov convert`` uses, so every command that reads a dataset
-    fails with exit 1 and a message instead of a traceback.
+    fails with exit 1 and a message instead of a traceback.  A store
+    column that fails its digest when first read later raises
+    ``StoreError`` too; the commands map that the same way.
     """
     from repro.serve.loader import open_any_dataset
     from repro.store import StoreError
 
     try:
         return open_any_dataset(path)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-    except (StoreError, ValueError) as exc:
+    except (FileNotFoundError, StoreError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.reporting.sections import render_report_section
+    from repro.store import StoreError
 
     loaded = _load_any_dataset(args.dataset)
     if loaded is None:
         return 1
     with loaded:
-        print(render_report_section(loaded.dataset, args.section))
+        try:
+            text = render_report_section(loaded.dataset, args.section)
+        except StoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    print(text)
     return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    import contextlib
+
     from repro.serve import QUERY_ENDPOINTS, DatasetService, create_server
+    from repro.store import StoreError
 
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
-    loaded = _load_any_dataset(args.dataset or args.store_dir)
-    if loaded is None:
-        return 1
-    history = []
-    for path in args.history:
-        earlier = _load_any_dataset(path)
-        if earlier is None:
-            loaded.close()
-            for item in history:
-                item.close()
-            return 1
-        history.append(earlier)
-    trace_log = None
-    if args.trace_dir:
-        from repro.serve import RequestTraceLog
+    with contextlib.ExitStack() as opened:
+        datasets = []
+        for path in [args.dataset or args.store_dir, *args.history]:
+            item = _load_any_dataset(path)
+            if item is None:
+                return 1
+            datasets.append(opened.enter_context(item))
+        loaded, *history = datasets
+        trace_log = None
+        if args.trace_dir:
+            from repro.serve import RequestTraceLog
 
-        if args.trace_ring < 1:
-            print("error: --trace-ring must be at least 1",
-                  file=sys.stderr)
-            loaded.close()
-            for item in history:
-                item.close()
-            return 2
-        trace_log = RequestTraceLog(args.trace_dir,
-                                    ring_size=args.trace_ring,
-                                    slow_ms=args.slow_ms)
-    service = DatasetService(loaded, history=history)
-    server = create_server(service, host=args.host, port=args.port,
-                           workers=args.workers, trace_log=trace_log)
-    host, port = server.server_address[:2]
-    print(f"serving {loaded.kind} dataset {loaded.path} "
-          f"on http://{host}:{port} ({args.workers} workers)")
-    print("endpoints: /healthz /metrics "
-          + " ".join(f"/v1/{name}" for name in sorted(QUERY_ENDPOINTS)))
-    if trace_log is not None:
-        print(f"tracing requests into {trace_log.directory} "
-              f"(ring {trace_log.ring_size}, slow >= "
-              f"{trace_log.slow_ms:g}ms)")
-    # A piped parent reads the bound port from the banner, and stdout is
-    # block-buffered when it is not a terminal.
-    sys.stdout.flush()
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("shutting down", file=sys.stderr)
-    finally:
-        server.close()
+            if args.trace_ring < 1:
+                print("error: --trace-ring must be at least 1",
+                      file=sys.stderr)
+                return 2
+            trace_log = RequestTraceLog(args.trace_dir,
+                                        ring_size=args.trace_ring,
+                                        slow_ms=args.slow_ms)
+        try:
+            service = DatasetService(loaded, history=history)
+        except StoreError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        server = create_server(service, host=args.host, port=args.port,
+                               workers=args.workers, trace_log=trace_log)
+        host, port = server.server_address[:2]
+        print(f"serving {loaded.kind} dataset {loaded.path} "
+              f"on http://{host}:{port} ({args.workers} workers)")
+        print("endpoints: /healthz /metrics "
+              + " ".join(f"/v1/{name}" for name in sorted(QUERY_ENDPOINTS)))
+        if trace_log is not None:
+            print(f"tracing requests into {trace_log.directory} "
+                  f"(ring {trace_log.ring_size}, slow >= "
+                  f"{trace_log.slow_ms:g}ms)")
+        # A piped parent reads the bound port from the banner, and stdout
+        # is block-buffered when it is not a terminal.
+        sys.stdout.flush()
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            print("shutting down", file=sys.stderr)
+        finally:
+            server.close()
     return 0
 
 

@@ -254,14 +254,8 @@ class Pipeline:
         span = obs.span if obs is not None else _null_span
         with span("directory"):
             directory = compile_directory(world, code)
-        # The exit rank is part of the country's config slice, so a
-        # vantage-shifted scenario re-keys (and re-scans) only the
-        # countries it moves.
-        rank = self.config.vantage_rank_for(code)
         if faults is not None:
-            vantage = faults.select_vantage(world.vpn, code, rank)
-        elif rank:
-            vantage = world.vpn.vantage_at(code, rank)
+            vantage = faults.select_vantage(world.vpn, code)
         else:
             vantage = world.vpn.vantage_for(code)
         with span("crawl") as crawl_span:

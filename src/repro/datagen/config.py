@@ -37,11 +37,6 @@ class CountryOverride:
     #: Prefix registration epoch: bumping it re-registers the country's
     #: address space in a fresh block range.
     prefix_epoch: int = 0
-    #: Which VPN exit of the country the measurement connects through
-    #: (0 = the primary capital exit; see ``VpnCatalog.vantage_at``).
-    #: Changes where geo-DNS resolution happens from, not the generated
-    #: world -- the vantage-sensitivity axis of scenario sweeps.
-    vantage_rank: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.hyperscaler_shift <= 0.5:
@@ -53,8 +48,6 @@ class CountryOverride:
             raise ValueError("extra_soes must be non-negative")
         if not 0 <= self.prefix_epoch < 32:
             raise ValueError("prefix_epoch must be in [0, 32)")
-        if not 0 <= self.vantage_rank < 8:
-            raise ValueError("vantage_rank must be in [0, 8)")
         for key, factor in self.provider_tilt:
             if factor <= 0:
                 raise ValueError(
@@ -64,8 +57,7 @@ class CountryOverride:
     def is_default(self) -> bool:
         """True when the override changes nothing (fingerprint no-op)."""
         return (not self.provider_tilt and self.hyperscaler_shift == 0.0
-                and self.extra_soes == 0 and self.prefix_epoch == 0
-                and self.vantage_rank == 0)
+                and self.extra_soes == 0 and self.prefix_epoch == 0)
 
     def canonical_dict(self) -> dict:
         """JSON-stable form: uppercased country, sorted tilt pairs."""
@@ -77,7 +69,6 @@ class CountryOverride:
             "hyperscaler_shift": self.hyperscaler_shift,
             "extra_soes": self.extra_soes,
             "prefix_epoch": self.prefix_epoch,
-            "vantage_rank": self.vantage_rank,
         }
 
 
@@ -283,11 +274,6 @@ class WorldConfig:
                 else override.canonical_dict()
             ),
         }
-
-    def vantage_rank_for(self, country: str) -> int:
-        """The VPN exit rank the measurement of ``country`` connects at."""
-        override = self.override_for(country)
-        return 0 if override is None else override.vantage_rank
 
     def country_codes(self) -> list[str]:
         """The country codes to generate (validated against the sample)."""

@@ -159,20 +159,14 @@ class SyntheticWorld:
 
 def world_key(config: WorldConfig) -> str:
     """Identity of the generator input ``config`` describes: the
-    generator never reads the fault fields or the vantage ranks, and no
-    country's slice depends on which others are generated, so configs
-    differing only in those share one world over all they scan."""
+    generator never reads the fault fields, and no country's slice
+    depends on which others are generated, so configs differing only
+    in those share one world over all they scan."""
     neutral = dataclasses.replace(
         config,
         countries=None,
         fault_rate=0.0, fault_profile="mixed", fault_seed=None,
-        country_overrides=tuple(
-            dataclasses.replace(override, vantage_rank=0)
-            for override in config.country_overrides
-        ),
     )
-    # canonical_dict drops now-default overrides, so a config whose only
-    # override was a vantage shift keys like the un-overridden baseline.
     return json.dumps(neutral.canonical_dict(), sort_keys=True)
 
 

@@ -184,10 +184,6 @@ class EvolutionModel:
             hyperscaler_shift=shift,
             extra_soes=soes,
             prefix_epoch=epoch,
-            # Evolution never moves vantages, but a scenario that did
-            # (vantage_rank set on the base snapshot) must keep its
-            # vantage through subsequent steps.
-            vantage_rank=current.vantage_rank,
         )
         return mutated, mutations
 

@@ -155,20 +155,18 @@ class FaultSession:
     # ------------------------------------------------------------- vantage
 
     def select_vantage(
-        self, catalog: "VpnCatalog", code: str, rank: int = 0
+        self, catalog: "VpnCatalog", code: str
     ) -> "VantagePoint":
         """Connect to the country's VPN exit, re-selecting on failure.
 
-        A recovered episode keeps the selected exit (a reconnect
-        succeeded); a degraded one falls back to the catalog's next
-        alternate exit in another city of the same country — the
-        measurement continues from a different vantage instead of
-        crashing.  ``rank`` picks which exit the scenario connects to in
-        the first place (0 = the primary capital exit).
+        A recovered episode keeps the capital exit (a reconnect
+        succeeded); a degraded one falls back to the catalog's alternate
+        exit in another city of the same country — the measurement
+        continues from a different vantage instead of crashing.
         """
         if self.operation_fails("vpn", code.upper()):
-            return catalog.fallback_vantage(code, rank)
-        return catalog.vantage_at(code, rank)
+            return catalog.fallback_vantage(code)
+        return catalog.vantage_for(code)
 
 
 __all__ = ["SimClock", "Episode", "FaultSession"]

@@ -9,11 +9,13 @@ losslessly, so analyses can run without regenerating the world.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import logging
+import os
 import pathlib
-from typing import Union
+from typing import Iterator, TextIO, Union
 
 from repro.categories import HostingCategory
 from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
@@ -99,15 +101,36 @@ def dataset_header(dataset: GovernmentHostingDataset) -> dict:
     return header
 
 
+@contextlib.contextmanager
+def open_replacement(path: PathLike) -> Iterator[TextIO]:
+    """Write ``path`` through a temp sibling that replaces it at the end.
+
+    The block writes a ``.tmp.<pid>`` file next to ``path``, which
+    ``os.replace`` moves over ``path`` only once the block completes;
+    any exception removes the temp file instead, so ``path`` keeps its
+    old bytes (or stays absent) -- never half of a new file.  Line ends
+    are written as given (``newline=""``, which the csv module needs).
+    """
+    path = pathlib.Path(path)
+    tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
+    try:
+        with tmp.open("w", encoding="utf-8", newline="") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
 def save_dataset(dataset: GovernmentHostingDataset, path: PathLike) -> int:
     """Write the dataset as JSON lines; returns the number of records.
 
     Line 1 is a header object (format version, per-country metadata and
     validation statistics); every following line is one URL record.
     """
-    path = pathlib.Path(path)
     count = 0
-    with path.open("w", encoding="utf-8") as handle:
+    with open_replacement(path) as handle:
         handle.write(json.dumps(dataset_header(dataset)) + "\n")
         for record in dataset.iter_records():
             handle.write(json.dumps(record_to_dict(record)) + "\n")
@@ -241,9 +264,8 @@ def export_csv(dataset: GovernmentHostingDataset, path: PathLike) -> int:
     """
     import csv
 
-    path = pathlib.Path(path)
     count = 0
-    with path.open("w", encoding="utf-8", newline="") as handle:
+    with open_replacement(path) as handle:
         writer = csv.writer(handle)
         writer.writerow(tuple(record_to_dict(_DUMMY)))
         for r in dataset.iter_records():
@@ -275,6 +297,7 @@ __all__ = [
     "record_from_dict",
     "require",
     "validation_from_dict",
+    "open_replacement",
     "save_dataset",
     "load_dataset",
     "export_csv",

@@ -7,13 +7,16 @@ geolocation machinery used for servers.  A vantage point here is an
 exit location (capital city of the target country) tied to the VPN
 provider Table 9 lists for that country.
 
-Countries with several cities expose *alternate* exits of the same
-provider; :meth:`VpnCatalog.vantage_at` hands them out by rank (0 is
-the primary capital exit), which is what the scenario sweep's
-vantage-sensitivity axis and the fault layer's re-selection both build
-on.  Lookups for unknown countries or exhausted ranks raise
-:class:`UnknownVantageError` naming the country and listing what *is*
-available, instead of a bare ``KeyError``/``IndexError``.
+Every scan connects at the capital exit (:meth:`VpnCatalog.vantage_for`).
+Another in-country exit would measure the same bytes: geo-blocking and
+geolocation read the exit's country, and only geo-DNS answers read its
+coordinates, which within one country almost never pick another PoP.
+Countries with several cities still expose alternate exits of the same
+provider (:meth:`VpnCatalog.vantages_of`) so the fault layer can move a
+scan whose exit keeps refusing connections to the second one
+(:meth:`VpnCatalog.fallback_vantage`).  Lookups for unknown countries
+raise :class:`UnknownVantageError` naming the country and listing what
+*is* available, instead of a bare ``KeyError``.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from repro.world.countries import COUNTRIES
 
 
 class UnknownVantageError(KeyError):
-    """No vantage exists for the requested country or rank.
+    """No vantage exists for the requested country.
 
     Raised with a message naming the offending country code and listing
-    the available vantages (country codes for an unknown country, exit
-    cities for an exhausted alternate rank), so a scenario matrix or
-    fault profile referencing a bad vantage fails with context instead
-    of a raw lookup error.  Derives from :class:`KeyError` so existing
-    ``except KeyError`` call sites keep working.
+    the countries that do have one, so a lookup of a bad vantage fails
+    with context instead of a raw lookup error.  Derives from
+    :class:`KeyError` so existing ``except KeyError`` call sites keep
+    working.
     """
 
     def __init__(self, message: str) -> None:
@@ -115,52 +117,17 @@ class VpnCatalog:
         """The in-country VPN exit for ``country_code``."""
         return self._vantages[self._require(country_code)]
 
-    def vantage_at(self, country_code: str, rank: int) -> VantagePoint:
-        """The ``rank``-th exit of the country (0 = the primary).
-
-        Scenario sweeps measure vantage sensitivity by re-running a
-        country's scan from ``rank >= 1`` alternates.  A rank beyond the
-        provider's exit list raises :class:`UnknownVantageError` listing
-        the exits that do exist.
-        """
-        if rank < 0:
-            raise ValueError(f"vantage rank must be >= 0, got {rank}")
-        exits = self.vantages_of(country_code)
-        if rank >= len(exits):
-            raise UnknownVantageError(
-                f"vantage rank {rank} exhausted for {exits[0].country}: only "
-                f"{len(exits)} exit(s) available "
-                f"({', '.join(v.city for v in exits)})"
-            )
-        return exits[rank]
-
-    def alternate_count(self, country_code: str) -> int:
-        """How many non-primary exits the country's provider runs."""
-        return len(self.vantages_of(country_code)) - 1
-
-    def fallback_vantage(
-        self, country_code: str, rank: int = 0
-    ) -> VantagePoint:
-        """An alternate in-country exit for when exit ``rank`` is down.
+    def fallback_vantage(self, country_code: str) -> VantagePoint:
+        """An alternate in-country exit for when the capital exit is down.
 
         VPN providers run exits in several cities of popular countries;
-        when the selected exit keeps refusing connections the fault
-        layer re-selects the provider's next exit of the country.
-        Countries with nothing beyond ``rank`` fall back to the ranked
-        exit itself (the retry policy is the only recovery there).
+        when the capital exit keeps refusing connections the fault layer
+        re-selects the provider's second exit of the country.  A country
+        with one exit falls back to it (the retry policy is the only
+        recovery there).
         """
-        if rank < 0:
-            raise ValueError(f"vantage rank must be >= 0, got {rank}")
         exits = self.vantages_of(country_code)
-        if rank >= len(exits):
-            raise UnknownVantageError(
-                f"vantage rank {rank} exhausted for {exits[0].country}: only "
-                f"{len(exits)} exit(s) available "
-                f"({', '.join(v.city for v in exits)})"
-            )
-        if rank + 1 < len(exits):
-            return exits[rank + 1]
-        return exits[rank]
+        return exits[1] if len(exits) > 1 else exits[0]
 
     def provider_usage(self) -> dict[str, int]:
         """Number of countries reached through each VPN provider.

@@ -197,12 +197,15 @@ class RunManifest:
         return cls(**payload)
 
     def write(self, path: PathLike) -> pathlib.Path:
-        """Write the manifest as stable, sorted JSON."""
+        """Write the manifest as stable, sorted JSON (through a temp
+        file that replaces ``path`` only once it is complete)."""
+        from repro.io import open_replacement
+
         path = pathlib.Path(path)
-        path.write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
+        with open_replacement(path) as handle:
+            handle.write(
+                json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+            )
         return path
 
     @classmethod

@@ -1,12 +1,12 @@
 """Scenario sweeps: one measurement matrix, one deduplicated scan wave.
 
-"Not All Roads Lead to Rome" shows the vantage you measure from changes
-what you conclude; DNS-resilience work motivates stress and outage
-what-ifs.  This package turns those questions into a batch instrument:
+DNS-resilience work motivates stress and outage what-ifs, and a
+longitudinal study asks what one more year of drift changes.  This
+package turns those questions into a batch instrument:
 
 * :class:`ScenarioMatrix` declares a baseline world plus perturbation
-  axes — alternate VPN vantages per country, fault/DNS-stress profiles,
-  provider-outage what-ifs, evolution steps;
+  axes — fault/DNS-stress profiles, provider-outage what-ifs,
+  evolution steps;
 * :class:`SweepRunner` compiles the matrix into flat (scenario,
   country) scan tasks, groups them by ``(global fingerprint, country
   slice fingerprint)`` so each unique key is scanned *exactly once*

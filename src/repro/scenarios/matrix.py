@@ -3,9 +3,6 @@
 A :class:`ScenarioMatrix` starts from one baseline
 :class:`~repro.datagen.config.WorldConfig` and adds perturbation axes:
 
-* **vantage** — move selected countries' measurements to an alternate
-  VPN exit (``CountryOverride.vantage_rank``), the "Not All Roads Lead
-  to Rome" sensitivity axis;
 * **faults** — run the same world over an unreliable measurement plane
   (a :mod:`repro.faults` profile at some rate, e.g. the ``dns`` profile
   for authoritative-DNS stress);
@@ -15,6 +12,9 @@ A :class:`ScenarioMatrix` starts from one baseline
   radius of the named provider's ASNs going dark;
 * **evolution** — an evolved snapshot (``EvolutionModel`` steps applied
   to the baseline), where only mutated countries re-key.
+
+There is no vantage axis: every scan connects at the country's capital
+VPN exit (:mod:`repro.measure.vpn` says why).
 
 :meth:`ScenarioMatrix.compile` freezes the matrix into a baseline-first
 tuple of :class:`Scenario` objects — pure configs plus outage metadata
@@ -27,19 +27,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Optional, Sequence, Union
+from typing import Optional
 
-from repro.datagen.config import CountryOverride, WorldConfig
+from repro.datagen.config import WorldConfig
 from repro.evolve import EvolutionModel, EvolutionRates
 from repro.faults.plan import FAULT_PROFILE_NAMES
-from repro.measure.vpn import UnknownVantageError, VpnCatalog
 from repro.netsim.providers import PROVIDERS_BY_KEY, provider_keys
 
 #: The reserved name of the implicit first scenario.
 BASELINE_NAME = "baseline"
 
 #: Every scenario kind a matrix can hold.
-SCENARIO_KINDS = ("baseline", "vantage", "faults", "outage", "evolution")
+SCENARIO_KINDS = ("baseline", "faults", "outage", "evolution")
 
 
 class MatrixError(ValueError):
@@ -81,8 +80,6 @@ class ScenarioMatrix:
         self.base = base
         self._scenarios: list[Scenario] = []
         self._names: set[str] = {BASELINE_NAME}
-        #: Shared vantage catalog for validating ranks at add time.
-        self._vpn = VpnCatalog()
 
     # ------------------------------------------------------------- axes
 
@@ -92,73 +89,6 @@ class ScenarioMatrix:
         self._names.add(scenario.name)
         self._scenarios.append(scenario)
         return scenario
-
-    def add_vantage(
-        self,
-        name: str,
-        countries: Union[str, Sequence[str]] = "all",
-        rank: int = 1,
-    ) -> Scenario:
-        """Measure from each listed country's rank-``rank`` VPN exit.
-
-        ``countries="all"`` moves every country that *has* that many
-        alternate exits (the rest keep their primary and stay
-        deduplicated against the baseline); an explicit list is
-        validated strictly — an unknown country or exhausted rank
-        raises the catalog's descriptive error immediately.
-        """
-        if rank < 1:
-            raise MatrixError(
-                f"vantage scenarios need rank >= 1, got {rank}"
-            )
-        base_codes = self.base.country_codes()
-        if isinstance(countries, str):
-            if countries != "all":
-                raise MatrixError(
-                    f"countries must be 'all' or a list, got {countries!r}"
-                )
-            moved = [
-                code for code in base_codes
-                if self._vpn.alternate_count(code) >= rank
-            ]
-        else:
-            moved = []
-            for code in countries:
-                code = code.upper()
-                if code not in base_codes:
-                    raise MatrixError(
-                        f"vantage scenario {name!r} references {code}, "
-                        f"which is outside the base country selection"
-                    )
-                # Raises UnknownVantageError with the country's actual
-                # exits when the rank does not exist.
-                self._vpn.vantage_at(code, rank)
-                moved.append(code)
-        if not moved:
-            raise MatrixError(
-                f"vantage scenario {name!r} moves no countries "
-                f"(no alternate exits at rank {rank})"
-            )
-        overrides = {
-            override.country.upper(): override
-            for override in self.base.country_overrides
-        }
-        for code in moved:
-            current = overrides.get(code, CountryOverride(country=code))
-            overrides[code] = dataclasses.replace(current, vantage_rank=rank)
-        config = dataclasses.replace(
-            self.base,
-            country_overrides=tuple(
-                overrides[code] for code in sorted(overrides)
-            ),
-        )
-        return self._add(Scenario(
-            name=name, kind="vantage", config=config,
-            description=(
-                f"rank-{rank} VPN exits for {len(moved)} "
-                f"countr{'y' if len(moved) == 1 else 'ies'}"
-            ),
-        ))
 
     def add_faults(
         self,
@@ -268,8 +198,6 @@ class ScenarioMatrix:
 
             {"base": {...WorldConfig field overrides...},
              "scenarios": [
-               {"name": "...", "kind": "vantage",
-                "countries": "all" | ["US", ...], "rank": 1},
                {"name": "...", "kind": "faults",
                 "rate": 0.05, "profile": "dns", "fault_seed": null},
                {"name": "...", "kind": "outage",
@@ -308,13 +236,7 @@ class ScenarioMatrix:
             if not isinstance(name, str) or not name:
                 raise MatrixError(f"scenario #{position} needs a name")
             try:
-                if kind == "vantage":
-                    matrix.add_vantage(
-                        name,
-                        countries=entry.get("countries", "all"),
-                        rank=int(entry.get("rank", 1)),
-                    )
-                elif kind == "faults":
+                if kind == "faults":
                     seed = entry.get("fault_seed")
                     matrix.add_faults(
                         name,
@@ -349,10 +271,6 @@ class ScenarioMatrix:
                     )
             except MatrixError:
                 raise
-            except UnknownVantageError as error:
-                raise MatrixError(
-                    f"scenario {name!r}: {error}"
-                ) from error
             except KeyError as error:
                 raise MatrixError(
                     f"scenario {name!r} is missing field {error}"

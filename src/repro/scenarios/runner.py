@@ -4,8 +4,8 @@ Naively, an S-scenario sweep costs S full ``Pipeline.run`` calls.  But
 the scan cache keys one country's phase-1 result by
 ``(global fingerprint, country, country-slice fingerprint)`` — and most
 (scenario, country) pairs across a matrix share that key: an outage
-what-if shares *every* scan with the baseline, a vantage shift or an
-evolution step re-keys only the countries it touches.  The
+what-if shares *every* scan with the baseline, an evolution step
+re-keys only the countries it touches.  The
 :class:`SweepRunner` therefore works in two levels:
 
 1. **dedup** — flatten the matrix into (scenario, country) tasks, key
@@ -26,7 +26,7 @@ fingerprint) sharing one dataset *object* — so the comparison layer's
 :func:`~repro.analysis.engine.index.ensure_index` builds each distinct
 index once.  Every pipeline is built from its scenario's config, so
 the wave generates worlds over the cache's misses only, shared by all
-the configs that differ only in fault plan or vantage ranks
+the configs that differ only in fault plan
 (:func:`~repro.exec.base.plan_wave`).
 
 The dedup accounting is enforced at runtime: the number of scans

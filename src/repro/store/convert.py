@@ -53,29 +53,28 @@ def store_to_jsonl(
     uses (over the store-backed dataset's metadata -- no records are
     materialized for it), and records stream one shard at a time.
     """
-    from repro.io import dataset_header, record_to_dict
+    from repro.io import dataset_header, open_replacement, record_to_dict
 
     owns_store = not isinstance(store, DatasetStore)
     if owns_store:
         store = DatasetStore(store)
     try:
-        jsonl_path = pathlib.Path(jsonl_path)
         header = dataset_header(store.dataset())
         count = 0
-        with jsonl_path.open("w", encoding="utf-8") as handle:
+        with open_replacement(jsonl_path) as handle:
             handle.write(json.dumps(header) + "\n")
             for shard in store.shards():
                 for record in shard.materialize_records():
                     handle.write(json.dumps(record_to_dict(record)) + "\n")
                     count += 1
+            if count != store.record_count:
+                raise StoreError(
+                    f"{store.store_dir}: streamed {count} records, "
+                    f"manifest says {store.record_count}"
+                )
     finally:
         if owns_store:
             store.close()
-    if count != store.record_count:
-        raise StoreError(
-            f"{store.store_dir}: streamed {count} records, manifest "
-            f"says {store.record_count}"
-        )
     return count
 
 

@@ -5,8 +5,10 @@ digest chain and every column file's size up front (cheap stats -- no
 column bytes are read), and then serves three progressively heavier
 views:
 
-* **columns** -- zero-copy ``numpy.memmap`` views per shard, mapped on
-  first read: the chunks of the dataset's
+* **columns** -- zero-copy ``numpy.memmap`` views per shard, mapped and
+  checked against their manifest digest on first read (a damaged file
+  raises :class:`~repro.store.format.StoreError`, never loads): the
+  chunks of the dataset's
   :class:`~repro.analysis.engine.AnalysisIndex`;
 * **metadata** -- per-country landing counts, depth histograms,
   unresolved hostnames and hostname tables, enough for the full paper
@@ -145,17 +147,24 @@ class ShardReader:
     # ------------------------------------------------------------ files
 
     def _map_file(self, name: str, kind: Optional[str]) -> np.ndarray:
-        """mmap one column file read-only (empty files map to empty
-        arrays: ``mmap`` cannot map zero bytes)."""
+        """mmap one column file read-only and check its digest against
+        the shard manifest (empty files map to empty arrays: ``mmap``
+        cannot map zero bytes, and their size check covers them)."""
         path = self.shard_dir / name
-        expected = self.manifest["files"][name]["bytes"]
-        if expected == 0:
+        if self.manifest["files"][name]["bytes"] == 0:
             return np.zeros(0, dtype=codec.KINDS[kind or "u8"])
         try:
             mapped = np.memmap(path, dtype=codec.KINDS[kind or "u8"], mode="r")
         except (OSError, ValueError) as exc:
             raise StoreError(f"{path}: cannot map column ({exc})") from exc
+        self._check_digest(name, mapped)
         return mapped
+
+    def _check_digest(self, name: str, payload) -> None:
+        """``payload`` (the file's bytes, or its mapping) must hash to
+        the file's shard-manifest digest."""
+        if codec.digest(payload) != self.manifest["files"][name]["digest"]:
+            raise StoreError(f"{self.shard_dir / name}: digest mismatch")
 
     def column(self, name: str) -> np.ndarray:
         """Zero-copy view of one typed column (memoized per shard).
@@ -284,13 +293,12 @@ class ShardReader:
                 )
 
     def verify(self) -> None:
-        """Re-hash every column file against its recorded digest."""
+        """Re-hash every column file against its recorded digest (read
+        whole: building a ``numpy.memmap`` per file would cost more than
+        hashing it)."""
         self.check_sizes()
         for name in _SHARD_FILES:
-            entry = self.manifest["files"][name]
-            payload = (self.shard_dir / name).read_bytes()
-            if codec.digest(payload) != entry["digest"]:
-                raise StoreError(f"{self.shard_dir / name}: digest mismatch")
+            self._check_digest(name, (self.shard_dir / name).read_bytes())
 
 
 class _IndexColumns(Mapping):

@@ -40,8 +40,8 @@ PINNED = [
       "b2c7e0e95c7ad0cb74d0f63241049d55"]),
     (WorldConfig(seed=42, scale=0.05, country_overrides=(
         CountryOverride(country="BR", extra_soes=1),)),
-     "6f6bff0d10aedebf4e4ced465a517ad4",
-     ["e52a911ddd211e497b833b35f74dd890",
+     "1f2f97fbb6e9954851aaacde27f323bf",
+     ["41094d9dde1e41673131162717b9a98c",
       "28b76d45f25485ac1f174d0d8072dce3"]),
 ]
 
@@ -148,7 +148,7 @@ def _with_override(base: WorldConfig, override: CountryOverride) -> WorldConfig:
         CountryOverride(country="BR", hyperscaler_shift=0.05),
         CountryOverride(country="BR", prefix_epoch=2),
         CountryOverride(country="BR", provider_tilt=(("amazon", 1.4),)),
-        CountryOverride(country="BR", vantage_rank=1),
+        CountryOverride(country="BR", extra_soes=1, prefix_epoch=1),
     ],
 )
 def test_override_rekeys_only_its_country(override):

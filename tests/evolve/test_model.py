@@ -65,21 +65,6 @@ def test_slice_fingerprints_stable_for_unchanged_countries():
         assert same == (code not in step.changed_countries)
 
 
-def test_evolution_preserves_vantage_ranks():
-    """A scenario's vantage shift must survive evolution: mutating a
-    country's world slice never silently moves its measurement back to
-    the primary VPN exit."""
-    ranked = CountryOverride(country="BR", vantage_rank=1)
-    config = _config(country_overrides=(ranked,))
-    model = EvolutionModel(seed=11)
-    for step_number in range(1, 6):
-        step = model.evolve(config, step_number)
-        config = step.config
-        override = config.override_for("BR")
-        assert override is not None
-        assert override.vantage_rank == 1
-
-
 def test_mutations_compose_across_steps():
     config = _config(countries=None)
     model = EvolutionModel(seed=3)

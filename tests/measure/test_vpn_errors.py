@@ -1,4 +1,4 @@
-"""VpnCatalog error quality and the alternate-exit (rank) API."""
+"""VpnCatalog error quality and the fault layer's alternate exit."""
 
 from __future__ import annotations
 
@@ -38,7 +38,6 @@ def test_lookups_normalize_case(catalog):
 
 
 def test_primary_exit_is_rank_zero(catalog):
-    assert catalog.vantage_at("US", 0) == catalog.vantage_for("US")
     exits = catalog.vantages_of("US")
     assert exits[0] == catalog.vantage_for("US")
     assert len({vantage.city for vantage in exits}) == len(exits)
@@ -48,42 +47,13 @@ def test_primary_exit_is_rank_zero(catalog):
     )
 
 
-def test_exhausted_rank_error_lists_the_real_exits(catalog):
-    exits = catalog.vantages_of("SG")
-    with pytest.raises(UnknownVantageError) as excinfo:
-        catalog.vantage_at("SG", len(exits))
-    message = str(excinfo.value)
-    assert f"vantage rank {len(exits)} exhausted for SG" in message
-    assert f"{len(exits)} exit(s) available" in message
-    for vantage in exits:
-        assert vantage.city in message
-
-
-def test_negative_rank_is_a_value_error(catalog):
-    with pytest.raises(ValueError, match=">= 0"):
-        catalog.vantage_at("US", -1)
-    with pytest.raises(ValueError, match=">= 0"):
-        catalog.fallback_vantage("US", -1)
-
-
-def test_alternate_count_matches_exit_list(catalog):
-    for code in ("US", "DE", "SG"):
-        assert catalog.alternate_count(code) == \
-            len(catalog.vantages_of(code)) - 1
-
-
 def test_fallback_moves_to_the_next_exit_when_one_exists(catalog):
     exits = catalog.vantages_of("US")
     assert len(exits) >= 2
-    assert catalog.fallback_vantage("US", 0) == exits[1]
-    # The last rank has nowhere further to go: it falls back to itself.
-    last = len(exits) - 1
-    assert catalog.fallback_vantage("US", last) == exits[last]
+    assert catalog.fallback_vantage("US") == exits[1]
 
 
 def test_fallback_of_single_exit_country_is_the_primary(catalog):
     exits = catalog.vantages_of("SG")
     assert len(exits) == 1
-    assert catalog.fallback_vantage("SG", 0) == exits[0]
-    with pytest.raises(UnknownVantageError, match="exhausted"):
-        catalog.fallback_vantage("SG", 1)
+    assert catalog.fallback_vantage("SG") == exits[0]

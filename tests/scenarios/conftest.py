@@ -1,9 +1,9 @@
-"""Shared sweep fixtures: one small four-axis matrix, swept once.
+"""Shared sweep fixtures: one small three-axis matrix, swept once.
 
 A sweep at this scale runs in a couple of seconds but exercises every
-axis: a vantage shift (re-keys two countries), a DNS-stress fault
-profile (re-keys all), a provider outage (re-keys nothing, shares the
-baseline dataset) and an evolution step (re-keys the mutated subset).
+axis: a DNS-stress fault profile (re-keys all), a provider outage
+(re-keys nothing, shares the baseline dataset) and an evolution step
+(re-keys the mutated subset).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ def make_base(**kwargs) -> WorldConfig:
 
 def make_matrix(base: WorldConfig) -> ScenarioMatrix:
     matrix = ScenarioMatrix(base)
-    matrix.add_vantage("alt-vantage", countries=("US", "DE"), rank=1)
     matrix.add_faults("dns-stress", rate=0.3, profile="dns")
     matrix.add_outage("cf-down", provider="cloudflare")
     matrix.add_evolution("evolved", steps=1)
@@ -39,5 +38,5 @@ def sweep_base() -> WorldConfig:
 
 @pytest.fixture(scope="session")
 def sweep(sweep_base):
-    """The four-axis matrix swept serially, no cache."""
+    """The three-axis matrix swept serially, no cache."""
     return SweepRunner(make_matrix(sweep_base)).run()

@@ -27,10 +27,10 @@ def test_sweep_demo_prints_accounting_and_report(tmp_path, capsys):
     assert "Divergence vs baseline" in out
     payload = json.loads(json_out.read_text())
     accounting = payload["accounting"]
-    assert accounting["scenarios"] == 5
+    assert accounting["scenarios"] == 4
     assert accounting["cache_hits"] + accounting["executed"] == \
         accounting["unique_keys"]
-    assert len(payload["divergences"]) == 4
+    assert len(payload["divergences"]) == 3
 
 
 def test_sweep_matrix_file_and_out_dir(tmp_path, capsys):
@@ -58,6 +58,14 @@ def test_sweep_rejects_bad_matrices(tmp_path, capsys):
     ]}))
     assert main(SWEEP_ARGS + ["--matrix", str(bad)]) == 2
     assert "unknown provider" in capsys.readouterr().err
+    bad.write_text(json.dumps({"scenarios": [
+        {"name": "alts", "kind": "vantage", "countries": "all", "rank": 1},
+    ]}))
+    assert main(SWEEP_ARGS + ["--matrix", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: scenario 'alts' has unknown kind 'vantage'; expected one "
+        "of faults, outage, evolution\n"
+    )
     assert main(SWEEP_ARGS + ["--matrix", str(tmp_path / "none.json")]) == 1
     assert "error" in capsys.readouterr().err
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import pytest
@@ -10,6 +9,7 @@ import pytest
 from repro import WorldConfig
 from repro.scenarios import (
     BASELINE_NAME,
+    SCENARIO_KINDS,
     MatrixError,
     Scenario,
     ScenarioMatrix,
@@ -40,31 +40,6 @@ def test_duplicate_and_reserved_names_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(MatrixError, match="unknown scenario kind"):
         Scenario(name="x", kind="chaos", config=make_base())
-
-
-def test_vantage_all_moves_only_countries_with_alternates():
-    matrix = ScenarioMatrix(make_base())
-    scenario = matrix.add_vantage("alts", countries="all", rank=1)
-    moved = [
-        override.country
-        for override in scenario.config.country_overrides
-        if override.vantage_rank == 1
-    ]
-    # SG's provider runs a single exit; it stays on the primary and
-    # keeps deduplicating against the baseline.
-    assert moved
-    assert "SG" not in moved
-    assert scenario.kind == "vantage"
-
-
-def test_vantage_explicit_list_validated():
-    matrix = ScenarioMatrix(make_base())
-    with pytest.raises(MatrixError, match="outside the base"):
-        matrix.add_vantage("bad", countries=("BR",), rank=1)
-    with pytest.raises(KeyError, match="exhausted"):
-        matrix.add_vantage("deep", countries=("US",), rank=7)
-    with pytest.raises(MatrixError, match="rank >= 1"):
-        matrix.add_vantage("zero", countries=("US",), rank=0)
 
 
 def test_faults_axis_validation():
@@ -111,8 +86,6 @@ def test_from_json_round_trip():
     document = json.dumps({
         "base": {"scale": 0.01, "countries": ["US", "DE", "SG"]},
         "scenarios": [
-            {"name": "alts", "kind": "vantage",
-             "countries": ["US", "DE"], "rank": 1},
             {"name": "dns", "kind": "faults", "rate": 0.2,
              "profile": "dns"},
             {"name": "cf", "kind": "outage", "provider": "cloudflare"},
@@ -122,7 +95,7 @@ def test_from_json_round_trip():
     matrix = ScenarioMatrix.from_json(document, base=WorldConfig(seed=7))
     scenarios = matrix.compile()
     assert [s.name for s in scenarios] == \
-        [BASELINE_NAME, "alts", "dns", "cf", "next"]
+        [BASELINE_NAME, "dns", "cf", "next"]
     assert matrix.base.seed == 7
     assert matrix.base.scale == 0.01
 
@@ -138,26 +111,20 @@ def test_from_json_error_mapping():
         ScenarioMatrix.from_dict(
             {"scenarios": [{"name": "x", "kind": "faults"}]}
         )
-    # A vantage rank beyond the country's exits surfaces the catalog's
-    # descriptive message, not a bare KeyError repr.
-    with pytest.raises(MatrixError, match="exhausted"):
-        ScenarioMatrix.from_dict({"scenarios": [
-            {"name": "x", "kind": "vantage", "countries": ["US"],
-             "rank": 7},
-        ]}, base=make_base())
     with pytest.raises(MatrixError, match="bad matrix base"):
         ScenarioMatrix.from_dict({"base": {"no_such_field": 1}})
 
 
-def test_vantage_rank_participates_in_config_equality():
-    base = make_base()
-    matrix = ScenarioMatrix(base)
-    moved = matrix.add_vantage("alts", countries=("US",), rank=1)
-    assert moved.config != base
-    override = next(
-        o for o in moved.config.country_overrides if o.country == "US"
+def test_from_dict_rejects_the_vantage_kind():
+    """Every scan connects at the capital exit, so a matrix asking for
+    another exit is an unknown kind, named with the kinds that exist."""
+    assert SCENARIO_KINDS == ("baseline", "faults", "outage", "evolution")
+    with pytest.raises(MatrixError) as excinfo:
+        ScenarioMatrix.from_dict({"scenarios": [
+            {"name": "alts", "kind": "vantage", "countries": "all",
+             "rank": 1},
+        ]}, base=make_base())
+    assert str(excinfo.value) == (
+        "scenario 'alts' has unknown kind 'vantage'; expected one of "
+        "faults, outage, evolution"
     )
-    assert override.vantage_rank == 1
-    assert not override.is_default()
-    back = dataclasses.replace(override, vantage_rank=0)
-    assert back.is_default()

@@ -42,17 +42,17 @@ def _strip_timing(report: str) -> str:
 
 def test_accounting_adds_up(sweep):
     accounting = sweep.accounting
-    assert accounting.scenarios == 5
+    assert accounting.scenarios == 4
     assert accounting.countries == len(CODES)
-    assert accounting.total_tasks == 5 * len(CODES)
-    # The outage scenario shares every key with the baseline; vantage
+    assert accounting.total_tasks == 4 * len(CODES)
+    # The outage scenario shares every key with the baseline; evolution
     # shares the untouched countries; so unique < total.
     assert accounting.unique_keys < accounting.total_tasks
     assert accounting.cache_hits == 0
     assert accounting.executed == accounting.unique_keys
     assert accounting.dedup_factor > 1.0
-    # outage shares the baseline config entirely -> 4 configs, not 5.
-    assert accounting.distinct_configs == 4
+    # outage shares the baseline config entirely -> 3 configs, not 4.
+    assert accounting.distinct_configs == 3
     summary = accounting.summary()
     assert f"-> {accounting.unique_keys} unique scans" in summary
     assert f"{accounting.executed} executed" in summary
@@ -61,7 +61,7 @@ def test_accounting_adds_up(sweep):
 def test_results_are_baseline_first(sweep):
     names = [result.name for result in sweep]
     assert names == \
-        ["baseline", "alt-vantage", "dns-stress", "cf-down", "evolved"]
+        ["baseline", "dns-stress", "cf-down", "evolved"]
     assert sweep.baseline.scenario.kind == "baseline"
     assert sweep.by_name("evolved").scenario.kind == "evolution"
     with pytest.raises(KeyError):
@@ -77,7 +77,6 @@ def test_outage_scenario_shares_the_baseline_dataset(sweep):
 
 
 def test_changed_countries_track_rekeyed_slices(sweep):
-    assert sweep.by_name("alt-vantage").changed_countries == ("DE", "US")
     # A fault profile re-keys every country (the plan is global).
     assert sweep.by_name("dns-stress").changed_countries == \
         tuple(sorted(CODES))
@@ -129,12 +128,11 @@ def _no_world(config):
 
 def test_measurement_plane_scenarios_share_one_generated_world(
         sweep, generated_worlds, tmp_path):
-    """Baseline, fault and vantage scenarios differ only in what the
-    generator never reads: one wave generates one world for all three,
-    over every country, and each scenario still matches its own sweep
-    result byte for byte."""
+    """Baseline and fault scenarios differ only in what the generator
+    never reads: one wave generates one world for both, over every
+    country, and each scenario still matches its own sweep result byte
+    for byte."""
     matrix = ScenarioMatrix(make_base())
-    matrix.add_vantage("alt-vantage", countries=("US", "DE"), rank=1)
     matrix.add_faults("dns-stress", rate=0.3, profile="dns")
     shared = SweepRunner(matrix).run()
     assert [c.countries for c in generated_worlds] == [CODES]

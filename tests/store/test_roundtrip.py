@@ -124,6 +124,24 @@ def test_corrupt_column_detected_by_verify(tmp_path, tiny_dataset):
         store.verify()
 
 
+def test_corrupt_column_fails_when_first_read(tmp_path, tiny_dataset):
+    """The digest is checked when a column is mapped, so a damaged
+    column raises on its first read instead of loading different
+    numbers (or a different jsonl)."""
+    target = tmp_path / "flip.store"
+    write_store(tiny_dataset, target)
+    victim = target / "BR" / "sizes.i64"
+    payload = bytearray(victim.read_bytes())
+    payload[len(payload) // 2] ^= 0x01
+    victim.write_bytes(bytes(payload))
+    with DatasetStore(target) as store:
+        store.shard("US").column("sizes.i64")  # intact shards still read
+        with pytest.raises(StoreError, match=f"{victim}: digest mismatch"):
+            store.shard("BR").column("sizes.i64")
+        with pytest.raises(StoreError, match="digest mismatch"):
+            list(store.iter_records())
+
+
 def test_truncated_column_detected_at_open(tmp_path, tiny_dataset):
     target = tmp_path / "trunc.store"
     write_store(tiny_dataset, target)

@@ -389,6 +389,45 @@ def test_report_damaged_jsonl_header_exits_cleanly(saved_dataset, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.fixture()
+def flipped_store(saved_dataset, tmp_path):
+    """A store of the saved dataset with one bit of AE's sizes flipped
+    (file sizes unchanged, so it opens)."""
+    store = tmp_path / "flipped.store"
+    assert main(["convert", str(saved_dataset), str(store)]) == 0
+    column = store / "AE" / "sizes.i64"
+    payload = bytearray(column.read_bytes())
+    payload[len(payload) // 2] ^= 0x01
+    column.write_bytes(bytes(payload))
+    return store
+
+
+def _listening(server):
+    raise AssertionError("serve listened on a damaged store")
+
+
+@pytest.mark.parametrize("command", ["report", "convert", "serve"])
+def test_a_flipped_column_bit_fails_with_one_error_line(
+        flipped_store, tmp_path, capsys, monkeypatch, command):
+    from repro.serve.gateway import DatasetHTTPServer
+
+    monkeypatch.setattr(DatasetHTTPServer, "serve_forever", _listening)
+    destination = tmp_path / "out.jsonl"
+    argv = {
+        "report": ["report", str(flipped_store), "--section", "full"],
+        "convert": ["convert", str(flipped_store), str(destination)],
+        "serve": ["serve", "--store-dir", str(flipped_store),
+                  "--port", "0"],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        f"error: {flipped_store / 'AE' / 'sizes.i64'}: digest mismatch\n"
+    assert sorted(tmp_path.iterdir()) == [flipped_store]
+
+
 def test_report_plain_directory_exits_cleanly(tmp_path, capsys):
     assert main(["report", str(tmp_path)]) == 1
     assert "not a dataset store" in capsys.readouterr().err

@@ -247,3 +247,74 @@ def test_export_csv_empty_dataset_keeps_header(tmp_path, dataset):
         path.read_text().strip()
         == full_path.read_text().splitlines()[0].strip()
     )
+
+
+class _FailingHandle:
+    """A text handle whose writes fail once ``budget`` of them are spent,
+    like a disk filling up mid-file."""
+
+    def __init__(self, handle, budget: int) -> None:
+        self._handle = handle
+        self._budget = budget
+
+    def write(self, text):
+        if self._budget == 0:
+            raise OSError(28, "No space left on device")
+        self._budget -= 1
+        return self._handle.write(text)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __enter__(self):
+        self._handle.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        return self._handle.__exit__(*exc_info)
+
+
+def _write_manifest(tiny_world, dataset, path):
+    from repro import Pipeline
+    from repro.obs.manifest import RunManifest
+
+    return RunManifest.collect(Pipeline(tiny_world), dataset).write(path)
+
+
+def _write_store_jsonl(tiny_world, dataset, path):
+    from repro.store import store_to_jsonl, write_store
+
+    store_dir = path.with_name("source.store")
+    if not store_dir.exists():
+        write_store(dataset, store_dir)
+    return store_to_jsonl(store_dir, path)
+
+
+@pytest.mark.parametrize("write, budget", [
+    (lambda world, dataset, path: save_dataset(dataset, path), 3),
+    (lambda world, dataset, path: export_csv(dataset, path), 3),
+    (_write_store_jsonl, 3),
+    (_write_manifest, 0),  # one write call holds the whole document
+], ids=["save_dataset", "export_csv", "store_to_jsonl", "manifest"])
+def test_a_failed_write_keeps_the_old_file(tmp_path, tiny_world,
+                                           tiny_dataset, monkeypatch,
+                                           write, budget):
+    """Every dataset writer replaces its file: one that fails after
+    ``budget`` writes leaves the old bytes and no temp file behind."""
+    import pathlib
+
+    path = tmp_path / "out"
+    write(tiny_world, tiny_dataset, path)
+    old = path.read_bytes()
+    before = sorted(tmp_path.iterdir())
+    real_open = pathlib.Path.open
+
+    def failing_open(self, mode="r", *args, **kwargs):
+        handle = real_open(self, mode, *args, **kwargs)
+        return _FailingHandle(handle, budget) if "w" in mode else handle
+
+    monkeypatch.setattr(pathlib.Path, "open", failing_open)
+    with pytest.raises(OSError, match="No space left"):
+        write(tiny_world, tiny_dataset, path)
+    assert path.read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == before
