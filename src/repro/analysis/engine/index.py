@@ -12,9 +12,12 @@ category URL/byte totals, registration and server-location splits,
 per-(source, destination) cross-border flows, per-(country, ASN)
 provider footprints, HHI inputs and the Table 3 summary counts.
 
-:meth:`AnalysisIndex.build` fills the chunks from records; a columnar
-store (:mod:`repro.store`) hands each shard's lazily mapped column
-files to the same constructor, so both sources share every aggregate.
+:meth:`AnalysisIndex.build` fills the chunks from each country's
+:class:`~repro.core.dataset.HostTable`: per-host columns, expanded to
+one value per URL with ``numpy.take`` over the URL rows' host index
+(only ``sizes`` is read per URL); a columnar store (:mod:`repro.store`)
+hands each shard's lazily mapped column files to the same constructor,
+so both sources share every aggregate.
 
 Exactness contract
 ------------------
@@ -31,8 +34,8 @@ paper-report text.
 
 Mutability contract
 -------------------
-The index snapshots the records at build time.  Records are immutable
-once materialized (the pipeline never rewrites a ``CountryDataset``),
+The index snapshots the host tables at build time.  They are immutable
+once read (the pipeline never rewrites a ``CountryDataset``),
 so the index cached on a dataset by :meth:`AnalysisIndex.ensure` never
 needs invalidation.  The per-record ``country`` field is assumed to
 match the ``CountryDataset`` key it lives under -- true for every
@@ -53,13 +56,19 @@ are reference-identical across threads.
 from __future__ import annotations
 
 import threading
+from operator import itemgetter
 from typing import (Callable, Iterable, Iterator, Mapping, NamedTuple,
                     Sequence, Union)
 
 import numpy as np
 
 from repro.categories import HostingCategory
-from repro.core.dataset import DatasetSummary, GovernmentHostingDataset
+from repro.core.dataset import (
+    DatasetSummary,
+    GovernmentHostingDataset,
+    HostRow,
+    HostTable,
+)
 from repro.obs import events as obs_events
 from repro.urltools import registrable_domain
 from repro.world.countries import COUNTRIES
@@ -204,22 +213,21 @@ class AnalysisIndex:
 
     @classmethod
     def build(cls, dataset: GovernmentHostingDataset) -> "AnalysisIndex":
-        """Construct a fresh index: the one record scan of an analysis run."""
+        """Construct a fresh index: one pass over each country's host
+        table, expanded to per-URL columns."""
         countries = _Interner()
         countries[None] = -1  # excluded server locations
         organizations = _Interner()
         chunks = []
         for code, country_dataset in dataset.countries.items():
             country_id = countries[code]
-            records = country_dataset.records
-            values = dict.fromkeys(COLUMNS, ())
-            if records:
-                # C-level transpose of the per-country record list; the
-                # unpacking order mirrors the UrlRecord field order.
-                (_, _, _, sizes, _, _, addresses, asns, organizations_, regs,
-                 govs, cats, servers, anycasts, _) = zip(*records)
-                values = {
-                    "sizes": sizes,
+            table = country_dataset.host_table
+            hosts, expand = hosts_in_url_order(table)
+            per_host = dict.fromkeys(COLUMNS, ())
+            if hosts:
+                (_, addresses, asns, organizations_, regs, govs, cats,
+                 servers, anycasts, _) = zip(*hosts)
+                per_host = {
                     "addresses": addresses,
                     "asns": asns,
                     "categories": map(_CATEGORY_CODE.__getitem__, cats),
@@ -232,11 +240,16 @@ class AnalysisIndex:
                 }
             # Filled in COLUMNS order, so registration countries intern
             # before server countries -- the id order stores persist.
-            columns = {
-                name: np.fromiter(values[name], dtype, len(records))
-                for name, dtype in COLUMNS.items()
-            }
-            chunks.append(CountryChunk(code, country_id, len(records), columns))
+            # Hosts come in the order of their first URL, so every id is
+            # assigned in the first-seen order of a per-URL scan.
+            urls = len(table.urls)
+            columns = {"sizes": np.fromiter(map(itemgetter(2), table.urls),
+                                            np.int64, urls)}
+            for name, dtype in COLUMNS.items():
+                if name != "sizes":
+                    columns[name] = np.fromiter(
+                        per_host[name], dtype, len(hosts)).take(expand)
+            chunks.append(CountryChunk(code, country_id, urls, columns))
         return cls(dataset, chunks, countries.table, organizations.table)
 
     @classmethod
@@ -247,12 +260,12 @@ class AnalysisIndex:
 
         The built index is cached on the dataset instance, so every
         analysis function called with the same dataset shares one index
-        (records are immutable once materialized -- no invalidation).
+        (host tables are immutable once read -- no invalidation).
 
         Concurrent first calls on the same dataset build exactly once:
         the check-then-set runs under a per-dataset lock (itself
         created under a tiny global guard), so racing threads block on
-        the one build instead of each scanning the records.  The hot
+        the one build instead of each scanning the host tables.  The hot
         path -- an already-cached index -- stays a lock-free getattr.
         """
         if isinstance(source, cls):
@@ -608,6 +621,26 @@ class AnalysisIndex:
         return self._summary
 
 
+def hosts_in_url_order(table: HostTable) -> tuple[list[HostRow], np.ndarray]:
+    """``table``'s host rows in the order of their first URL row, and
+    each URL row's position in that list.
+
+    Interning per-host values in this order assigns ids in exactly the
+    first-seen order of a scan over the URL rows, and ``take`` over the
+    positions expands a per-host column to the per-URL one.  A host row
+    without URL rows is left out.
+    """
+    index = np.asarray(table.host_index, dtype=np.intp)
+    if index.size == 0:
+        return [], index
+    present, first = np.unique(index, return_index=True)
+    order = present[np.argsort(first)]
+    rank = np.empty(len(table.hosts), dtype=np.intp)
+    rank[order] = np.arange(order.size)
+    hosts = table.hosts
+    return [hosts[i] for i in order.tolist()], rank[index]
+
+
 def _union(uniques: list[np.ndarray]) -> np.ndarray:
     """The sorted union of per-chunk unique arrays."""
     return np.unique(np.concatenate(uniques)) if uniques else np.zeros(0)
@@ -637,6 +670,7 @@ __all__ = [
     "CountryChunk",
     "DatasetOrIndex",
     "ensure_index",
+    "hosts_in_url_order",
     "locked_cached_property",
     "underlying_dataset",
 ]

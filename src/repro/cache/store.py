@@ -9,15 +9,15 @@ digits to keep directories small)::
     │   meta_bytes, bulk_bytes, digest, scan_s)    │
     │ meta pickle (merge inputs: counts, verdicts, │
     │   footprint, faults)                         │
-    │ bulk pickle ((hosts, urls) — record          │
-    │   assembly's inputs)                         │
+    │ bulk pickle ((hosts, urls) — the host        │
+    │   table's inputs)                            │
     └──────────────────────────────────────────────┘
 
 The payload is split so a warm start pays only for what the driver's
 merges touch: the meta segment is unpickled eagerly, while the much
 larger bulk segment (per-host annotations and per-URL rows) stays raw
 bytes behind the returned partial's deferred ``bulk`` loader until the
-country's records are actually materialized.
+country's host table is actually read.
 
 Loads trust nothing: the header must parse, carry the current format
 version, the expected key and country and a numeric scan cost

@@ -788,6 +788,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                                         ring_size=args.trace_ring,
                                         slow_ms=args.slow_ms)
         try:
+            # Every store file, not only those the warm-up reads: a
+            # damaged column fails here, before the server listens.
+            for item in datasets:
+                item.verify()
             service = DatasetService(loaded, history=history)
         except StoreError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -4,12 +4,21 @@ One :class:`UrlRecord` per unique government URL, annotated with the
 full Table 2 information (address, AS, organization, registration) plus
 the hosting category, the validated server location and the validation
 method -- everything the Section 5-7 analyses consume.
+
+Nine of a record's fields (address through validation) belong to its
+hostname, so each :class:`CountryDataset` keeps its records in per-host
+form, a :class:`HostTable`: one :class:`HostRow` per distinct hostname
+and annotations, plus the URL rows and each URL's host row.  Summaries,
+exports, the analysis index and the store writer read that form;
+``records`` / ``iter_records()`` are the lazy compatibility view built
+from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, NamedTuple, Optional
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.categories import HostingCategory
 from repro.core.geolocation import ValidationMethod, ValidationStats
@@ -61,32 +70,130 @@ class UrlRecord(NamedTuple):
         return self.server_country == self.country
 
 
+class HostRow(NamedTuple):
+    """One hostname with the nine annotations its records share.
+
+    Fields follow :class:`UrlRecord` from ``address`` on, so a record is
+    its URL columns plus ``host_row[1:]``.
+    """
+
+    hostname: str
+    address: int
+    asn: int
+    organization: str
+    registered_country: str
+    gov_operated: bool
+    category: HostingCategory
+    server_country: Optional[str]
+    anycast: bool
+    validation: ValidationMethod
+
+
+#: One URL's own columns: ``(url, hostname, size_bytes, via, depth)`` --
+#: the shape of a phase-1 partial's URL rows, which the pipeline reuses.
+UrlRow = tuple[str, str, int, FilterVia, int]
+
+#: A record's :data:`UrlRow`.
+_URL_COLUMNS = itemgetter(0, 1, 3, 4, 5)
+
+
+class HostTable:
+    """One country's records in per-host form.
+
+    ``hosts`` holds each distinct (hostname, annotations) row once,
+    ``urls`` one :data:`UrlRow` per record in record order, and
+    ``host_index[i]`` the position in ``hosts`` of ``urls[i]``'s row.
+    Without an explicit ``host_index`` every hostname must name exactly
+    one host row (true of a pipeline partial), and the index is resolved
+    from the URL rows' hostnames on first read.
+    """
+
+    __slots__ = ("hosts", "urls", "_host_index")
+
+    def __init__(self, hosts: list[HostRow], urls: list[UrlRow],
+                 host_index: Optional[Sequence[int]] = None) -> None:
+        self.hosts = hosts
+        self.urls = urls
+        self._host_index = host_index
+
+    @property
+    def host_index(self) -> Sequence[int]:
+        """Per URL row, the position of its host row."""
+        index = self._host_index
+        if index is None:
+            position = {row[0]: i for i, row in enumerate(self.hosts)}
+            index = list(map(position.__getitem__,
+                             map(itemgetter(1), self.urls)))
+            self._host_index = index
+        return index
+
+    @classmethod
+    def from_records(cls, records: Sequence[UrlRecord]) -> "HostTable":
+        """Intern each record's hostname plus its nine annotations, so
+        a hostname whose records disagree keeps one row per variant."""
+        rows, host_index = intern_rows(
+            record[1:2] + record[6:] for record in records)
+        new = tuple.__new__
+        urls = list(map(_URL_COLUMNS, records))
+        return cls([new(HostRow, row) for row in rows], urls, host_index)
+
+
+def intern_rows(rows: Iterable[tuple]) -> tuple[list[tuple], list[int]]:
+    """Distinct ``rows`` in first-seen order, and each row's position."""
+    positions: dict[tuple, int] = {}
+    distinct: list[tuple] = []
+    index: list[int] = []
+    for row in rows:
+        position = positions.get(row)
+        if position is None:
+            position = positions[row] = len(distinct)
+            distinct.append(row)
+        index.append(position)
+    return distinct, index
+
+
+def build_records(country: str, table: HostTable) -> list[UrlRecord]:
+    """The ``UrlRecord`` view of one country's host table.
+
+    Built through ``tuple.__new__``: the generated NamedTuple
+    constructor would otherwise dominate a view of ~1M records.
+    """
+    new = tuple.__new__
+    annotations = [row[1:] for row in table.hosts]
+    return [
+        new(UrlRecord, (url, hostname, country, size_bytes, via, depth)
+            + annotations[host])
+        for (url, hostname, size_bytes, via, depth), host
+        in zip(table.urls, table.host_index)
+    ]
+
+
 class CountryDataset:
     """All records collected for one country, plus crawl bookkeeping.
 
-    ``records`` accepts either the materialized list or a zero-argument
-    assembler callable.  The pipeline passes the latter: per-URL record
-    assembly is the dominant non-scan cost at scale (~1M records at
-    ``scale=1.0``), so it runs only when something actually reads the
-    records — an export, an analysis, a summary.  Deferred assembly is
-    pure and idempotent (the assembler closes over an immutable
-    category snapshot), so it materializes the same records no matter
-    when — or from which thread — it first runs, and a warm-started
-    pipeline run that never touches the records skips the cost
-    entirely.
+    ``records`` is either the materialized record list or a zero-argument
+    loader of the country's :class:`HostTable`.  The pipeline passes a
+    loader, which categorizes each host once on first read, and so does
+    ``repro.io.load_dataset``, which interns host rows as it parses; a
+    given list is interned into a host table when something reads that
+    form.  Every reader on the run path -- the summary, the jsonl and
+    CSV writers, the analysis index, the store writer -- reads
+    :attr:`host_table`, so a ``run`` builds no ``UrlRecord``;
+    :attr:`records` builds the record view on first access.  Loaders
+    must be pure, so the view does not depend on when (or from which
+    thread) it is first built.
 
-    Deferred views can additionally carry what the metadata layer
-    already knows — ``record_count``, a ``hostname_loader`` and
-    ``total_bytes`` — so :attr:`url_count`, :attr:`hostnames` and
-    :attr:`total_bytes` answer without triggering record assembly.
-    The columnar dataset store (:mod:`repro.store`) passes all three,
-    which is what keeps whole-report runs record-free.
+    A store-backed view also carries what its shard manifest already
+    knows -- ``record_count``, a ``hostname_loader`` and
+    ``total_bytes`` -- so :attr:`url_count`, :attr:`hostnames` and
+    :attr:`total_bytes` answer without reading a column, which keeps
+    whole-report runs over a store free of per-URL work.
     """
 
     __slots__ = ("country", "landing_count", "discarded_url_count",
                  "unresolved_hostnames", "depth_histogram",
-                 "_records", "_assemble", "_hostnames", "_total_bytes",
-                 "_record_count", "_hostname_loader")
+                 "_records", "_table", "_load_table", "_hostnames",
+                 "_total_bytes", "_record_count", "_hostname_loader")
 
     def __init__(
         self,
@@ -110,26 +217,38 @@ class CountryDataset:
         self._total_bytes: Optional[int] = total_bytes
         self._record_count = record_count
         self._hostname_loader = hostname_loader
+        self._table: Optional[HostTable] = None
         if callable(records):
             self._records: Optional[list[UrlRecord]] = None
-            self._assemble = records
+            self._load_table = records
         else:
             self._records = records
-            self._assemble = None
+            self._load_table = None
+
+    @property
+    def host_table(self) -> HostTable:
+        """The records in per-host form (loaded or interned on first read)."""
+        table = self._table
+        if table is None:
+            if self._load_table is not None:
+                table = self._load_table()
+            else:
+                table = HostTable.from_records(self._records)
+            self._table = table
+        return table
 
     @property
     def records(self) -> list[UrlRecord]:
-        """The per-URL records (assembled on first access if deferred)."""
+        """The per-URL records (built from the host table on first access)."""
         records = self._records
         if records is None:
-            records = self._assemble()
+            records = build_records(self.country, self.host_table)
             self._records = records
-            self._assemble = None
         return records
 
     @property
     def materialized(self) -> bool:
-        """Whether the records have been assembled yet."""
+        """Whether the record view has been built yet."""
         return self._records is not None
 
     def __eq__(self, other: object) -> bool:
@@ -154,9 +273,11 @@ class CountryDataset:
     @property
     def url_count(self) -> int:
         """Unique government URLs (landing + internal)."""
-        if self._records is None and self._record_count is not None:
+        if self._records is not None:
+            return len(self._records)
+        if self._record_count is not None:
             return self._record_count
-        return len(self.records)
+        return len(self.host_table.urls)
 
     @property
     def internal_count(self) -> int:
@@ -165,14 +286,14 @@ class CountryDataset:
 
     @property
     def hostnames(self) -> set[str]:
-        """Unique government hostnames observed (memoized: records are
-        immutable once materialized, so the set never changes)."""
+        """Unique government hostnames observed (memoized: the host
+        table never changes once read, so neither does the set)."""
         hostnames = self._hostnames
         if hostnames is None:
             if self._hostname_loader is not None:
                 hostnames = set(self._hostname_loader())
             else:
-                hostnames = {record.hostname for record in self.records}
+                hostnames = {row[0] for row in self.host_table.hosts}
             self._hostnames = hostnames
         return hostnames
 
@@ -180,7 +301,7 @@ class CountryDataset:
     def total_bytes(self) -> int:
         total = self._total_bytes
         if total is None:
-            total = sum(record.size_bytes for record in self.records)
+            total = sum(map(itemgetter(2), self.host_table.urls))
             self._total_bytes = total
         return total
 
@@ -250,25 +371,36 @@ class GovernmentHostingDataset:
         return self.countries[code.upper()]
 
     def summarize(self) -> DatasetSummary:
-        """Compute the Table 3 headline numbers from the records."""
-        landing = sum(ds.landing_count for ds in self.countries.values())
-        total = sum(ds.url_count for ds in self.countries.values())
+        """Compute the Table 3 headline numbers from the host rows.
+
+        Every field is a count of distinct per-host values, and every
+        host row carries at least one URL (a pipeline partial holds only
+        hostnames the filter accepted URLs of; an interned table holds
+        only rows its records had), so one pass over the hosts equals a
+        pass over the records.
+        """
+        landing = 0
+        total = 0
         hostnames: set[str] = set()
         asns: set[int] = set()
         gov_asns: set[int] = set()
         addresses: set[int] = set()
         anycast_addresses: set[int] = set()
         server_countries: set[str] = set()
-        for record in self.iter_records():
-            hostnames.add(record.hostname)
-            asns.add(record.asn)
-            if record.gov_operated:
-                gov_asns.add(record.asn)
-            addresses.add(record.address)
-            if record.anycast:
-                anycast_addresses.add(record.address)
-            if record.server_country is not None:
-                server_countries.add(record.server_country)
+        for dataset in self.countries.values():
+            landing += dataset.landing_count
+            total += dataset.url_count
+            for (hostname, address, asn, _, _, gov_operated, _,
+                 server_country, anycast, _) in dataset.host_table.hosts:
+                hostnames.add(hostname)
+                asns.add(asn)
+                if gov_operated:
+                    gov_asns.add(asn)
+                addresses.add(address)
+                if anycast:
+                    anycast_addresses.add(address)
+                if server_country is not None:
+                    server_countries.add(server_country)
         return DatasetSummary(
             landing_urls=landing,
             internal_urls=max(0, total - landing),
@@ -295,6 +427,11 @@ class GovernmentHostingDataset:
 
 __all__ = [
     "UrlRecord",
+    "HostRow",
+    "UrlRow",
+    "HostTable",
+    "build_records",
+    "intern_rows",
     "CountryDataset",
     "DatasetSummary",
     "GovernmentHostingDataset",

@@ -42,7 +42,12 @@ from typing import TYPE_CHECKING, Callable, ContextManager, Optional, Sequence, 
 from repro.core.asclassify import GovernmentASClassifier
 from repro.core.classification import ProviderFootprint, categorize
 from repro.core.crawler import Crawler, CrawlResult
-from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
+from repro.core.dataset import (
+    CountryDataset,
+    GovernmentHostingDataset,
+    HostRow,
+    HostTable,
+)
 from repro.core.gathering import compile_directory
 from repro.core.geolocation import GeoVerdict, Geolocator
 from repro.core.infrastructure import HostInfrastructure, InfrastructureMapper
@@ -89,47 +94,41 @@ class _CountryScan:
     landing_count: int
 
 
-def _assemble_records(
+def _host_table(
     partial: CountryPartial, footprint: ProviderFootprint
-) -> list[UrlRecord]:
-    """Build one country's URL records from its phase-1 partial.
+) -> HostTable:
+    """One country's host table from its phase-1 partial.
 
-    The per-host suffix (everything after the per-URL columns) is
-    computed once per hostname, and records are built through
-    ``tuple.__new__`` — per-record attribute lookups and the generated
-    NamedTuple constructor otherwise dominate assembly, which creates
-    ~1M records at full scale.
+    Each host row is the partial's annotation plus the category, which
+    is computed once per host against the merged footprint.  The URL
+    rows are the partial's own tuples, so the cost is per host, not per
+    URL; reading them decodes a cached partial's bulk.
     """
     country = partial.country
-    new = tuple.__new__
-    suffix = {
-        hostname: (
-            note.address, note.asn, note.organization,
+    hosts = [
+        HostRow(
+            hostname, note.address, note.asn, note.organization,
             note.registered_country, note.gov_operated,
             categorize(note.gov_operated, note.asn, note.registered_country,
                        country, footprint),
             note.server_country, note.anycast, note.validation,
         )
         for hostname, note in partial.hosts.items()
-    }
-    return [
-        new(UrlRecord, (url, hostname, country, size_bytes, via, depth)
-            + suffix[hostname])
-        for url, hostname, size_bytes, via, depth in partial.urls
     ]
+    return HostTable(hosts, partial.urls)
 
 
 def assemble(
     partials: Sequence[CountryPartial],
     phase: Callable[..., ContextManager] = _null_span,
 ) -> GovernmentHostingDataset:
-    """Phase 2: merge the partials, then defer each country's records.
+    """Phase 2: merge the partials, then defer each country's host table.
 
     ``partials`` must be in canonical country order.  Footprints,
     Table 4 validation and fault reports are merged once; each
-    country's deferred record assembler categorizes against that one
-    merged footprint, so the per-URL cost is paid only when the records
-    are read.  ``phase`` opens the ``merge`` and ``finalize`` spans.
+    country's deferred host table categorizes against that one merged
+    footprint, so a partial's bulk is read only when its host table is.
+    ``phase`` opens the ``merge`` and ``finalize`` spans.
     """
     with phase("merge"):
         footprint = merge_footprints(partials)
@@ -140,9 +139,7 @@ def assemble(
             partial.country: CountryDataset(
                 country=partial.country,
                 landing_count=partial.landing_count,
-                records=functools.partial(
-                    _assemble_records, partial, footprint
-                ),
+                records=functools.partial(_host_table, partial, footprint),
                 discarded_url_count=partial.discarded_url_count,
                 unresolved_hostnames=partial.unresolved_hostnames,
                 depth_histogram=partial.depth_histogram,

@@ -53,12 +53,12 @@ class CountryPartial:
     because URLs are stored as tuples and per-host facts are factored
     out of the per-URL rows.
 
-    The *bulk* of a partial — ``hosts`` and ``urls``, everything record
-    assembly needs and nothing the driver's merges touch — may be given
+    The *bulk* of a partial — ``hosts`` and ``urls``, everything the
+    host table needs and nothing the driver's merges touch — may be given
     directly or through a deferred ``bulk`` loader returning the
     ``(hosts, urls)`` pair.  The scan cache uses the latter: a warm
     start reads and integrity-checks every entry up front but decodes
-    the bulk only when (and if) the records are materialized.  Loaders
+    the bulk only when (and if) the host table is read.  Loaders
     must be pure, so a deferred partial equals its eager twin no matter
     when the bulk is first touched.
     """

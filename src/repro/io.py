@@ -5,20 +5,35 @@ that request path: it exports a measured
 :class:`~repro.core.dataset.GovernmentHostingDataset` to JSON-lines
 (one record per unique URL) plus a JSON header, and loads it back
 losslessly, so analyses can run without regenerating the world.
+
+Exports read each country's :class:`~repro.core.dataset.HostTable`,
+not its records: :func:`write_record_lines` formats each host's JSON
+fields once and, per URL, only the url, size, via and depth, into
+exactly the bytes of ``json.dumps(record_to_dict(record))``.  The
+store's jsonl export writes through the same function.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import logging
 import os
 import pathlib
+from json.encoder import encode_basestring_ascii
 from typing import Iterator, TextIO, Union
 
 from repro.categories import HostingCategory
-from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
+from repro.core.dataset import (
+    CountryDataset,
+    GovernmentHostingDataset,
+    HostRow,
+    HostTable,
+    UrlRecord,
+    UrlRow,
+)
 from repro.core.geolocation import ValidationMethod, ValidationStats
 from repro.core.urlfilter import FilterVia
 from repro.faults.report import FaultReport
@@ -29,7 +44,7 @@ logger = logging.getLogger(__name__)
 FORMAT_VERSION = 1
 
 #: Record count past which :func:`load_dataset` warns that the jsonl
-#: path is the wrong tool (one JSON parse + one ``UrlRecord`` per line)
+#: path is the wrong tool (one JSON parse per line)
 #: and points at the columnar store (``repro-gov convert``).
 LARGE_FILE_RECORDS = 1_000_000
 
@@ -45,37 +60,53 @@ def record_to_dict(record: UrlRecord) -> dict:
         "size_bytes": record.size_bytes,
         "via": record.via.value,
         "depth": record.depth,
-        "address": record.address,
-        "asn": record.asn,
-        "organization": record.organization,
-        "registered_country": record.registered_country,
-        "gov_operated": record.gov_operated,
-        "category": record.category.value,
-        "server_country": record.server_country,
-        "anycast": record.anycast,
-        "validation": record.validation.value,
+        **_annotations_to_dict(record[6:]),
+    }
+
+
+def _annotations_to_dict(annotations: tuple) -> dict:
+    """The nine per-host fields of a record (``record[6:]``, or a host
+    row's ``row[1:]``) as the tail of :func:`record_to_dict`."""
+    (address, asn, organization, registered_country, gov_operated,
+     category, server_country, anycast, validation) = annotations
+    return {
+        "address": address,
+        "asn": asn,
+        "organization": organization,
+        "registered_country": registered_country,
+        "gov_operated": gov_operated,
+        "category": category.value,
+        "server_country": server_country,
+        "anycast": anycast,
+        "validation": validation.value,
     }
 
 
 def record_from_dict(data: dict) -> UrlRecord:
     """Inverse of :func:`record_to_dict`."""
-    return UrlRecord(
-        url=data["url"],
-        hostname=data["hostname"],
-        country=data["country"],
-        size_bytes=data["size_bytes"],
-        via=FilterVia(data["via"]),
-        depth=data["depth"],
-        address=data["address"],
-        asn=data["asn"],
-        organization=data["organization"],
-        registered_country=data["registered_country"],
-        gov_operated=data["gov_operated"],
-        category=HostingCategory(data["category"]),
-        server_country=data["server_country"],
-        anycast=data["anycast"],
-        validation=ValidationMethod(data["validation"]),
+    (url, hostname, size_bytes, via, depth), host = _record_rows(data)
+    return UrlRecord(url, hostname, data["country"], size_bytes, via, depth,
+                     *host[1:])
+
+
+def _record_rows(data: dict) -> tuple[UrlRow, tuple]:
+    """A record's dict as its URL row and its host key: the hostname
+    plus the nine annotations, in :class:`HostRow` field order."""
+    hostname = data["hostname"]
+    return (
+        (data["url"], hostname, data["size_bytes"], FilterVia(data["via"]),
+         data["depth"]),
+        (hostname, data["address"], data["asn"], data["organization"],
+         data["registered_country"], data["gov_operated"],
+         HostingCategory(data["category"]), data["server_country"],
+         data["anycast"], ValidationMethod(data["validation"])),
     )
+
+
+def _interned_table(hosts: dict, urls: list, host_index: list) -> HostTable:
+    """The host table of rows interned while a file streamed by."""
+    new = tuple.__new__
+    return HostTable([new(HostRow, row) for row in hosts], urls, host_index)
 
 
 def dataset_header(dataset: GovernmentHostingDataset) -> dict:
@@ -123,18 +154,54 @@ def open_replacement(path: PathLike) -> Iterator[TextIO]:
         raise
 
 
+#: A default ``json.dumps`` call's string encoder: strings formatted
+#: with it join into the bytes ``json.dumps`` writes for a whole dict.
+_json_string = encode_basestring_ascii
+
+
+def write_record_lines(handle: TextIO, country: str, table: HostTable) -> int:
+    """Write one country's records as jsonl lines; returns their number.
+
+    Each line is ``json.dumps(record_to_dict(record))`` of the record
+    the host table describes.  The hostname, country and the nine
+    annotations are formatted once per host row, so per URL only the
+    url, size, via and depth are.
+    """
+    country_field = _json_string(country)
+    heads = []
+    tails = []
+    for row in table.hosts:
+        heads.append(f', "hostname": {_json_string(row[0])}, '
+                     f'"country": {country_field}, "size_bytes": ')
+        tails.append(", " + json.dumps(_annotations_to_dict(row[1:]))[1:]
+                     + "\n")
+    # Keyed by ``FilterVia._value_`` (a plain attribute): a dict keyed by
+    # the members would call ``Enum.__hash__`` for every URL.
+    vias = {via.value: f', "via": {_json_string(via.value)}, "depth": '
+            for via in FilterVia}
+    lines = [
+        f'{{"url": {_json_string(url)}{heads[host]}{size_bytes}'
+        f'{vias[via._value_]}{depth}{tails[host]}'
+        for (url, _, size_bytes, via, depth), host
+        in zip(table.urls, table.host_index)
+    ]
+    handle.write("".join(lines))
+    return len(lines)
+
+
 def save_dataset(dataset: GovernmentHostingDataset, path: PathLike) -> int:
     """Write the dataset as JSON lines; returns the number of records.
 
     Line 1 is a header object (format version, per-country metadata and
-    validation statistics); every following line is one URL record.
+    validation statistics); every following line is one URL record, in
+    ``iter_records()`` order, written from the host tables.
     """
     count = 0
     with open_replacement(path) as handle:
         handle.write(json.dumps(dataset_header(dataset)) + "\n")
-        for record in dataset.iter_records():
-            handle.write(json.dumps(record_to_dict(record)) + "\n")
-            count += 1
+        for country_dataset in dataset.countries.values():
+            count += write_record_lines(handle, country_dataset.country,
+                                        country_dataset.host_table)
     return count
 
 
@@ -176,10 +243,13 @@ def _reject_duplicate_keys(pairs: list) -> dict:
 def load_dataset(path: PathLike) -> GovernmentHostingDataset:
     """Read a dataset previously written by :func:`save_dataset`.
 
-    Every ``CountryDataset`` is constructed up front from the header
-    and records are appended into it as the file streams by, so peak
-    memory is one copy of the records (plus the line being parsed) --
-    no intermediate per-country buckets are rebuilt at the end.
+    Every ``CountryDataset`` is constructed up front from the header,
+    and each line is parsed straight into its country's host table as
+    the file streams by: a URL row, plus its hostname and nine
+    annotations interned into host rows (a hostname whose lines
+    disagree keeps one row per variant).  No ``UrlRecord`` is built, so
+    peak memory is the URL rows and one row per distinct host (plus the
+    line being parsed); ``records`` builds the record view on demand.
     """
     path = pathlib.Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -201,16 +271,17 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
         validation = validation_from_dict(header.get("validation"),
                                           f"{path}:1")
         countries: dict[str, CountryDataset] = {}
-        records_by_country: dict[str, list[UrlRecord]] = {}
+        #: Per country: host key -> host row position, URL rows, and
+        #: each URL row's host row position.
+        tables: dict[str, tuple[dict, list, list]] = {}
         for code, meta in require(header, "countries", dict,
                                   f"{path}:1").items():
             where = f"{path}:1: country {code!r}"
-            records: list[UrlRecord] = []
-            records_by_country[code] = records
+            table = tables[code] = ({}, [], [])
             countries[code] = CountryDataset(
                 country=code,
                 landing_count=require(meta, "landing_count", int, where),
-                records=records,
+                records=functools.partial(_interned_table, *table),
                 discarded_url_count=require(meta, "discarded_url_count",
                                             int, where),
                 unresolved_hostnames=list(
@@ -226,19 +297,23 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
             if not line.strip():
                 continue
             try:
-                record = record_from_dict(json.loads(line))
+                data = json.loads(line)
+                url_row, host = _record_rows(data)
+                country = data["country"]
             except (json.JSONDecodeError, KeyError, ValueError) as exc:
                 raise ValueError(
                     f"{path}:{line_number}: corrupt record ({exc})"
                 ) from exc
-            bucket = records_by_country.get(record.country)
-            if bucket is None:
+            table = tables.get(country)
+            if table is None:
                 raise ValueError(
                     f"{path}:{line_number}: record country "
-                    f"{record.country!r} is absent from the header's "
+                    f"{country!r} is absent from the header's "
                     f"countries map"
                 )
-            bucket.append(record)
+            hosts, urls, host_index = table
+            urls.append(url_row)
+            host_index.append(hosts.setdefault(host, len(hosts)))
             count += 1
             if count == LARGE_FILE_RECORDS + 1:
                 logger.warning(
@@ -258,35 +333,29 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
 def export_csv(dataset: GovernmentHostingDataset, path: PathLike) -> int:
     """Write a flat CSV of all records (for spreadsheet-style analysis).
 
-    Rows are written as plain tuples in :func:`record_to_dict` order --
-    building a dict per record only for ``DictWriter`` to flatten it
-    straight back out doubles the per-row cost for nothing.
+    Columns follow :func:`record_to_dict`.  Rows are built from the
+    host tables: each host's nine fields are converted once, and a row
+    is its URL's columns plus that tuple.
     """
     import csv
 
     count = 0
     with open_replacement(path) as handle:
         writer = csv.writer(handle)
-        writer.writerow(tuple(record_to_dict(_DUMMY)))
-        for r in dataset.iter_records():
-            writer.writerow((
-                r.url, r.hostname, r.country, r.size_bytes, r.via.value,
-                r.depth, r.address, r.asn, r.organization,
-                r.registered_country, r.gov_operated, r.category.value,
-                r.server_country, r.anycast, r.validation.value,
-            ))
-            count += 1
+        writer.writerow(UrlRecord._fields)
+        for country_dataset in dataset.countries.values():
+            country = country_dataset.country
+            table = country_dataset.host_table
+            annotations = [tuple(_annotations_to_dict(row[1:]).values())
+                           for row in table.hosts]
+            writer.writerows(
+                (url, hostname, country, size_bytes, via._value_, depth)
+                + annotations[host]
+                for (url, hostname, size_bytes, via, depth), host
+                in zip(table.urls, table.host_index)
+            )
+            count += len(table.urls)
     return count
-
-
-#: Template record whose dict form fixes the CSV column set (and order)
-#: even for empty datasets.
-_DUMMY = UrlRecord(
-    url="", hostname="", country="", size_bytes=0, via=FilterVia.TLD, depth=0,
-    address=0, asn=0, organization="", registered_country="",
-    gov_operated=False, category=HostingCategory.GOVT_SOE,
-    server_country=None, anycast=False, validation=ValidationMethod.UNRESOLVED,
-)
 
 
 __all__ = [
@@ -298,6 +367,7 @@ __all__ = [
     "require",
     "validation_from_dict",
     "open_replacement",
+    "write_record_lines",
     "save_dataset",
     "load_dataset",
     "export_csv",

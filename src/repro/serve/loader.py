@@ -38,6 +38,13 @@ class LoadedDataset:
         self.kind = kind
         self._store = store
 
+    def verify(self) -> None:
+        """Re-hash every file of a backing store against its manifest
+        digest (raises :class:`~repro.store.StoreError` naming the first
+        damaged file); a jsonl dataset was fully parsed when loaded."""
+        if self._store is not None:
+            self._store.verify()
+
     def close(self) -> None:
         """Release the backing store's mappings (no-op for jsonl)."""
         if self._store is not None:

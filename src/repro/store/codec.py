@@ -6,8 +6,8 @@ platform-independent:
 * **typed columns** -- a flat buffer of one fixed-width dtype
   (:data:`KINDS` names the allowed ones), written with
   :func:`column_bytes` and viewed back zero-copy with
-  :func:`column_view` (over any buffer: ``bytes``, ``memoryview`` or a
-  ``numpy.memmap``).
+  :func:`column_view` (over any buffer: ``bytes``, ``memoryview`` or an
+  ``mmap``).
 * **string tables** -- a UTF-8 blob plus an ``int64`` offset column of
   length ``n + 1`` (``offsets[0] == 0``), so table entry ``i`` is
   ``blob[offsets[i]:offsets[i + 1]]``.  Encoding preserves order, so a

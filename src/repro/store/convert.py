@@ -12,9 +12,11 @@ Both directions preserve bytes exactly:
   jsonl it was converted from, byte for byte (the index over the
   store's shards reproduces the scan-built index exactly).
 
-``store_to_jsonl`` streams: one country's records are materialized,
-written and dropped before the next shard is touched, so converting an
-arbitrarily large store runs in bounded memory.
+``store_to_jsonl`` streams: one shard's host table is rebuilt from its
+columns, written through :func:`repro.io.write_record_lines` (the line
+writer of :func:`repro.io.save_dataset`) and dropped before the next
+shard is touched, so converting an arbitrarily large store runs in
+bounded memory and builds no ``UrlRecord``.
 """
 
 from __future__ import annotations
@@ -50,10 +52,11 @@ def store_to_jsonl(
     """Write a store back out as jsonl; returns the record count.
 
     The header is built by the same code :func:`repro.io.save_dataset`
-    uses (over the store-backed dataset's metadata -- no records are
-    materialized for it), and records stream one shard at a time.
+    uses (over the store-backed dataset's metadata -- no column is read
+    for it), and the records stream one shard at a time through its
+    line writer.
     """
-    from repro.io import dataset_header, open_replacement, record_to_dict
+    from repro.io import dataset_header, open_replacement, write_record_lines
 
     owns_store = not isinstance(store, DatasetStore)
     if owns_store:
@@ -64,9 +67,8 @@ def store_to_jsonl(
         with open_replacement(jsonl_path) as handle:
             handle.write(json.dumps(header) + "\n")
             for shard in store.shards():
-                for record in shard.materialize_records():
-                    handle.write(json.dumps(record_to_dict(record)) + "\n")
-                    count += 1
+                count += write_record_lines(handle, shard.code,
+                                            shard.host_table())
             if count != store.record_count:
                 raise StoreError(
                     f"{store.store_dir}: streamed {count} records, "

@@ -5,18 +5,19 @@ digest chain and every column file's size up front (cheap stats -- no
 column bytes are read), and then serves three progressively heavier
 views:
 
-* **columns** -- zero-copy ``numpy.memmap`` views per shard, mapped and
-  checked against their manifest digest on first read (a damaged file
-  raises :class:`~repro.store.format.StoreError`, never loads): the
-  chunks of the dataset's
-  :class:`~repro.analysis.engine.AnalysisIndex`;
+* **columns** -- zero-copy ``numpy.frombuffer`` views over read-only
+  ``mmap`` objects per shard, mapped and checked against their manifest
+  digest on first read (a damaged file raises
+  :class:`~repro.store.format.StoreError`, never loads): the chunks of
+  the dataset's :class:`~repro.analysis.engine.AnalysisIndex`;
 * **metadata** -- per-country landing counts, depth histograms,
   unresolved hostnames and hostname tables, enough for the full paper
   report without touching a single record;
-* **records** -- materialized :class:`~repro.core.dataset.UrlRecord`
-  lists per country, the lazy compatibility view behind
-  ``CountryDataset.records`` / ``iter_records()``.  Nothing in the
-  analysis path needs them; they exist for exports and legacy callers.
+* **host tables** -- each country's
+  :class:`~repro.core.dataset.HostTable`, rebuilt from the columns by
+  interning each URL's hostname and nine annotations: what exports and
+  ``CountryDataset.records`` / ``iter_records()`` (the lazy
+  compatibility view) read.  Nothing in the analysis path needs them.
 
 :meth:`DatasetStore.dataset` assembles a
 :class:`~repro.core.dataset.GovernmentHostingDataset` whose country
@@ -29,20 +30,22 @@ columns.
 Resource lifetime
 -----------------
 Every mapped column holds an open file descriptor and a live mapping
-until explicitly released (``numpy.memmap`` keeps the file open for the
-array's lifetime), so a long-running process that opens stores must
-close them: :meth:`DatasetStore.close` -- or the context-manager form
-``with DatasetStore(path) as store:`` -- cascades to every shard and
-releases all memoized mappings.  Closing is not final: a later
-:meth:`ShardReader.column` call simply remaps on demand, so ``close``
-doubles as a "drop all mappings" pressure valve.  Column memoization is
-lock-guarded, making concurrent reads from a shared store safe.
+until explicitly released (an ``mmap`` object keeps a duplicate of the
+file's descriptor for its lifetime), so a long-running process that
+opens stores must close them: :meth:`DatasetStore.close` -- or the
+context-manager form ``with DatasetStore(path) as store:`` -- cascades
+to every shard and releases all memoized mappings.  Closing is not
+final: a later :meth:`ShardReader.column` call simply remaps on demand,
+so ``close`` doubles as a "drop all mappings" pressure valve.  Column
+memoization is lock-guarded, making concurrent reads from a shared
+store safe.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import mmap
 import pathlib
 import threading
 from typing import Iterator, Mapping, Optional, Union
@@ -55,7 +58,15 @@ from repro.analysis.engine.index import (
     AnalysisIndex,
     CountryChunk,
 )
-from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
+from repro.core.dataset import (
+    CountryDataset,
+    GovernmentHostingDataset,
+    HostRow,
+    HostTable,
+    UrlRecord,
+    build_records,
+    intern_rows,
+)
 from repro.core.geolocation import ValidationStats
 from repro.faults.report import FaultReport
 from repro.io import require, validation_from_dict
@@ -142,23 +153,42 @@ class ShardReader:
         self.total_bytes: int = manifest["total_bytes"]
         self._lock = threading.Lock()
         self._columns: dict[str, np.ndarray] = {}
+        #: The ``mmap`` object behind each memoized column view.
+        self._maps: dict[str, mmap.mmap] = {}
         self._hostname_table: Optional[list[str]] = None
 
     # ------------------------------------------------------------ files
 
-    def _map_file(self, name: str, kind: Optional[str]) -> np.ndarray:
+    def _map_file(
+        self, name: str, kind: Optional[str]
+    ) -> tuple[np.ndarray, Optional[mmap.mmap]]:
         """mmap one column file read-only and check its digest against
-        the shard manifest (empty files map to empty arrays: ``mmap``
-        cannot map zero bytes, and their size check covers them)."""
+        the shard manifest; returns the typed view and its mapping.
+
+        Empty files map to empty arrays and no mapping (``mmap`` cannot
+        map zero bytes; their size check covers them).  A plain
+        ``mmap`` under ``numpy.frombuffer`` costs a fraction of a
+        ``numpy.memmap``, which resolves the path on every call.
+        """
         path = self.shard_dir / name
+        dtype = codec.KINDS[kind or "u8"]
         if self.manifest["files"][name]["bytes"] == 0:
-            return np.zeros(0, dtype=codec.KINDS[kind or "u8"])
+            return np.zeros(0, dtype=dtype), None
         try:
-            mapped = np.memmap(path, dtype=codec.KINDS[kind or "u8"], mode="r")
+            with open(path, "rb") as handle:
+                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         except (OSError, ValueError) as exc:
             raise StoreError(f"{path}: cannot map column ({exc})") from exc
-        self._check_digest(name, mapped)
-        return mapped
+        try:
+            self._check_digest(name, mapped)
+            try:
+                view = np.frombuffer(mapped, dtype=dtype)
+            except ValueError as exc:
+                raise StoreError(f"{path}: cannot map column ({exc})") from exc
+        except BaseException:
+            _close_mapping(mapped)
+            raise
+        return view, mapped
 
     def _check_digest(self, name: str, payload) -> None:
         """``payload`` (the file's bytes, or its mapping) must hash to
@@ -178,22 +208,29 @@ class ShardReader:
             with self._lock:
                 view = self._columns.get(name)
                 if view is None:
-                    view = self._map_file(name, COLUMN_FILES.get(name, "u8"))
+                    view, mapped = self._map_file(
+                        name, COLUMN_FILES.get(name, "u8"))
                     self._columns[name] = view
+                    if mapped is not None:
+                        self._maps[name] = mapped
         return view
 
     def _strtab(self, idx_name: str, blob_name: str) -> list[str]:
-        idx = self._map_file(idx_name, "i64")
-        blob = self._map_file(blob_name, "u8")
-        mappings = (getattr(idx, "_mmap", None), getattr(blob, "_mmap", None))
+        idx, idx_map = self._map_file(idx_name, "i64")
+        try:
+            blob, blob_map = self._map_file(blob_name, "u8")
+        except BaseException:
+            del idx
+            _close_mapping(idx_map)
+            raise
         try:
             return codec.strtab_decode(idx, blob)
         finally:
             # Drop the transient views before closing so the mappings
             # (and their descriptors) release now, not at the next GC.
             del idx, blob
-            for mapped in mappings:
-                _close_mapping(mapped)
+            _close_mapping(idx_map)
+            _close_mapping(blob_map)
 
     def close(self) -> None:
         """Release every memoized mapping (descriptors included).
@@ -205,11 +242,10 @@ class ShardReader:
         buffer), and later :meth:`column` calls simply remap.
         """
         with self._lock:
-            views = list(self._columns.values())
-            self._columns.clear()
+            maps = list(self._maps.values())
+            self._maps.clear()
+            self._columns.clear()  # drop the views so the exports die
             self._hostname_table = None
-        maps = [getattr(view, "_mmap", None) for view in views]
-        views.clear()  # drop the array refs so the buffer exports die
         for mapped in maps:
             _close_mapping(mapped)
 
@@ -231,46 +267,62 @@ class ShardReader:
         """Unique hostnames of this country (no record materialization)."""
         return set(self.hostname_table())
 
-    # ---------------------------------------------------------- records
+    # ------------------------------------------------------ host table
 
-    def materialize_records(self) -> list[UrlRecord]:
-        """Rebuild the country's ``UrlRecord`` list from the columns.
+    def host_table(self) -> HostTable:
+        """Rebuild the country's :class:`HostTable` from the columns.
 
-        This is the *compatibility* path (exports, legacy record
-        consumers); analyses never call it.  All ints come back as
-        Python ints, so round-tripped records compare equal to -- and
-        JSON-serialize identically to -- pipeline-built ones.
+        Each URL's hostname id and nine annotation columns are interned
+        as raw integers, so a host row is decoded once, however many
+        URLs it has.  All ints come back as Python ints, so the record
+        view and the jsonl lines equal -- byte for byte -- a
+        pipeline-built dataset's.
         """
         if self.record_count == 0:
-            return []
+            return HostTable([], [], [])
         store = self.store
         country_table = store.country_table
         organization_table = store.organization_table
         hostname_table = self.hostname_table()
-        urls = self._strtab("urls.idx", "urls.blob")
-        hostnames = [hostname_table[hid]
-                     for hid in self.column("hostname.u32").tolist()]
-        code = self.code
-        rows = zip(
-            urls,
-            hostnames,
-            [code] * self.record_count,
-            self.column("sizes.i64").tolist(),
-            [VIA_CODES[v] for v in self.column("via.u8").tolist()],
-            self.column("depth.i64").tolist(),
-            self.column("addresses.i64").tolist(),
-            self.column("asns.i64").tolist(),
-            [organization_table[o]
-             for o in self.column("organization.i32").tolist()],
-            [country_table[r] for r in self.column("registered.i32").tolist()],
-            [bool(g) for g in self.column("gov.u8").tolist()],
-            [CATEGORIES[c] for c in self.column("category.u8").tolist()],
-            [None if s < 0 else country_table[s]
-             for s in self.column("server.i32").tolist()],
-            [bool(a) for a in self.column("anycast.u8").tolist()],
-            [VALIDATION_CODES[v] for v in self.column("validation.u8").tolist()],
-        )
-        return list(map(UrlRecord._make, rows))
+        column = self.column
+        hostname_ids = column("hostname.u32").tolist()
+        coded, host_index = intern_rows(zip(
+            hostname_ids,
+            column("addresses.i64").tolist(),
+            column("asns.i64").tolist(),
+            column("organization.i32").tolist(),
+            column("registered.i32").tolist(),
+            column("gov.u8").tolist(),
+            column("category.u8").tolist(),
+            column("server.i32").tolist(),
+            column("anycast.u8").tolist(),
+            column("validation.u8").tolist(),
+        ))
+        hosts = [
+            HostRow(hostname_table[hostname], address, asn,
+                    organization_table[organization],
+                    country_table[registered], bool(gov), CATEGORIES[category],
+                    None if server < 0 else country_table[server],
+                    bool(anycast), VALIDATION_CODES[validation])
+            for (hostname, address, asn, organization, registered, gov,
+                 category, server, anycast, validation) in coded
+        ]
+        urls = list(zip(
+            self._strtab("urls.idx", "urls.blob"),
+            [hostname_table[hid] for hid in hostname_ids],
+            column("sizes.i64").tolist(),
+            [VIA_CODES[v] for v in column("via.u8").tolist()],
+            column("depth.i64").tolist(),
+        ))
+        return HostTable(hosts, urls, host_index)
+
+    def materialize_records(self) -> list[UrlRecord]:
+        """The country's ``UrlRecord`` list, built from :meth:`host_table`.
+
+        This is the *compatibility* path (legacy record consumers);
+        analyses and exports never call it.
+        """
+        return build_records(self.code, self.host_table())
 
     # --------------------------------------------------------- checking
 
@@ -294,8 +346,7 @@ class ShardReader:
 
     def verify(self) -> None:
         """Re-hash every column file against its recorded digest (read
-        whole: building a ``numpy.memmap`` per file would cost more than
-        hashing it)."""
+        whole: mapping each file would cost more than hashing it)."""
         self.check_sizes()
         for name in _SHARD_FILES:
             self._check_digest(name, (self.shard_dir / name).read_bytes())
@@ -442,10 +493,10 @@ class DatasetStore:
         """A store-backed dataset: lazy country views + zero-copy index.
 
         The returned dataset answers every metadata question (counts,
-        hostnames, landing pages, summaries) and every analysis --
-        including the full paper report -- without materializing a
-        single record; ``records`` / ``iter_records()`` stay available
-        and assemble lazily per country from the shard columns.  No
+        hostnames, landing pages) and every analysis -- including the
+        full paper report -- without materializing a single record;
+        host tables (and from them ``records`` / ``iter_records()``)
+        are rebuilt lazily per country from the shard columns.  No
         column file is mapped until an analysis reads it.
         """
         countries: dict[str, CountryDataset] = {}
@@ -454,7 +505,7 @@ class DatasetStore:
             countries[code] = CountryDataset(
                 country=code,
                 landing_count=shard.landing_count,
-                records=shard.materialize_records,
+                records=shard.host_table,
                 discarded_url_count=shard.discarded_url_count,
                 unresolved_hostnames=list(shard.unresolved_hostnames),
                 depth_histogram=dict(shard.depth_histogram),

@@ -4,14 +4,18 @@
 :class:`~repro.analysis.engine.AnalysisIndex` -- the one canonical
 columnar form of a dataset -- plus the per-record url/hostname/via/
 depth/validation columns the index does not carry (they are needed only
-to reconstruct :class:`~repro.core.dataset.UrlRecord` objects for the
-compatibility view and for lossless jsonl round-trips).
+to rebuild each country's host table, for the compatibility view and
+for lossless jsonl round-trips).
 
-The write is the single full pass over the records; everything a later
-analysis run needs comes back out of the shards without record
-materialization.  Output is deterministic: converting the same dataset
-twice produces byte-identical stores (no timestamps, sorted manifest
-keys, insertion orders preserved).
+Those columns come from the same
+:class:`~repro.core.dataset.HostTable` the index is built from: url,
+via and depth per URL row, validation and the shard-local hostname ids
+per host row, expanded with ``numpy.take`` over the URL rows' host
+index.  No ``UrlRecord`` is built; everything a later analysis run
+needs comes back out of the shards without record materialization.
+Output is deterministic: converting the same dataset twice produces
+byte-identical stores (no timestamps, sorted manifest keys, insertion
+orders preserved).
 
 Writes are atomic at store granularity: the shards and manifests are
 assembled under a temporary sibling directory and renamed into place
@@ -27,10 +31,17 @@ import logging
 import os
 import pathlib
 import shutil
+from operator import itemgetter
 from typing import Union
 
-from repro.analysis.engine.index import AnalysisIndex, CountryChunk
-from repro.core.dataset import GovernmentHostingDataset
+import numpy as np
+
+from repro.analysis.engine.index import (
+    AnalysisIndex,
+    CountryChunk,
+    hosts_in_url_order,
+)
+from repro.core.dataset import GovernmentHostingDataset, HostTable
 from repro.store import codec
 from repro.store.format import (
     COLUMN_FILES,
@@ -54,39 +65,43 @@ def _write_file(directory: pathlib.Path, name: str, payload: bytes) -> dict:
     return {"bytes": len(payload), "digest": codec.digest(payload)}
 
 
-def _shard_columns(chunk: CountryChunk, records) -> dict:
+def _shard_columns(chunk: CountryChunk, table: HostTable) -> dict:
     """All column buffers of one shard, keyed by filename."""
     buffers: dict[str, bytes] = {
         filename: codec.column_bytes(chunk.columns[name], COLUMN_FILES[filename])
         for name, filename in INDEX_COLUMN_FILES.items()
     }
-    if records:
-        (urls, hostnames, _, _, vias, depths, *_rest) = zip(*records)
-        validations = tuple(record.validation for record in records)
-    else:
-        urls = hostnames = vias = depths = validations = ()
+    urls = table.urls
+    hosts, expand = hosts_in_url_order(table)
+    # Keyed by ``FilterVia._value_``: a dict keyed by the members would
+    # call ``Enum.__hash__`` for every URL.
+    via_codes = {via.value: code for via, code in VIA_CODE.items()}
+    vias = map(itemgetter(3), urls)
     buffers["via.u8"] = codec.column_bytes(
-        [VIA_CODE[via] for via in vias], "u8"
+        np.fromiter((via_codes[via._value_] for via in vias), np.uint8,
+                    len(urls)), "u8"
     )
     buffers["validation.u8"] = codec.column_bytes(
-        [VALIDATION_CODE[method] for method in validations], "u8"
+        np.fromiter((VALIDATION_CODE[row.validation] for row in hosts),
+                    np.uint8, len(hosts)).take(expand), "u8"
     )
-    buffers["depth.i64"] = codec.column_bytes(list(depths), "i64")
-    # Shard-local hostname interning, first-seen in record order.
+    buffers["depth.i64"] = codec.column_bytes(
+        np.fromiter(map(itemgetter(4), urls), np.int64, len(urls)), "i64"
+    )
+    # Shard-local hostname interning, first-seen in record order: the
+    # hosts come in the order of their first URL, so interning their
+    # hostnames in turn assigns the same ids.
     hostname_ids: dict[str, int] = {}
-    hostname_table: list[str] = []
-    hid_column: list[int] = []
-    for hostname in hostnames:
-        hid = hostname_ids.get(hostname)
-        if hid is None:
-            hid = len(hostname_table)
-            hostname_ids[hostname] = hid
-            hostname_table.append(hostname)
-        hid_column.append(hid)
-    buffers["hostname.u32"] = codec.column_bytes(hid_column, "u32")
-    buffers["urls.idx"], buffers["urls.blob"] = codec.strtab_bytes(urls)
+    host_hids = [hostname_ids.setdefault(row.hostname, len(hostname_ids))
+                 for row in hosts]
+    buffers["hostname.u32"] = codec.column_bytes(
+        np.array(host_hids, dtype=np.int64).take(expand), "u32"
+    )
+    buffers["urls.idx"], buffers["urls.blob"] = codec.strtab_bytes(
+        map(itemgetter(0), urls)
+    )
     buffers["hostnames.idx"], buffers["hostnames.blob"] = codec.strtab_bytes(
-        hostname_table
+        hostname_ids
     )
     return buffers
 
@@ -96,8 +111,7 @@ def _write_shard(
 ) -> bytes:
     """Write one country's shard; returns the shard manifest bytes."""
     shard_dir.mkdir(parents=True)
-    records = country_dataset.records
-    buffers = _shard_columns(chunk, records)
+    buffers = _shard_columns(chunk, country_dataset.host_table)
     files = {}
     for name in list(COLUMN_FILES) + [n for pair in STRTAB_FILES for n in pair]:
         entry = _write_file(shard_dir, name, buffers[name])

@@ -1,8 +1,11 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import dataclasses
+import json
+import pathlib
 import pickle
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +14,10 @@ from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.analysis.diversification import hhi
 from repro.analysis.engine.index import AnalysisIndex
 from repro.categories import HostingCategory
+from repro.core.dataset import DatasetSummary
 from repro.datagen.sitebuilder import largest_remainder
 from repro.evolve import EvolutionModel
+from repro.io import dataset_header, record_to_dict, save_dataset
 from repro.netsim.anycast import AnycastGroup
 from repro.netsim.asn import PoP
 from repro.netsim.latency import country_threshold_ms, propagation_rtt_ms
@@ -137,7 +142,7 @@ def test_mix_assignment_matches_targets(seed, n_slots):
              unique=True),
 )
 def test_summarize_equals_index_summary(seed, fault_rate, countries):
-    """Table 3 has two implementations (the record loop behind ``run``
+    """Table 3 has two implementations (the host loop behind ``run``
     and the index behind ``report``/``serve``); they must agree."""
     dataset = Pipeline(SyntheticWorld.generate(WorldConfig(
         seed=seed, scale=0.02, countries=tuple(countries),
@@ -146,6 +151,56 @@ def test_summarize_equals_index_summary(seed, fault_rate, countries):
     assert dataset.summarize() == AnalysisIndex.build(dataset).summary()
     assert all((record.category is HostingCategory.GOVT_SOE)
                == record.gov_operated for record in dataset.iter_records())
+
+
+def _record_loop_summary(dataset) -> DatasetSummary:
+    """Table 3 counted record by record."""
+    records = list(dataset.iter_records())
+    landing = sum(cd.landing_count for cd in dataset.countries.values())
+    return DatasetSummary(
+        landing_urls=landing,
+        internal_urls=max(0, len(records) - landing),
+        total_unique_urls=len(records),
+        unique_hostnames=len({r.hostname for r in records}),
+        ases=len({r.asn for r in records}),
+        government_ases=len({r.asn for r in records if r.gov_operated}),
+        unique_addresses=len({r.address for r in records}),
+        anycast_addresses=len({r.address for r in records if r.anycast}),
+        countries_with_servers=len({r.server_country for r in records
+                                    if r.server_country is not None}),
+    )
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2**16),
+    st.sampled_from([0.0, 0.3, 1.0]),
+    st.lists(st.sampled_from(sorted(COUNTRIES)), min_size=1, max_size=3,
+             unique=True),
+)
+def test_host_tables_save_and_summarize_as_their_records(seed, fault_rate,
+                                                         countries):
+    """``run`` writes and summarizes from host tables: the bytes must be
+    ``json.dumps(record_to_dict(r))`` of the record view, line by line,
+    and the summary the record loop's.  The host loop is exact because
+    every host row of a pipeline partial carries at least one URL."""
+    dataset = Pipeline(SyntheticWorld.generate(WorldConfig(
+        seed=seed, scale=0.02, countries=tuple(countries),
+        include_topsites=False, fault_rate=fault_rate,
+    ))).run()
+    for country_dataset in dataset.countries.values():
+        table = country_dataset.host_table
+        assert sorted(set(table.host_index)) == list(range(len(table.hosts)))
+    with tempfile.TemporaryDirectory() as scratch:
+        path = pathlib.Path(scratch) / "dataset.jsonl"
+        save_dataset(dataset, path)
+        written = path.read_text(encoding="utf-8")
+    assert written == "".join(
+        [json.dumps(dataset_header(dataset)) + "\n"]
+        + [json.dumps(record_to_dict(r)) + "\n"
+           for r in dataset.iter_records()]
+    )
+    assert dataset.summarize() == _record_loop_summary(dataset)
 
 
 def _partial_bytes(config: WorldConfig, countries, code: str) -> bytes:

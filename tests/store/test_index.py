@@ -11,6 +11,8 @@ single record, and that no column file is mapped before it is read.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,9 @@ def test_store_chunk_columns_are_memmap_views(store_index):
     for chunk in populated:
         for name in COLUMNS:
             # The shard file's own mapping, never a copy.
-            assert isinstance(chunk.columns[name], np.memmap), name
+            column = chunk.columns[name]
+            assert isinstance(column.base, memoryview), name
+            assert isinstance(column.base.obj, mmap.mmap), name
 
 
 def test_index_column_files_cover_exactly_the_index_columns():

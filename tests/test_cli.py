@@ -390,15 +390,15 @@ def test_report_damaged_jsonl_header_exits_cleanly(saved_dataset, tmp_path,
 
 
 @pytest.fixture()
-def flipped_store(saved_dataset, tmp_path):
-    """A store of the saved dataset with one bit of AE's sizes flipped
-    (file sizes unchanged, so it opens)."""
+def flipped_store(saved_dataset, tmp_path, column):
+    """A store of the saved dataset with one bit of AE's ``column``
+    flipped (file sizes unchanged, so it opens)."""
     store = tmp_path / "flipped.store"
     assert main(["convert", str(saved_dataset), str(store)]) == 0
-    column = store / "AE" / "sizes.i64"
-    payload = bytearray(column.read_bytes())
+    path = store / "AE" / column
+    payload = bytearray(path.read_bytes())
     payload[len(payload) // 2] ^= 0x01
-    column.write_bytes(bytes(payload))
+    path.write_bytes(bytes(payload))
     return store
 
 
@@ -406,9 +406,16 @@ def _listening(server):
     raise AssertionError("serve listened on a damaged store")
 
 
-@pytest.mark.parametrize("command", ["report", "convert", "serve"])
+@pytest.mark.parametrize("command, column", [
+    pytest.param("report", "sizes.i64", id="report"),
+    pytest.param("convert", "sizes.i64", id="convert"),
+    pytest.param("serve", "sizes.i64", id="serve"),
+    # No query the service warms up reads category.u8: only the full
+    # verify before listening finds this one.
+    pytest.param("serve", "category.u8", id="serve-category"),
+])
 def test_a_flipped_column_bit_fails_with_one_error_line(
-        flipped_store, tmp_path, capsys, monkeypatch, command):
+        flipped_store, tmp_path, capsys, monkeypatch, command, column):
     from repro.serve.gateway import DatasetHTTPServer
 
     monkeypatch.setattr(DatasetHTTPServer, "serve_forever", _listening)
@@ -424,7 +431,7 @@ def test_a_flipped_column_bit_fails_with_one_error_line(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == \
-        f"error: {flipped_store / 'AE' / 'sizes.i64'}: digest mismatch\n"
+        f"error: {flipped_store / 'AE' / column}: digest mismatch\n"
     assert sorted(tmp_path.iterdir()) == [flipped_store]
 
 
