@@ -2,14 +2,15 @@
 
 Renders the full paper report twice over the same measured dataset --
 once with the verbatim pre-index record-loop implementations
-(:mod:`repro.analysis.engine.baseline`, ~15 record scans) and once
+(the test oracle :mod:`tests.analysis.oracle`, ~15 record scans) and once
 through the one-pass :class:`~repro.analysis.engine.AnalysisIndex` --
 checks the outputs are byte-identical, and archives the timings as
 ``benchmarks/out/BENCH_analysis.json``.
 
 The >=3x speedup gate applies at ``REPRO_BENCH_SCALE`` >= 0.2 (the
 acceptance scale); smaller smoke runs only assert the index does not
-lose.
+lose.  The oracle lives under ``tests/``, so the repository root must
+be importable: run from ``benchmarks/`` with ``PYTHONPATH=../src:..``.
 """
 
 import time
@@ -17,9 +18,9 @@ import time
 from conftest import BENCH_SCALE, BENCH_SEED, write_bench_json
 
 from repro.analysis.engine import AnalysisIndex
-from repro.analysis.engine.baseline import baseline_render_paper_report
 from repro.analysis.engine.index import _CACHE_ATTRIBUTE
 from repro.reporting.paper_report import render_paper_report
+from tests.analysis.oracle import baseline_render_paper_report
 
 #: Timed runs per variant; the minimum is reported (steady-state cost).
 ROUNDS = 3

@@ -1,9 +1,9 @@
 """Single-pass columnar analysis engine for the Section 5-7 report layer.
 
 :mod:`repro.analysis.engine.index` holds the columnar
-:class:`AnalysisIndex`; :mod:`repro.analysis.engine.baseline` keeps the
-pre-engine record-loop implementations as the equivalence-test and
-benchmark reference.
+:class:`AnalysisIndex`.  The pre-engine record-loop implementations it
+is checked and benchmarked against live outside the package, in the
+test oracle ``tests/analysis/oracle.py``.
 """
 
 from repro.analysis.engine.index import (

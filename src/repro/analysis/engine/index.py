@@ -28,8 +28,8 @@ is an integer far below 2**53), and the final float divisions and
 float summations happen in the same order as the record loops, so each
 derived fraction, mean and HHI is the identical double.  The
 equivalence suite (``tests/analysis/test_engine_equivalence.py``)
-asserts this against the reference implementations in
-:mod:`repro.analysis.engine.baseline`, including byte-identical
+asserts this against the reference implementations in the test
+oracle ``tests/analysis/oracle.py``, including byte-identical
 paper-report text.
 
 Mutability contract

@@ -68,15 +68,24 @@ def tool_version() -> str:
 
 
 def _library_versions() -> dict[str, str]:
-    """Versions of everything whose behavior the dataset depends on."""
-    import numpy
+    """Versions of everything whose behavior the dataset depends on.
+
+    numpy's version is read from its package metadata: importing numpy
+    for ``__version__`` would load it into a ``run`` that uses none of
+    it, and a run without numpy installed records ``"not installed"``.
+    """
+    from importlib import metadata
 
     from repro import __version__
 
+    try:
+        numpy_version = metadata.version("numpy")
+    except metadata.PackageNotFoundError:
+        numpy_version = "not installed"
     return {
         "repro": __version__,
         "python": platform.python_version(),
-        "numpy": numpy.__version__,
+        "numpy": numpy_version,
         "implementation": sys.implementation.name,
     }
 

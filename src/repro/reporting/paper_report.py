@@ -8,8 +8,8 @@ CLI.
 The renderer builds one :class:`~repro.analysis.engine.AnalysisIndex`
 up front (cached on the dataset) and feeds it to every analysis, so the
 whole report costs a single record scan; the rendered text is
-byte-identical to the record-loop implementations (see
-``repro.analysis.engine.baseline`` and the equivalence suite).
+byte-identical to the record-loop implementations (see the test
+oracle ``tests/analysis/oracle.py`` and the equivalence suite).
 """
 
 from __future__ import annotations

@@ -10,8 +10,12 @@ historically printed (the returned string carries no trailing newline;
 
 from __future__ import annotations
 
-from repro.analysis.engine.index import DatasetOrIndex, ensure_index
+from typing import TYPE_CHECKING
+
 from repro.reporting.tables import render_table
+
+if TYPE_CHECKING:
+    from repro.analysis.engine.index import DatasetOrIndex
 
 #: Section names accepted by the CLI and the ``/v1/report`` endpoint.
 SECTION_NAMES = ("summary", "global", "regional", "domestic", "providers",
@@ -151,6 +155,11 @@ def render_report_section(dataset: DatasetOrIndex, section: str) -> str:
     ``KeyError`` on an unknown section name (the CLI restricts choices
     up front; the service maps this to a structured 400).
     """
+    # Imported here, like each section's analysis: the CLI imports this
+    # module for SECTION_NAMES, and a run must not load the analysis
+    # layer (and numpy) it never uses.
+    from repro.analysis.engine.index import ensure_index
+
     try:
         renderer = _RENDERERS[section]
     except KeyError:

@@ -118,14 +118,18 @@ class ScenarioDivergence:
 def _server_countries(
     dataset: GovernmentHostingDataset, code: str
 ) -> dict[str, str]:
-    """Measured server country per hostname of one country's slice."""
+    """Measured server country per hostname of one country's slice.
+
+    Read from the host rows in URL order, without building the record
+    view: a hostname whose records disagree has several rows, and the
+    row of its last URL wins, as it does over the records.
+    """
     country = dataset.countries.get(code)
     if country is None:
         return {}
-    return {
-        record.hostname: record.server_country
-        for record in country.records
-    }
+    table = country.host_table
+    rows = map(table.hosts.__getitem__, table.host_index)
+    return {row.hostname: row.server_country for row in rows}
 
 
 def _category_shares(dataset: GovernmentHostingDataset) -> dict[str, float]:

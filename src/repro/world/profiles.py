@@ -432,47 +432,80 @@ def _development_stats() -> tuple[tuple[float, float], ...]:
 _DEV_STATS = None
 
 
-def _development_residuals() -> dict[str, tuple[float, float, float]]:
-    """Per-country residual components of (users, NRI, GDP).
-
-    Each feature column (standardized) is regressed on the other five
-    Appendix E features; the residual is the part of the feature not
-    explained by the rest.  Steering the offshore-hosting ground truth
-    by these residuals is what lets an OLS over the heavily collinear
-    development indices attribute the effect to the *right* features,
-    as the paper's data evidently did.
-    """
-    global _DEV_RESIDUALS
-    if _DEV_RESIDUALS is not None:
-        return _DEV_RESIDUALS
-    import numpy as np
-
-    codes = list(COUNTRIES)
-    raw = np.array([
-        [c.idi, c.efi, c.gdp_per_capita_kusd, (c.hdi if c.hdi is not None else 0.8),
-         c.nri, c.internet_users_m]
-        for c in COUNTRIES.values()
-    ])
-    std = (raw - raw.mean(axis=0)) / raw.std(axis=0)
-    residuals = {}
-    for name, column in (("users", 5), ("nri", 4), ("gdp", 2)):
-        target = std[:, column]
-        others = np.delete(std, column, axis=1)
-        design = np.column_stack([np.ones(len(codes)), others])
-        beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
-        residuals[name] = target - design @ beta
-    _DEV_RESIDUALS = {
-        code: (
-            float(residuals["users"][index]),
-            float(residuals["nri"][index]),
-            float(residuals["gdp"][index]),
-        )
-        for index, code in enumerate(codes)
-    }
-    return _DEV_RESIDUALS
-
-
-_DEV_RESIDUALS = None
+#: Per-country residual components of (users, NRI, GDP), in
+#: ``COUNTRIES`` order.  Each standardized Appendix E feature column is
+#: regressed (OLS with an intercept) on the other five features
+#: (IDI, EFI, GDP per capita, HDI with 0.8 for a missing value, NRI,
+#: Internet users); the residual is the part of the feature not
+#: explained by the rest.  Steering the offshore-hosting ground truth
+#: by these residuals is what lets an OLS over the heavily collinear
+#: development indices attribute the effect to the *right* features,
+#: as the paper's data evidently did.  The values are checked in, so a
+#: world is built from constants rather than from a linear-algebra
+#: library; ``tests/world/test_profiles.py`` recomputes them.
+_DEV_RESIDUALS: dict[str, tuple[float, float, float]] = {
+    "US": (0.8439541539148151, 0.09388757189404662, 0.7584729957917342),
+    "CA": (-0.39642519509248253, 0.3118876103567356, -0.09769517876211586),
+    "RU": (-0.11658987414078187, 0.1613442480415269, -0.17607962998841858),
+    "DE": (0.18297978522203268, 0.16013943347144743, -0.13673867577649246),
+    "TR": (0.001827740344540976, 0.06665945933215767, -0.13590046784104548),
+    "GB": (0.10266891915914741, 0.009016044213658314, 0.06377106296323276),
+    "FR": (-0.577117372178082, 0.2612048541475003, -0.12228004868755626),
+    "IT": (0.3158411973358653, 0.09702758218070906, 0.12923723042230154),
+    "ES": (-0.2861409563160305, 0.45882025207366595, -0.2847681505818018),
+    "UA": (-0.7423579795668243, 0.26098187411814977, -0.09536117473744199),
+    "PL": (0.6891264891177038, -0.642889402037658, -0.20416488053247686),
+    "KZ": (0.33125345133753853, -0.7010732690507637, -0.04835258320057356),
+    "NL": (0.1460999080991639, 0.06730645459340856, 0.25612052456783885),
+    "RO": (0.04549506324853231, -0.20132849739776304, -0.07559256329080993),
+    "BE": (-0.11173930712349273, -0.23931398208163657, 0.2982681276091115),
+    "SE": (-0.1744537769480718, 0.24258576768489104, -0.007532071523061568),
+    "CZ": (0.027614750677232514, -0.04519854645998295, -0.44630077677451174),
+    "PT": (-0.6332963636137878, 0.6475739424878991, -0.3411712645112713),
+    "HU": (-0.34384942660857176, 0.2933244786621383, -0.26415608210222896),
+    "CH": (0.07288009912473403, -0.2122347977588257, 1.1939529913417228),
+    "GR": (-0.23284297898069217, -0.29713581523469923, -0.0767656007498736),
+    "RS": (-0.40219554086192705, 0.005292686618796949, -0.4636851311811344),
+    "DK": (-0.4229128615842342, 0.2830367292045488, 0.18107352523317477),
+    "NO": (-0.23036576142430015, -0.4077995059978232, 1.9149570657802306),
+    "BG": (0.08904733547040167, -0.33945767973259855, -0.04244475234880207),
+    "GE": (-0.22844392028488864, 0.2942391159186519, -0.6323450338174996),
+    "MD": (-0.40984755006816403, -0.024066716498581164, -0.09335382235652234),
+    "BA": (0.008328632965133309, -0.21563767833345604, 0.14334827669306893),
+    "AL": (0.7106438928481229, -0.877376853569007, 0.09844968409051036),
+    "LV": (-0.1416794314806264, 0.3874974065453608, -0.46948211246442806),
+    "EE": (0.49814522076642875, -0.24107394670556725, -0.4079249941899176),
+    "CN": (4.148002913737454, -0.0026657217882646578, -0.2561657001289517),
+    "ID": (0.8604401305372453, -0.38783521885860495, -0.13918559133192865),
+    "JP": (0.2506098228869007, 0.1338955921417242, -0.5974836657717202),
+    "VN": (-0.5127823412190631, 0.2885744830185577, -0.41955477944229247),
+    "TH": (0.32186504319677983, -0.4566538724341481, -0.37792615238760563),
+    "KR": (-0.401121198531162, 0.7652433388666715, -0.9100054151933828),
+    "MY": (0.11832829784746746, -0.06226495971684659, -0.2886414224612214),
+    "AU": (-0.44689747605415414, 0.2751642807870909, 0.15765502499728679),
+    "TW": (-0.7125891699041917, 0.6880205371057355, -0.7553490578083553),
+    "HK": (0.6192454749081864, -0.18758302753066103, -0.04359255610812318),
+    "SG": (-0.17810533062621609, 0.01587905866056638, 0.7705766763416126),
+    "NZ": (0.34429371847435314, -0.4233840590766954, -0.12192069696047114),
+    "IN": (3.457152565973163, -0.23902046326132964, 0.14782965121706448),
+    "BD": (-0.010341232515699017, -0.08116648314877217, 0.3464162390317359),
+    "PK": (-0.8952198155977651, 0.4306688172282842, 0.9059950499700484),
+    "EG": (-1.112061078957885, 0.43159269831318237, -0.20281632059814736),
+    "DZ": (-0.5704821492657264, -0.09207904416222323, 0.5638318317920107),
+    "MA": (-0.7790564783271985, 0.25688668059170394, -0.09143838569063534),
+    "AE": (0.011109873296815231, -0.183937295010413, 0.5108218478070533),
+    "IL": (0.3007242222170288, -0.6670622212096669, 0.8620233102473228),
+    "NG": (-0.4217517109119519, -0.08228196473918503, 0.71438122282651),
+    "ZA": (-0.9437201365516932, 0.46833690401922223, 0.0009320101474019626),
+    "BR": (-0.31706153419696415, 0.37249603852116486, -0.31490743722573045),
+    "MX": (0.020908389146642226, 0.04194206152278995, -0.2840177498418696),
+    "AR": (-0.4591877803204469, -0.3059820653204913, -0.17072141896066462),
+    "CL": (-0.09033063401123737, 0.40587273626511644, -0.6851475223192889),
+    "BO": (-1.0801956023594177, 0.014635196868907352, 0.6216902390075388),
+    "PY": (0.19234939409278928, -0.8742966406654925, 0.19833544197224817),
+    "CR": (-0.16227944266105815, -0.04382701161834912, -0.20213399948579402),
+    "UY": (-0.16749507766121852, -0.15640719605660444, -0.3550371627165955),
+}
 
 
 def _adjusted_default_intl(code: str, region_default: float) -> float:
@@ -482,11 +515,11 @@ def _adjusted_default_intl(code: str, region_default: float) -> float:
     services abroad, while network readiness and GDP pull the other
     way; countries without a paper-reported value get their regional
     default modulated accordingly (by the residual feature components,
-    see :func:`_development_residuals`).
+    see :data:`_DEV_RESIDUALS`).
     """
     import math
 
-    r_users, r_nri, r_gdp = _development_residuals()[get_country(code).code]
+    r_users, r_nri, r_gdp = _DEV_RESIDUALS[get_country(code).code]
     factor = math.exp(1.2 * r_users - 1.4 * r_nri - 1.1 * r_gdp)
     factor = min(max(factor, 1.0 / 4.0), 4.0)
     return min(max(region_default * factor, 0.01), 0.85)

@@ -2,8 +2,8 @@
 
 Every Section 5-7 figure/table function rewritten onto the
 :class:`~repro.analysis.engine.AnalysisIndex` is compared against the
-verbatim pre-index implementation kept in
-:mod:`repro.analysis.engine.baseline`.  Equality is strict ``==`` --
+verbatim pre-index implementation kept in :mod:`tests.analysis.oracle`.
+Equality is strict ``==`` --
 same floats (same arithmetic order), same orderings, same types -- over
 two seeds, a faulted run and an empty dataset, and the full rendered
 paper report must be byte-identical.
@@ -26,7 +26,6 @@ from repro.analysis import (
     topsites,
 )
 from repro.analysis.engine import AnalysisIndex, ensure_index
-from repro.analysis.engine import baseline as bl
 from repro.core.dataset import (
     CountryDataset,
     GovernmentHostingDataset,
@@ -35,6 +34,7 @@ from repro.core.dataset import (
 from repro.core.geolocation import ValidationMethod, ValidationStats
 from repro.core.urlfilter import FilterVia
 from repro.reporting.paper_report import render_paper_report
+from tests.analysis import oracle as bl
 
 ALT_COUNTRIES = ("BR", "US", "FR", "MA")
 

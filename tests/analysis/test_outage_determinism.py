@@ -5,14 +5,14 @@ mean URL-share loss; before the tie-break, the winner depended on ASN
 iteration order and comparative scenario reports could name different
 providers run-to-run.  The contract: ties go to the organization name
 that sorts first, then the lower ASN — in both the reference analysis
-and the engine baseline it is validated against.
+and the record-loop oracle (:mod:`tests.analysis.oracle`) it is
+validated against.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.engine.baseline import baseline_worst_global_outage
 from repro.analysis.resilience import worst_global_outage
 from repro.categories import HostingCategory
 from repro.core.dataset import (
@@ -22,6 +22,7 @@ from repro.core.dataset import (
 )
 from repro.core.geolocation import ValidationMethod, ValidationStats
 from repro.core.urlfilter import FilterVia
+from tests.analysis.oracle import baseline_worst_global_outage
 
 
 def _record(country: str, asn: int, organization: str) -> UrlRecord:

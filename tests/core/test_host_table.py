@@ -172,6 +172,27 @@ def test_disagreeing_hostname_indexes_like_its_records():
     assert de.columns["organizations"].tolist() == [3, 4]
 
 
+@pytest.mark.parametrize("last_url_row", ["last", "first"])
+def test_disagreeing_hostname_maps_to_the_server_of_its_last_url(
+        last_url_row):
+    from repro.scenarios.compare import _server_countries
+
+    dataset = _mixed_dataset()
+    if last_url_row == "first":
+        # Without x.gov.br/e the hostname's last URL names its first row
+        # (Cloudflare, "US"), not its last (Gov BR, no server country).
+        records = dataset.country("BR").records[:-1]
+        dataset.countries["BR"] = CountryDataset(
+            "BR", 2, records, 1, ["gone.gov.br"], {0: 1, 1: 3})
+    expected = {record.hostname: record.server_country
+                for record in dataset.country("BR").records}
+    assert expected["x.gov.br"] == ("US" if last_url_row == "first"
+                                    else None)
+    assert _server_countries(dataset, "BR") == expected
+    assert _server_countries(dataset, "DE") == {"www.bund.de": "DE"}
+    assert _server_countries(dataset, "FR") == {}
+
+
 def test_disagreeing_hostname_writes_the_same_store(tmp_path):
     target = tmp_path / "mixed.store"
     write_store(_mixed_dataset(), target)

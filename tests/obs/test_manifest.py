@@ -79,6 +79,25 @@ def test_versions_cover_the_reproducibility_surface(observed_run):
                                       "implementation"}
 
 
+def test_numpy_version_is_read_from_package_metadata(observed_run,
+                                                    monkeypatch):
+    import importlib.metadata
+
+    import numpy
+
+    pipeline, dataset = observed_run
+    manifest = RunManifest.collect(pipeline, dataset)
+    assert manifest.versions["numpy"] == numpy.__version__
+
+    def not_installed(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    # A run needs no numpy, so its absence is recorded, not raised.
+    monkeypatch.setattr(importlib.metadata, "version", not_installed)
+    manifest = RunManifest.collect(pipeline, dataset)
+    assert manifest.versions["numpy"] == "not installed"
+
+
 def test_write_read_round_trip(observed_run, tmp_path):
     pipeline, dataset = observed_run
     manifest = RunManifest.collect(pipeline, dataset, obs=pipeline.obs)

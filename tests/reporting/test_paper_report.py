@@ -1,5 +1,7 @@
 """Tests for the full evaluation report renderer."""
 
+import pytest
+
 from repro.reporting.paper_report import render_paper_report
 
 
@@ -28,3 +30,15 @@ def test_report_without_world_skips_extensions(dataset):
 
 def test_report_is_deterministic(dataset, world):
     assert render_paper_report(dataset, world) == render_paper_report(dataset, world)
+
+
+def test_package_resolves_the_report_on_first_access():
+    import repro.reporting
+
+    assert repro.reporting.render_paper_report is render_paper_report
+    namespace: dict = {}
+    exec("from repro.reporting import *", namespace)
+    assert set(repro.reporting.__all__) <= set(namespace)
+    assert namespace["render_paper_report"] is render_paper_report
+    with pytest.raises(AttributeError, match="no_such_renderer"):
+        repro.reporting.no_such_renderer

@@ -5,8 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.categories import HostingCategory
-from repro.scenarios import compare_scenario, compare_sweep
+from repro.scenarios import SweepRunner, compare_scenario, compare_sweep
 from repro.scenarios.compare import OUTAGE_THRESHOLD
+from tests.scenarios.conftest import make_base, make_matrix
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +81,37 @@ def test_to_dict_is_json_ready(divergences):
         payload = divergence.to_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["name"] == divergence.name
+
+
+def test_demo_sweep_compares_without_building_records(monkeypatch):
+    """Verdict flips read the host rows: a 0.02 demo sweep over every
+    country compares with the record view disabled, and its flips are
+    the ones a pass over the records counts (seed 7's evolution step
+    flips one GB hostname)."""
+    import repro.core.dataset
+
+    def no_records(*args, **kwargs):
+        raise AssertionError("the comparison built UrlRecords")
+
+    base = make_base(seed=7, scale=0.02, countries=None)
+    sweep = SweepRunner(make_matrix(base)).run()
+    with monkeypatch.context() as patched:
+        patched.setattr(repro.core.dataset, "build_records", no_records)
+        divergences = compare_sweep(sweep)
+    assert any(d.verdict_flips for d in divergences)
+
+    def verdicts(dataset, code):
+        return {record.hostname: record.server_country
+                for record in dataset.country(code).records}
+
+    for result, divergence in zip(sweep.results[1:], divergences):
+        flips = []
+        for code in result.changed_countries:
+            before = verdicts(sweep.baseline.dataset, code)
+            count = sum(1 for host, server in
+                        verdicts(result.dataset, code).items()
+                        if host in before and before[host] != server)
+            if count:
+                flips.append((code, count))
+        flips.sort(key=lambda item: (-item[1], item[0]))
+        assert tuple(flips) == tuple(divergence.flips_by_country)

@@ -105,3 +105,30 @@ def test_region_intl_defaults_match_figure8b():
 def test_foreign_byte_boost_defaults_to_one():
     assert get_profile("BR").foreign_byte_boost == 1.0
     assert get_profile("NO").foreign_byte_boost > 1.0
+
+
+def test_development_residuals_match_the_appendix_e_regression():
+    # The checked-in table is the OLS residual of each standardized
+    # feature on the other five; recompute it to keep the two honest.
+    import numpy as np
+
+    from repro.world.profiles import _DEV_RESIDUALS
+
+    raw = np.array([
+        [c.idi, c.efi, c.gdp_per_capita_kusd,
+         (c.hdi if c.hdi is not None else 0.8), c.nri, c.internet_users_m]
+        for c in COUNTRIES.values()
+    ])
+    std = (raw - raw.mean(axis=0)) / raw.std(axis=0)
+    columns = []
+    for column in (5, 4, 2):  # users, NRI, GDP
+        target = std[:, column]
+        others = np.delete(std, column, axis=1)
+        design = np.column_stack([np.ones(len(COUNTRIES)), others])
+        beta, _, _, _ = np.linalg.lstsq(design, target, rcond=None)
+        columns.append(target - design @ beta)
+    assert list(_DEV_RESIDUALS) == list(COUNTRIES)
+    table = np.array(list(_DEV_RESIDUALS.values()))
+    assert table.shape == (61, 3)
+    np.testing.assert_allclose(table, np.column_stack(columns),
+                               rtol=0, atol=1e-12)
