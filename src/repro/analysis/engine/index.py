@@ -304,7 +304,9 @@ class AnalysisIndex:
 
         Any basis other than ``"registration"`` means ``"server"``.
         Double-checked under ``_memo_lock``, like
-        :class:`locked_cached_property` but without its memo events.
+        :class:`locked_cached_property`, and like it emits a
+        ``memo.build`` event (``table`` is the build method's name) when
+        it builds.
         """
         key = (build.__name__,
                "registration" if basis == "registration" else "server")
@@ -313,6 +315,8 @@ class AnalysisIndex:
             with self._memo_lock:
                 value = self._basis_memo.get(key)
                 if value is None:
+                    obs_events.emit("memo.build", table=key[0],
+                                    basis=key[1], index=type(self).__name__)
                     value = self._basis_memo[key] = build(key[1])
         return value
 

@@ -121,7 +121,7 @@ class ValidationStats:
 
         Callers are responsible for the count-each-address-once rule;
         this method only encodes how a verdict maps onto the columns
-        (shared by the serial geolocator and the parallel replay).
+        (for the driver's replay, ``merge_validation``).
         """
         if verdict.anycast:
             if verdict.method is ValidationMethod.ACTIVE_PROBING:
@@ -189,8 +189,6 @@ class Geolocator:
         self._thresholds: dict[str, float] = {}
         self._unicast_cache: dict[int, GeoVerdict] = {}
         self._anycast_cache: dict[tuple[int, str], GeoVerdict] = {}
-        self._counted: set[int] = set()
-        self.stats = ValidationStats()
 
     # ------------------------------------------------------------------ API
 
@@ -212,8 +210,9 @@ class Geolocator:
         the existing :attr:`ValidationMethod.UNRESOLVED` / exclusion
         paths.  Faulted verdicts are country-scoped (each national crawl
         does its own lookups), so they are memoized on the session and
-        never written to the shared caches or the serial stats tally:
-        Table 4 accounting happens exclusively in the driver's replay.
+        never written to the shared caches.  The geolocator keeps no
+        Table 4 tally: the driver replays every scan's verdicts into one
+        (:func:`repro.exec.partials.merge_validation`).
         """
         if faults is not None:
             cached = faults.verdict_memo.get(address)
@@ -238,7 +237,6 @@ class Geolocator:
             return cached
         verdict = self._locate_unicast_uncached(address)
         self._unicast_cache[address] = verdict
-        self._tally_unicast(verdict)
         return verdict
 
     def locate_anycast(self, address: int, country: str) -> GeoVerdict:
@@ -249,9 +247,6 @@ class Geolocator:
             return cached
         verdict = self._anycast_verdict(address, country)
         self._anycast_cache[key] = verdict
-        if address not in self._counted:
-            self._counted.add(address)
-            self.stats.tally(verdict)
         return verdict
 
     def _anycast_verdict(
@@ -260,7 +255,7 @@ class Geolocator:
         country: str,
         faults: Optional["FaultSession"] = None,
     ) -> GeoVerdict:
-        """In-country probing of an anycast address (no caching/tallying)."""
+        """In-country probing of an anycast address (no caching)."""
         rtt = self._atlas.min_rtt_from_country(country, address, faults=faults)
         within = rtt is not None and rtt < self._threshold(country)
         claimed = self._ipinfo.country_of(address, faults=faults)
@@ -344,9 +339,6 @@ class Geolocator:
                 if best.min_rtt_ms < self._single_radius_ms:
                     return best.probe.country, "single_radius"
         return None, None
-
-    def _tally_unicast(self, verdict: GeoVerdict) -> None:
-        self.stats.tally(verdict)
 
 
 __all__ = [

@@ -171,12 +171,12 @@ def merge_validation(partials: Sequence[CountryPartial]) -> ValidationStats:
     ``partials`` must be in canonical country order (the order the
     countries were submitted, which is also the order a serial run
     processes them).  Each address is counted once, at its first
-    appearance in that canonical traversal — exactly the serial
-    geolocator's count-on-first-observation rule — so the merged stats
-    are identical to a serial run regardless of how the scan phase was
-    sharded.  Internally the reduction is a sum of per-country deltas
-    via :meth:`ValidationStats.merge`, which is associative with
-    identity ``ValidationStats()``.
+    appearance in that canonical traversal (count on first
+    observation), so the merged stats are identical to a serial run
+    regardless of how the scan phase was sharded.  Internally the
+    reduction is a sum of per-country deltas via
+    :meth:`ValidationStats.merge`, which is associative with identity
+    ``ValidationStats()``.
     """
     counted: set[int] = set()
     total = ValidationStats()

@@ -10,13 +10,15 @@ parameterized queries from many concurrent clients.
 Split gateway/service style:
 
 * :class:`DatasetService` (``service.py``) -- the query engine: typed
-  request/response dataclasses (``schemas.py``), structured validation
-  errors (``errors.py``), per-query counters/latency histograms/
-  in-flight gauge on a thread-safe :mod:`repro.obs` registry
-  (``metrics.py``);
+  request dataclasses (``schemas.py``) validated into one handler per
+  endpoint, each returning its JSON-ready answer dict; structured
+  validation errors (``errors.py``); per-query counters/latency
+  histograms/in-flight gauge on a thread-safe :mod:`repro.obs`
+  registry (``metrics.py``);
 * :func:`create_server` (``gateway.py``) -- a stdlib
   ``ThreadingHTTPServer`` JSON gateway over a bounded worker pool,
-  exposing each query plus ``/healthz`` and ``/metrics``;
+  exposing each query plus ``/healthz`` and ``/metrics``, with
+  optional per-request traces (``tracing.py``);
 * :func:`open_any_dataset` (``loader.py``) -- one loader for both
   on-disk dataset forms, shared with the CLI.
 

@@ -22,9 +22,18 @@ Errors that ``http.server`` raises itself before a handler runs (an
 unsupported method answers 501, an over-long request line 414, too
 many or too long headers 431, a malformed request line 400) use the
 same error shape, with one stable code per status, and close the
-connection as stdlib does.  So does a POST body whose
-``Content-Length`` is unusable: the end of the body is unknown, so
-nothing after it can be read as the next request.
+connection as stdlib does.  So does a request body the gateway cannot
+frame: a ``Content-Length`` that is unusable (400) or too large (413),
+or any ``Transfer-Encoding`` (411, ``length-required``).  The end of
+such a body is unknown, so nothing after it can be read as the next
+request.  GET and POST both read their body before answering: a
+keep-alive connection's next request starts where the body ends.
+
+Tracing: with a trace log, the request runs under its own
+:class:`~repro.obs.Tracer`.  The gateway opens ``serve.request`` around
+the service query (``parse``, ``dispatch``) and a ``render`` span
+around the JSON encoding of the body; without one the same code runs
+its spans through :func:`~repro.serve.tracing.null_span`.
 
 Wire: every response -- status line, headers and body -- leaves in one
 socket write, and accepted connections set TCP_NODELAY.  Two writes
@@ -55,9 +64,8 @@ from typing import Mapping, Optional
 from repro.obs import Tracer
 from repro.obs.exposition import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.serve.errors import RequestError
-from repro.serve.schemas import QUERY_ENDPOINTS
 from repro.serve.service import DatasetService
-from repro.serve.tracing import RequestTraceLog, measure_ms
+from repro.serve.tracing import RequestTraceLog, measure_ms, null_span
 
 #: Largest accepted request body; queries are tiny, anything bigger is
 #: a client bug or abuse.
@@ -68,9 +76,10 @@ MAX_BODY_BYTES = 1 << 20
 IDLE_TIMEOUT_S = 5.0
 
 #: The error code of each status answered through ``send_error``: the
-#: errors ``http.server`` raises itself, and unframeable POST bodies.
+#: errors ``http.server`` raises itself, and unframeable request bodies.
 SEND_ERROR_CODES = {
     HTTPStatus.BAD_REQUEST: "bad-request",
+    HTTPStatus.LENGTH_REQUIRED: "length-required",
     HTTPStatus.REQUEST_ENTITY_TOO_LARGE: "too-large",
     HTTPStatus.REQUEST_URI_TOO_LONG: "uri-too-long",
     HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE: "headers-too-large",
@@ -174,8 +183,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": error.to_dict()}, close=True)
 
     def _read_body(self) -> Optional[bytes]:
-        """The request body; None (answered, closing) if its length is
-        unusable."""
+        """The request body; None (answered, closing) if it cannot be
+        framed by its ``Content-Length``."""
+        if "Transfer-Encoding" in self.headers:
+            self.send_error(HTTPStatus.LENGTH_REQUIRED,
+                            "Transfer-Encoding is not supported; "
+                            "send Content-Length")
+            return None
         length = self.headers.get("Content-Length")
         if length is None:
             return b""
@@ -210,6 +224,10 @@ class _Handler(BaseHTTPRequestHandler):
     # ---------------------------------------------------------- methods
 
     def do_GET(self) -> None:
+        # Read and drop any body: a keep-alive connection's next
+        # request starts where it ends.
+        if self._read_body() is None:
+            return
         path = urllib.parse.urlsplit(self.path).path
         if path == "/healthz":
             self._send_json(200, self.server.service.healthz())
@@ -226,8 +244,6 @@ class _Handler(BaseHTTPRequestHandler):
         self._answer(endpoint, self._query_params())
 
     def do_POST(self) -> None:
-        # Read the body first: a keep-alive connection's next request
-        # starts where this body ends.
         raw = self._read_body()
         if raw is None:
             return
@@ -275,41 +291,34 @@ class _Handler(BaseHTTPRequestHandler):
                 f"'json' or 'prometheus'", field="format"))
 
     def _answer(self, endpoint: str, payload: Mapping) -> None:
+        """Answer one query; with a trace log, trace it into the ring.
+
+        The trace is written only after the answer has been sent, so
+        tracing adds no latency before the bytes.
+        """
         trace_log = self.server.trace_log
-        if trace_log is None:
-            try:
-                result = self.server.service.query(endpoint, payload)
-            except RequestError as exc:
-                self._send_error_json(exc)
-                return
-            except Exception:
-                self._send_error_json(RequestError(
-                    "internal", "internal server error", status=500))
-                return
-            self._send_json(200, result)
-            return
-        # Traced twin of the same flow: identical service call and
-        # response bytes; the trace is written only after the answer
-        # has been sent, so tracing adds no latency before the bytes.
-        tracer = Tracer()
+        tracer = None if trace_log is None else Tracer()
+        span = null_span if tracer is None else tracer.span
         start_ns = time.perf_counter_ns()
         status, error = 200, None
-        try:
-            result = self.server.service.query(endpoint, payload,
-                                               tracer=tracer)
-        except RequestError as exc:
-            status, error = exc.status, exc.to_dict()
-            self._send_error_json(exc)
-        except Exception:
-            internal = RequestError(
-                "internal", "internal server error", status=500)
-            status, error = internal.status, internal.to_dict()
-            self._send_error_json(internal)
-        else:
-            self._send_json(200, result)
-        trace_log.record(endpoint, payload=dict(payload), tracer=tracer,
-                         duration_ms=measure_ms(start_ns), status=status,
-                         error=error)
+        with span("serve.request", endpoint=endpoint):
+            try:
+                answer = self.server.service.query(endpoint, payload,
+                                                   tracer=tracer)
+            except RequestError as exc:
+                error = exc
+            except Exception:
+                error = RequestError("internal", "internal server error",
+                                     status=500)
+            if error is not None:
+                status, answer = error.status, {"error": error.to_dict()}
+            with span("render"):
+                body = json.dumps(answer, sort_keys=True).encode("utf-8")
+        self._send(status, body, "application/json")
+        if trace_log is not None:
+            trace_log.record(endpoint, payload=dict(payload), tracer=tracer,
+                             duration_ms=measure_ms(start_ns), status=status,
+                             error=None if error is None else answer["error"])
 
 
 def _json_object(raw: bytes) -> Mapping:

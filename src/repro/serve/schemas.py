@@ -1,4 +1,4 @@
-"""Typed request/response schemas of the query service.
+"""Typed request schemas of the query service.
 
 Requests are frozen dataclasses built from untrusted JSON via
 ``from_mapping``: unknown fields, wrong types, out-of-range values and
@@ -7,9 +7,10 @@ with the offending field named, so the gateway can answer a structured
 4xx without ever touching the index.  Semantic checks that need the
 dataset (is this country in the sample?) live in the service.
 
-Responses are dataclasses with ``to_dict`` -- built deterministically
-from the request and the (immutable, memoized) index tables, which is
-what makes concurrent responses byte-identical to serial ones.
+Answers have no schema classes: each service handler returns the
+JSON-ready dict itself, built fresh per request from the (immutable,
+memoized) index tables, which is what makes concurrent answers
+byte-identical to serial ones.
 
 Query-string friendliness: integers accept decimal strings and list
 fields accept comma-separated strings, so ``GET /v1/providers?top=5``
@@ -19,7 +20,7 @@ and ``POST {"top": 5}`` validate identically.
 from __future__ import annotations
 
 import dataclasses
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from repro.reporting.sections import SECTION_NAMES
 from repro.serve.errors import RequestError
@@ -199,118 +200,8 @@ class ReportRequest:
                                    choices=SECTION_NAMES))
 
 
-# ------------------------------------------------------------ responses
-
-@dataclasses.dataclass(frozen=True)
-class SummaryResponse:
-    summary: Mapping[str, int]
-
-    def to_dict(self) -> dict:
-        return {"summary": dict(self.summary)}
-
-
-@dataclasses.dataclass(frozen=True)
-class CategoryMixResponse:
-    country: str
-    weighting: str
-    mix: Mapping[str, float]
-    url_count: int
-    byte_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "country": self.country,
-            "weighting": self.weighting,
-            "mix": dict(self.mix),
-            "url_count": self.url_count,
-            "byte_count": self.byte_count,
-        }
-
-
-@dataclasses.dataclass(frozen=True)
-class FlowEntry:
-    source: str
-    destination: str
-    url_count: int
-    byte_count: int
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-
-@dataclasses.dataclass(frozen=True)
-class CrossborderResponse:
-    basis: str
-    sources: tuple[str, ...]
-    flows: tuple[FlowEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "basis": self.basis,
-            "sources": list(self.sources),
-            "flows": [flow.to_dict() for flow in self.flows],
-        }
-
-
-@dataclasses.dataclass(frozen=True)
-class ProviderEntry:
-    asn: int
-    name: str
-    country_count: int
-    countries: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "asn": self.asn,
-            "name": self.name,
-            "country_count": self.country_count,
-            "countries": list(self.countries),
-        }
-
-
-@dataclasses.dataclass(frozen=True)
-class ProvidersResponse:
-    top: int
-    providers: tuple[ProviderEntry, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "top": self.top,
-            "providers": [provider.to_dict() for provider in self.providers],
-        }
-
-
-@dataclasses.dataclass(frozen=True)
-class ReportResponse:
-    section: str
-    text: str
-
-    def to_dict(self) -> dict:
-        return {"section": self.section, "text": self.text}
-
-
-@dataclasses.dataclass(frozen=True)
-class TrendsResponse:
-    """The trend report, optionally filtered to one country's series."""
-
-    snapshot_count: int
-    country: Optional[str]
-    report: Mapping
-
-    def to_dict(self) -> dict:
-        payload = {
-            "snapshot_count": self.snapshot_count,
-            "report": dict(self.report),
-        }
-        if self.country is not None:
-            payload["country"] = self.country
-        return payload
-
-
-Request = Union[SummaryRequest, CategoryMixRequest, CrossborderRequest,
-                ProvidersRequest, ReportRequest, TrendsRequest]
-
-#: Endpoint name -> request schema, the service/gateway dispatch table.
+#: Endpoint name -> request schema; the service maps the same names
+#: to its handlers.
 QUERY_ENDPOINTS: dict[str, type] = {
     "summary": SummaryRequest,
     "categories": CategoryMixRequest,
@@ -324,21 +215,12 @@ QUERY_ENDPOINTS: dict[str, type] = {
 __all__ = [
     "BASIS_CHOICES",
     "CategoryMixRequest",
-    "CategoryMixResponse",
     "CrossborderRequest",
-    "CrossborderResponse",
-    "FlowEntry",
     "MAX_TOP",
-    "ProviderEntry",
     "ProvidersRequest",
-    "ProvidersResponse",
     "QUERY_ENDPOINTS",
     "ReportRequest",
-    "ReportResponse",
-    "Request",
     "SummaryRequest",
-    "SummaryResponse",
     "TrendsRequest",
-    "TrendsResponse",
     "WEIGHTING_CHOICES",
 ]

@@ -2,7 +2,9 @@
 
 :class:`DatasetService` loads a dataset once (or adopts an
 already-loaded one), forces the analysis index warm, and answers typed
-queries from any number of threads.  Every answer is computed by the
+queries from any number of threads: one table maps each endpoint to
+the handler that takes its validated request and returns the
+JSON-ready answer dict.  Every answer is computed by the
 same :mod:`repro.analysis` functions and :mod:`repro.reporting`
 renderers as the batch path, which is what makes service responses
 byte-identical to ``repro-gov report`` output -- concurrency safety
@@ -17,7 +19,6 @@ same :class:`~repro.serve.errors.RequestError` with ``status=404``.
 
 from __future__ import annotations
 
-import dataclasses
 import threading
 from typing import Mapping, Optional, Sequence, Union
 
@@ -31,20 +32,13 @@ from repro.serve.metrics import ServiceMetrics
 from repro.serve.schemas import (
     QUERY_ENDPOINTS,
     CategoryMixRequest,
-    CategoryMixResponse,
     CrossborderRequest,
-    CrossborderResponse,
-    FlowEntry,
-    ProviderEntry,
     ProvidersRequest,
-    ProvidersResponse,
     ReportRequest,
-    ReportResponse,
     SummaryRequest,
-    SummaryResponse,
     TrendsRequest,
-    TrendsResponse,
 )
+from repro.serve.tracing import null_span
 
 
 class DatasetService:
@@ -84,12 +78,16 @@ class DatasetService:
         self._index = ensure_index(dataset)
         self._index.summary()  # warm the hot table up front
         self.metrics = ServiceMetrics()
-        #: Per-basis FlowEntry renderings of the index's sorted flow
-        #: table, built once under the lock -- the /v1/crossborder tail
-        #: came from every first-hit-per-thread re-sorting and
-        #: re-wrapping the whole table.
-        self._flow_entries: dict[str, tuple[FlowEntry, ...]] = {}
-        self._flow_lock = threading.Lock()
+        #: Endpoint name -> handler of its validated request; the keys
+        #: are the :data:`QUERY_ENDPOINTS` names.
+        self._handlers = {
+            "summary": self.summary,
+            "categories": self.category_mix,
+            "crossborder": self.crossborder,
+            "providers": self.providers,
+            "report": self.report,
+            "trends": self.trends,
+        }
         self._closed = False
         self._close_lock = threading.Lock()
 
@@ -106,10 +104,15 @@ class DatasetService:
 
         The single entry point used by the gateway and the benchmark
         harness; raises :class:`RequestError` for anything the client
-        got wrong.  With ``tracer`` the same parse -> dispatch -> render
-        sequence runs under a ``serve.request`` span tree; tracing is
-        measurement only and never changes the answer bytes (the
-        zero-perturbation contract, held by ``tests/serve``).
+        got wrong.  The answer is a fresh JSON-ready dict: mutating it
+        never changes a later answer.  With ``tracer`` the validation
+        runs under a ``parse`` span and the handler under a
+        ``dispatch`` span, nested in whatever span the caller has open
+        (the gateway's ``serve.request``).  The dispatch span is tagged
+        with the memo events the handler caused: ``memo_builds`` names
+        the tables it built (empty when every table was warm) and
+        ``memo_hits`` counts the hits reported.  Tracing is measurement
+        only and never changes the answer (held by ``tests/serve``).
         """
         try:
             schema = QUERY_ENDPOINTS[endpoint]
@@ -122,59 +125,25 @@ class DatasetService:
             ) from None
         if not isinstance(payload, Mapping):
             raise RequestError("bad-type", "request body must be an object")
+        span = null_span if tracer is None else tracer.span
         with self.metrics.track(endpoint):
-            if tracer is None:
+            with span("parse"):
                 request = schema.from_mapping(payload)
-                return self._dispatch(request).to_dict()
-            return self._traced_query(endpoint, schema, payload, tracer)
+            with span("dispatch") as dispatch, \
+                    obs_events.collecting() as events:
+                answer = self._handlers[endpoint](request)
+                if dispatch is not None:
+                    dispatch.tags["memo_builds"] = sorted(
+                        event.payload.get("table", "?") for event in events
+                        if event.kind == "memo.build")
+                    dispatch.tags["memo_hits"] = sum(
+                        1 for event in events if event.kind == "memo.hit")
+        return answer
 
-    def _traced_query(self, endpoint: str, schema, payload: Mapping,
-                      tracer: Tracer) -> dict:
-        """The traced twin of the :meth:`query` body.
+    def summary(self, request: SummaryRequest) -> dict:
+        return {"summary": dict(vars(self._index.summary()))}
 
-        The dispatch span collects the memo events the analysis layer
-        emits (index-table builds, flow/trend memo hits) into its tags:
-        an empty ``memo_builds`` list means the request was served
-        entirely from warm tables.
-        """
-        with tracer.span("serve.request", endpoint=endpoint):
-            with tracer.span("parse"):
-                request = schema.from_mapping(payload)
-            with tracer.span("dispatch") as dispatch_span:
-                with obs_events.collecting() as collected:
-                    response = self._dispatch(request)
-                dispatch_span.tags["memo_builds"] = sorted(
-                    event.payload.get("table", "?") for event in collected
-                    if event.kind == "memo.build"
-                )
-                dispatch_span.tags["memo_hits"] = sum(
-                    1 for event in collected if event.kind == "memo.hit"
-                )
-            with tracer.span("render"):
-                return response.to_dict()
-
-    def _dispatch(self, request):
-        if isinstance(request, SummaryRequest):
-            return self.summary(request)
-        if isinstance(request, CategoryMixRequest):
-            return self.category_mix(request)
-        if isinstance(request, CrossborderRequest):
-            return self.crossborder(request)
-        if isinstance(request, ProvidersRequest):
-            return self.providers(request)
-        if isinstance(request, ReportRequest):
-            return self.report(request)
-        if isinstance(request, TrendsRequest):
-            return self.trends(request)
-        raise AssertionError(f"unhandled request {request!r}")
-
-    def summary(self, request: SummaryRequest) -> SummaryResponse:
-        return SummaryResponse(
-            summary=dataclasses.asdict(self._index.summary())
-        )
-
-    def category_mix(self, request: CategoryMixRequest
-                     ) -> CategoryMixResponse:
+    def category_mix(self, request: CategoryMixRequest) -> dict:
         from repro.analysis.hosting import fractions_of_counts
 
         country = self._known_country(request.country)
@@ -187,79 +156,58 @@ class DatasetService:
             counts = ((0,) * len(CATEGORY_ORDER),) * 2
         url_counts, byte_sums = counts
         tallies = byte_sums if request.weighting == "bytes" else url_counts
-        mix = fractions_of_counts(tallies)
-        return CategoryMixResponse(
-            country=country,
-            weighting=request.weighting,
-            mix={str(category): fraction
-                 for category, fraction in mix.items()},
-            url_count=int(sum(url_counts)),
-            byte_count=int(sum(byte_sums)),
-        )
+        return {
+            "country": country,
+            "weighting": request.weighting,
+            "mix": {str(category): fraction for category, fraction
+                    in fractions_of_counts(tallies).items()},
+            "url_count": int(sum(url_counts)),
+            "byte_count": int(sum(byte_sums)),
+        }
 
-    def crossborder(self, request: CrossborderRequest
-                    ) -> CrossborderResponse:
-        sources = tuple(self._known_country(code, field="sources")
-                        for code in request.sources)
-        entries = self._flow_table(request.basis)
+    def crossborder(self, request: CrossborderRequest) -> dict:
+        sources = [self._known_country(code, field="sources")
+                   for code in request.sources]
+        rows = self._index.crossborder_flow_table(request.basis)
         if sources:
             # The table is sorted by source, so a source set is a
             # concatenation of contiguous slices -- walking unique
-            # sources in order preserves the full-table ordering the
-            # filtering path produced.
+            # sources in order preserves the full table's ordering.
             slices = self._index.crossborder_flow_slices(request.basis)
-            parts = []
-            for source in sorted(set(sources)):
-                span = slices.get(source)
-                if span is not None:
-                    parts.append(entries[span[0]:span[1]])
-            entries = tuple(entry for part in parts for entry in part)
-        return CrossborderResponse(basis=request.basis, sources=sources,
-                                   flows=entries)
+            rows = [row for source in sorted(set(sources))
+                    if source in slices
+                    for row in rows[slice(*slices[source])]]
+        return {
+            "basis": request.basis,
+            "sources": sources,
+            "flows": [{"source": source, "destination": destination,
+                       "url_count": urls, "byte_count": byte_count}
+                      for source, destination, urls, byte_count in rows],
+        }
 
-    def _flow_table(self, basis: str) -> tuple[FlowEntry, ...]:
-        """The full FlowEntry rendering of ``basis``, built at most once."""
-        entries = self._flow_entries.get(basis)
-        if entries is None:
-            with self._flow_lock:
-                entries = self._flow_entries.get(basis)
-                if entries is None:
-                    obs_events.emit("memo.build", table="flow_entries",
-                                    basis=basis)
-                    entries = tuple(
-                        FlowEntry(source=s, destination=d,
-                                  url_count=u, byte_count=b)
-                        for s, d, u, b
-                        in self._index.crossborder_flow_table(basis)
-                    )
-                    self._flow_entries[basis] = entries
-                    return entries
-        obs_events.emit("memo.hit", table="flow_entries", basis=basis)
-        return entries
-
-    def providers(self, request: ProvidersRequest) -> ProvidersResponse:
+    def providers(self, request: ProvidersRequest) -> dict:
         from repro.analysis.providers import global_provider_footprints
 
-        entries = tuple(
-            ProviderEntry(asn=fp.asn, name=fp.name,
-                          country_count=fp.country_count,
-                          countries=fp.countries)
-            for fp in global_provider_footprints(self._index)[:request.top]
-        )
-        return ProvidersResponse(top=request.top, providers=entries)
+        return {
+            "top": request.top,
+            "providers": [
+                {"asn": fp.asn, "name": fp.name,
+                 "country_count": fp.country_count,
+                 "countries": list(fp.countries)}
+                for fp in global_provider_footprints(self._index)[:request.top]
+            ],
+        }
 
-    def report(self, request: ReportRequest) -> ReportResponse:
+    def report(self, request: ReportRequest) -> dict:
         from repro.reporting import render_report_section
 
-        return ReportResponse(
-            section=request.section,
-            text=render_report_section(self._index, request.section),
-        )
+        return {"section": request.section,
+                "text": render_report_section(self._index, request.section)}
 
-    def trends(self, request: TrendsRequest) -> TrendsResponse:
+    def trends(self, request: TrendsRequest) -> dict:
         report = self._trends()
         payload = report.to_dict()
-        country = None
+        answer = {"snapshot_count": report.snapshot_count, "report": payload}
         if request.country is not None:
             country = request.country.upper()
             if country not in report.third_party_series:
@@ -279,11 +227,8 @@ class DatasetService:
                 migration for migration in payload["migrations"]
                 if migration["country"] == country
             ]
-        return TrendsResponse(
-            snapshot_count=report.snapshot_count,
-            country=country,
-            report=payload,
-        )
+            answer["country"] = country
+        return answer
 
     def _trends(self):
         """The series' TrendReport, computed at most once."""

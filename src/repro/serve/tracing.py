@@ -2,21 +2,25 @@
 
 When the gateway is started with a trace directory, every HTTP query
 is executed under its own :class:`~repro.obs.Tracer` and the finished
-span tree — ``serve.request`` wrapping ``parse`` / ``dispatch`` /
-``render``, with the dispatch span tagged by the index-table memo
-builds and hits it triggered — is written to a **bounded on-disk
-ring**: slot files ``request-NNNN.json`` reused modulo the ring size,
-so an always-on server traces every request with a hard cap on disk.
+span tree — the gateway's ``serve.request`` wrapping the service's
+``parse`` and ``dispatch`` and the gateway's ``render`` (the JSON
+encoding of the body), with the dispatch span tagged by the
+index-table memo builds and hits it triggered — is written to a
+**bounded on-disk ring**: slot files ``request-NNNN.json`` reused
+modulo the ring size, so an always-on server traces every request with
+a hard cap on disk.  Each slot is replaced whole (a temp sibling and
+``os.replace``), so a failed write leaves the slot's previous document.
 
 Requests slower than the slow threshold are additionally appended to
 ``slow-queries.jsonl`` (append-only, one JSON object per line — the
 file a human greps first when p99 moves).
 
-Zero-perturbation contract: the tracer wraps the same ``parse ->
-dispatch -> render`` calls the untraced path runs, measures with
-monotonic clocks only, and nothing it records feeds back into the
-response — traced responses are byte-identical to untraced ones
-(``tests/serve/test_tracing.py`` holds the gateway to this).
+Zero-perturbation contract: traced and untraced requests run the same
+code, which opens its spans through :func:`null_span` when there is no
+tracer; spans measure with monotonic clocks only, and nothing they
+record feeds back into the response — traced responses are
+byte-identical to untraced ones (``tests/serve/test_tracing.py`` holds
+the gateway to this).
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ import json
 import pathlib
 import threading
 import time
+from contextlib import nullcontext
 from typing import Any, Optional, Union
 
+from repro.io import open_replacement
 from repro.obs import Tracer
 
 PathLike = Union[str, pathlib.Path]
@@ -93,7 +99,8 @@ class RequestTraceLog:
         path = self.directory / _slot_name(seq % self.ring_size)
         body = json.dumps(document, sort_keys=True) + "\n"
         with self._lock:
-            path.write_text(body, encoding="utf-8")
+            with open_replacement(path) as handle:
+                handle.write(body)
             if duration_ms >= self.slow_ms:
                 summary = {
                     "seq": seq,
@@ -137,6 +144,11 @@ class RequestTraceLog:
         return entries
 
 
+def null_span(name: str, **tags) -> nullcontext:
+    """Span stand-in for untraced requests (no scope allocated)."""
+    return nullcontext()
+
+
 def measure_ms(start_ns: int) -> float:
     """Monotonic milliseconds elapsed since a perf_counter_ns reading."""
     return max(0, time.perf_counter_ns() - start_ns) / 1e6
@@ -149,4 +161,5 @@ __all__ = [
     "SLOW_LOG_NAME",
     "RequestTraceLog",
     "measure_ms",
+    "null_span",
 ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.geolocation import Geolocator, ValidationMethod
+from repro.core.geolocation import Geolocator, ValidationMethod, ValidationStats
 from repro.datagen.seeds import derive_rng
 from repro.measure.atlas import AtlasClient
 from repro.measure.hoiho import HoihoExtractor, PtrTable
@@ -151,8 +151,17 @@ def test_verdicts_memoized(fx):
 
 
 def test_stats_tally(fx):
-    stats = fx.geolocator.stats
-    # All unicast cases above have been evaluated by earlier tests.
+    # Each address counted once, at its first verdict, as the driver's
+    # replay (merge_validation) tallies a scan's verdicts.
+    verdicts = [fx.geolocator.locate(address, "DE") for address in (
+        fx.ap_ok, fx.mg_hoiho, fx.mg_ipmap, fx.conflict, fx.unresolved,
+        fx.anycast_domestic, fx.anycast_offshore, fx.ap_ok)]
+    stats = ValidationStats()
+    counted = set()
+    for verdict in verdicts:
+        if verdict.address not in counted:
+            counted.add(verdict.address)
+            stats.tally(verdict)
     assert stats.unicast_ap >= 1
     assert stats.unicast_mg >= 2
     assert stats.unicast_conflicts >= 1

@@ -104,10 +104,11 @@ def test_custom_single_radius_threshold(mini):
     assert verdict.excluded
 
 
-def test_stats_isolated_per_instance(mini):
+def test_verdict_memo_isolated_per_instance(mini):
     address, _fabric, atlas = mini
     first = _geolocator(atlas)
-    second = _geolocator(atlas)
-    first.locate_unicast(address)
-    assert first.stats.unicast_total == 1
-    assert second.stats.unicast_total == 0
+    second = _geolocator(atlas, enable_ipmap=False)
+    verdict = first.locate_unicast(address)
+    assert first.locate_unicast(address) is verdict
+    # Another geolocator (here an ablation) computes its own verdict.
+    assert second.locate_unicast(address) is not verdict

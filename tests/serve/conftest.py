@@ -92,15 +92,22 @@ def http_post(url: str, payload) -> tuple:
         return exc.code, json.load(exc)
 
 
+def read_response(stream, *, method: str = "GET") -> tuple:
+    """(status, headers, body) of the next response on ``stream``, a
+    socket's binary file, read by its ``Content-Length`` so the stream
+    stays positioned at the response after it."""
+    version, status, _ = stream.readline().decode("latin-1").split(" ", 2)
+    assert version == "HTTP/1.1", version
+    headers = http.client.parse_headers(stream)
+    length = 0 if method == "HEAD" else int(headers["Content-Length"])
+    return int(status), headers, stream.read(length)
+
+
 def raw_exchange(address, request: bytes, *, method: str = "GET",
                  timeout: float = 3.0) -> tuple:
     """(status, headers, body) of raw ``request`` bytes sent on a fresh
     socket; a server that hangs raises TimeoutError after ``timeout``."""
-    with socket.create_connection(address, timeout=timeout) as sock:
+    with socket.create_connection(address, timeout=timeout) as sock, \
+            sock.makefile("rb") as stream:
         sock.sendall(request)
-        response = http.client.HTTPResponse(sock, method=method)
-        try:
-            response.begin()
-            return response.status, response.msg, response.read()
-        finally:
-            response.close()
+        return read_response(stream, method=method)

@@ -82,13 +82,13 @@ def test_inflight_peak_tracks_concurrency(tiny_dataset):
 
     service = DatasetService(dataclasses.replace(tiny_dataset))
     inside = threading.Barrier(2, timeout=10)
-    original = service._dispatch
+    original = service._handlers["summary"]
 
     def stalling(request):
         inside.wait()  # both workers are now inside metrics.track
         return original(request)
 
-    service._dispatch = stalling
+    service._handlers["summary"] = stalling
     with ThreadPoolExecutor(max_workers=2) as pool:
         results = list(pool.map(lambda _: service.query("summary", {}),
                                 range(2)))

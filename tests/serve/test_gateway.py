@@ -17,7 +17,7 @@ import pytest
 from repro.reporting import render_report_section
 from repro.serve import DatasetHTTPServer, create_server, gateway
 
-from .conftest import http_get, http_post, raw_exchange
+from .conftest import http_get, http_post, raw_exchange, read_response
 
 
 def test_healthz(base_url, tiny_dataset):
@@ -152,6 +152,57 @@ def test_negative_content_length_is_400(http_server):
     assert status == 400
     assert json.loads(body)["error"]["code"] == "bad-request"
     assert headers["Connection"] == "close"
+
+
+@pytest.mark.parametrize("method", [b"GET", b"POST"])
+@pytest.mark.parametrize("length, status, code", [
+    (b"-1", 400, "bad-request"),
+    (b"five", 400, "bad-request"),
+    (str(gateway.MAX_BODY_BYTES + 1).encode(), 413, "too-large"),
+], ids=["negative", "not-a-number", "too-large"])
+def test_unusable_content_length_is_refused_and_closes(http_server, method,
+                                                       length, status, code):
+    got, headers, body = raw_exchange(
+        http_server.server_address,
+        method + b" /v1/summary HTTP/1.1\r\nHost: t\r\n"
+        b"Content-Length: " + length + b"\r\n\r\n{}")
+    assert got == status
+    assert json.loads(body)["error"]["code"] == code
+    assert headers["Connection"] == "close"
+
+
+def test_get_body_is_consumed_on_keepalive(http_server, service):
+    # An unread body would prefix the next request line ("helloGET ...")
+    # and be answered 501.
+    expected = json.dumps(service.query("summary", {}),
+                          sort_keys=True).encode("utf-8")
+    with socket.create_connection(http_server.server_address,
+                                  timeout=3) as sock, \
+            sock.makefile("rb") as stream:
+        sock.sendall(b"GET /v1/summary HTTP/1.1\r\nHost: t\r\n"
+                     b"Content-Length: 5\r\n\r\nhello"
+                     b"GET /v1/summary HTTP/1.1\r\nHost: t\r\n\r\n")
+        for _ in range(2):
+            status, headers, body = read_response(stream)
+            assert (status, body) == (200, expected)
+            assert "Connection" not in headers
+
+
+@pytest.mark.parametrize("method", [b"GET", b"POST"])
+def test_chunked_body_is_refused_and_closes(http_server, method):
+    # Answering it as an empty query would parse the chunks ("2", "{}",
+    # "0") as the next request.
+    with socket.create_connection(http_server.server_address,
+                                  timeout=3) as sock, \
+            sock.makefile("rb") as stream:
+        sock.sendall(method + b" /v1/summary HTTP/1.1\r\nHost: t\r\n"
+                     b"Transfer-Encoding: chunked\r\n\r\n"
+                     b"2\r\n{}\r\n0\r\n\r\n")
+        status, headers, body = read_response(stream)
+        assert status == 411
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["error"]["code"] == "length-required"
+        assert stream.read() == b""  # nothing after it was answered
 
 
 def test_deeply_nested_json_body_is_400(http_server):

@@ -1,14 +1,19 @@
 """Request-scoped serve tracing: byte-identity, the on-disk ring, and
 the slow-query log."""
 
+import contextlib
+import dataclasses
 import json
+import os
 import threading
 import urllib.request
 
 import pytest
 
+from repro.io import open_replacement
 from repro.obs import Tracer
-from repro.serve import RequestTraceLog, create_server
+from repro.serve import DatasetService, RequestTraceLog, create_server
+from repro.serve import tracing
 from repro.serve.tracing import SLOW_LOG_NAME
 
 from tests.serve.conftest import http_get
@@ -66,24 +71,32 @@ def test_service_level_tracing_preserves_results(service):
 # ------------------------------------------------------- trace contents
 
 
-def test_trace_documents_cover_the_request_phases(service, tmp_path):
-    log = RequestTraceLog(tmp_path, ring_size=8)
-    tracer = Tracer()
-    service.query("providers", {"top": "3"}, tracer=tracer)
-    log.record("providers", payload={"top": "3"}, tracer=tracer,
-               duration_ms=1.25, status=200)
+def test_trace_documents_cover_the_request_phases(traced_server):
+    server, log = traced_server
+    _raw_get(_url(server), "/v1/providers?top=3")
+    assert _wait_for(log, 1) == 1
 
     (document,) = log.traces()
     assert document["format"] == 1
     assert document["seq"] == 0
     assert document["endpoint"] == "providers"
+    assert document["payload"] == {"top": "3"}
     assert document["status"] == 200
     assert document["error"] is None
+    assert document["duration_ms"] > 0
     (request_span,) = document["trace"]["spans"]
     assert request_span["name"] == "serve.request"
     assert request_span["tags"]["endpoint"] == "providers"
     assert [child["name"] for child in request_span["children"]] == \
         ["parse", "dispatch", "render"]
+
+
+def test_query_opens_parse_and_dispatch_under_the_caller_s_span(service):
+    tracer = Tracer()
+    with tracer.span("outer"):
+        service.query("summary", {}, tracer=tracer)
+    (outer,) = tracer.roots
+    assert [child.name for child in outer.children] == ["parse", "dispatch"]
 
 
 def test_dispatch_span_tags_memo_activity(service):
@@ -101,6 +114,19 @@ def test_dispatch_span_tags_memo_activity(service):
     assert "trend_report" in dispatch_tags(cold)["memo_builds"]
     assert dispatch_tags(warm)["memo_builds"] == []
     assert dispatch_tags(warm)["memo_hits"] >= 1
+
+
+def test_cold_crossborder_names_the_index_flow_tables(tiny_dataset):
+    # A fresh dataset object gets its own cold index.
+    service = DatasetService(dataclasses.replace(tiny_dataset))
+    cold = Tracer()
+    service.query("crossborder", {"sources": "BR"}, tracer=cold)
+    assert {"_build_crossborder", "_build_flow_table",
+            "_build_flow_slices"} <= set(
+        cold.find("dispatch").tags["memo_builds"])
+    warm = Tracer()
+    service.query("crossborder", {"sources": "BR"}, tracer=warm)
+    assert warm.find("dispatch").tags["memo_builds"] == []
 
 
 def _wait_for(log, count, timeout_s=5.0):
@@ -130,6 +156,9 @@ def test_gateway_traces_errors_with_status(traced_server):
     document = log.traces()[-1]
     assert document["status"] == 404
     assert document["error"]["code"] == "unknown-country"
+    (request_span,) = document["trace"]["spans"]
+    assert [child["name"] for child in request_span["children"]] == \
+        ["parse", "dispatch", "render"]
 
 
 # ------------------------------------------------------------- the ring
@@ -146,6 +175,41 @@ def test_ring_reuses_slots(tmp_path):
     # The ring holds the newest 3 documents, oldest first.
     assert [doc["seq"] for doc in log.traces()] == [5, 6, 7]
     assert log.recorded == 8
+
+
+@contextlib.contextmanager
+def _torn_write(path):
+    """``open_replacement`` whose write stops half-way with an error."""
+    with open_replacement(path) as handle:
+        class Torn:
+            def write(self, text):
+                handle.write(text[:len(text) // 2])
+                raise OSError("disk full")
+
+        yield Torn()
+
+
+def _failing_replace(src, dst):
+    raise OSError("disk full")
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_failed_slot_write_keeps_the_previous_document(tmp_path,
+                                                       monkeypatch,
+                                                       failure):
+    log = RequestTraceLog(tmp_path, ring_size=1)
+    log.record("first", payload={}, tracer=Tracer(), duration_ms=1.0,
+               status=200)
+    if failure == "write":
+        monkeypatch.setattr(tracing, "open_replacement", _torn_write)
+    else:
+        monkeypatch.setattr(os, "replace", _failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        log.record("second", payload={}, tracer=Tracer(), duration_ms=1.0,
+                   status=200)
+    monkeypatch.undo()
+    assert [path.name for path in tmp_path.iterdir()] == ["request-0000.json"]
+    assert [doc["endpoint"] for doc in log.traces()] == ["first"]
 
 
 def test_ring_size_must_be_positive(tmp_path):

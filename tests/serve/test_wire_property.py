@@ -1,7 +1,10 @@
 """Wire property: whatever raw HTTP/1.0 or HTTP/1.1 request a client
 sends, the gateway answers with a status line, a JSON body (Prometheus
 text aside), an ``error.code`` on every non-200, and never a 500 or a
-dropped connection -- and it keeps answering afterwards.
+dropped connection -- and it keeps answering afterwards.  A request on
+a connection the first answer left open is answered as itself (the
+first request's body, whatever its framing, was consumed or refused);
+a connection the answer closes carries nothing more.
 
 Only versions that parse are drawn: for an unparseable one stdlib
 answers as HTTP/0.9, which has no status line.
@@ -11,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import socket
 import string
 import threading
 import urllib.parse
@@ -23,7 +27,7 @@ from hypothesis import strategies as st
 from repro.obs.exposition import PROMETHEUS_CONTENT_TYPE
 from repro.serve import QUERY_ENDPOINTS, create_server
 
-from .conftest import raw_exchange
+from .conftest import raw_exchange, read_response
 
 #: Request fields of every endpoint, plus /metrics' ``format``.
 FIELDS = ("country", "weighting", "sources", "basis", "top", "section",
@@ -31,6 +35,8 @@ FIELDS = ("country", "weighting", "sources", "basis", "top", "section",
 TOKEN = string.ascii_letters + string.digits + "-_.~"
 #: Printable ASCII: what a header value may carry.
 HEADER_TEXT = st.text(alphabet=string.printable.strip(), max_size=40)
+#: Sent after the drawn request on a connection its answer left open.
+SECOND_REQUEST = b"GET /v1/providers?top=2 HTTP/1.1\r\nHost: t\r\n\r\n"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -42,11 +48,14 @@ class RawRequest:
     body: Optional[bytes] = None
     #: ``exact``, a negative number, or a non-numeric string.
     length: str = "exact"
+    transfer_encoding: Optional[str] = None
 
     def encode(self) -> bytes:
         lines = [f"{self.method} {self.target} {self.version}", "Host: t"]
         if self.accept is not None:
             lines.append(f"Accept: {self.accept}")
+        if self.transfer_encoding is not None:
+            lines.append(f"Transfer-Encoding: {self.transfer_encoding}")
         if self.body is not None:
             length = (str(len(self.body)) if self.length == "exact"
                       else self.length)
@@ -89,7 +98,7 @@ def raw_requests(draw) -> RawRequest:
     ))
     query = draw(st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=8),
                                  st.text(max_size=12), max_size=3))
-    body = draw(bodies) if method == "POST" else None
+    body = draw(st.none() | bodies)
     return RawRequest(
         method=method,
         target=path + ("?" + urllib.parse.urlencode(query) if query else ""),
@@ -98,6 +107,8 @@ def raw_requests(draw) -> RawRequest:
             ["application/json", "text/plain", "*/*"]) | HEADER_TEXT),
         body=body,
         length=draw(lengths) if body is not None else "exact",
+        transfer_encoding=draw(st.none() | st.sampled_from(
+            ["chunked", "gzip, chunked", "identity"]) | HEADER_TEXT),
     )
 
 
@@ -118,21 +129,40 @@ def wire_server(service):
 @example(request=RawRequest("POST", "/v1/summary", body=b"{}", length="-1"))
 @example(request=RawRequest("POST", "/v1/summary", body=b"[" * 100_000))
 @example(request=RawRequest("GET", "/v1/providers?top=--5"))
-def test_every_request_gets_a_structured_answer(wire_server, request):
+@example(request=RawRequest("GET", "/v1/summary", body=b"hello"))
+@example(request=RawRequest("POST", "/v1/summary",
+                            body=b"2\r\n{}\r\n0\r\n\r\n",
+                            transfer_encoding="chunked"))
+def test_every_request_gets_a_structured_answer(wire_server, service,
+                                                request):
     address = wire_server.server_address[:2]
-    status, headers, body = raw_exchange(address, request.encode(),
-                                         method=request.method)
-    assert status == 200 or 400 <= status < 500 or status == 501, status
-    if request.method == "HEAD":
-        assert body == b""
-    elif headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE:
-        assert status == 200
-        assert body.decode("utf-8").endswith("\n")
-    else:
-        assert headers["Content-Type"] == "application/json"
-        answer = json.loads(body)
-        if status != 200:
-            assert isinstance(answer["error"]["code"], str)
+    with socket.create_connection(address, timeout=3) as sock, \
+            sock.makefile("rb") as stream:
+        sock.sendall(request.encode())
+        status, headers, body = read_response(stream, method=request.method)
+        assert status == 200 or 400 <= status < 500 or status == 501, status
+        if request.method == "HEAD":
+            assert body == b""
+        elif headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE:
+            assert status == 200
+            assert body.decode("utf-8").endswith("\n")
+        else:
+            assert headers["Content-Type"] == "application/json"
+            answer = json.loads(body)
+            if status != 200:
+                assert isinstance(answer["error"]["code"], str)
+
+        # HTTP/1.0 connections close after one answer; HTTP/1.1 ones
+        # unless the answer says so.
+        if request.version == "HTTP/1.1" and \
+                headers.get("Connection") != "close":
+            sock.sendall(SECOND_REQUEST)
+            status, _, body = read_response(stream)
+            assert status == 200
+            assert body == json.dumps(service.query("providers", {"top": "2"}),
+                                      sort_keys=True).encode("utf-8")
+        else:
+            assert stream.read() == b""  # nothing more was answered
 
     status, _, body = raw_exchange(address, b"GET /healthz HTTP/1.1\r\n"
                                             b"Host: t\r\n\r\n")
