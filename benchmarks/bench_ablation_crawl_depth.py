@@ -7,16 +7,15 @@ depth-1 shortcut used for topsites.  This bench reproduces the curve.
 
 from repro.core.crawler import Crawler
 from repro.reporting.tables import render_table
-from repro.websim.browser import Browser
 
 
 def _url_count_at_depth(world, max_depth, codes):
-    crawler = Crawler(Browser(world.web), max_depth=max_depth)
+    crawler = Crawler(world.web, max_depth=max_depth)
     total = 0
     for code in codes:
         seeds = list(world.truth.directories[code])
         vantage = world.vpn.vantage_for(code)
-        total += len(crawler.crawl(seeds, vantage).archive)
+        total += len(crawler.crawl(seeds, vantage).urls)
     return total
 
 

@@ -1,6 +1,6 @@
 """Ablation: contribution of each URL-filter heuristic (Table 1).
 
-Re-filters the crawled archives with heuristics disabled, quantifying
+Re-filters the crawled hostnames with heuristics disabled, quantifying
 how many government URLs each of the three steps uniquely recovers.
 """
 
@@ -11,31 +11,29 @@ from repro.core.gathering import GovernmentDirectory, compile_directory
 from repro.core.urlfilter import GovernmentUrlFilter
 from repro.netsim.tls import CertificateStore
 from repro.reporting.tables import render_table
-from repro.websim.browser import Browser
 
 
 @pytest.fixture(scope="module")
 def archives(bench_world):
-    crawler = Crawler(Browser(bench_world.web))
+    """Per country: its directory and its crawl's URL count per hostname."""
+    crawler = Crawler(bench_world.web)
     result = {}
     for code in bench_world.config.country_codes():
         directory = compile_directory(bench_world, code)
         vantage = bench_world.vpn.vantage_for(code)
-        result[code] = (
-            directory,
-            crawler.crawl(list(directory.landing_urls), vantage).archive,
-        )
+        crawl = crawler.crawl(list(directory.landing_urls), vantage)
+        result[code] = (directory, crawl.hostname_counts())
     return result
 
 
 def _accepted(bench_world, archives, use_domain=True, use_san=True):
     total = 0
-    for code, (directory, archive) in archives.items():
+    for code, (directory, url_counts) in archives.items():
         if not use_domain:
             directory = GovernmentDirectory(country=code, landing_urls=())
         certificates = bench_world.certificates if use_san else CertificateStore()
-        outcome = GovernmentUrlFilter(directory, certificates).run(archive)
-        total += len(outcome.accepted)
+        verdicts = GovernmentUrlFilter(directory, certificates).verdicts(url_counts)
+        total += sum(url_counts[hostname] for hostname in verdicts)
     return total
 
 

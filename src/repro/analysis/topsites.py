@@ -23,7 +23,6 @@ from repro.analysis.registration import LocationSplit, _split
 from repro.datagen.generator import SyntheticWorld
 from repro.netsim.dns import DnsError
 from repro.urltools import registrable_domain
-from repro.websim.browser import Browser
 from repro.websim.topsites import COMPARISON_COUNTRIES, TopsiteHosting
 from repro.world.countries import get_country
 
@@ -105,15 +104,15 @@ class TopsiteAnalyzer:
         self._world = world
         self._geolocator = geolocator
         self._global_asns = global_asns
-        self._crawler = Crawler(Browser(world.web), max_depth=1)
+        self._crawler = Crawler(world.web, max_depth=1)
 
     def analyze_site(self, topsite) -> Optional[TopsiteRecord]:
         """Measure a single topsite (None if it cannot be resolved)."""
         world = self._world
         vantage = world.vpn.vantage_for(topsite.country)
         crawl = self._crawler.crawl([topsite.landing_url], vantage)
-        url_count = len(crawl.archive)
-        byte_count = crawl.archive.total_bytes()
+        url_count = len(crawl.urls)
+        byte_count = sum(entry.size_bytes for entry, _ in crawl.urls.values())
         try:
             resolution = world.resolver.resolve(
                 topsite.hostname, vantage.lat, vantage.lon

@@ -32,6 +32,7 @@ import argparse
 import json
 import logging
 import math
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -1031,6 +1032,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             argv[at - 1:at + 1] = [f"{argv[at - 1]}={argv[at]}"]
     args = _build_parser().parse_args(argv)
     _configure_logging(args.verbose, args.quiet)
+    try:
+        status = _dispatch(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``, ``| true``).  Point
+        # stdout at devnull, so the interpreter's flush at exit cannot
+        # raise again, and fail without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command; returns its exit status."""
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "sweep":

@@ -4,12 +4,14 @@ Gathering government sites, crawling them seven levels deep through
 in-country vantage points, filtering internal government URLs,
 identifying the serving infrastructure, classifying network ownership,
 geolocating servers and assembling the final dataset.
+
+The crawl files the :class:`~repro.har.HarEntry` objects the sites'
+pages hold, once per URL, and the URL filter decides per hostname.
 """
 
-from repro.core.har import HarEntry, HarArchive
 from repro.core.gathering import GovernmentDirectory, compile_directory
 from repro.core.crawler import Crawler, CrawlResult
-from repro.core.urlfilter import GovernmentUrlFilter, FilterOutcome, FilterVia
+from repro.core.urlfilter import GovernmentUrlFilter, FilterVia
 from repro.core.infrastructure import InfrastructureMapper, HostInfrastructure
 from repro.core.asclassify import GovernmentASClassifier, Evidence
 from repro.core.geolocation import Geolocator, GeoVerdict, ValidationMethod, ValidationStats
@@ -18,14 +20,11 @@ from repro.core.dataset import UrlRecord, CountryDataset, GovernmentHostingDatas
 from repro.core.pipeline import Pipeline
 
 __all__ = [
-    "HarEntry",
-    "HarArchive",
     "GovernmentDirectory",
     "compile_directory",
     "Crawler",
     "CrawlResult",
     "GovernmentUrlFilter",
-    "FilterOutcome",
     "FilterVia",
     "InfrastructureMapper",
     "HostInfrastructure",

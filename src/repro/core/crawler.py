@@ -1,20 +1,20 @@
 """Recursive crawling of government sites (Section 3.2).
 
-Starting from each landing URL, the crawler renders pages through the
+Starting from each landing URL, the crawler loads pages through the
 in-country VPN vantage and follows internal links breadth-first up to
 seven levels deep (the threshold Singanamalla et al. established),
-consolidating every fetched object into a per-country HAR archive.
+consolidating every fetched object into the country's HAR archive.
 """
 
 from __future__ import annotations
 
 import collections
 import dataclasses
+import operator
 
-from repro.core.har import HarArchive
+from repro.har import HarEntry
 from repro.measure.vpn import VantagePoint
-from repro.websim.browser import Browser
-from repro.websim.webserver import GeoBlockedError, PageNotFoundError
+from repro.websim.webserver import GeoBlockedError, PageNotFoundError, WebFabric
 
 #: Crawl depth used by the study.
 DEFAULT_MAX_DEPTH = 7
@@ -25,30 +25,33 @@ class CrawlResult:
     """Everything collected while crawling one country."""
 
     country: str
-    archive: HarArchive
-    #: Depth at which each unique URL was first observed.
-    depth_of: dict[str, int]
+    #: The country's HAR archive: each unique URL, in first-observation
+    #: order, mapped to the first entry seen for it (the site's own
+    #: object) and the depth of the page that first loaded it.
+    urls: dict[str, tuple[HarEntry, int]]
     #: URLs that could not be fetched (missing page, geo-block).
     failed_urls: list[str]
     #: Number of page loads performed.
     page_loads: int
 
-    def urls_at_depth(self, depth: int) -> int:
-        """Number of unique URLs first seen at ``depth``."""
-        return sum(1 for d in self.depth_of.values() if d == depth)
-
     def depth_histogram(self) -> dict[int, int]:
         """URL counts per discovery depth."""
-        return dict(sorted(collections.Counter(self.depth_of.values()).items()))
+        depths = map(operator.itemgetter(1), self.urls.values())
+        return dict(sorted(collections.Counter(depths).items()))
+
+    def hostname_counts(self) -> collections.Counter[str]:
+        """Unique URLs per hostname, hostnames in first-observation order."""
+        return collections.Counter(
+            entry.hostname for entry, _ in self.urls.values())
 
 
 class Crawler:
-    """Breadth-first site crawler driving the Selenium-equivalent browser."""
+    """Breadth-first site crawler, loading pages the way Selenium does."""
 
-    def __init__(self, browser: Browser, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
+    def __init__(self, web: WebFabric, max_depth: int = DEFAULT_MAX_DEPTH) -> None:
         if max_depth < 0:
             raise ValueError("max_depth must be non-negative")
-        self._browser = browser
+        self._web = web
         self._max_depth = max_depth
 
     @property
@@ -56,9 +59,16 @@ class Crawler:
         return self._max_depth
 
     def crawl(self, seeds: list[str], vantage: VantagePoint) -> CrawlResult:
-        """Crawl every seed URL and its internal pages from ``vantage``."""
-        archive = HarArchive(country=vantage.country)
-        depth_of: dict[str, int] = {}
+        """Crawl every seed URL and its internal pages from ``vantage``.
+
+        Loading a page records its own document and each embedded
+        object (:attr:`~repro.websim.sites.Page.entries`); the first
+        observation of a URL wins, at the depth of its first referring
+        page.
+        """
+        fetch = self._web.fetch
+        country = vantage.country
+        urls: dict[str, tuple[HarEntry, int]] = {}
         failed: list[str] = []
         #: URLs ever admitted to the frontier.  Deduplicating at enqueue
         #: time (rather than at dequeue) keeps the BFS queue bounded by
@@ -76,24 +86,23 @@ class Crawler:
         while queue:
             url, depth = queue.popleft()
             try:
-                load = self._browser.load(url, vantage)
+                page = fetch(url, country)
             except (PageNotFoundError, GeoBlockedError):
                 failed.append(url)
                 continue
             page_loads += 1
-            for entry in load.entries:
-                if archive.add(entry):
-                    depth_of[entry.url] = depth
+            for entry in page.entries:
+                if entry.url not in urls:
+                    urls[entry.url] = (entry, depth)
             if depth < self._max_depth:
-                for link in load.links:
+                for link in page.links:
                     if link not in enqueued:
                         enqueued.add(link)
                         queue.append((link, depth + 1))
 
         return CrawlResult(
-            country=vantage.country,
-            archive=archive,
-            depth_of=depth_of,
+            country=country,
+            urls=urls,
             failed_urls=failed,
             page_loads=page_loads,
         )

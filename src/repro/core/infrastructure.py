@@ -8,7 +8,7 @@ organization and country of registration -- the Table 2 record.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.measure.vpn import VantagePoint
 from repro.netsim.dns import DnsError, Resolver
@@ -75,7 +75,7 @@ class InfrastructureMapper:
 
     def map_hosts(
         self,
-        hostnames: set[str],
+        hostnames: Iterable[str],
         vantage: VantagePoint,
         faults: Optional["FaultSession"] = None,
     ) -> dict[str, HostInfrastructure]:

@@ -32,7 +32,6 @@ the pipeline ran before.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import logging
 import time
@@ -41,7 +40,7 @@ from typing import TYPE_CHECKING, Callable, ContextManager, Optional, Sequence, 
 
 from repro.core.asclassify import GovernmentASClassifier
 from repro.core.classification import ProviderFootprint, categorize
-from repro.core.crawler import Crawler, CrawlResult
+from repro.core.crawler import Crawler
 from repro.core.dataset import (
     CountryDataset,
     GovernmentHostingDataset,
@@ -50,8 +49,8 @@ from repro.core.dataset import (
 )
 from repro.core.gathering import compile_directory
 from repro.core.geolocation import GeoVerdict, Geolocator
-from repro.core.infrastructure import HostInfrastructure, InfrastructureMapper
-from repro.core.urlfilter import FilterOutcome, GovernmentUrlFilter
+from repro.core.infrastructure import InfrastructureMapper
+from repro.core.urlfilter import FilterVia, GovernmentUrlFilter
 from repro.datagen.config import WorldConfig
 from repro.datagen.generator import SyntheticWorld
 from repro.datagen.seeds import derive_rng
@@ -67,7 +66,6 @@ from repro.exec.partials import CountryPartial, HostAnnotation, UrlObservation
 from repro.faults import FaultPlan, FaultReport, FaultSession
 from repro.measure.atlas import AtlasClient
 from repro.netsim.latency import LatencyModel
-from repro.websim.browser import Browser
 from repro.world.cities import all_location_codes
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -81,17 +79,6 @@ logger = logging.getLogger(__name__)
 def _null_span(name: str, **tags) -> nullcontext:
     """Span stand-in for uninstrumented scans (no scope allocated)."""
     return nullcontext()
-
-
-@dataclasses.dataclass
-class _CountryScan:
-    """Intermediate per-country artifacts from the crawl+filter+map phase."""
-
-    country: str
-    crawl: CrawlResult
-    outcome: FilterOutcome
-    infrastructure: dict[str, HostInfrastructure]
-    landing_count: int
 
 
 def _host_table(
@@ -203,7 +190,7 @@ class Pipeline:
         pipeline's config; a scan wave binds a config-built pipeline to
         the world it generated for it."""
         self._scanning = world
-        self.crawler = Crawler(Browser(world.web))
+        self.crawler = Crawler(world.web)
         self.mapper = InfrastructureMapper(world.resolver, world.whois)
         self.ownership = GovernmentASClassifier(
             world.peeringdb, world.whois, world.websearch
@@ -225,22 +212,25 @@ class Pipeline:
 
     # ------------------------------------------------------------------ runs
 
-    def scan_country(
-        self,
-        code: str,
-        faults: Optional[FaultSession] = None,
-        obs: Optional["ScanObs"] = None,
-    ) -> _CountryScan:
-        """Crawl, filter and map one country (phases 1-4).
+    def scan_partial(
+        self, code: str, scope: Optional["ScanObs"] = None
+    ) -> CountryPartial:
+        """Phase 1 for one country: crawl, filter, map, geolocate.
 
-        A fault session makes the scan run over an unreliable substrate:
-        the VPN exit may flap (retried, then re-selected to an alternate
-        in-country exit) and DNS/WHOIS lookups may fail (hostnames
-        degrade into the unresolved tally).
+        Returns a picklable :class:`CountryPartial` holding everything
+        except hosting categories, which need the cross-country
+        footprint barrier (phase 2).
 
-        An observability scope records per-stage spans and counters;
-        it reads results the scan computed anyway, so instrumented and
-        bare scans are identical.
+        With fault injection on, the scan runs over an unreliable
+        substrate: the VPN exit may flap (retried, then re-selected to
+        an alternate in-country exit) and DNS/WHOIS lookups may fail
+        (hostnames degrade into the unresolved tally).
+
+        The scan records spans and counters into ``scope`` when one is
+        given (a worker process ships it back with the partial); an
+        observed pipeline opens its own scope otherwise, and absorbs the
+        scan's scope into :attr:`obs`.  A scope reads results the scan
+        computed anyway, so observed and bare scans are identical.
         """
         code = code.upper()
         world = self._scanning
@@ -248,61 +238,6 @@ class Pipeline:
             raise RuntimeError("a pipeline built from a config scans in the "
                                "worlds run() generates; build it from a "
                                "world to scan one country alone")
-        span = obs.span if obs is not None else _null_span
-        with span("directory"):
-            directory = compile_directory(world, code)
-        if faults is not None:
-            vantage = faults.select_vantage(world.vpn, code)
-        else:
-            vantage = world.vpn.vantage_for(code)
-        with span("crawl") as crawl_span:
-            crawl = self.crawler.crawl(list(directory.landing_urls), vantage)
-        with span("filter") as filter_span:
-            url_filter = GovernmentUrlFilter(directory, world.certificates)
-            outcome = url_filter.run(crawl.archive)
-        with span("resolve") as resolve_span:
-            infrastructure = self.mapper.map_hosts(
-                outcome.government_hostnames, vantage, faults=faults
-            )
-        if obs is not None:
-            metrics = obs.metrics
-            crawl_span.tags.update(pages=crawl.page_loads,
-                                   urls=len(crawl.depth_of),
-                                   failed=len(crawl.failed_urls))
-            metrics.count("crawl.page_loads", crawl.page_loads)
-            metrics.count("crawl.fetched_urls", len(crawl.depth_of))
-            metrics.count("crawl.failed_urls", len(crawl.failed_urls))
-            accepted = len(outcome.accepted)
-            filter_span.tags.update(accepted=accepted,
-                                    discarded=len(outcome.discarded))
-            metrics.count("filter.accepted_urls", accepted)
-            for via, count in outcome.counts_by_via().items():
-                metrics.count(f"filter.via.{via.value}", count)
-            unresolved = len(outcome.government_hostnames) - len(infrastructure)
-            resolve_span.tags.update(hosts=len(infrastructure),
-                                     unresolved=unresolved)
-            metrics.count("resolve.resolved_hosts", len(infrastructure))
-        return _CountryScan(
-            country=code,
-            crawl=crawl,
-            outcome=outcome,
-            infrastructure=infrastructure,
-            landing_count=directory.landing_count,
-        )
-
-    def scan_partial(
-        self, code: str, scope: Optional["ScanObs"] = None
-    ) -> CountryPartial:
-        """Phase 1 for one country: scan, geolocate, annotate.
-
-        Returns a picklable :class:`CountryPartial` holding everything
-        except hosting categories, which need the cross-country
-        footprint barrier (phase 2).  The scan records into ``scope``
-        when one is given (a worker process ships it back with the
-        partial); an observed pipeline opens its own scope otherwise,
-        and absorbs the scan's scope into :attr:`obs`.
-        """
-        code = code.upper()
         started = time.perf_counter()
         session = (
             FaultSession(self.fault_plan, code)
@@ -312,33 +247,72 @@ class Pipeline:
         obs = self.obs
         if scope is None and obs is not None:
             scope = obs.scan_scope(code)
-        scan = self.scan_country(code, faults=session, obs=scope)
-        country = scan.country
+        span = scope.span if scope is not None else _null_span
+        with span("directory"):
+            directory = compile_directory(world, code)
+        if session is not None:
+            vantage = session.select_vantage(world.vpn, code)
+        else:
+            vantage = world.vpn.vantage_for(code)
+        with span("crawl") as crawl_span:
+            crawl = self.crawler.crawl(list(directory.landing_urls), vantage)
+        with span("filter") as filter_span:
+            # The filter decides per hostname, so every per-URL tally
+            # below is a sum over hostnames.
+            url_counts = crawl.hostname_counts()
+            via_of = GovernmentUrlFilter(
+                directory, world.certificates).verdicts(url_counts)
+        with span("resolve") as resolve_span:
+            infrastructure = self.mapper.map_hosts(
+                via_of, vantage, faults=session)
+        discarded = len(crawl.urls) - sum(
+            url_counts[hostname] for hostname in via_of)
+        if scope is not None:
+            metrics = scope.metrics
+            crawl_span.tags.update(pages=crawl.page_loads,
+                                   urls=len(crawl.urls),
+                                   failed=len(crawl.failed_urls))
+            metrics.count("crawl.page_loads", crawl.page_loads)
+            metrics.count("crawl.fetched_urls", len(crawl.urls))
+            metrics.count("crawl.failed_urls", len(crawl.failed_urls))
+            accepted = len(crawl.urls) - discarded
+            filter_span.tags.update(accepted=accepted, discarded=discarded)
+            metrics.count("filter.accepted_urls", accepted)
+            for via in FilterVia:
+                metrics.count(f"filter.via.{via.value}", sum(
+                    url_counts[hostname]
+                    for hostname, accepted_by in via_of.items()
+                    if accepted_by is via))
+            resolve_span.tags.update(
+                hosts=len(infrastructure),
+                unresolved=len(via_of) - len(infrastructure))
+            metrics.count("resolve.resolved_hosts", len(infrastructure))
+
         footprint = ProviderFootprint()
         hosts: dict[str, HostAnnotation] = {}
         verdicts: list[GeoVerdict] = []
         is_government = self.ownership.is_government
         locate = self.geolocator.locate
-        geolocate_cm = (scope.span("geolocate", hosts=len(scan.infrastructure))
+        geolocate_cm = (scope.span("geolocate", hosts=len(infrastructure))
                         if scope is not None else nullcontext())
         #: Wall seconds and address counts per Section 3.5 step, keyed
         #: by the verdict's ``source`` (observability only).
         step_seconds: dict[str, float] = {}
         step_counts: dict[str, int] = {}
         with geolocate_cm:
-            for hostname, info in scan.infrastructure.items():
+            for hostname, info in infrastructure.items():
                 if scope is not None:
                     lookup_started = time.perf_counter()
                 # Faulted verdicts are memoized on this country's session,
                 # fault-free ones in the geolocator's shared caches.
-                verdict = locate(info.address, country, faults=session)
+                verdict = locate(info.address, code, faults=session)
                 if scope is not None:
                     step = verdict.source or "unresolved"
                     step_seconds[step] = (step_seconds.get(step, 0.0)
                                           + time.perf_counter() - lookup_started)
                     step_counts[step] = step_counts.get(step, 0) + 1
                 verdicts.append(verdict)
-                footprint.observe(info.asn, country)
+                footprint.observe(info.asn, code)
                 hosts[hostname] = HostAnnotation(
                     address=info.address,
                     asn=info.asn,
@@ -351,19 +325,19 @@ class Pipeline:
                 )
             if scope is not None:
                 scope.geolocation_steps(step_seconds, step_counts)
-                scope.metrics.count("geo.lookups", len(scan.infrastructure))
+                scope.metrics.count("geo.lookups", len(infrastructure))
 
+        # One pass over the crawl: a row for every URL on a resolved
+        # government hostname.
+        row_via = {hostname: via_of[hostname] for hostname in hosts}
         urls: list[UrlObservation] = []
         append = urls.append
-        archive_get = scan.crawl.archive.get
-        depth_get = scan.crawl.depth_of.get
-        for url, via in scan.outcome.accepted.items():
-            entry = archive_get(url)
-            if entry.hostname in hosts:
-                append((url, entry.hostname, entry.size_bytes, via,
-                        depth_get(url, 0)))
+        for url, (entry, depth) in crawl.urls.items():
+            via = row_via.get(entry.hostname)
+            if via is not None:
+                append((url, entry.hostname, entry.size_bytes, via, depth))
 
-        self.scan_seconds[country] = time.perf_counter() - started
+        self.scan_seconds[code] = time.perf_counter() - started
         if scope is not None and session is not None:
             scope.metrics.count("faults.operations",
                                 session.episodes_evaluated)
@@ -371,13 +345,13 @@ class Pipeline:
             obs.absorb_scan(scope)
 
         return CountryPartial(
-            country=country,
-            landing_count=scan.landing_count,
-            discarded_url_count=len(scan.outcome.discarded),
-            unresolved_hostnames=sorted(
-                scan.outcome.government_hostnames - set(scan.infrastructure)
-            ),
-            depth_histogram=scan.crawl.depth_histogram(),
+            country=code,
+            landing_count=directory.landing_count,
+            discarded_url_count=discarded,
+            # Sorted, as the filter's verdicts are.
+            unresolved_hostnames=[hostname for hostname in via_of
+                                  if hostname not in infrastructure],
+            depth_histogram=crawl.depth_histogram(),
             hosts=hosts,
             urls=urls,
             verdicts=tuple(verdicts),

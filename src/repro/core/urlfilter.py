@@ -18,13 +18,10 @@ filtered through three cascaded heuristics:
 
 from __future__ import annotations
 
-import collections
-import dataclasses
 import enum
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.core.gathering import GovernmentDirectory
-from repro.core.har import HarArchive
 from repro.netsim.tls import CertificateStore
 from repro.urltools import labels_of
 
@@ -64,39 +61,12 @@ def default_san_verifier(hostname: str) -> bool:
     return not any(marker in lowered for marker in _INFRA_MARKERS)
 
 
-@dataclasses.dataclass
-class FilterOutcome:
-    """Result of filtering one country's crawl."""
-
-    country: str
-    #: Accepted URL -> heuristic that accepted its hostname.
-    accepted: dict[str, FilterVia]
-    #: URLs whose hostnames could not be verified as government resources.
-    discarded: list[str]
-    #: Heuristic per accepted hostname.
-    via_by_hostname: dict[str, FilterVia]
-
-    def counts_by_via(self) -> dict[FilterVia, int]:
-        """Accepted URL counts per heuristic (the Section 4.2 breakdown)."""
-        tallies = collections.Counter(self.accepted.values())
-        return {via: tallies.get(via, 0) for via in FilterVia}
-
-    def fractions_by_via(self) -> dict[FilterVia, float]:
-        """Accepted URL fractions per heuristic."""
-        counts = self.counts_by_via()
-        total = sum(counts.values())
-        if total == 0:
-            return {via: 0.0 for via in FilterVia}
-        return {via: count / total for via, count in counts.items()}
-
-    @property
-    def government_hostnames(self) -> set[str]:
-        """All hostnames confirmed as government resources."""
-        return set(self.via_by_hostname)
-
-
 class GovernmentUrlFilter:
-    """Applies the Table 1 cascade to a crawled HAR archive."""
+    """Applies the Table 1 cascade to the hostnames of a crawl.
+
+    Every heuristic depends on the hostname alone, so a URL's verdict
+    is its hostname's.
+    """
 
     def __init__(
         self,
@@ -115,37 +85,21 @@ class GovernmentUrlFilter:
             sans.update(name.lower() for name in self._certificates.sans_of(hostname))
         return sans
 
-    def run(self, archive: HarArchive) -> FilterOutcome:
-        """Filter every URL of ``archive``."""
+    def verdicts(self, hostnames: Iterable[str]) -> dict[str, FilterVia]:
+        """The heuristic accepting each government hostname, in sorted
+        order; a hostname no heuristic accepts is left out, and its URLs
+        are discarded."""
         directory_hosts = self._directory.hostnames
         san_set = self._san_candidates()
         via_by_hostname: dict[str, FilterVia] = {}
-        rejected_hosts: set[str] = set()
-
-        for hostname in sorted(archive.hostnames()):
+        for hostname in sorted(hostnames):
             if matches_gov_tld(hostname):
                 via_by_hostname[hostname] = FilterVia.TLD
             elif hostname in directory_hosts:
                 via_by_hostname[hostname] = FilterVia.DOMAIN
             elif hostname in san_set and self._verify(hostname):
                 via_by_hostname[hostname] = FilterVia.SAN
-            else:
-                rejected_hosts.add(hostname)
-
-        accepted: dict[str, FilterVia] = {}
-        discarded: list[str] = []
-        for entry in archive:
-            via = via_by_hostname.get(entry.hostname)
-            if via is None:
-                discarded.append(entry.url)
-            else:
-                accepted[entry.url] = via
-        return FilterOutcome(
-            country=archive.country,
-            accepted=accepted,
-            discarded=discarded,
-            via_by_hostname=via_by_hostname,
-        )
+        return via_by_hostname
 
 
 __all__ = [
@@ -153,6 +107,5 @@ __all__ = [
     "FilterVia",
     "matches_gov_tld",
     "default_san_verifier",
-    "FilterOutcome",
     "GovernmentUrlFilter",
 ]

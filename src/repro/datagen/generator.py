@@ -1275,7 +1275,7 @@ class _Generator:
             site = self.web.site_of(hostname)
             if site is None:
                 continue
-            mass = sum(1 + len(page.resources) for page in site.pages.values())
+            mass = sum(len(page.entries) for page in site.pages.values())
             weight[truth.address] = weight.get(truth.address, 0) + mass
         by_scope: dict[str, list[int]] = {}
         for address, (_a, _p, is_anycast) in self._address_info.items():

@@ -13,7 +13,8 @@ import dataclasses
 import random
 from typing import Callable, Optional, Sequence
 
-from repro.websim.sites import GovernmentSite, Page, Resource, SiteKind
+from repro.har import HarEntry
+from repro.websim.sites import GovernmentSite, Page, SiteKind
 
 #: File extensions used for leaf resources.
 _RESOURCE_EXTENSIONS = ("js", "css", "png", "jpg", "pdf", "woff2", "json")
@@ -102,8 +103,8 @@ def build_site(
         landing_url = base + path
         counts = _chain_depth_counts(budget, depth_fracs)
 
-        # Depth-0 resource objects embedded in the landing page.
-        resources: list[Resource] = []
+        # Depth-0 objects embedded in the landing page.
+        embedded: list[HarEntry] = []
         for index in range(counts[0]):
             extension = rng.choice(_RESOURCE_EXTENSIONS)
             if spec.static_hostname is not None and rng.random() < 0.30:
@@ -112,27 +113,16 @@ def build_site(
             else:
                 host = spec.hostname
                 url = f"{base}{prefix}assets/r{index}.{extension}"
-            resources.append(
-                Resource(
-                    url=url,
-                    hostname=host,
-                    size_bytes=spec.size_sampler(),
-                    content_type=f"application/{extension}",
-                )
-            )
-        # External contractor resources (discarded later by the URL filter).
+            embedded.append(HarEntry(url, host, spec.size_sampler()))
+        # External contractor objects (discarded later by the URL filter).
         if spec.external_hosts and spec.external_ratio > 0:
             external_count = round(spec.external_ratio * max(counts[0], 1))
             for index in range(external_count):
                 host = rng.choice(list(spec.external_hosts))
-                resources.append(
-                    Resource(
-                        url=f"https://{host}/embed/{spec.hostname}/w{index}.js",
-                        hostname=host,
-                        size_bytes=spec.size_sampler(),
-                        content_type="application/javascript",
-                    )
-                )
+                embedded.append(HarEntry(
+                    f"https://{host}/embed/{spec.hostname}/w{index}.js",
+                    host, spec.size_sampler(),
+                ))
 
         # Internal pages, level by level.
         level_urls: dict[int, list[str]] = {0: [landing_url]}
@@ -154,22 +144,24 @@ def build_site(
                 links_of[parents[index % len(parents)]].append(child)
 
         landing_links = tuple(links_of[landing_url]) + tuple(spec.extra_links)
+        # A document's size is drawn after its embedded objects' sizes,
+        # and internal pages' in page order: the draw order fixes the
+        # bytes of every generated world.
+        document = HarEntry(landing_url, spec.hostname, spec.size_sampler())
         pages[landing_url] = Page(
             url=landing_url,
             hostname=spec.hostname,
             depth=0,
-            resources=tuple(resources),
+            entries=(document, *embedded),
             links=landing_links,
-            size_bytes=spec.size_sampler(),
         )
         for url, depth in page_specs:
             pages[url] = Page(
                 url=url,
                 hostname=spec.hostname,
                 depth=depth,
-                resources=(),
+                entries=(HarEntry(url, spec.hostname, spec.size_sampler()),),
                 links=tuple(links_of[url]),
-                size_bytes=spec.size_sampler(),
             )
 
     return GovernmentSite(

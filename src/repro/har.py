@@ -8,66 +8,22 @@ aggregate bytes as well as URL counts).
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterable, Iterator, NamedTuple
+from typing import NamedTuple
 
 
 class HarEntry(NamedTuple):
-    """One fetched object within a page load.
+    """One fetchable object: the unit the paper counts as a unique URL.
 
-    A ``NamedTuple`` rather than a dataclass: crawls create hundreds of
-    thousands of entries per run and tuple construction is ~5x cheaper
-    than frozen-dataclass ``__init__``.
+    A site's pages hold their entries from generation on, and the crawl
+    files those same objects, so each URL is built once.  A
+    ``NamedTuple`` rather than a dataclass: a world holds hundreds of
+    thousands of entries and tuple construction is ~5x cheaper than
+    frozen-dataclass ``__init__``.
     """
 
     url: str
     hostname: str
     size_bytes: int
-    content_type: str = "application/octet-stream"
 
 
-@dataclasses.dataclass
-class HarArchive:
-    """All HAR entries collected while crawling one country.
-
-    Entries are de-duplicated by URL, as the paper counts *unique* URLs;
-    the first observation of a URL wins.
-    """
-
-    country: str
-    _entries: dict[str, HarEntry] = dataclasses.field(default_factory=dict)
-
-    def add(self, entry: HarEntry) -> bool:
-        """Record an entry; returns False if the URL was already present."""
-        if entry.url in self._entries:
-            return False
-        self._entries[entry.url] = entry
-        return True
-
-    def extend(self, entries: Iterable[HarEntry]) -> int:
-        """Add many entries; returns how many were new."""
-        return sum(1 for entry in entries if self.add(entry))
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[HarEntry]:
-        return iter(self._entries.values())
-
-    def __contains__(self, url: str) -> bool:
-        return url in self._entries
-
-    def get(self, url: str) -> HarEntry:
-        """The entry recorded for ``url``."""
-        return self._entries[url]
-
-    def hostnames(self) -> set[str]:
-        """Unique hostnames across all entries."""
-        return {entry.hostname for entry in self._entries.values()}
-
-    def total_bytes(self) -> int:
-        """Sum of transferred sizes over all unique URLs."""
-        return sum(entry.size_bytes for entry in self._entries.values())
-
-
-__all__ = ["HarEntry", "HarArchive"]
+__all__ = ["HarEntry"]

@@ -1,12 +1,13 @@
 """Data model of synthetic government websites.
 
 A :class:`GovernmentSite` owns a tree of :class:`Page` objects rooted
-at a landing page.  Pages embed :class:`Resource` objects (the unique
-URLs the study counts) and link to deeper internal pages, up to the
-seven levels the crawler explores.  Resources may live on the site's
-own hostname, on sibling government hostnames (e.g. a ``static.``
-asset host), on SAN-verified affiliated hostnames, or on external
-contractor domains that the URL filter must discard.
+at a landing page.  A page holds one :class:`~repro.har.HarEntry` per
+object it fetches (the unique URLs the study counts) and links to
+deeper internal pages, up to the seven levels the crawler explores.
+Embedded objects may live on the site's own hostname, on sibling
+government hostnames (e.g. a ``static.`` asset host), on SAN-verified
+affiliated hostnames, or on external contractor domains that the URL
+filter must discard.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 from typing import Iterator, Optional
+
+from repro.har import HarEntry
 
 
 class SiteKind(enum.Enum):
@@ -25,36 +28,18 @@ class SiteKind(enum.Enum):
 
 
 @dataclasses.dataclass(frozen=True)
-class Resource:
-    """One fetchable object (the unit the paper counts as a unique URL)."""
-
-    url: str
-    hostname: str
-    size_bytes: int
-    content_type: str = "text/html"
-
-    def __post_init__(self) -> None:
-        if self.size_bytes < 0:
-            raise ValueError("resource size must be non-negative")
-
-
-@dataclasses.dataclass(frozen=True)
 class Page:
-    """A crawlable page: its own resource plus embedded content and links."""
+    """A crawlable page: the objects it fetches and the pages it links."""
 
     url: str
     hostname: str
     depth: int
-    #: Objects fetched when rendering the page (images, scripts, ...).
-    resources: tuple[Resource, ...]
+    #: One entry per object fetched when rendering the page: the page
+    #: document's own first, then its embedded objects (images,
+    #: scripts, ...).
+    entries: tuple[HarEntry, ...]
     #: URLs of internal pages linked from this page.
     links: tuple[str, ...]
-    #: Page size in bytes (the page document itself).
-    size_bytes: int = 15_000
-
-    def all_resource_urls(self) -> list[str]:
-        """URLs of every object loaded by this page, page itself included."""
-        return [self.url] + [resource.url for resource in self.resources]
 
 
 @dataclasses.dataclass
@@ -91,8 +76,8 @@ class GovernmentSite:
         """Every unique URL reachable by fully crawling the site."""
         urls: set[str] = set()
         for page in self.pages.values():
-            urls.update(page.all_resource_urls())
+            urls.update(entry.url for entry in page.entries)
         return urls
 
 
-__all__ = ["SiteKind", "Resource", "Page", "GovernmentSite"]
+__all__ = ["SiteKind", "Page", "GovernmentSite"]

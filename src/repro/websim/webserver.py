@@ -33,13 +33,20 @@ class WebFabric:
         self._sites_by_host: dict[str, GovernmentSite] = {}
 
     def register_site(self, site: GovernmentSite) -> None:
-        """Publish every page of a site."""
+        """Publish every page of a site.
+
+        Raises :class:`ValueError` for a hostname or page URL already
+        published and for an entry of negative size.
+        """
         if site.hostname in self._sites_by_host:
             raise ValueError(f"duplicate site for hostname {site.hostname!r}")
         self._sites_by_host[site.hostname] = site
         for url, page in site.pages.items():
             if url in self._pages:
                 raise ValueError(f"duplicate page URL {url!r}")
+            for entry in page.entries:
+                if entry.size_bytes < 0:
+                    raise ValueError(f"negative size for {entry.url!r}")
             self._pages[url] = page
 
     def site_of(self, hostname: str) -> Optional[GovernmentSite]:

@@ -9,7 +9,6 @@ from repro.core.urlfilter import (
     default_san_verifier,
     matches_gov_tld,
 )
-from repro.har import HarArchive, HarEntry
 from repro.netsim.tls import Certificate, CertificateStore
 
 
@@ -47,59 +46,50 @@ def filter_setup():
         subject="gesundheit.de",
         sans=("gesundheit.de", "energie-staat.com", "cdn9.cloudssl.net"),
     ))
-    archive = HarArchive(country="DE")
-    entries = [
-        HarEntry("https://gesundheit.de/", "gesundheit.de", 10),           # domain
-        HarEntry("https://gesundheit.de/a.js", "gesundheit.de", 10),       # domain
-        HarEntry("https://www.zoll.gov.de/x", "www.zoll.gov.de", 10),      # tld
-        HarEntry("https://energie-staat.com/", "energie-staat.com", 10),   # san
-        HarEntry("https://cdn9.cloudssl.net/w.js", "cdn9.cloudssl.net", 10),  # rejected SAN
-        HarEntry("https://tracker.example.com/p", "tracker.example.com", 10),  # discard
+    hostnames = [
+        "gesundheit.de",        # domain
+        "www.zoll.gov.de",      # tld
+        "energie-staat.com",    # san
+        "cdn9.cloudssl.net",    # rejected SAN
+        "tracker.example.com",  # discard
     ]
-    for entry in entries:
-        archive.add(entry)
-    return GovernmentUrlFilter(directory, certificates), archive
+    return GovernmentUrlFilter(directory, certificates), hostnames
 
 
 def test_cascade_assigns_expected_vias(filter_setup):
-    url_filter, archive = filter_setup
-    outcome = url_filter.run(archive)
-    assert outcome.accepted["https://gesundheit.de/"] is FilterVia.DOMAIN
-    assert outcome.accepted["https://www.zoll.gov.de/x"] is FilterVia.TLD
-    assert outcome.accepted["https://energie-staat.com/"] is FilterVia.SAN
-    assert "https://cdn9.cloudssl.net/w.js" in outcome.discarded
-    assert "https://tracker.example.com/p" in outcome.discarded
+    url_filter, hostnames = filter_setup
+    verdicts = url_filter.verdicts(hostnames)
+    assert verdicts["gesundheit.de"] is FilterVia.DOMAIN
+    assert verdicts["www.zoll.gov.de"] is FilterVia.TLD
+    assert verdicts["energie-staat.com"] is FilterVia.SAN
+    assert "cdn9.cloudssl.net" not in verdicts
+    assert "tracker.example.com" not in verdicts
 
 
 def test_tld_takes_precedence_over_domain():
     directory = GovernmentDirectory(
         country="BR", landing_urls=("https://www.gov.br/",)
     )
-    archive = HarArchive(country="BR")
-    archive.add(HarEntry("https://www.gov.br/", "www.gov.br", 10))
-    outcome = GovernmentUrlFilter(directory, CertificateStore()).run(archive)
-    assert outcome.accepted["https://www.gov.br/"] is FilterVia.TLD
+    verdicts = GovernmentUrlFilter(directory, CertificateStore()).verdicts(
+        ["www.gov.br"])
+    assert verdicts == {"www.gov.br": FilterVia.TLD}
 
 
-def test_counts_and_fractions(filter_setup):
-    url_filter, archive = filter_setup
-    outcome = url_filter.run(archive)
-    counts = outcome.counts_by_via()
-    assert counts[FilterVia.DOMAIN] == 2
-    assert counts[FilterVia.TLD] == 1
-    assert counts[FilterVia.SAN] == 1
-    fractions = outcome.fractions_by_via()
-    assert sum(fractions.values()) == pytest.approx(1.0)
+def test_verdicts_name_each_accepted_hostname_once_in_sorted_order(
+        filter_setup):
+    url_filter, hostnames = filter_setup
+    verdicts = url_filter.verdicts(reversed(hostnames))
+    assert verdicts == {
+        "energie-staat.com": FilterVia.SAN,
+        "gesundheit.de": FilterVia.DOMAIN,
+        "www.zoll.gov.de": FilterVia.TLD,
+    }
+    assert list(verdicts) == sorted(verdicts)
 
 
 def test_empty_archive():
     directory = GovernmentDirectory(country="BR", landing_urls=())
-    outcome = GovernmentUrlFilter(directory, CertificateStore()).run(
-        HarArchive(country="BR")
-    )
-    assert not outcome.accepted
-    assert not outcome.discarded
-    assert outcome.fractions_by_via() == {via: 0.0 for via in FilterVia}
+    assert GovernmentUrlFilter(directory, CertificateStore()).verdicts([]) == {}
 
 
 def test_custom_verifier_overrides_default():
@@ -110,11 +100,9 @@ def test_custom_verifier_overrides_default():
     certificates.install("gesundheit.de", Certificate(
         subject="gesundheit.de", sans=("gesundheit.de", "energie-staat.com"),
     ))
-    archive = HarArchive(country="DE")
-    archive.add(HarEntry("https://energie-staat.com/", "energie-staat.com", 1))
     strict = GovernmentUrlFilter(
         directory, certificates, san_verifier=lambda _h: False
     )
-    assert archive.get("https://energie-staat.com/")
-    outcome = strict.run(archive)
-    assert "https://energie-staat.com/" in outcome.discarded
+    assert GovernmentUrlFilter(directory, certificates).verdicts(
+        ["energie-staat.com"]) == {"energie-staat.com": FilterVia.SAN}
+    assert strict.verdicts(["energie-staat.com"]) == {}

@@ -83,8 +83,8 @@ def test_full_external_ratio_zero():
     ))
     for site in world.web.iter_sites():
         for page in site.iter_pages():
-            for resource in page.resources:
-                assert "contractor" not in resource.hostname
+            for entry in page.entries:
+                assert "contractor" not in entry.hostname
 
 
 def test_single_country_world_runs_pipeline():

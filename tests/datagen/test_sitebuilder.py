@@ -1,5 +1,6 @@
 """Tests for site-tree construction and the largest-remainder helper."""
 
+import itertools
 import random
 
 import pytest
@@ -61,10 +62,39 @@ def test_site_url_budget_is_exact():
     assert len(site.unique_urls()) == 201
 
 
+def test_landing_page_first_entry_is_its_document():
+    site = _build(budget=50, static_hostname="static.health.gov.br")
+    landing = site.landing_page()
+    assert landing.entries[0] == (landing.url, "www.health.gov.br", 1000)
+    assert all(page.entries[0].url == page.url for page in site.iter_pages())
+
+
+def test_document_sizes_are_drawn_after_embedded_objects():
+    """The draw order fixes every generated world's bytes: a landing
+    document's size comes after its embedded objects', and internal
+    pages' after it, in page order."""
+    draws = itertools.count()
+    spec = SiteBuildSpec(
+        hostname="www.health.gov.br", country="BR", kind=SiteKind.MINISTRY,
+        landing_paths=["/"], internal_budget=200,
+        size_sampler=lambda: next(draws), external_ratio=0.1,
+        external_hosts=("cdn1.contractor.com",),
+    )
+    site = build_site(spec, _DEPTHS, random.Random(5))
+    landing = site.landing_page()
+    embedded = [entry.size_bytes for entry in landing.entries[1:]]
+    assert embedded == list(range(len(embedded)))
+    assert landing.entries[0].size_bytes == len(embedded)
+    internal = [page.entries[0].size_bytes for page in site.iter_pages()
+                if page.depth > 0]
+    assert internal == list(range(len(embedded) + 1,
+                                  len(embedded) + 1 + len(internal)))
+
+
 def test_site_depth_distribution_shape():
     site = _build(budget=1000)
     landing = site.landing_page()
-    depth0 = len(landing.resources) + 1
+    depth0 = len(landing.entries)
     assert depth0 / 1001 == pytest.approx(0.84, abs=0.03)
     assert site.max_depth <= 7
 
@@ -88,7 +118,7 @@ def test_every_deep_page_is_linked_from_previous_level():
 
 def test_static_hostname_receives_resources():
     site = _build(budget=500, static_hostname="static.health.gov.br")
-    hosts = {r.hostname for p in site.pages.values() for r in p.resources}
+    hosts = {e.hostname for p in site.pages.values() for e in p.entries}
     assert "static.health.gov.br" in hosts
 
 
@@ -96,11 +126,11 @@ def test_external_resources_added_on_top_of_budget():
     site = _build(budget=500, external_ratio=0.1,
                   external_hosts=("cdn1.contractor.com",))
     external = [
-        r for p in site.pages.values() for r in p.resources
-        if r.hostname == "cdn1.contractor.com"
+        e for p in site.pages.values() for e in p.entries
+        if e.hostname == "cdn1.contractor.com"
     ]
     assert external
-    own = site.unique_urls() - {r.url for r in external}
+    own = site.unique_urls() - {e.url for e in external}
     assert len(own) == 501
 
 

@@ -634,6 +634,31 @@ def test_obs_runs_json(registry_dir, capsys):
     assert runs[1]["manifest"]["seed"] == 6
 
 
+def test_output_into_a_closed_pipe_exits_1_without_a_traceback(
+        registry_dir):
+    """A reader that exits early (``| head``, ``| true``) ends the
+    command with status 1 and nothing on stderr."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "repro.cli", "obs", "runs",
+               "--registry", str(registry_dir)]
+    with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    assert err == b""
+    assert proc.returncode == 1
+
+
 def test_obs_diff_names_the_changed_seed(registry_dir, capsys):
     assert main(["obs", "diff", "0", "1",
                  "--registry", str(registry_dir)]) == 0

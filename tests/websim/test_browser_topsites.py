@@ -1,35 +1,24 @@
-"""Tests for the HAR-producing browser and topsite definitions."""
+"""Tests for page loads at a vantage and the topsite definitions."""
 
 import pytest
 
 from repro.measure.vpn import VpnCatalog
-from repro.websim.browser import Browser
 from repro.websim.topsites import COMPARISON_COUNTRIES, TopSite, TopsiteHosting
 from repro.websim.webserver import PageNotFoundError, WebFabric
 from tests.websim.test_sites_webserver import _make_site
 
 
-def test_browser_emits_har_entries():
-    fabric = WebFabric()
-    site = _make_site()
-    fabric.register_site(site)
-    browser = Browser(fabric)
-    vantage = VpnCatalog().vantage_for("BR")
-    load = browser.load(site.landing_url, vantage)
-    assert load.url == site.landing_url
-    # One entry for the page itself plus one per embedded resource.
-    assert len(load.entries) == 2
-    assert load.entries[0].url == site.landing_url
-    assert load.entries[0].content_type == "text/html"
-    assert load.entries[1].size_bytes == 1000
-    assert load.links == ("https://www.health.gov.br/l1/p0",)
-
-
 def test_browser_propagates_404():
-    browser = Browser(WebFabric())
+    # A page load is ``WebFabric.fetch`` from the vantage's country; a URL
+    # the fabric does not hold raises instead of yielding a page.
+    fabric = WebFabric()
+    fabric.register_site(_make_site())
     vantage = VpnCatalog().vantage_for("BR")
     with pytest.raises(PageNotFoundError):
-        browser.load("https://missing/", vantage)
+        fabric.fetch("https://missing/", vantage.country)
+    # So does an unknown path on a registered host.
+    with pytest.raises(PageNotFoundError):
+        fabric.fetch("https://www.health.gov.br/l1/p9", vantage.country)
 
 
 def test_comparison_countries_are_two_per_region():

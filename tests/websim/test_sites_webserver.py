@@ -2,29 +2,29 @@
 
 import pytest
 
-from repro.websim.sites import GovernmentSite, Page, Resource, SiteKind
+from repro.har import HarEntry
+from repro.websim.sites import GovernmentSite, Page, SiteKind
 from repro.websim.webserver import GeoBlockedError, PageNotFoundError, WebFabric
 
 
-def _make_site(geo_restricted=False):
+def _make_site(geo_restricted=False, asset_size=1000):
+    host = "www.health.gov.br"
     landing = Page(
-        url="https://www.health.gov.br/",
-        hostname="www.health.gov.br",
+        url=f"https://{host}/",
+        hostname=host,
         depth=0,
-        resources=(
-            Resource(url="https://www.health.gov.br/a.js",
-                     hostname="www.health.gov.br", size_bytes=1000),
+        entries=(
+            HarEntry(f"https://{host}/", host, 5000),
+            HarEntry(f"https://{host}/a.js", host, asset_size),
         ),
-        links=("https://www.health.gov.br/l1/p0",),
-        size_bytes=5000,
+        links=(f"https://{host}/l1/p0",),
     )
     deep = Page(
-        url="https://www.health.gov.br/l1/p0",
-        hostname="www.health.gov.br",
+        url=f"https://{host}/l1/p0",
+        hostname=host,
         depth=1,
-        resources=(),
+        entries=(HarEntry(f"https://{host}/l1/p0", host, 2000),),
         links=(),
-        size_bytes=2000,
     )
     return GovernmentSite(
         country="BR",
@@ -36,9 +36,10 @@ def _make_site(geo_restricted=False):
     )
 
 
-def test_resource_rejects_negative_size():
-    with pytest.raises(ValueError):
-        Resource(url="u", hostname="h", size_bytes=-1)
+def test_register_site_rejects_negative_entry_size():
+    fabric = WebFabric()
+    with pytest.raises(ValueError, match="negative size"):
+        fabric.register_site(_make_site(asset_size=-1))
 
 
 def test_site_navigation_helpers():
@@ -57,11 +58,11 @@ def test_unique_urls_counts_pages_and_resources():
     assert "https://www.health.gov.br/a.js" in urls
 
 
-def test_page_all_resource_urls_includes_self():
+def test_page_entries_start_with_own_document():
     site = _make_site()
-    urls = site.landing_page().all_resource_urls()
-    assert urls[0] == site.landing_url
-    assert len(urls) == 2
+    entries = site.landing_page().entries
+    assert entries[0] == (site.landing_url, "www.health.gov.br", 5000)
+    assert len(entries) == 2
 
 
 def test_fabric_serves_registered_pages():
