@@ -29,6 +29,7 @@ flags (``--trace-out``/``--metrics-out``/``--manifest``/``--progress``/
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -761,8 +762,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import contextlib
-
     from repro.serve import QUERY_ENDPOINTS, DatasetService, create_server
     from repro.store import StoreError
 
@@ -1025,9 +1024,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point for the ``repro-gov`` console script."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a value starting with "-" for a missing one, so a
-    # negative age or size is joined to its option to reach its check.
+    # negative age, size or scale is joined to its option to reach its
+    # check.
     for at in range(len(argv) - 1, 0, -1):
-        if (argv[at - 1] in ("--older-than", "--max-bytes")
+        if (argv[at - 1] in ("--older-than", "--max-bytes", "--scale")
                 and argv[at].startswith("-") and argv[at][1:2] != "-"):
             argv[at - 1:at + 1] = [f"{argv[at - 1]}={argv[at]}"]
     args = _build_parser().parse_args(argv)
@@ -1045,27 +1045,47 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return status
 
 
+#: The collector's (gen-0, gen-1, gen-2) thresholds while a batch
+#: command runs; CPython's defaults are (700, 10, 10).
+BATCH_GC_THRESHOLDS = (100_000, 50, 100)
+
+
+@contextlib.contextmanager
+def _batch_collection():
+    """Raise the cyclic collector's thresholds for one batch command.
+
+    ``run``, ``sweep`` and ``evolve`` build worlds of millions of objects
+    and keep nearly all of them to the end, so at CPython's defaults the
+    collector walks them again and again (over a quarter of a cold run
+    at scale 0.2).  The thresholds found on entry come back on exit, so
+    in-process callers, ``serve`` and the library keep theirs; a pool
+    worker forked inside the command inherits the raised ones.
+    """
+    import gc
+
+    found = gc.get_threshold()
+    gc.set_threshold(*BATCH_GC_THRESHOLDS)
+    try:
+        yield
+    finally:
+        gc.set_threshold(*found)
+
+
+_COMMANDS = {
+    "run": _cmd_run, "sweep": _cmd_sweep, "cache": _cmd_cache,
+    "evolve": _cmd_evolve, "report": _cmd_report, "convert": _cmd_convert,
+    "serve": _cmd_serve, "obs": _cmd_obs, "inspect": _cmd_inspect,
+}
+
+
 def _dispatch(args: argparse.Namespace) -> int:
-    """Run the parsed command; returns its exit status."""
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "cache":
-        return _cmd_cache(args)
-    if args.command == "evolve":
-        return _cmd_evolve(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "convert":
-        return _cmd_convert(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "inspect":
-        return _cmd_inspect(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    """Run the parsed command; returns its exit status.  The batch
+    commands run under :func:`_batch_collection`."""
+    command = _COMMANDS[args.command]
+    if args.command not in ("run", "sweep", "evolve"):
+        return command(args)
+    with _batch_collection():
+        return command(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -10,6 +10,7 @@ quick runs; ``scale=1.0`` approximates the paper's full dataset size
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Optional, Sequence
 
 
@@ -171,8 +172,9 @@ class WorldConfig:
     websearch_coverage: float = 0.90
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(
+                f"scale must be positive and finite, got {self.scale}")
         if abs(sum(self.depth_distribution) - 1.0) > 1e-6:
             raise ValueError("depth_distribution must sum to 1")
         for name in (

@@ -14,9 +14,11 @@ generated world through the same steps the paper describes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import random
+from random import NV_MAGICCONST
 from typing import Optional
 
 from repro.categories import HostingCategory
@@ -244,7 +246,9 @@ class _Generator:
         return _SCOPE_INDEX[self._scope_code], epoch
 
     @staticmethod
+    @functools.cache
     def _pop_at(code: str, city_index: int = 0) -> PoP:
+        # A PoP is frozen, so every AS of every world can share one.
         cities = cities_of(code)
         city = cities[city_index % len(cities)]
         return PoP(country=code, city=city.name, lat=city.lat, lon=city.lon)
@@ -747,12 +751,26 @@ class _Generator:
     def _size_sampler(
         self, multiplier: float, rng: random.Random
     ):
-        """A sampler of object sizes whose mean is scaled by ``multiplier``."""
+        """A sampler of object sizes whose mean is scaled by ``multiplier``.
+
+        A draw is ``max(200, int(rng.lognormvariate(mu, sigma)))`` with
+        the stdlib's arithmetic inlined: ``normalvariate``'s
+        Kinderman-Monahan loop, then ``exp(mu + z * sigma)``.  It takes
+        the same ``rng.random()`` values and gives the same floats;
+        tests/datagen/test_draws.py holds it to ``random.Random``'s own.
+        """
         multiplier = min(max(multiplier, 0.05), 20.0)
         sigma = 1.0
         mu = math.log(self.config.mean_resource_bytes * multiplier) - sigma ** 2 / 2.0
+        uniform, exp, log = rng.random, math.exp, math.log
         def sample() -> int:
-            return max(200, int(rng.lognormvariate(mu, sigma)))
+            while True:
+                u1 = uniform()
+                u2 = 1.0 - uniform()
+                z = NV_MAGICCONST * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    size = int(exp(mu + z * sigma))
+                    return size if size > 200 else 200
         return sample
 
     def _build_country(self, country: Country) -> None:

@@ -18,6 +18,7 @@ from repro.websim.sites import GovernmentSite, Page, SiteKind
 
 #: File extensions used for leaf resources.
 _RESOURCE_EXTENSIONS = ("js", "css", "png", "jpg", "pdf", "woff2", "json")
+_N_EXTENSIONS = len(_RESOURCE_EXTENSIONS)
 
 
 def largest_remainder(total: int, weights: Sequence[float]) -> list[int]:
@@ -93,6 +94,16 @@ def build_site(
     """
     if not spec.landing_paths:
         raise ValueError("a site needs at least one landing path")
+    getrandbits, uniform = rng.getrandbits, rng.random
+    draw_size, static_hostname = spec.size_sampler, spec.static_hostname
+    # The picks inline ``rng.choice(options)``: draw
+    # ``getrandbits(len(options).bit_length())`` until it is below
+    # ``len(options)``.  tests/datagen/test_draws.py holds them to the
+    # stdlib's own choices.
+    extension_bits = _N_EXTENSIONS.bit_length()
+    external_hosts = spec.external_hosts
+    n_hosts = len(external_hosts)
+    host_bits = n_hosts.bit_length()
     base = f"https://{spec.hostname}"
     pages: dict[str, Page] = {}
     path_weights = [1.0 / (index + 1) for index in range(len(spec.landing_paths))]
@@ -106,22 +117,28 @@ def build_site(
         # Depth-0 objects embedded in the landing page.
         embedded: list[HarEntry] = []
         for index in range(counts[0]):
-            extension = rng.choice(_RESOURCE_EXTENSIONS)
-            if spec.static_hostname is not None and rng.random() < 0.30:
-                host = spec.static_hostname
+            pick = getrandbits(extension_bits)
+            while pick >= _N_EXTENSIONS:
+                pick = getrandbits(extension_bits)
+            extension = _RESOURCE_EXTENSIONS[pick]
+            if static_hostname is not None and uniform() < 0.30:
+                host = static_hostname
                 url = f"https://{host}{prefix}assets/r{index}.{extension}"
             else:
                 host = spec.hostname
                 url = f"{base}{prefix}assets/r{index}.{extension}"
-            embedded.append(HarEntry(url, host, spec.size_sampler()))
+            embedded.append(HarEntry(url, host, draw_size()))
         # External contractor objects (discarded later by the URL filter).
-        if spec.external_hosts and spec.external_ratio > 0:
+        if n_hosts and spec.external_ratio > 0:
             external_count = round(spec.external_ratio * max(counts[0], 1))
             for index in range(external_count):
-                host = rng.choice(list(spec.external_hosts))
+                pick = getrandbits(host_bits)
+                while pick >= n_hosts:
+                    pick = getrandbits(host_bits)
+                host = external_hosts[pick]
                 embedded.append(HarEntry(
                     f"https://{host}/embed/{spec.hostname}/w{index}.js",
-                    host, spec.size_sampler(),
+                    host, draw_size(),
                 ))
 
         # Internal pages, level by level.
@@ -147,7 +164,7 @@ def build_site(
         # A document's size is drawn after its embedded objects' sizes,
         # and internal pages' in page order: the draw order fixes the
         # bytes of every generated world.
-        document = HarEntry(landing_url, spec.hostname, spec.size_sampler())
+        document = HarEntry(landing_url, spec.hostname, draw_size())
         pages[landing_url] = Page(
             url=landing_url,
             hostname=spec.hostname,
@@ -160,7 +177,7 @@ def build_site(
                 url=url,
                 hostname=spec.hostname,
                 depth=depth,
-                entries=(HarEntry(url, spec.hostname, spec.size_sampler()),),
+                entries=(HarEntry(url, spec.hostname, draw_size()),),
                 links=tuple(links_of[url]),
             )
 

@@ -37,6 +37,13 @@ def test_config_rejects_bad_scale():
         WorldConfig(scale=0)
 
 
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                   float("-inf"), -0.5])
+def test_config_rejects_non_finite_or_negative_scale(scale):
+    with pytest.raises(ValueError, match="scale must be positive and finite"):
+        WorldConfig(scale=scale)
+
+
 def test_config_rejects_bad_probability():
     with pytest.raises(ValueError):
         WorldConfig(unicast_icmp_rate=1.5)

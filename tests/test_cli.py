@@ -195,10 +195,17 @@ def test_workers_below_one_exit_2(command, capsys):
     ["sweep", "--demo", "--countries", "ZZ"],
     ["run", "--scale", "0"],
     ["evolve", "--scale", "-1"],
+    ["run", "--scale", "nan"],
+    ["run", "--scale", "inf"],
+    ["run", "--scale", "-inf"],
+    ["sweep", "--demo", "--scale", "nan"],
+    ["evolve", "--scale", "inf"],
     ["run", "--fault-rate", "2"],
     ["inspect", "--hostname", "gouv.nc", "--scale", "0"],
 ], ids=["run-country", "evolve-country", "sweep-country", "run-scale",
-        "evolve-scale", "run-fault-rate", "inspect-scale"])
+        "evolve-scale", "run-scale-nan", "run-scale-inf", "run-scale-neg-inf",
+        "sweep-scale-nan", "evolve-scale-inf", "run-fault-rate",
+        "inspect-scale"])
 def test_invalid_world_config_exits_2_with_one_error_line(command, capsys):
     assert main(command) == 2
     err = capsys.readouterr().err
