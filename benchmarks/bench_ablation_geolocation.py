@@ -26,8 +26,8 @@ _VARIANTS = {
 @pytest.fixture(scope="module")
 def unicast_addresses(bench_dataset):
     return sorted({
-        record.address for record in bench_dataset.iter_records()
-        if not record.anycast
+        host.address for country in bench_dataset.countries.values()
+        for host in country.host_table.hosts if not host.anycast
     })
 
 
@@ -72,9 +72,9 @@ def test_ablation_fixed_vs_percountry_threshold(
     step: with a fixed generous bound, anycast services without any
     domestic site get 'confirmed' as in-country."""
     pairs = sorted({
-        (record.address, record.country)
-        for record in bench_dataset.iter_records()
-        if record.anycast
+        (host.address, code)
+        for code, country in bench_dataset.countries.items()
+        for host in country.host_table.hosts if host.anycast
     } | {
         (t.address, t.country)
         for t in bench_world.truth.hosts.values() if t.anycast

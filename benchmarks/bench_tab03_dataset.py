@@ -32,7 +32,11 @@ def test_tab03_summary(benchmark, bench_dataset, report):
 
 def test_sec42_filter_attribution(benchmark, bench_dataset, report):
     def attribution():
-        counts = Counter(record.via for record in bench_dataset.iter_records())
+        # A URL row is (url, hostname, size_bytes, via, depth).
+        counts = Counter(
+            url_row[3] for country in bench_dataset.countries.values()
+            for url_row in country.host_table.urls
+        )
         total = sum(counts.values())
         return {via.value: count / total for via, count in counts.items()}
 

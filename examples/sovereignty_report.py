@@ -16,7 +16,8 @@ import sys
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.analysis.crossborder import EU_MEMBER_CODES, flows
 from repro.analysis.diversification import country_network_hhi
-from repro.analysis.registration import registration_split, server_split
+from repro.analysis.hosting import country_breakdown
+from repro.analysis.registration import country_split
 from repro.categories import CATEGORY_ORDER
 from repro.reporting.tables import render_table
 from repro.world.countries import get_country
@@ -27,18 +28,18 @@ DEFAULT_COUNTRIES = ("BR", "UY", "AR", "MX", "FR", "CN")
 def report(dataset, code: str) -> None:
     country = get_country(code)
     country_dataset = dataset.country(code)
-    if not country_dataset.records:
+    if not country_dataset.url_count:
         print(f"\n== {country} -- no sites collected ==")
         return
     print(f"\n== {country} ({country.region.name}) ==")
-    urls = country_dataset.category_url_fractions()
-    byte_mix = country_dataset.category_byte_fractions()
+    mixes = country_breakdown(dataset)[code]
+    urls, byte_mix = mixes["urls"], mixes["bytes"]
     print(render_table(
         ["category", "URLs", "bytes"],
         [[str(c), f"{urls[c]:.2f}", f"{byte_mix[c]:.2f}"] for c in CATEGORY_ORDER],
     ))
-    location = server_split(country_dataset.records)
-    registration = registration_split(country_dataset.records)
+    splits = country_split(dataset)[code]
+    location, registration = splits["geolocation"], splits["whois"]
     print(f"servers abroad: {location.international:.0%}  |  "
           f"foreign-registered orgs: {registration.international:.0%}")
 
@@ -54,12 +55,15 @@ def report(dataset, code: str) -> None:
         label = "concentrated" if hhi > 0.5 else "diversified"
         print(f"network concentration (HHI over bytes): {hhi:.2f} ({label})")
     if country.eu_member:
-        eu_ok = sum(
-            1 for r in country_dataset.included_records()
-            if r.server_country in EU_MEMBER_CODES
-        )
-        total = len(country_dataset.included_records())
-        print(f"GDPR: {eu_ok / total:.1%} of URLs served within the EU")
+        # Each URL's validated server country, from its host row.
+        table = country_dataset.host_table
+        located = [
+            server for server in (table.hosts[host].server_country
+                                  for host in table.host_index)
+            if server is not None
+        ]
+        eu_ok = sum(1 for server in located if server in EU_MEMBER_CODES)
+        print(f"GDPR: {eu_ok / len(located):.1%} of URLs served within the EU")
 
 
 def main() -> None:

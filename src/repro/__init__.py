@@ -20,7 +20,6 @@ from repro.datagen.config import WorldConfig
 from repro.datagen.generator import SyntheticWorld, GroundTruth, HostTruth
 from repro.core.pipeline import Pipeline
 from repro.core.dataset import (
-    UrlRecord,
     CountryDataset,
     DatasetSummary,
     GovernmentHostingDataset,
@@ -43,7 +42,6 @@ __all__ = [
     "Pipeline",
     "SerialExecutor",
     "ProcessExecutor",
-    "UrlRecord",
     "CountryDataset",
     "DatasetSummary",
     "GovernmentHostingDataset",

@@ -7,7 +7,6 @@ regeneration targets.
 
 from repro.analysis.engine import AnalysisIndex, ensure_index
 from repro.analysis.hosting import (
-    category_fractions,
     global_breakdown,
     regional_breakdown,
     country_breakdown,
@@ -91,7 +90,6 @@ from repro.analysis.affordability import (
 __all__ = [
     "AnalysisIndex",
     "ensure_index",
-    "category_fractions",
     "global_breakdown",
     "regional_breakdown",
     "country_breakdown",

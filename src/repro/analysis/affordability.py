@@ -35,11 +35,10 @@ class AffordabilityReport:
 def _landing_weights(dataset: GovernmentHostingDataset, code: str) -> list[int]:
     """Total depth-0 bytes per hostname (landing page plus its objects)."""
     weights: dict[str, int] = {}
-    for record in dataset.countries[code].records:
-        if record.depth == 0:
-            weights[record.hostname] = (
-                weights.get(record.hostname, 0) + record.size_bytes
-            )
+    for _, hostname, size_bytes, _, depth in \
+            dataset.countries[code].host_table.urls:
+        if depth == 0:
+            weights[hostname] = weights.get(hostname, 0) + size_bytes
     return sorted(weights.values())
 
 
@@ -66,9 +65,8 @@ def affordability_ranking(
     """All countries, least affordable first."""
     reports = []
     for code, country_dataset in dataset.countries.items():
-        if not country_dataset.records:
-            continue
-        reports.append(country_affordability(dataset, code))
+        if country_dataset.url_count:
+            reports.append(country_affordability(dataset, code))
     reports.sort(key=lambda report: -report.cost_share_of_daily_income)
     return reports
 

@@ -15,28 +15,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.engine.index import DatasetOrIndex, ensure_index
+from repro.analysis.hosting import fractions_of_counts
 from repro.categories import CATEGORY_ORDER, HostingCategory
-from repro.core.dataset import GovernmentHostingDataset
 
 
 def country_signatures(
-    dataset: GovernmentHostingDataset, by_bytes: bool = False
+    dataset: DatasetOrIndex, by_bytes: bool = False
 ) -> tuple[list[str], np.ndarray]:
-    """Country codes plus the signature matrix (rows sum to 1).
+    """Country codes (sorted; countries with URLs only) plus the
+    signature matrix (rows sum to 1).
 
     Column order follows :data:`~repro.categories.CATEGORY_ORDER`.
     """
-    codes: list[str] = []
-    rows: list[list[float]] = []
-    for code, country_dataset in sorted(dataset.countries.items()):
-        if not country_dataset.records:
-            continue
-        mix = (
-            country_dataset.category_byte_fractions()
-            if by_bytes
-            else country_dataset.category_url_fractions()
-        )
-        codes.append(code)
+    counts = ensure_index(dataset).category_counts()
+    codes = sorted(counts)
+    rows = []
+    for code in codes:
+        url_counts, byte_sums = counts[code]
+        mix = fractions_of_counts(byte_sums if by_bytes else url_counts)
         rows.append([mix[category] for category in CATEGORY_ORDER])
     return codes, np.array(rows, dtype=float)
 

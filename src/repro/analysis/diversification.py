@@ -7,9 +7,8 @@ Figure 11 boxplots and the 63%-vs-32% single-network finding.
 
 Dataset-level functions accept a dataset (an index is built
 transparently and cached on it) or a prebuilt
-:class:`~repro.analysis.engine.AnalysisIndex`; :func:`hhi` and
-:func:`dominant_category` keep their raw share-vector/``CountryDataset``
-signatures.
+:class:`~repro.analysis.engine.AnalysisIndex`; :func:`hhi` takes a raw
+share vector.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import Optional, Sequence
 from repro.analysis.engine.index import DatasetOrIndex, ensure_index
 from repro.analysis.hosting import fractions_of_counts
 from repro.categories import HostingCategory
-from repro.core.dataset import CountryDataset
 
 
 def hhi(shares: Sequence[float]) -> float:
@@ -56,27 +54,14 @@ def country_network_hhi(
 def _dominant_of_byte_counts(
     byte_counts: Sequence[int],
 ) -> Optional[HostingCategory]:
-    mix = fractions_of_counts(byte_counts)
-    if not any(mix.values()):
-        return None
-    best = max(mix.values())
-    for category in HostingCategory:
-        if mix.get(category, 0.0) == best:
-            return category
-    return None  # pragma: no cover - mix keys are always HostingCategory
-
-
-def dominant_category(
-    country_dataset: CountryDataset,
-) -> Optional[HostingCategory]:
     """Predominant source of a country's bytes (Figure 11 grouping).
 
-    Returns ``None`` for countries with no byte mass (no records, or
-    only zero-size responses).  Ties break deterministically in favour
-    of the category declared first in :class:`HostingCategory`, never by
+    ``None`` for countries with no byte mass (no URLs, or only
+    zero-size responses).  Ties break deterministically in favour of
+    the category declared first in :class:`HostingCategory`, never by
     dict insertion order.
     """
-    mix = country_dataset.category_byte_fractions()
+    mix = fractions_of_counts(byte_counts)
     if not any(mix.values()):
         return None
     best = max(mix.values())
@@ -130,7 +115,6 @@ def single_network_dependence(
 __all__ = [
     "hhi",
     "country_network_hhi",
-    "dominant_category",
     "hhi_by_dominant_category",
     "single_network_dependence",
 ]

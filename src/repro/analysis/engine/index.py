@@ -1,10 +1,10 @@
 """Columnar analysis index over an assembled dataset.
 
-Rendering the full paper report used to walk ``iter_records()`` about
+Rendering the full paper report used to walk every URL record about
 fifteen times: every Section 5-7 analysis re-derived its own per-country
 tallies from the same million-record dataset.  :class:`AnalysisIndex`
 replaces those repeated record scans with **one** pass that transposes
-each country's record list into one :class:`CountryChunk` of compact
+each country's host table into one :class:`CountryChunk` of compact
 NumPy columns (:data:`COLUMNS`: category codes, sizes, ASNs, addresses,
 interned registration/server/organization ids, boolean flags), plus
 lazily memoized aggregate tables derived chunk by chunk -- per-country
@@ -37,9 +37,9 @@ Mutability contract
 The index snapshots the host tables at build time.  They are immutable
 once read (the pipeline never rewrites a ``CountryDataset``),
 so the index cached on a dataset by :meth:`AnalysisIndex.ensure` never
-needs invalidation.  The per-record ``country`` field is assumed to
-match the ``CountryDataset`` key it lives under -- true for every
-dataset the pipeline or ``repro.io`` produces.
+needs invalidation.  Each ``CountryDataset``'s ``country`` is assumed
+to match the key it lives under -- true for every dataset the pipeline,
+``repro.io`` or a store produces.
 
 Concurrency contract
 --------------------

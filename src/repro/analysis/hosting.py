@@ -7,44 +7,29 @@ URL/byte-weighted over the whole dataset; regional breakdowns
 Hungary) do not erase the regional signal -- both weightings are
 exposed.
 
-Dataset-level functions accept either a dataset (an
+Every function accepts either a dataset (an
 :class:`~repro.analysis.engine.AnalysisIndex` is built transparently
-and cached on it) or a prebuilt index; :func:`category_fractions`
-keeps the raw record-pool signature for callers holding record lists.
+and cached on it) or a prebuilt index.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 from repro.analysis.engine.index import DatasetOrIndex, ensure_index
 from repro.categories import HostingCategory
-from repro.core.dataset import UrlRecord
 from repro.world.countries import get_country
 from repro.world.regions import Region
 
 Weighting = Literal["url", "country"]
 
 
-def category_fractions(
-    records: Iterable[UrlRecord], by_bytes: bool = False
-) -> dict[HostingCategory, float]:
-    """Fraction of URLs (or bytes) served by each category."""
-    totals = {category: 0.0 for category in HostingCategory}
-    for record in records:
-        totals[record.category] += record.size_bytes if by_bytes else 1.0
-    grand_total = sum(totals.values())
-    if grand_total == 0:
-        return totals
-    return {cat: value / grand_total for cat, value in totals.items()}
-
-
 def fractions_of_counts(counts: Sequence[int]) -> dict[HostingCategory, float]:
-    """:func:`category_fractions` over per-category integer tallies.
+    """Fraction of URLs (or bytes) served by each category, from
+    per-category integer tallies.
 
     ``counts`` follows ``HostingCategory`` declaration order (the index
-    category-code space); the float arithmetic matches the record loop
-    exactly.
+    category-code space).  Every value is 0.0 when the tallies are.
     """
     totals = {
         category: float(count) for category, count in zip(HostingCategory, counts)
@@ -60,8 +45,7 @@ def global_breakdown(
 ) -> dict[str, dict[HostingCategory, float]]:
     """Figure 2: global prevalence of each category, by URLs and bytes.
 
-    Both weightings come from one set of index tallies -- no record
-    list is materialized.
+    Both weightings come from one set of index tallies.
     """
     index = ensure_index(dataset)
     url_counts, byte_sums = index.global_category_counts()
@@ -104,9 +88,8 @@ def regional_breakdown(
     """Figure 4: category mix per World Bank region.
 
     ``weighting='country'`` averages per-country mixes (each government
-    counts once); ``'url'`` pools all records of the region -- summing
-    the per-country tallies, without materializing a pooled record
-    list.
+    counts once); ``'url'`` pools all URLs of the region by summing the
+    per-country tallies.
     """
     index = ensure_index(dataset)
     by_region: dict[Region, list[tuple[tuple[int, ...], tuple[int, ...]]]] = {}
@@ -151,7 +134,6 @@ def country_majority(
 
 __all__ = [
     "Weighting",
-    "category_fractions",
     "fractions_of_counts",
     "global_breakdown",
     "country_breakdown",

@@ -63,7 +63,8 @@ def global_https_prevalence(
     """(certificate rate, valid-certificate rate) over all hostnames.
 
     Hostname sets are memoized on each ``CountryDataset``, so repeated
-    calls (and the paper report) never rebuild them from the records.
+    calls (and the paper report) never rebuild them from the host
+    tables.
     """
     total = have = valid = 0
     dataset = underlying_dataset(dataset)

@@ -5,21 +5,17 @@ serving organization, and the validated physical server location.
 URLs whose server location was excluded by the geolocation process are
 dropped from the location view only.
 
-Dataset-level functions accept a dataset (an index is built
-transparently and cached on it) or a prebuilt
-:class:`~repro.analysis.engine.AnalysisIndex`;
-:func:`registration_split` / :func:`server_split` keep the raw
-record-pool signatures.
+Every function accepts a dataset (an index is built transparently and
+cached on it) or a prebuilt
+:class:`~repro.analysis.engine.AnalysisIndex`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterable
 
 from repro.analysis.engine.index import DatasetOrIndex, ensure_index
 from repro.analysis.hosting import Weighting
-from repro.core.dataset import UrlRecord
 from repro.world.countries import get_country
 from repro.world.regions import Region
 
@@ -42,30 +38,6 @@ def _split(domestic_count: float, total: float) -> LocationSplit:
         return LocationSplit(0.0, 0.0)
     domestic = domestic_count / total
     return LocationSplit(domestic=domestic, international=1.0 - domestic)
-
-
-def registration_split(records: Iterable[UrlRecord]) -> LocationSplit:
-    """WHOIS view over a pool of records."""
-    total = 0
-    domestic = 0
-    for record in records:
-        total += 1
-        if record.registration_domestic:
-            domestic += 1
-    return _split(domestic, total)
-
-
-def server_split(records: Iterable[UrlRecord]) -> LocationSplit:
-    """Server-location view; excluded records are skipped."""
-    total = 0
-    domestic = 0
-    for record in records:
-        if record.server_country is None:
-            continue
-        total += 1
-        if record.server_country == record.country:
-            domestic += 1
-    return _split(domestic, total)
 
 
 def _split_of_counts(counts: tuple[int, int, int, int], view: str) -> LocationSplit:
@@ -142,8 +114,6 @@ def regional_split(
 
 __all__ = [
     "LocationSplit",
-    "registration_split",
-    "server_split",
     "global_split",
     "country_split",
     "regional_split",

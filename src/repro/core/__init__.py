@@ -16,7 +16,7 @@ from repro.core.infrastructure import InfrastructureMapper, HostInfrastructure
 from repro.core.asclassify import GovernmentASClassifier, Evidence
 from repro.core.geolocation import Geolocator, GeoVerdict, ValidationMethod, ValidationStats
 from repro.core.classification import categorize
-from repro.core.dataset import UrlRecord, CountryDataset, GovernmentHostingDataset
+from repro.core.dataset import CountryDataset, GovernmentHostingDataset
 from repro.core.pipeline import Pipeline
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ValidationMethod",
     "ValidationStats",
     "categorize",
-    "UrlRecord",
     "CountryDataset",
     "GovernmentHostingDataset",
     "Pipeline",

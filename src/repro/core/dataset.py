@@ -1,24 +1,23 @@
 """The assembled government hosting dataset (Section 4).
 
-One :class:`UrlRecord` per unique government URL, annotated with the
-full Table 2 information (address, AS, organization, registration) plus
-the hosting category, the validated server location and the validation
-method -- everything the Section 5-7 analyses consume.
+One row per unique government URL, annotated with the full Table 2
+information (address, AS, organization, registration) plus the hosting
+category, the validated server location and the validation method --
+everything the Section 5-7 analyses consume.
 
-Nine of a record's fields (address through validation) belong to its
-hostname, so each :class:`CountryDataset` keeps its records in per-host
-form, a :class:`HostTable`: one :class:`HostRow` per distinct hostname
-and annotations, plus the URL rows and each URL's host row.  Summaries,
-exports, the analysis index and the store writer read that form;
-``records`` / ``iter_records()`` are the lazy compatibility view built
-from it.
+The nine annotations belong to the URL's hostname, so each
+:class:`CountryDataset` holds its URLs in per-host form, a
+:class:`HostTable`: one :class:`HostRow` per distinct hostname and
+annotations, plus the URL rows (:data:`UrlRow`) and each URL's host
+row.  Summaries, exports, the analysis index and the store writer all
+read that form.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.categories import HostingCategory
 from repro.core.geolocation import ValidationMethod, ValidationStats
@@ -26,21 +25,10 @@ from repro.core.urlfilter import FilterVia
 from repro.faults.report import FaultReport
 
 
-class UrlRecord(NamedTuple):
-    """One unique government URL with its serving-infrastructure annotations.
+class HostRow(NamedTuple):
+    """One hostname with the nine annotations its URLs share."""
 
-    A ``NamedTuple`` rather than a frozen dataclass: assembling the
-    dataset creates one record per unique URL (~1M at full scale), and
-    tuple construction avoids fifteen ``object.__setattr__`` calls per
-    record — the single largest cost of the assembly phase.
-    """
-
-    url: str
     hostname: str
-    country: str
-    size_bytes: int
-    via: FilterVia
-    depth: int
     address: int
     asn: int
     organization: str
@@ -52,56 +40,17 @@ class UrlRecord(NamedTuple):
     anycast: bool
     validation: ValidationMethod
 
-    @property
-    def excluded(self) -> bool:
-        """Whether the record is dropped from location-based analyses."""
-        return self.server_country is None
-
-    @property
-    def registration_domestic(self) -> bool:
-        """Registered in the same country as the government (Figure 6)."""
-        return self.registered_country == self.country
-
-    @property
-    def server_domestic(self) -> Optional[bool]:
-        """Server located in the government's country (None if excluded)."""
-        if self.server_country is None:
-            return None
-        return self.server_country == self.country
-
-
-class HostRow(NamedTuple):
-    """One hostname with the nine annotations its records share.
-
-    Fields follow :class:`UrlRecord` from ``address`` on, so a record is
-    its URL columns plus ``host_row[1:]``.
-    """
-
-    hostname: str
-    address: int
-    asn: int
-    organization: str
-    registered_country: str
-    gov_operated: bool
-    category: HostingCategory
-    server_country: Optional[str]
-    anycast: bool
-    validation: ValidationMethod
-
 
 #: One URL's own columns: ``(url, hostname, size_bytes, via, depth)`` --
 #: the shape of a phase-1 partial's URL rows, which the pipeline reuses.
 UrlRow = tuple[str, str, int, FilterVia, int]
 
-#: A record's :data:`UrlRow`.
-_URL_COLUMNS = itemgetter(0, 1, 3, 4, 5)
-
 
 class HostTable:
-    """One country's records in per-host form.
+    """One country's URLs in per-host form.
 
     ``hosts`` holds each distinct (hostname, annotations) row once,
-    ``urls`` one :data:`UrlRow` per record in record order, and
+    ``urls`` one :data:`UrlRow` per URL in dataset order, and
     ``host_index[i]`` the position in ``hosts`` of ``urls[i]``'s row.
     Without an explicit ``host_index`` every hostname must name exactly
     one host row (true of a pipeline partial), and the index is resolved
@@ -127,16 +76,6 @@ class HostTable:
             self._host_index = index
         return index
 
-    @classmethod
-    def from_records(cls, records: Sequence[UrlRecord]) -> "HostTable":
-        """Intern each record's hostname plus its nine annotations, so
-        a hostname whose records disagree keeps one row per variant."""
-        rows, host_index = intern_rows(
-            record[1:2] + record[6:] for record in records)
-        new = tuple.__new__
-        urls = list(map(_URL_COLUMNS, records))
-        return cls([new(HostRow, row) for row in rows], urls, host_index)
-
 
 def intern_rows(rows: Iterable[tuple]) -> tuple[list[tuple], list[int]]:
     """Distinct ``rows`` in first-seen order, and each row's position."""
@@ -152,36 +91,16 @@ def intern_rows(rows: Iterable[tuple]) -> tuple[list[tuple], list[int]]:
     return distinct, index
 
 
-def build_records(country: str, table: HostTable) -> list[UrlRecord]:
-    """The ``UrlRecord`` view of one country's host table.
-
-    Built through ``tuple.__new__``: the generated NamedTuple
-    constructor would otherwise dominate a view of ~1M records.
-    """
-    new = tuple.__new__
-    annotations = [row[1:] for row in table.hosts]
-    return [
-        new(UrlRecord, (url, hostname, country, size_bytes, via, depth)
-            + annotations[host])
-        for (url, hostname, size_bytes, via, depth), host
-        in zip(table.urls, table.host_index)
-    ]
-
-
 class CountryDataset:
-    """All records collected for one country, plus crawl bookkeeping.
+    """All URLs collected for one country, plus crawl bookkeeping.
 
-    ``records`` is either the materialized record list or a zero-argument
-    loader of the country's :class:`HostTable`.  The pipeline passes a
-    loader, which categorizes each host once on first read, and so does
-    ``repro.io.load_dataset``, which interns host rows as it parses; a
-    given list is interned into a host table when something reads that
-    form.  Every reader on the run path -- the summary, the jsonl and
-    CSV writers, the analysis index, the store writer -- reads
-    :attr:`host_table`, so a ``run`` builds no ``UrlRecord``;
-    :attr:`records` builds the record view on first access.  Loaders
-    must be pure, so the view does not depend on when (or from which
-    thread) it is first built.
+    ``load_table`` is a zero-argument loader of the country's
+    :class:`HostTable`, called on the first read of :attr:`host_table`.
+    The pipeline passes one that categorizes each host once,
+    ``repro.io.load_dataset`` one that returns the rows it interned as
+    the file streamed by, and a store one that rebuilds the rows from
+    the shard's columns.  Loaders must be pure, so the table does not
+    depend on when (or from which thread) it is first read.
 
     A store-backed view also carries what its shard manifest already
     knows -- ``record_count``, a ``hostname_loader`` and
@@ -192,14 +111,14 @@ class CountryDataset:
 
     __slots__ = ("country", "landing_count", "discarded_url_count",
                  "unresolved_hostnames", "depth_histogram",
-                 "_records", "_table", "_load_table", "_hostnames",
+                 "_table", "_load_table", "_hostnames",
                  "_total_bytes", "_record_count", "_hostname_loader")
 
     def __init__(
         self,
         country: str,
         landing_count: int,
-        records,
+        load_table: Callable[[], HostTable],
         discarded_url_count: int,
         unresolved_hostnames: list[str],
         depth_histogram: dict[int, int],
@@ -218,38 +137,20 @@ class CountryDataset:
         self._record_count = record_count
         self._hostname_loader = hostname_loader
         self._table: Optional[HostTable] = None
-        if callable(records):
-            self._records: Optional[list[UrlRecord]] = None
-            self._load_table = records
-        else:
-            self._records = records
-            self._load_table = None
+        self._load_table = load_table
 
     @property
     def host_table(self) -> HostTable:
-        """The records in per-host form (loaded or interned on first read)."""
+        """The URLs in per-host form (loaded on first read)."""
         table = self._table
         if table is None:
-            if self._load_table is not None:
-                table = self._load_table()
-            else:
-                table = HostTable.from_records(self._records)
-            self._table = table
+            table = self._table = self._load_table()
         return table
 
-    @property
-    def records(self) -> list[UrlRecord]:
-        """The per-URL records (built from the host table on first access)."""
-        records = self._records
-        if records is None:
-            records = build_records(self.country, self.host_table)
-            self._records = records
-        return records
-
-    @property
-    def materialized(self) -> bool:
-        """Whether the record view has been built yet."""
-        return self._records is not None
+    def _rows(self) -> tuple[list[UrlRow], list[HostRow]]:
+        """The URL rows and, per URL row, its host row."""
+        table = self.host_table
+        return table.urls, list(map(table.hosts.__getitem__, table.host_index))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CountryDataset):
@@ -260,21 +161,16 @@ class CountryDataset:
             and self.discarded_url_count == other.discarded_url_count
             and self.unresolved_hostnames == other.unresolved_hostnames
             and self.depth_histogram == other.depth_histogram
-            and self.records == other.records
+            and self._rows() == other._rows()
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        records = (
-            f"{len(self._records)} records" if self.materialized
-            else "records deferred"
-        )
-        return f"<CountryDataset {self.country}: {records}>"
+        state = "loaded" if self._table is not None else "deferred"
+        return f"<CountryDataset {self.country}: host table {state}>"
 
     @property
     def url_count(self) -> int:
         """Unique government URLs (landing + internal)."""
-        if self._records is not None:
-            return len(self._records)
         if self._record_count is not None:
             return self._record_count
         return len(self.host_table.urls)
@@ -305,30 +201,6 @@ class CountryDataset:
             self._total_bytes = total
         return total
 
-    def included_records(self) -> list[UrlRecord]:
-        """Records whose server location was validated (analysis input)."""
-        return [record for record in self.records if not record.excluded]
-
-    def category_url_fractions(self) -> dict[HostingCategory, float]:
-        """Fraction of URLs per hosting category."""
-        return _fractions(self.records, by_bytes=False)
-
-    def category_byte_fractions(self) -> dict[HostingCategory, float]:
-        """Fraction of bytes per hosting category."""
-        return _fractions(self.records, by_bytes=True)
-
-
-def _fractions(
-    records: list[UrlRecord], by_bytes: bool
-) -> dict[HostingCategory, float]:
-    totals = {category: 0.0 for category in HostingCategory}
-    for record in records:
-        totals[record.category] += record.size_bytes if by_bytes else 1.0
-    grand_total = sum(totals.values())
-    if grand_total == 0:
-        return totals
-    return {category: value / grand_total for category, value in totals.items()}
-
 
 @dataclasses.dataclass(frozen=True)
 class DatasetSummary:
@@ -355,17 +227,6 @@ class GovernmentHostingDataset:
     #: (empty for unfaulted runs — the overwhelmingly common case).
     faults: FaultReport = dataclasses.field(default_factory=FaultReport)
 
-    def iter_records(self) -> Iterator[UrlRecord]:
-        """Every record across all countries."""
-        for dataset in self.countries.values():
-            yield from dataset.records
-
-    def iter_included(self) -> Iterator[UrlRecord]:
-        """Every record with a validated server location."""
-        for record in self.iter_records():
-            if not record.excluded:
-                yield record
-
     def country(self, code: str) -> CountryDataset:
         """Dataset of one country."""
         return self.countries[code.upper()]
@@ -376,8 +237,8 @@ class GovernmentHostingDataset:
         Every field is a count of distinct per-host values, and every
         host row carries at least one URL (a pipeline partial holds only
         hostnames the filter accepted URLs of; an interned table holds
-        only rows its records had), so one pass over the hosts equals a
-        pass over the records.
+        only rows its URLs had), so one pass over the hosts equals a
+        pass over the URLs.
         """
         landing = 0
         total = 0
@@ -426,11 +287,9 @@ class GovernmentHostingDataset:
 
 
 __all__ = [
-    "UrlRecord",
     "HostRow",
     "UrlRow",
     "HostTable",
-    "build_records",
     "intern_rows",
     "CountryDataset",
     "DatasetSummary",

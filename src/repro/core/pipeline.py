@@ -126,7 +126,7 @@ def assemble(
             partial.country: CountryDataset(
                 country=partial.country,
                 landing_count=partial.landing_count,
-                records=functools.partial(_host_table, partial, footprint),
+                load_table=functools.partial(_host_table, partial, footprint),
                 discarded_url_count=partial.discarded_url_count,
                 unresolved_hostnames=partial.unresolved_hostnames,
                 depth_histogram=partial.depth_histogram,

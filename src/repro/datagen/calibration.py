@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import statistics
 
+from repro.analysis.hosting import fractions_of_counts
 from repro.categories import HostingCategory
 from repro.core.dataset import GovernmentHostingDataset
 from repro.world.profiles import HostingProfile, drift_profile, get_profile
@@ -70,22 +71,34 @@ def country_calibration(
     code: str,
     profile: HostingProfile,
 ) -> CountryCalibration:
-    """Deviation of one country from a given profile."""
+    """Deviation of one country from a given profile.
+
+    One pass over the host table's URL rows tallies each category's URLs
+    and bytes, the located URLs and those located abroad.
+    """
     country_dataset = dataset.countries[code]
-    measured_urls = country_dataset.category_url_fractions()
-    measured_bytes = country_dataset.category_byte_fractions()
-    included = country_dataset.included_records()
-    if included:
-        measured_intl = sum(
-            1 for record in included if not record.server_domestic
-        ) / len(included)
-    else:
-        measured_intl = 0.0
+    table = country_dataset.host_table
+    categories = {category: i for i, category in enumerate(HostingCategory)}
+    url_counts = [0] * len(categories)
+    byte_sums = [0] * len(categories)
+    located = abroad = 0
+    hosts = table.hosts
+    for (_, _, size_bytes, _, _), host in zip(table.urls, table.host_index):
+        row = hosts[host]
+        position = categories[row.category]
+        url_counts[position] += 1
+        byte_sums[position] += size_bytes
+        if row.server_country is not None:
+            located += 1
+            abroad += row.server_country != code
+    measured_intl = abroad / located if located else 0.0
     return CountryCalibration(
         country=code,
         sites=len(country_dataset.hostnames),
-        url_mix_error=_mix_error(measured_urls, profile.url_mix),
-        byte_mix_error=_mix_error(measured_bytes, profile.byte_mix),
+        url_mix_error=_mix_error(fractions_of_counts(url_counts),
+                                 profile.url_mix),
+        byte_mix_error=_mix_error(fractions_of_counts(byte_sums),
+                                  profile.byte_mix),
         intl_error=abs(measured_intl - profile.intl_server_frac),
     )
 
@@ -96,7 +109,7 @@ def calibrate(
     """Compare every measured country against its (possibly drifted) profile."""
     countries: dict[str, CountryCalibration] = {}
     for code, country_dataset in sorted(dataset.countries.items()):
-        if not country_dataset.records:
+        if not country_dataset.url_count:
             continue
         profile = get_profile(code)
         if drift > 0:

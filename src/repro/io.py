@@ -6,11 +6,13 @@ that request path: it exports a measured
 (one record per unique URL) plus a JSON header, and loads it back
 losslessly, so analyses can run without regenerating the world.
 
-Exports read each country's :class:`~repro.core.dataset.HostTable`,
-not its records: :func:`write_record_lines` formats each host's JSON
-fields once and, per URL, only the url, size, via and depth, into
-exactly the bytes of ``json.dumps(record_to_dict(record))``.  The
-store's jsonl export writes through the same function.
+A record is one URL with its hostname's annotations; its fields, their
+order and their JSON types are :data:`RECORD_FIELDS`.  Exports read
+each country's :class:`~repro.core.dataset.HostTable`:
+:func:`write_record_lines` formats each host's JSON fields once and,
+per URL, only the url, size, via and depth, into exactly the bytes of
+``json.dumps`` of the record's dict.  The store's jsonl export writes
+through the same function.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import itertools
 import json
 import logging
 import os
 import pathlib
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterator, TextIO, Union
 
 from repro.categories import HostingCategory
@@ -31,7 +35,6 @@ from repro.core.dataset import (
     GovernmentHostingDataset,
     HostRow,
     HostTable,
-    UrlRecord,
     UrlRow,
 )
 from repro.core.geolocation import ValidationMethod, ValidationStats
@@ -51,56 +54,105 @@ LARGE_FILE_RECORDS = 1_000_000
 PathLike = Union[str, pathlib.Path]
 
 
-def record_to_dict(record: UrlRecord) -> dict:
-    """One record as a JSON-serializable dict."""
-    return {
-        "url": record.url,
-        "hostname": record.hostname,
-        "country": record.country,
-        "size_bytes": record.size_bytes,
-        "via": record.via.value,
-        "depth": record.depth,
-        **_annotations_to_dict(record[6:]),
-    }
+#: Every field of a record, in column order (a jsonl line's keys and a
+#: CSV row's columns), with the JSON types its value may have.  ``int``
+#: is exact: a bool is not one.  ``via``, ``category`` and
+#: ``validation`` hold one of their enum's string values, and the
+#: :data:`_COUNT_FIELDS` are never negative.
+RECORD_FIELDS: tuple[tuple[str, tuple[type, ...]], ...] = (
+    ("url", (str,)),
+    ("hostname", (str,)),
+    ("country", (str,)),
+    ("size_bytes", (int,)),
+    ("via", (str,)),
+    ("depth", (int,)),
+    ("address", (int,)),
+    ("asn", (int,)),
+    ("organization", (str,)),
+    ("registered_country", (str,)),
+    ("gov_operated", (bool,)),
+    ("category", (str,)),
+    ("server_country", (str, type(None))),
+    ("anycast", (bool,)),
+    ("validation", (str,)),
+)
+
+_COUNT_FIELDS = ("size_bytes", "depth")
+_ENUM_FIELDS = {"via": FilterVia, "category": HostingCategory,
+                "validation": ValidationMethod}
+#: Each enum field's members by JSON value: a dict lookup converts a
+#: value at a fraction of the cost of an ``Enum`` call.
+_VIAS, _CATEGORIES, _VALIDATIONS = (
+    {member.value: member for member in enum}
+    for enum in _ENUM_FIELDS.values())
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", bool: "a boolean",
+                    type(None): "null"}
+
+#: A record dict's values in :data:`RECORD_FIELDS` order.
+_record_values = itemgetter(*(name for name, _ in RECORD_FIELDS))
+#: Every sequence of value types a valid record has.
+_VALID_TYPES = frozenset(itertools.product(*(types for _, types
+                                             in RECORD_FIELDS)))
+#: The names of the nine per-host fields, the tail of a record.
+_ANNOTATION_NAMES = tuple(name for name, _ in RECORD_FIELDS[6:])
 
 
-def _annotations_to_dict(annotations: tuple) -> dict:
-    """The nine per-host fields of a record (``record[6:]``, or a host
-    row's ``row[1:]``) as the tail of :func:`record_to_dict`."""
-    (address, asn, organization, registered_country, gov_operated,
-     category, server_country, anycast, validation) = annotations
-    return {
-        "address": address,
-        "asn": asn,
-        "organization": organization,
-        "registered_country": registered_country,
-        "gov_operated": gov_operated,
-        "category": category.value,
-        "server_country": server_country,
-        "anycast": anycast,
-        "validation": validation.value,
-    }
+def _annotation_values(row: HostRow) -> tuple:
+    """A host row's nine annotations as JSON values, in
+    :data:`RECORD_FIELDS` order."""
+    (_, address, asn, organization, registered_country, gov_operated,
+     category, server_country, anycast, validation) = row
+    return (address, asn, organization, registered_country, gov_operated,
+            category.value, server_country, anycast, validation.value)
 
 
-def record_from_dict(data: dict) -> UrlRecord:
-    """Inverse of :func:`record_to_dict`."""
-    (url, hostname, size_bytes, via, depth), host = _record_rows(data)
-    return UrlRecord(url, hostname, data["country"], size_bytes, via, depth,
-                     *host[1:])
+def _record_rows(data) -> tuple[str, UrlRow, tuple]:
+    """A record's dict as its country, its URL row and its host key: the
+    hostname plus the nine annotations, in :class:`HostRow` field order.
+
+    Every value is checked against :data:`RECORD_FIELDS`; a
+    ``ValueError`` names the first field that fails.
+    """
+    try:
+        values = _record_values(data)
+        (url, hostname, country, size_bytes, via, depth, address, asn,
+         organization, registered_country, gov_operated, category,
+         server_country, anycast, validation) = values
+        if (tuple(map(type, values)) in _VALID_TYPES
+                and size_bytes >= 0 and depth >= 0):
+            return (
+                country,
+                (url, hostname, size_bytes, _VIAS[via], depth),
+                (hostname, address, asn, organization, registered_country,
+                 gov_operated, _CATEGORIES[category], server_country,
+                 anycast, _VALIDATIONS[validation]),
+            )
+    except (KeyError, TypeError):
+        pass
+    raise ValueError(_record_error(data))
 
 
-def _record_rows(data: dict) -> tuple[UrlRow, tuple]:
-    """A record's dict as its URL row and its host key: the hostname
-    plus the nine annotations, in :class:`HostRow` field order."""
-    hostname = data["hostname"]
-    return (
-        (data["url"], hostname, data["size_bytes"], FilterVia(data["via"]),
-         data["depth"]),
-        (hostname, data["address"], data["asn"], data["organization"],
-         data["registered_country"], data["gov_operated"],
-         HostingCategory(data["category"]), data["server_country"],
-         data["anycast"], ValidationMethod(data["validation"])),
-    )
+def _record_error(data) -> str:
+    """Why :func:`_record_rows` refused ``data``."""
+    if not isinstance(data, dict):
+        return "record is not a JSON object"
+    for name, types in RECORD_FIELDS:
+        if name not in data:
+            return f"field {name!r} is missing"
+        value = data[name]
+        if type(value) not in types:
+            expected = " or ".join(map(_JSON_TYPE_NAMES.get, types))
+            return (f"field {name!r} must be {expected}, "
+                    f"not {json.dumps(value)}")
+        if name in _COUNT_FIELDS and value < 0:
+            return (f"field {name!r} must be a non-negative integer, "
+                    f"not {value}")
+        if name in _ENUM_FIELDS:
+            try:
+                _ENUM_FIELDS[name](value)
+            except ValueError as exc:
+                return f"field {name!r}: {exc}"
+    raise AssertionError("every field is valid")  # pragma: no cover
 
 
 def _interned_table(hosts: dict, urls: list, host_index: list) -> HostTable:
@@ -162,8 +214,8 @@ _json_string = encode_basestring_ascii
 def write_record_lines(handle: TextIO, country: str, table: HostTable) -> int:
     """Write one country's records as jsonl lines; returns their number.
 
-    Each line is ``json.dumps(record_to_dict(record))`` of the record
-    the host table describes.  The hostname, country and the nine
+    Each line is ``json.dumps`` of one URL's record as a dict in
+    :data:`RECORD_FIELDS` order.  The hostname, country and the nine
     annotations are formatted once per host row, so per URL only the
     url, size, via and depth are.
     """
@@ -173,8 +225,8 @@ def write_record_lines(handle: TextIO, country: str, table: HostTable) -> int:
     for row in table.hosts:
         heads.append(f', "hostname": {_json_string(row[0])}, '
                      f'"country": {country_field}, "size_bytes": ')
-        tails.append(", " + json.dumps(_annotations_to_dict(row[1:]))[1:]
-                     + "\n")
+        annotations = dict(zip(_ANNOTATION_NAMES, _annotation_values(row)))
+        tails.append(", " + json.dumps(annotations)[1:] + "\n")
     # Keyed by ``FilterVia._value_`` (a plain attribute): a dict keyed by
     # the members would call ``Enum.__hash__`` for every URL.
     vias = {via.value: f', "via": {_json_string(via.value)}, "depth": '
@@ -193,8 +245,8 @@ def save_dataset(dataset: GovernmentHostingDataset, path: PathLike) -> int:
     """Write the dataset as JSON lines; returns the number of records.
 
     Line 1 is a header object (format version, per-country metadata and
-    validation statistics); every following line is one URL record, in
-    ``iter_records()`` order, written from the host tables.
+    validation statistics); every following line is one URL record,
+    country by country in each host table's URL order.
     """
     count = 0
     with open_replacement(path) as handle:
@@ -218,6 +270,14 @@ def require(mapping, key: str, kind: type, where: str, error=ValueError):
     return value
 
 
+def _count(value, where: str, what: str, error=ValueError) -> int:
+    """``value`` if it is a non-negative integer (a bool is not one)."""
+    if type(value) is not int or value < 0:
+        raise error(f"{where}: {what} must be a non-negative integer, "
+                    f"not {json.dumps(value)}")
+    return value
+
+
 def validation_from_dict(data, where: str,
                          error=ValueError) -> ValidationStats:
     """The ``validation`` object of a header or manifest, checked."""
@@ -225,7 +285,10 @@ def validation_from_dict(data, where: str,
     if not isinstance(data, dict) or sorted(data) != names:
         raise error(f"{where}: 'validation' must hold exactly the keys "
                     f"{names}")
-    return ValidationStats(**data)
+    return ValidationStats(**{
+        name: _count(value, where, f"'validation' count {name!r}", error)
+        for name, value in data.items()
+    })
 
 
 def _reject_duplicate_keys(pairs: list) -> dict:
@@ -240,6 +303,32 @@ def _reject_duplicate_keys(pairs: list) -> dict:
     return mapping
 
 
+def _country_fields(meta, where: str) -> dict:
+    """A header country's bookkeeping, each count, list and histogram
+    checked for its JSON type: ``CountryDataset`` keyword arguments."""
+    hostnames = require(meta, "unresolved_hostnames", list, where)
+    if not all(type(hostname) is str for hostname in hostnames):
+        raise ValueError(f"{where}: 'unresolved_hostnames' must hold only "
+                         f"strings")
+    histogram = {}
+    for depth, count in require(meta, "depth_histogram", dict,
+                                where).items():
+        if not (depth.isascii() and depth.isdigit()):
+            raise ValueError(f"{where}: 'depth_histogram' key {depth!r} is "
+                             f"not a depth")
+        histogram[int(depth)] = _count(
+            count, where, f"'depth_histogram' count of depth {depth}")
+    return {
+        "landing_count": _count(require(meta, "landing_count", int, where),
+                                where, "'landing_count'"),
+        "discarded_url_count": _count(
+            require(meta, "discarded_url_count", int, where),
+            where, "'discarded_url_count'"),
+        "unresolved_hostnames": list(hostnames),
+        "depth_histogram": histogram,
+    }
+
+
 def load_dataset(path: PathLike) -> GovernmentHostingDataset:
     """Read a dataset previously written by :func:`save_dataset`.
 
@@ -247,9 +336,11 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
     and each line is parsed straight into its country's host table as
     the file streams by: a URL row, plus its hostname and nine
     annotations interned into host rows (a hostname whose lines
-    disagree keeps one row per variant).  No ``UrlRecord`` is built, so
-    peak memory is the URL rows and one row per distinct host (plus the
-    line being parsed); ``records`` builds the record view on demand.
+    disagree keeps one row per variant), so peak memory is the URL rows
+    and one row per distinct host (plus the line being parsed).  Every
+    header count, list and histogram and every record field is checked
+    for its JSON type: damage raises ``ValueError`` naming the line and
+    the field.
     """
     path = pathlib.Path(path)
     with path.open("r", encoding="utf-8") as handle:
@@ -280,27 +371,16 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
             table = tables[code] = ({}, [], [])
             countries[code] = CountryDataset(
                 country=code,
-                landing_count=require(meta, "landing_count", int, where),
-                records=functools.partial(_interned_table, *table),
-                discarded_url_count=require(meta, "discarded_url_count",
-                                            int, where),
-                unresolved_hostnames=list(
-                    require(meta, "unresolved_hostnames", list, where)
-                ),
-                depth_histogram={
-                    int(depth): count for depth, count
-                    in require(meta, "depth_histogram", dict, where).items()
-                },
+                load_table=functools.partial(_interned_table, *table),
+                **_country_fields(meta, where),
             )
         count = 0
         for line_number, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                url_row, host = _record_rows(data)
-                country = data["country"]
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+                country, url_row, host = _record_rows(json.loads(line))
+            except ValueError as exc:
                 raise ValueError(
                     f"{path}:{line_number}: corrupt record ({exc})"
                 ) from exc
@@ -333,21 +413,20 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
 def export_csv(dataset: GovernmentHostingDataset, path: PathLike) -> int:
     """Write a flat CSV of all records (for spreadsheet-style analysis).
 
-    Columns follow :func:`record_to_dict`.  Rows are built from the
-    host tables: each host's nine fields are converted once, and a row
-    is its URL's columns plus that tuple.
+    Columns follow :data:`RECORD_FIELDS`.  Rows are built from the host
+    tables: each host's nine fields are converted once, and a row is
+    its URL's columns plus that tuple.
     """
     import csv
 
     count = 0
     with open_replacement(path) as handle:
         writer = csv.writer(handle)
-        writer.writerow(UrlRecord._fields)
+        writer.writerow(name for name, _ in RECORD_FIELDS)
         for country_dataset in dataset.countries.values():
             country = country_dataset.country
             table = country_dataset.host_table
-            annotations = [tuple(_annotations_to_dict(row[1:]).values())
-                           for row in table.hosts]
+            annotations = list(map(_annotation_values, table.hosts))
             writer.writerows(
                 (url, hostname, country, size_bytes, via._value_, depth)
                 + annotations[host]
@@ -361,9 +440,8 @@ def export_csv(dataset: GovernmentHostingDataset, path: PathLike) -> int:
 __all__ = [
     "FORMAT_VERSION",
     "LARGE_FILE_RECORDS",
+    "RECORD_FIELDS",
     "dataset_header",
-    "record_to_dict",
-    "record_from_dict",
     "require",
     "validation_from_dict",
     "open_replacement",

@@ -24,7 +24,7 @@ SECTION_NAMES = ("summary", "global", "regional", "domestic", "providers",
 
 def _summary_section(index) -> str:
     # Via the index, not dataset.summarize(): over a store this streams
-    # the mmapped columns instead of materializing records.
+    # the mmapped columns instead of rebuilding host tables.
     summary = index.summary()
     rows = [[field, f"{getattr(summary, field):,}"]
             for field in ("landing_urls", "internal_urls",

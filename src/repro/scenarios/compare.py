@@ -120,9 +120,8 @@ def _server_countries(
 ) -> dict[str, str]:
     """Measured server country per hostname of one country's slice.
 
-    Read from the host rows in URL order, without building the record
-    view: a hostname whose records disagree has several rows, and the
-    row of its last URL wins, as it does over the records.
+    Read from the host rows in URL order: a hostname whose URLs
+    disagree has several rows, and the row of its last URL wins.
     """
     country = dataset.countries.get(code)
     if country is None:

@@ -2,11 +2,10 @@
 
 The jsonl exports of :mod:`repro.io` round-trip one JSON object per
 record; at paper scale (~1M URL records, more for multi-snapshot runs)
-loading one means parsing a million objects, materializing a million
-:class:`~repro.core.dataset.UrlRecord` tuples, and then re-transposing
-them into the analysis engine's columns -- three passes over data that
-is columnar at both ends.  This package is the storage format that cuts
-the middleman out:
+loading one means parsing a million objects into host tables and then
+transposing those into the analysis engine's columns -- passes over
+data that is columnar at both ends.  This package is the storage format
+that cuts the middleman out:
 
 * :func:`write_store` -- one directory per country holding typed,
   mmap-able column buffers (the per-country chunks of a built
@@ -15,9 +14,8 @@ the middleman out:
 * :class:`DatasetStore` / :func:`load_store_dataset` -- open a store
   and get a dataset whose analysis index takes each shard's mmapped
   columns as its chunks, so analyses (including the byte-identical
-  full paper report) run zero-copy off the shards, while
-  ``records`` / ``iter_records()`` remain available as lazy
-  compatibility views;
+  full paper report) run zero-copy off the shards, while each
+  country's host table is rebuilt from its shard on first read;
 * :func:`jsonl_to_store` / :func:`store_to_jsonl` -- lossless,
   byte-identical conversions (the CLI's ``repro-gov convert``).
 """

@@ -16,7 +16,7 @@ Both directions preserve bytes exactly:
 columns, written through :func:`repro.io.write_record_lines` (the line
 writer of :func:`repro.io.save_dataset`) and dropped before the next
 shard is touched, so converting an arbitrarily large store runs in
-bounded memory and builds no ``UrlRecord``.
+bounded memory.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Reading a sharded columnar store: mmap columns, lazy record views.
+"""Reading a sharded columnar store: mmap columns, lazy host tables.
 
 :class:`DatasetStore` opens a store directory, checks the manifest
 digest chain and every column file's size up front (cheap stats -- no
@@ -12,16 +12,15 @@ views:
   the dataset's :class:`~repro.analysis.engine.AnalysisIndex`;
 * **metadata** -- per-country landing counts, depth histograms,
   unresolved hostnames and hostname tables, enough for the full paper
-  report without touching a single record;
+  report without touching a single URL row;
 * **host tables** -- each country's
   :class:`~repro.core.dataset.HostTable`, rebuilt from the columns by
-  interning each URL's hostname and nine annotations: what exports and
-  ``CountryDataset.records`` / ``iter_records()`` (the lazy
-  compatibility view) read.  Nothing in the analysis path needs them.
+  interning each URL's hostname and nine annotations: what exports
+  read.  Nothing in the analysis path needs them.
 
 :meth:`DatasetStore.dataset` assembles a
 :class:`~repro.core.dataset.GovernmentHostingDataset` whose country
-views defer record assembly to their shard, and pre-attaches an
+views defer their host tables to their shard, and pre-attaches an
 :class:`~repro.analysis.engine.AnalysisIndex` with one chunk per shard
 under the cache attribute :meth:`AnalysisIndex.ensure` uses -- so every
 existing analysis entry point transparently runs off the mmapped
@@ -63,8 +62,6 @@ from repro.core.dataset import (
     GovernmentHostingDataset,
     HostRow,
     HostTable,
-    UrlRecord,
-    build_records,
     intern_rows,
 )
 from repro.core.geolocation import ValidationStats
@@ -264,7 +261,7 @@ class ShardReader:
         return table
 
     def hostname_set(self) -> set[str]:
-        """Unique hostnames of this country (no record materialization)."""
+        """Unique hostnames of this country (no URL row is decoded)."""
         return set(self.hostname_table())
 
     # ------------------------------------------------------ host table
@@ -274,9 +271,9 @@ class ShardReader:
 
         Each URL's hostname id and nine annotation columns are interned
         as raw integers, so a host row is decoded once, however many
-        URLs it has.  All ints come back as Python ints, so the record
-        view and the jsonl lines equal -- byte for byte -- a
-        pipeline-built dataset's.
+        URLs it has.  All ints come back as Python ints, so the rows
+        and the jsonl lines equal -- byte for byte -- a pipeline-built
+        dataset's.
         """
         if self.record_count == 0:
             return HostTable([], [], [])
@@ -315,14 +312,6 @@ class ShardReader:
             column("depth.i64").tolist(),
         ))
         return HostTable(hosts, urls, host_index)
-
-    def materialize_records(self) -> list[UrlRecord]:
-        """The country's ``UrlRecord`` list, built from :meth:`host_table`.
-
-        This is the *compatibility* path (legacy record consumers);
-        analyses and exports never call it.
-        """
-        return build_records(self.code, self.host_table())
 
     # --------------------------------------------------------- checking
 
@@ -494,10 +483,9 @@ class DatasetStore:
 
         The returned dataset answers every metadata question (counts,
         hostnames, landing pages) and every analysis -- including the
-        full paper report -- without materializing a single record;
-        host tables (and from them ``records`` / ``iter_records()``)
-        are rebuilt lazily per country from the shard columns.  No
-        column file is mapped until an analysis reads it.
+        full paper report -- without decoding a single URL row; host
+        tables are rebuilt lazily per country from the shard columns.
+        No column file is mapped until an analysis reads it.
         """
         countries: dict[str, CountryDataset] = {}
         for code in self.countries:
@@ -505,7 +493,7 @@ class DatasetStore:
             countries[code] = CountryDataset(
                 country=code,
                 landing_count=shard.landing_count,
-                records=shard.host_table,
+                load_table=shard.host_table,
                 discarded_url_count=shard.discarded_url_count,
                 unresolved_hostnames=list(shard.unresolved_hostnames),
                 depth_histogram=dict(shard.depth_histogram),
@@ -528,17 +516,6 @@ class DatasetStore:
             dataset, chunks, self.country_table, self.organization_table
         ))
         return dataset
-
-    def iter_records(self) -> Iterator[UrlRecord]:
-        """Stream every record, one shard resident at a time.
-
-        Unlike ``dataset().iter_records()`` this never caches the
-        materialized lists, so whole-dataset passes (exports, audits)
-        run in bounded memory no matter how many countries the store
-        holds.
-        """
-        for shard in self.shards():
-            yield from shard.materialize_records()
 
 
 def load_store_dataset(store_dir: PathLike) -> GovernmentHostingDataset:

@@ -4,18 +4,17 @@
 :class:`~repro.analysis.engine.AnalysisIndex` -- the one canonical
 columnar form of a dataset -- plus the per-record url/hostname/via/
 depth/validation columns the index does not carry (they are needed only
-to rebuild each country's host table, for the compatibility view and
-for lossless jsonl round-trips).
+to rebuild each country's host table, for exports and lossless jsonl
+round-trips).
 
 Those columns come from the same
 :class:`~repro.core.dataset.HostTable` the index is built from: url,
 via and depth per URL row, validation and the shard-local hostname ids
 per host row, expanded with ``numpy.take`` over the URL rows' host
-index.  No ``UrlRecord`` is built; everything a later analysis run
-needs comes back out of the shards without record materialization.
-Output is deterministic: converting the same dataset twice produces
-byte-identical stores (no timestamps, sorted manifest keys, insertion
-orders preserved).
+index.  Everything a later analysis run needs comes back out of the
+shards without rebuilding a host table.  Output is deterministic:
+converting the same dataset twice produces byte-identical stores (no
+timestamps, sorted manifest keys, insertion orders preserved).
 
 Writes are atomic at store granularity: the shards and manifests are
 assembled under a temporary sibling directory and renamed into place

@@ -2,8 +2,12 @@
 
 Each ``baseline_*`` function is the pre-index implementation of the
 corresponding analysis, kept verbatim: one (or more) full passes over
-``dataset.iter_records()`` / ``country_dataset.records`` per call.
-They serve two purposes:
+``iter_records(dataset)`` / ``records_of(country_dataset)`` per call,
+the per-URL record view of :mod:`tests.records` (memoized per country,
+so a benchmark can build the lists before it times the loops).  The
+record-pool helpers the loops share (:func:`category_fractions`,
+:func:`registration_split`, :func:`server_split`,
+:func:`dominant_category`) live here too.  They serve two purposes:
 
 * the equivalence suite (``tests/analysis/test_engine_equivalence.py``)
   asserts that the :class:`~repro.analysis.engine.AnalysisIndex`-backed
@@ -19,7 +23,7 @@ explicitly.  Production code must use the index-backed analyses.
 from __future__ import annotations
 
 import statistics
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -29,15 +33,10 @@ from repro.analysis.crossborder import (
     EU_MEMBER_CODES,
     region_of,
 )
-from repro.analysis.diversification import dominant_category, hhi
-from repro.analysis.hosting import Weighting, _mean_mixes, category_fractions
+from repro.analysis.diversification import hhi
+from repro.analysis.hosting import Weighting, _mean_mixes
 from repro.analysis.providers import ProviderFootprint
-from repro.analysis.registration import (
-    LocationSplit,
-    _split,
-    registration_split,
-    server_split,
-)
+from repro.analysis.registration import LocationSplit, _split
 from repro.analysis.regression import (
     FEATURE_NAMES,
     RegressionResult,
@@ -53,6 +52,68 @@ from repro.urltools import registrable_domain
 from repro.websim.topsites import COMPARISON_COUNTRIES, TopsiteHosting
 from repro.world.countries import COUNTRIES, get_country
 from repro.world.regions import Region
+from tests.records import Record, included_records, iter_records, records_of
+
+
+# ---------------------------------------------------------------------------
+# Record-pool helpers
+# ---------------------------------------------------------------------------
+
+def category_fractions(
+    records: Iterable[Record], by_bytes: bool = False
+) -> dict[HostingCategory, float]:
+    """Fraction of URLs (or bytes) served by each category."""
+    totals = {category: 0.0 for category in HostingCategory}
+    for record in records:
+        totals[record.category] += record.size_bytes if by_bytes else 1.0
+    grand_total = sum(totals.values())
+    if grand_total == 0:
+        return totals
+    return {cat: value / grand_total for cat, value in totals.items()}
+
+
+def registration_split(records: Iterable[Record]) -> LocationSplit:
+    """WHOIS view over a pool of records."""
+    total = 0
+    domestic = 0
+    for record in records:
+        total += 1
+        if record.registration_domestic:
+            domestic += 1
+    return _split(domestic, total)
+
+
+def server_split(records: Iterable[Record]) -> LocationSplit:
+    """Server-location view; excluded records are skipped."""
+    total = 0
+    domestic = 0
+    for record in records:
+        if record.server_country is None:
+            continue
+        total += 1
+        if record.server_country == record.country:
+            domestic += 1
+    return _split(domestic, total)
+
+
+def dominant_category(
+    country_dataset: CountryDataset,
+) -> Optional[HostingCategory]:
+    """Predominant source of a country's bytes (Figure 11 grouping).
+
+    Returns ``None`` for countries with no byte mass (no records, or
+    only zero-size responses).  Ties break deterministically in favour
+    of the category declared first in :class:`HostingCategory`, never by
+    dict insertion order.
+    """
+    mix = category_fractions(records_of(country_dataset), by_bytes=True)
+    if not any(mix.values()):
+        return None
+    best = max(mix.values())
+    for category in HostingCategory:
+        if mix.get(category, 0.0) == best:
+            return category
+    return None  # pragma: no cover - mix keys are always HostingCategory
 
 
 # ---------------------------------------------------------------------------
@@ -62,7 +123,7 @@ from repro.world.regions import Region
 def baseline_global_breakdown(
     dataset: GovernmentHostingDataset,
 ) -> dict[str, dict[HostingCategory, float]]:
-    records = list(dataset.iter_records())
+    records = list(iter_records(dataset))
     return {
         "urls": category_fractions(records, by_bytes=False),
         "bytes": category_fractions(records, by_bytes=True),
@@ -74,11 +135,12 @@ def baseline_country_breakdown(
 ) -> dict[str, dict[str, dict[HostingCategory, float]]]:
     result: dict[str, dict[str, dict[HostingCategory, float]]] = {}
     for code, country_dataset in sorted(dataset.countries.items()):
-        if not country_dataset.records:
+        if not records_of(country_dataset):
             continue
+        records = records_of(country_dataset)
         result[code] = {
-            "urls": category_fractions(country_dataset.records, by_bytes=False),
-            "bytes": category_fractions(country_dataset.records, by_bytes=True),
+            "urls": category_fractions(records, by_bytes=False),
+            "bytes": category_fractions(records, by_bytes=True),
         }
     return result
 
@@ -90,7 +152,7 @@ def baseline_regional_breakdown(
 ) -> dict[Region, dict[HostingCategory, float]]:
     by_region: dict[Region, list] = {}
     for code, country_dataset in dataset.countries.items():
-        if not country_dataset.records:
+        if not records_of(country_dataset):
             continue
         region = get_country(code).region
         by_region.setdefault(region, []).append(country_dataset)
@@ -98,12 +160,13 @@ def baseline_regional_breakdown(
     for region, country_datasets in by_region.items():
         if weighting == "country":
             mixes = [
-                category_fractions(cd.records, by_bytes=by_bytes)
+                category_fractions(records_of(cd), by_bytes=by_bytes)
                 for cd in country_datasets
             ]
             result[region] = _mean_mixes(mixes)
         else:
-            pooled = [record for cd in country_datasets for record in cd.records]
+            pooled = [record for cd in country_datasets
+                      for record in records_of(cd)]
             result[region] = category_fractions(pooled, by_bytes=by_bytes)
     return result
 
@@ -113,9 +176,10 @@ def baseline_country_majority(
 ) -> dict[str, str]:
     result: dict[str, str] = {}
     for code, country_dataset in sorted(dataset.countries.items()):
-        if not country_dataset.records:
+        if not records_of(country_dataset):
             continue
-        mix = category_fractions(country_dataset.records, by_bytes=by_bytes)
+        mix = category_fractions(records_of(country_dataset),
+                                 by_bytes=by_bytes)
         third_party = sum(
             share for category, share in mix.items() if category.is_third_party
         )
@@ -130,7 +194,7 @@ def baseline_country_majority(
 def baseline_global_split(
     dataset: GovernmentHostingDataset,
 ) -> dict[str, LocationSplit]:
-    records = list(dataset.iter_records())
+    records = list(iter_records(dataset))
     return {
         "whois": registration_split(records),
         "geolocation": server_split(records),
@@ -142,11 +206,11 @@ def baseline_country_split(
 ) -> dict[str, dict[str, LocationSplit]]:
     result: dict[str, dict[str, LocationSplit]] = {}
     for code, country_dataset in sorted(dataset.countries.items()):
-        if not country_dataset.records:
+        if not records_of(country_dataset):
             continue
         result[code] = {
-            "whois": registration_split(country_dataset.records),
-            "geolocation": server_split(country_dataset.records),
+            "whois": registration_split(records_of(country_dataset)),
+            "geolocation": server_split(records_of(country_dataset)),
         }
     return result
 
@@ -161,13 +225,13 @@ def baseline_regional_split(
     split_fn = registration_split if view == "whois" else server_split
     by_region: dict[Region, list] = {}
     for code, country_dataset in dataset.countries.items():
-        if not country_dataset.records:
+        if not records_of(country_dataset):
             continue
         by_region.setdefault(get_country(code).region, []).append(country_dataset)
     result: dict[Region, LocationSplit] = {}
     for region, country_datasets in by_region.items():
         if weighting == "country":
-            splits = [split_fn(cd.records) for cd in country_datasets]
+            splits = [split_fn(records_of(cd)) for cd in country_datasets]
             splits = [s for s in splits if s.domestic + s.international > 0]
             if not splits:
                 result[region] = LocationSplit(0.0, 0.0)
@@ -175,7 +239,8 @@ def baseline_regional_split(
             domestic = sum(s.domestic for s in splits) / len(splits)
             result[region] = LocationSplit(domestic, 1.0 - domestic)
         else:
-            pooled = [record for cd in country_datasets for record in cd.records]
+            pooled = [record for cd in country_datasets
+                      for record in records_of(cd)]
             result[region] = split_fn(pooled)
     return result
 
@@ -194,7 +259,7 @@ def baseline_flows(
     dataset: GovernmentHostingDataset, basis: Basis = "server"
 ) -> list[CrossBorderFlow]:
     counts: dict[tuple[str, str], list[int]] = {}
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         destination = _record_destination(record, basis)
         if destination is None or destination == record.country:
             continue
@@ -249,7 +314,7 @@ def baseline_regional_affinity(
 def baseline_gdpr_compliance(dataset: GovernmentHostingDataset) -> float:
     total = 0
     compliant = 0
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         if record.country not in EU_MEMBER_CODES:
             continue
         if record.server_country is None:
@@ -270,7 +335,7 @@ def baseline_bilateral_share(
     destination = destination.upper()
     total = 0
     matching = 0
-    for record in dataset.countries[source].records:
+    for record in records_of(dataset.countries[source]):
         dest = _record_destination(record, basis)
         if basis == "server" and dest is None:
             continue
@@ -303,7 +368,7 @@ def baseline_foreign_share_by_destination(
 
 def _baseline_continents_served(dataset: GovernmentHostingDataset) -> dict[int, set]:
     continents: dict[int, set] = {}
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         country = COUNTRIES.get(record.country)
         if country is None:
             continue
@@ -313,7 +378,7 @@ def _baseline_continents_served(dataset: GovernmentHostingDataset) -> dict[int, 
 
 def baseline_global_provider_asns(dataset: GovernmentHostingDataset) -> set[int]:
     continents = _baseline_continents_served(dataset)
-    gov_asns = {r.asn for r in dataset.iter_records() if r.gov_operated}
+    gov_asns = {r.asn for r in iter_records(dataset) if r.gov_operated}
     return {
         asn
         for asn, cset in continents.items()
@@ -327,7 +392,7 @@ def baseline_global_provider_footprints(
     global_asns = baseline_global_provider_asns(dataset)
     countries_by_asn: dict[int, set[str]] = {}
     name_by_asn: dict[int, str] = {}
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         if record.asn not in global_asns:
             continue
         countries_by_asn.setdefault(record.asn, set()).add(record.country)
@@ -351,7 +416,7 @@ def baseline_provider_byte_reliance(
     global_asns = baseline_global_provider_asns(dataset)
     country_totals: dict[str, int] = {}
     pair_bytes: dict[tuple[int, str], int] = {}
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         country_totals[record.country] = (
             country_totals.get(record.country, 0) + record.size_bytes
         )
@@ -370,7 +435,7 @@ def baseline_top_reliances(
 ) -> list[tuple[str, int, str, float]]:
     reliance = baseline_provider_byte_reliance(dataset)
     names: dict[int, str] = {}
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         names.setdefault(record.asn, record.organization)
     ranked = sorted(reliance.items(), key=lambda item: -item[1])[:limit]
     return [
@@ -387,7 +452,7 @@ def _baseline_network_shares(
     country_dataset: CountryDataset, by_bytes: bool
 ) -> dict[int, float]:
     totals: dict[int, float] = {}
-    for record in country_dataset.records:
+    for record in records_of(country_dataset):
         weight = record.size_bytes if by_bytes else 1.0
         totals[record.asn] = totals.get(record.asn, 0.0) + weight
     return totals
@@ -443,13 +508,13 @@ def baseline_outage_impact(dataset: GovernmentHostingDataset, asn: int) -> dict:
 
     impacts: dict[str, OutageImpact] = {}
     for code, country_dataset in sorted(dataset.countries.items()):
-        if not country_dataset.records:
+        if not records_of(country_dataset):
             continue
-        total_urls = len(country_dataset.records)
-        total_bytes = sum(r.size_bytes for r in country_dataset.records)
+        total_urls = len(records_of(country_dataset))
+        total_bytes = sum(r.size_bytes for r in records_of(country_dataset))
         lost_urls = 0
         lost_bytes = 0
-        for record in country_dataset.records:
+        for record in records_of(country_dataset):
             if record.asn == asn:
                 lost_urls += 1
                 lost_bytes += record.size_bytes
@@ -469,10 +534,10 @@ def baseline_single_points_of_failure(
 ) -> dict[str, tuple[int, float]]:
     result: dict[str, tuple[int, float]] = {}
     for code, country_dataset in sorted(dataset.countries.items()):
-        if not country_dataset.records:
+        if not records_of(country_dataset):
             continue
         by_asn: dict[int, int] = {}
-        for record in country_dataset.records:
+        for record in records_of(country_dataset):
             by_asn[record.asn] = by_asn.get(record.asn, 0) + record.size_bytes
         total = sum(by_asn.values())
         if total == 0:
@@ -491,7 +556,7 @@ def baseline_worst_global_outage(
     # organization_by_asn() so both implementations break exact
     # (affected, mean_loss) ties on the same (name, asn) order.
     names: dict[int, str] = {}
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         names.setdefault(record.asn, record.organization)
     worst = (0, 0, 0.0)
     worst_tie = ("", 0)
@@ -523,7 +588,7 @@ def baseline_feature_matrix(
     raw_features: list[list[float]] = []
     outcomes: list[float] = []
     for code, country_dataset in sorted(dataset.countries.items()):
-        included = country_dataset.included_records()
+        included = included_records(country_dataset)
         if not included:
             continue
         country = get_country(code)
@@ -578,7 +643,7 @@ def baseline_government_subset_breakdown(
         country_dataset = dataset.countries.get(code)
         if country_dataset is None:
             continue
-        for record in country_dataset.records:
+        for record in records_of(country_dataset):
             label = _GOV_TO_COMPARISON[record.category]
             url_totals[label] += 1
             byte_totals[label] += record.size_bytes
@@ -598,7 +663,7 @@ def baseline_government_subset_location(
     for code in countries:
         country_dataset = dataset.countries.get(code)
         if country_dataset is not None:
-            records.extend(country_dataset.records)
+            records.extend(records_of(country_dataset))
     return {
         "whois": registration_split(records),
         "geolocation": server_split(records),
@@ -613,7 +678,7 @@ def baseline_domains_by_country(
     dataset: GovernmentHostingDataset,
 ) -> dict[str, set[str]]:
     result: dict[str, set[str]] = {}
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         result.setdefault(record.country, set()).add(
             registrable_domain(record.hostname)
         )
@@ -640,7 +705,8 @@ def baseline_global_https_prevalence(
 ) -> tuple[float, float]:
     total = have = valid = 0
     for country_dataset in dataset.countries.values():
-        for hostname in {record.hostname for record in country_dataset.records}:
+        for hostname in {record.hostname
+                         for record in records_of(country_dataset)}:
             total += 1
             certificate = world.certificates.get(hostname)
             if certificate is None:

@@ -44,7 +44,7 @@ def test_country_without_data_raises(dataset):
 
 def test_ranking_sorted_and_complete(dataset):
     ranking = affordability_ranking(dataset)
-    measured = [c for c, cd in dataset.countries.items() if cd.records]
+    measured = [c for c, cd in dataset.countries.items() if cd.url_count]
     assert len(ranking) == len(measured)
     shares = [report.cost_share_of_daily_income for report in ranking]
     assert shares == sorted(shares, reverse=True)

@@ -9,7 +9,6 @@ analysis must degrade to a well-defined empty result instead of raising
 import pytest
 
 from repro.analysis.diversification import (
-    dominant_category,
     hhi_by_dominant_category,
     single_network_dependence,
 )
@@ -20,24 +19,19 @@ from repro.analysis.https_adoption import (
 from repro.analysis.longitudinal import compare_snapshots, trend_summary
 from repro.analysis.resilience import outage_impact, single_points_of_failure
 from repro.categories import HostingCategory
-from repro.core.dataset import (
-    CountryDataset,
-    GovernmentHostingDataset,
-    UrlRecord,
-)
+from repro.core.dataset import CountryDataset, GovernmentHostingDataset
 from repro.core.geolocation import ValidationMethod, ValidationStats
 from repro.core.urlfilter import FilterVia
+from tests.analysis.oracle import dominant_category
+from tests.records import Record, build_country
 
 
 def _empty_country(code="ZZ") -> CountryDataset:
-    return CountryDataset(
-        country=code, landing_count=0, records=[],
-        discarded_url_count=0, unresolved_hostnames=[], depth_histogram={},
-    )
+    return build_country(code, [])
 
 
 def _record(category, size_bytes=10, asn=64500, url="https://www.gov.zz/"):
-    return UrlRecord(
+    return Record(
         url=url, hostname="www.gov.zz", country="ZZ", size_bytes=size_bytes,
         via=FilterVia.TLD, depth=0, address=0xC0A80001, asn=asn,
         organization="org", registered_country="ZZ", gov_operated=False,
@@ -87,30 +81,38 @@ def test_trend_summary_of_no_overlap_is_well_defined(empty_dataset):
 
 # -------------------------------------------------------- diversification
 
+def _dominant(country_dataset):
+    """The country's dominant category by the oracle's record loop; the
+    index-backed Figure 11 grouping must place the country alike."""
+    dominant = dominant_category(country_dataset)
+    groups = hhi_by_dominant_category(_dataset(country_dataset))
+    assert set(groups) == (set() if dominant is None else {dominant})
+    return dominant
+
+
 def test_dominant_category_of_empty_country_is_none():
-    assert dominant_category(_empty_country()) is None
+    assert _dominant(_empty_country()) is None
 
 
 def test_dominant_category_of_zero_byte_records_is_none():
-    zero = CountryDataset(
-        country="ZZ", landing_count=1,
-        records=[_record(HostingCategory.P3_GLOBAL, size_bytes=0)],
-        discarded_url_count=0, unresolved_hostnames=[], depth_histogram={},
+    zero = build_country(
+        "ZZ", [_record(HostingCategory.P3_GLOBAL, size_bytes=0)],
+        landing_count=1,
     )
-    assert dominant_category(zero) is None
+    assert _dominant(zero) is None
 
 
 def test_dominant_category_ties_break_by_enum_order():
-    tied = CountryDataset(
-        country="ZZ", landing_count=2,
-        records=[
+    tied = build_country(
+        "ZZ",
+        [
             _record(HostingCategory.P3_GLOBAL, url="https://a.gov.zz/"),
             _record(HostingCategory.P3_LOCAL, url="https://b.gov.zz/"),
         ],
-        discarded_url_count=0, unresolved_hostnames=[], depth_histogram={},
+        landing_count=2,
     )
     # P3_LOCAL is declared before P3_GLOBAL in HostingCategory
-    assert dominant_category(tied) is HostingCategory.P3_LOCAL
+    assert _dominant(tied) is HostingCategory.P3_LOCAL
 
 
 def test_diversification_groupings_skip_empty_countries(empty_dataset):
@@ -119,11 +121,8 @@ def test_diversification_groupings_skip_empty_countries(empty_dataset):
 
 
 def test_diversification_groupings_with_mixed_countries():
-    populated = CountryDataset(
-        country="AA", landing_count=1,
-        records=[_record(HostingCategory.GOVT_SOE)],
-        discarded_url_count=0, unresolved_hostnames=[], depth_histogram={},
-    )
+    populated = build_country("AA", [_record(HostingCategory.GOVT_SOE)],
+                              landing_count=1)
     mixed = _dataset(populated, _empty_country())
     groups = hhi_by_dominant_category(mixed, by_bytes=True)
     assert set(groups) == {HostingCategory.GOVT_SOE}

@@ -26,15 +26,11 @@ from repro.analysis import (
     topsites,
 )
 from repro.analysis.engine import AnalysisIndex, ensure_index
-from repro.core.dataset import (
-    CountryDataset,
-    GovernmentHostingDataset,
-    UrlRecord,
-)
-from repro.core.geolocation import ValidationMethod, ValidationStats
-from repro.core.urlfilter import FilterVia
+from repro.core.dataset import GovernmentHostingDataset
+from repro.core.geolocation import ValidationStats
 from repro.reporting.paper_report import render_paper_report
 from tests.analysis import oracle as bl
+from tests.records import build_country
 
 ALT_COUNTRIES = ("BR", "US", "FR", "MA")
 
@@ -60,10 +56,7 @@ def faulted_dataset() -> GovernmentHostingDataset:
 
 @pytest.fixture(scope="module")
 def empty_dataset() -> GovernmentHostingDataset:
-    no_records = CountryDataset(
-        country="ZZ", landing_count=0, records=[],
-        discarded_url_count=0, unresolved_hostnames=[], depth_histogram={},
-    )
+    no_records = build_country("ZZ", [])
     return GovernmentHostingDataset(
         countries={"ZZ": no_records}, validation=ValidationStats(),
     )
@@ -322,7 +315,7 @@ def test_build_always_fresh(alt_dataset):
 def test_record_count_matches(any_dataset):
     index = ensure_index(any_dataset)
     assert index.record_count == sum(
-        len(cd.records) for cd in any_dataset.countries.values()
+        len(cd.host_table.urls) for cd in any_dataset.countries.values()
     )
 
 

@@ -13,11 +13,12 @@ from repro.analysis.https_adoption import (
     https_development_correlation,
 )
 from repro.urltools import registrable_domain
+from tests.records import iter_records
 
 
 def test_every_measured_domain_has_a_delegation(world, dataset):
     missing = []
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         domain = registrable_domain(record.hostname)
         if world.nameservers.lookup(domain) is None:
             missing.append(domain)

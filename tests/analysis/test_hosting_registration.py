@@ -3,9 +3,9 @@
 import pytest
 
 from repro.analysis.hosting import (
-    category_fractions,
     country_breakdown,
     country_majority,
+    fractions_of_counts,
     global_breakdown,
     regional_breakdown,
 )
@@ -17,6 +17,7 @@ from repro.analysis.registration import (
 )
 from repro.categories import HostingCategory
 from repro.world.regions import Region
+from tests.analysis.oracle import category_fractions
 
 
 def test_global_breakdown_normalized(dataset):
@@ -38,8 +39,12 @@ def test_global_breakdown_matches_figure2_shape(dataset):
 
 
 def test_category_fractions_empty():
-    fractions = category_fractions([])
-    assert all(value == 0.0 for value in fractions.values())
+    # No URLs: every share is 0.0, from the index tallies and from the
+    # oracle's record loop alike.
+    for fractions in (fractions_of_counts([0] * len(HostingCategory)),
+                      category_fractions([])):
+        assert set(fractions) == set(HostingCategory)
+        assert all(value == 0.0 for value in fractions.values())
 
 
 def test_regional_breakdown_covers_regions_with_data(dataset):

@@ -15,19 +15,16 @@ import pytest
 
 from repro.analysis.resilience import worst_global_outage
 from repro.categories import HostingCategory
-from repro.core.dataset import (
-    CountryDataset,
-    GovernmentHostingDataset,
-    UrlRecord,
-)
+from repro.core.dataset import CountryDataset, GovernmentHostingDataset
 from repro.core.geolocation import ValidationMethod, ValidationStats
 from repro.core.urlfilter import FilterVia
 from tests.analysis.oracle import baseline_worst_global_outage
+from tests.records import Record, build_country
 
 
-def _record(country: str, asn: int, organization: str) -> UrlRecord:
+def _record(country: str, asn: int, organization: str) -> Record:
     hostname = f"www.gov.{country.lower()}"
-    return UrlRecord(
+    return Record(
         url=f"https://{hostname}/", hostname=hostname, country=country,
         size_bytes=10, via=FilterVia.TLD, depth=0, address=0xC0A80001,
         asn=asn, organization=organization, registered_country=country,
@@ -38,11 +35,8 @@ def _record(country: str, asn: int, organization: str) -> UrlRecord:
 
 
 def _single_asn_country(country: str, asn: int, org: str) -> CountryDataset:
-    return CountryDataset(
-        country=country, landing_count=1,
-        records=[_record(country, asn, org)],
-        discarded_url_count=0, unresolved_hostnames=[], depth_histogram={},
-    )
+    return build_country(country, [_record(country, asn, org)],
+                         landing_count=1)
 
 
 def _dataset(*country_datasets) -> GovernmentHostingDataset:

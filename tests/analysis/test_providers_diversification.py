@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis.diversification import (
     country_network_hhi,
-    dominant_category,
     hhi,
     hhi_by_dominant_category,
     single_network_dependence,
@@ -16,6 +15,8 @@ from repro.analysis.providers import (
     top_reliances,
 )
 from repro.categories import HostingCategory
+from tests.analysis.oracle import dominant_category
+from tests.records import iter_records
 
 
 def test_cloudflare_leads_footprints(dataset):
@@ -37,7 +38,7 @@ def test_footprints_sorted_descending(dataset):
 
 
 def test_global_asns_are_never_government(dataset):
-    gov_asns = {r.asn for r in dataset.iter_records() if r.gov_operated}
+    gov_asns = {r.asn for r in iter_records(dataset) if r.gov_operated}
     assert not (global_provider_asns(dataset) & gov_asns)
 
 

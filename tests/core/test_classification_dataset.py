@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.analysis.hosting import country_breakdown
+from repro.analysis.registration import LocationSplit, country_split
 from repro.categories import HostingCategory
 from repro.core.classification import ProviderFootprint, categorize
-from repro.core.dataset import CountryDataset, GovernmentHostingDataset, UrlRecord
+from repro.core.dataset import GovernmentHostingDataset
 from repro.core.geolocation import ValidationMethod, ValidationStats
 from repro.core.urlfilter import FilterVia
+from tests.records import Record, build_country, included_records
 
 
 def _footprint(pairs):
@@ -50,7 +53,7 @@ def test_footprint_ignores_unknown_countries():
 def _record(url="https://x.gov.br/", country="BR", size=100,
             category=HostingCategory.GOVT_SOE, server="BR", reg="BR",
             asn=900, anycast=False, gov=True, hostname="x.gov.br", address=1):
-    return UrlRecord(
+    return Record(
         url=url, hostname=hostname, country=country, size_bytes=size,
         via=FilterVia.TLD, depth=0, address=address, asn=asn,
         organization="Org", registered_country=reg, gov_operated=gov,
@@ -59,13 +62,25 @@ def _record(url="https://x.gov.br/", country="BR", size=100,
     )
 
 
+def _dataset(**countries) -> GovernmentHostingDataset:
+    return GovernmentHostingDataset(countries=countries,
+                                    validation=ValidationStats())
+
+
 def test_urlrecord_views():
     record = _record(server="US", reg="BR")
     assert record.registration_domestic
     assert record.server_domestic is False
-    excluded = _record(server=None)
+    excluded = _record(url="https://y.gov.br/", hostname="y.gov.br",
+                       server=None, reg="US")
     assert excluded.excluded
     assert excluded.server_domestic is None
+    # The location views over the host table agree: WHOIS counts both
+    # URLs, geolocation only the located one.
+    splits = country_split(_dataset(BR=build_country("BR", [record,
+                                                            excluded])))
+    assert splits["BR"]["whois"] == LocationSplit(0.5, 0.5)
+    assert splits["BR"]["geolocation"] == LocationSplit(0.0, 1.0)
 
 
 def test_country_dataset_fractions():
@@ -76,14 +91,13 @@ def test_country_dataset_fractions():
                 category=HostingCategory.P3_GLOBAL, gov=False, asn=13335)
         for i in range(4)
     ]
-    dataset = CountryDataset(
+    dataset = build_country(
         country="BR", landing_count=2, records=records,
         discarded_url_count=1, unresolved_hostnames=[], depth_histogram={0: 10},
     )
-    urls = dataset.category_url_fractions()
-    assert urls[HostingCategory.GOVT_SOE] == pytest.approx(0.6)
-    bytes_mix = dataset.category_byte_fractions()
-    assert bytes_mix[HostingCategory.P3_GLOBAL] == pytest.approx(
+    mixes = country_breakdown(_dataset(BR=dataset))["BR"]
+    assert mixes["urls"][HostingCategory.GOVT_SOE] == pytest.approx(0.6)
+    assert mixes["bytes"][HostingCategory.P3_GLOBAL] == pytest.approx(
         1200 / 1800
     )
     assert dataset.internal_count == 8
@@ -100,13 +114,8 @@ def test_dataset_summary_counts():
                 asn=13335, category=HostingCategory.P3_GLOBAL, gov=False,
                 anycast=True, hostname="y.de", address=2),
     ]
-    dataset = GovernmentHostingDataset(
-        countries={
-            "BR": CountryDataset("BR", 1, records_br, 0, [], {}),
-            "DE": CountryDataset("DE", 1, records_de, 0, [], {}),
-        },
-        validation=ValidationStats(),
-    )
+    dataset = _dataset(BR=build_country("BR", records_br, 1),
+                       DE=build_country("DE", records_de, 1))
     summary = dataset.summarize()
     assert summary.total_unique_urls == 3
     assert summary.landing_urls == 2
@@ -116,7 +125,8 @@ def test_dataset_summary_counts():
     assert summary.government_ases == 1
     assert summary.anycast_addresses == 1
     assert summary.countries_with_servers == 2
-    included = list(dataset.iter_included())
+    included = [record for country in dataset.countries.values()
+                for record in included_records(country)]
     assert len(included) == 2
     stats = dataset.per_country_stats()
     assert stats["BR"]["landing_urls"] == 1

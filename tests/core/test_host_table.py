@@ -1,11 +1,11 @@
-"""Records as a view of per-host rows.
+"""Per-host rows: the one form of a country's URLs.
 
-Every reader on the run path -- the Table 3 summary, the jsonl and CSV
-writers, the analysis index and the store writer -- reads a country's
-``HostTable``; ``records`` is built from it only when asked for.  These
-tests pin those readers on a records-backed dataset whose hostname
-disagrees with itself (two ASNs, two categories), hold JSON escaping
-byte-identical, and check that ``run`` builds no record at all.
+Every reader -- the Table 3 summary, the jsonl and CSV writers, the
+analysis index and the store writer -- reads a country's ``HostTable``.
+These tests pin those readers on a hand-built dataset whose hostname
+disagrees with itself (two ASNs, two categories) against what a pass
+over its per-URL records gives, hold JSON escaping byte-identical, and
+check that a run builds no per-URL rows of its own.
 """
 
 from __future__ import annotations
@@ -20,23 +20,25 @@ from repro.analysis.engine import AnalysisIndex
 from repro.cache import ScanCache
 from repro.categories import HostingCategory
 from repro.cli import main
-from repro.core.dataset import (
-    CountryDataset,
-    DatasetSummary,
-    GovernmentHostingDataset,
-    UrlRecord,
-)
+from repro.core.dataset import DatasetSummary, GovernmentHostingDataset
 from repro.core.geolocation import ValidationMethod, ValidationStats
 from repro.core.urlfilter import FilterVia
-from repro.io import dataset_header, load_dataset, record_to_dict, save_dataset
-from repro.store import store_to_jsonl, write_store
+from repro.io import dataset_header, load_dataset, save_dataset
+from repro.store import ShardReader, store_to_jsonl, write_store
+from tests.records import (
+    Record,
+    build_country,
+    iter_records,
+    record_dict,
+    records_of,
+)
 
 
 def _record(url, hostname, country, size, asn, organization, registered,
             gov, category, server, via=FilterVia.TLD, depth=1,
             address=0x0A000001, anycast=False,
-            validation=ValidationMethod.ACTIVE_PROBING) -> UrlRecord:
-    return UrlRecord(
+            validation=ValidationMethod.ACTIVE_PROBING) -> Record:
+    return Record(
         url=url, hostname=hostname, country=country, size_bytes=size,
         via=via, depth=depth, address=address, asn=asn,
         organization=organization, registered_country=registered,
@@ -83,9 +85,9 @@ def _mixed_dataset() -> GovernmentHostingDataset:
     ]
     return GovernmentHostingDataset(
         countries={
-            "BR": CountryDataset("BR", 2, br, 1, ["gone.gov.br"],
-                                 {0: 1, 1: 4}),
-            "DE": CountryDataset("DE", 1, de, 0, [], {0: 1, 1: 1}),
+            "BR": build_country("BR", br, 2, 1, ["gone.gov.br"],
+                                {0: 1, 1: 4}),
+            "DE": build_country("DE", de, 1, 0, [], {0: 1, 1: 1}),
         },
         validation=ValidationStats(),
     )
@@ -101,11 +103,11 @@ def _tree_digest(root) -> str:
 
 
 def _expected_jsonl(dataset) -> str:
-    """Header plus one ``json.dumps(record_to_dict(r))`` line per record."""
+    """Header plus one ``json.dumps(record_dict(r))`` line per record."""
     return "".join(
         [json.dumps(dataset_header(dataset)) + "\n"]
-        + [json.dumps(record_to_dict(r)) + "\n"
-           for r in dataset.iter_records()]
+        + [json.dumps(record_dict(r)) + "\n"
+           for r in iter_records(dataset)]
     )
 
 
@@ -126,6 +128,17 @@ def test_disagreeing_hostname_interns_one_row_per_variant():
         ["y.gov.br", "x.gov.br", "x.gov.br"]
     assert list(table.host_index) == [0, 1, 2, 0, 1, 2]
     assert {row.asn for row in table.hosts[1:]} == {13335, 900}
+
+
+def test_countries_are_equal_by_url_and_host_rows():
+    """Equality compares each URL row and that URL's host row: the same
+    records built twice are equal, and one changed annotation is not."""
+    br = records_of(_mixed_dataset().country("BR"))
+    bookkeeping = (2, 1, ["gone.gov.br"], {0: 1, 1: 4})
+    original = build_country("BR", br, *bookkeeping)
+    assert build_country("BR", list(br), *bookkeeping) == original
+    changed = [br[0]._replace(asn=64501)] + br[1:]
+    assert build_country("BR", changed, *bookkeeping) != original
 
 
 def test_disagreeing_hostname_saves_like_its_records(tmp_path):
@@ -181,11 +194,11 @@ def test_disagreeing_hostname_maps_to_the_server_of_its_last_url(
     if last_url_row == "first":
         # Without x.gov.br/e the hostname's last URL names its first row
         # (Cloudflare, "US"), not its last (Gov BR, no server country).
-        records = dataset.country("BR").records[:-1]
-        dataset.countries["BR"] = CountryDataset(
-            "BR", 2, records, 1, ["gone.gov.br"], {0: 1, 1: 3})
+        records = records_of(dataset.country("BR"))[:-1]
+        dataset.countries["BR"] = build_country(
+            "BR", records, 2, 1, ["gone.gov.br"], {0: 1, 1: 3})
     expected = {record.hostname: record.server_country
-                for record in dataset.country("BR").records}
+                for record in records_of(dataset.country("BR"))}
     assert expected["x.gov.br"] == ("US" if last_url_row == "first"
                                     else None)
     assert _server_countries(dataset, "BR") == expected
@@ -213,14 +226,14 @@ def test_json_escapes_round_trip_byte_identically(tmp_path):
                 HostingCategory.GOVT_SOE, "BR"),
     ]
     dataset = GovernmentHostingDataset(
-        countries={"BR": CountryDataset("BR", 1, records, 0, [], {1: 2})},
+        countries={"BR": build_country("BR", records, 1, 0, [], {1: 2})},
         validation=ValidationStats(),
     )
     first = tmp_path / "first.jsonl"
     save_dataset(dataset, first)
     assert first.read_text(encoding="utf-8") == _expected_jsonl(dataset)
     loaded = load_dataset(first)
-    assert loaded.country("BR").records == records
+    assert records_of(loaded.country("BR")) == records
     second = tmp_path / "second.jsonl"
     save_dataset(loaded, second)
     assert second.read_bytes() == first.read_bytes()
@@ -244,8 +257,7 @@ def test_partial_hosts_all_carry_urls(tiny_world):
 
 def test_warm_host_table_decodes_only_its_own_partial(tmp_path):
     """A warm run's partials keep their bulk undecoded until a host
-    table is read; the table reuses the partial's URL rows and builds no
-    record view."""
+    table is read, and the table reuses the partial's URL rows."""
     config = WorldConfig(seed=7, scale=0.01, countries=("BR", "US", "FR"))
     Pipeline(config).run(cache=ScanCache(tmp_path))
     dataset = Pipeline(config).run(cache=ScanCache(tmp_path))
@@ -256,28 +268,30 @@ def test_warm_host_table_decodes_only_its_own_partial(tmp_path):
     assert table.urls is partials["BR"].urls
     assert len(table.hosts) == len(partials["BR"].hosts)
     assert partials["US"]._hosts is None and partials["FR"]._hosts is None
-    assert not any(country.materialized
-                   for country in dataset.countries.values())
-
-
-def _no_records(*args, **kwargs):
-    raise AssertionError("the run built UrlRecords")
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 @pytest.mark.parametrize("output", ["out", "store-dir", "warm"])
 def test_run_builds_no_records(output, workers, tmp_path, monkeypatch,
                                capsys):
-    import repro.core.dataset
-    import repro.io
+    """A run's host tables hold their partials' own URL-row lists: the
+    run copies or rebuilds no per-URL row, serial, pooled or warm."""
+    import repro.core.pipeline
 
     base = ["run", "--scale", "0.01", "--seed", "7", "--countries", "BR",
             "US", "FR", "--workers", workers]
     cache = ["--cache-dir", str(tmp_path / "cache")]
     if output == "warm":
         assert main(base + cache) == 0
-    monkeypatch.setattr(repro.core.dataset, "build_records", _no_records)
-    monkeypatch.setattr(repro.io, "record_from_dict", _no_records)
+    host_table = repro.core.pipeline._host_table
+    shared = {}
+
+    def recording(partial, footprint):
+        table = host_table(partial, footprint)
+        shared[partial.country] = table.urls is partial.urls
+        return table
+
+    monkeypatch.setattr(repro.core.pipeline, "_host_table", recording)
     target = str(tmp_path / "target")
     extra = {
         "out": ["--out", target],
@@ -285,27 +299,32 @@ def test_run_builds_no_records(output, workers, tmp_path, monkeypatch,
         "warm": cache + ["--out", target],
     }[output]
     assert main(base + extra) == 0
+    assert shared == {"BR": True, "US": True, "FR": True}
     if output == "warm":
         assert "0 misses" in capsys.readouterr().out
 
 
+def _no_host_table(shard):
+    raise AssertionError(f"the report rebuilt {shard.code}'s host table")
+
+
 def test_jsonl_load_report_and_convert_build_no_records(tmp_path,
                                                        monkeypatch):
-    """``load_dataset`` parses each line straight into host rows, so a
-    report over jsonl and both conversions build no record either."""
-    import repro.core.dataset
-    import repro.io
-
+    """``load_dataset`` parses each line straight into host rows, the
+    conversions stream host tables, and a report over the store rebuilds
+    no host table at all."""
     path = tmp_path / "run.jsonl"
     assert main(["run", "--scale", "0.01", "--seed", "7", "--countries",
                  "BR", "US", "FR", "--out", str(path)]) == 0
-    monkeypatch.setattr(repro.core.dataset, "build_records", _no_records)
-    monkeypatch.setattr(repro.io, "record_from_dict", _no_records)
     store = tmp_path / "run.store"
     back = tmp_path / "back.jsonl"
     assert main(["report", str(path), "--section", "full"]) == 0
     assert main(["convert", str(path), str(store)]) == 0
+    with monkeypatch.context() as patched:
+        patched.setattr(ShardReader, "host_table", _no_host_table)
+        assert main(["report", str(store), "--section", "full"]) == 0
     assert main(["convert", str(store), str(back)]) == 0
     canonical = tmp_path / "canonical.jsonl"
     save_dataset(load_dataset(path), canonical)
     assert back.read_bytes() == canonical.read_bytes()
+

@@ -5,6 +5,7 @@ import pytest
 from repro import Pipeline
 from repro.categories import HostingCategory
 from repro.core.urlfilter import FilterVia
+from tests.records import iter_records
 
 
 def test_pipeline_covers_all_countries(dataset, world):
@@ -27,7 +28,7 @@ def test_records_match_truth_hosts(dataset, world):
     """Every measured record agrees with ground truth on AS and address."""
     mismatched = 0
     total = 0
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         truth = world.truth.hosts.get(record.hostname)
         if truth is None:
             continue
@@ -42,7 +43,7 @@ def test_measured_categories_match_truth(dataset, world):
     """Category recovery is imperfect only where the cascade legitimately
     lacks evidence; mismatches must be rare."""
     mismatched = total = 0
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         truth = world.truth.hosts.get(record.hostname)
         if truth is None:
             continue
@@ -53,19 +54,19 @@ def test_measured_categories_match_truth(dataset, world):
 
 
 def test_filter_vias_present(dataset):
-    vias = {record.via for record in dataset.iter_records()}
+    vias = {record.via for record in iter_records(dataset)}
     assert FilterVia.TLD in vias
     assert FilterVia.DOMAIN in vias
     assert FilterVia.SAN in vias
 
 
 def test_every_category_observed(dataset):
-    categories = {record.category for record in dataset.iter_records()}
+    categories = {record.category for record in iter_records(dataset)}
     assert categories == set(HostingCategory)
 
 
 def test_excluded_records_have_no_server_country(dataset):
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         if record.excluded:
             assert record.server_country is None
         else:
@@ -100,8 +101,8 @@ def test_reused_pipeline_matches_fresh_pipeline(tiny_world):
     reused = Pipeline(tiny_world)
     reused.run(["BR", "US"])
     fresh = Pipeline(tiny_world).run(["FR"])
-    assert list(reused.run(["FR"]).iter_records()) == \
-        list(fresh.iter_records())
+    assert list(iter_records(reused.run(["FR"]))) == \
+        list(iter_records(fresh))
 
 
 def test_depth_histogram_recorded(dataset):

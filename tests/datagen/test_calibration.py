@@ -12,7 +12,7 @@ def report(dataset):
 
 
 def test_report_covers_measured_countries(report, dataset):
-    measured = {c for c, cd in dataset.countries.items() if cd.records}
+    measured = {c for c, cd in dataset.countries.items() if cd.url_count}
     assert set(report.countries) == measured
 
 

@@ -103,7 +103,7 @@ def test_drifted_world_still_measures():
         third_party_drift=0.2,
     ))
     dataset = Pipeline(world).run(["ES"])
-    assert dataset.countries["ES"].records
+    assert dataset.countries["ES"].url_count
 
 
 def test_invalid_drift_rejected():

@@ -17,6 +17,7 @@ from repro.exec import ProcessExecutor, SerialExecutor, make_executor
 from repro.exec import processes
 from repro.exec.base import plan_wave
 from repro.obs import Observability
+from tests.records import iter_records
 
 COUNTRIES = ("BR", "US", "FR", "MA")
 
@@ -37,7 +38,7 @@ def serial_baseline(exec_world):
 def _fingerprint(dataset):
     """Everything the equivalence contract covers, in comparable form."""
     return (
-        sorted(dataset.iter_records(), key=lambda r: (r.country, r.url)),
+        sorted(iter_records(dataset), key=lambda r: (r.country, r.url)),
         dataset.validation,
         dataset.summarize(),
         dataset.validation.table4(),
@@ -161,8 +162,8 @@ def test_country_order_does_not_change_records(exec_world):
     forward = Pipeline(exec_world).run(list(COUNTRIES))
     backward = Pipeline(exec_world).run(list(reversed(COUNTRIES)))
     key = lambda r: (r.country, r.url)
-    assert sorted(forward.iter_records(), key=key) == \
-        sorted(backward.iter_records(), key=key)
+    assert sorted(iter_records(forward), key=key) == \
+        sorted(iter_records(backward), key=key)
 
 
 def test_make_executor_follows_worker_count():

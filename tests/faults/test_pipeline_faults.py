@@ -18,6 +18,7 @@ from repro.core.geolocation import ValidationMethod
 from repro.exec import make_executor
 from repro.faults import FaultReport
 from repro.io import save_dataset
+from tests.records import iter_records
 
 COUNTRIES = ("BR", "US", "FR", "MA")
 FAULT_RATE = 0.08
@@ -140,12 +141,12 @@ def test_vpn_profile_reselects_vantage_without_crashing():
     assert domains["vpn"].degraded > 0  # at 90%, some exits must flap out
     # the run still measured every country
     assert set(dataset.countries) == set(COUNTRIES)
-    assert all(ds.records for ds in dataset.countries.values())
+    assert all(ds.url_count for ds in dataset.countries.values())
 
 
 def test_probe_faults_produce_unresolved_validations():
     heavy = _run(_config(fault_rate=0.6, fault_profile="probes"))
-    methods = {record.validation for record in heavy.iter_records()}
+    methods = {record.validation for record in iter_records(heavy)}
     assert ValidationMethod.UNRESOLVED in methods
     assert heavy.faults.consistent
 

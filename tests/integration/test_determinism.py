@@ -3,7 +3,8 @@
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.analysis import global_breakdown
+from repro.analysis import country_breakdown, global_breakdown
+from tests.records import iter_records
 
 
 def _run(seed, scale, countries):
@@ -18,8 +19,8 @@ def test_pipeline_is_fully_deterministic():
     countries = ("BR", "MA", "JP")
     first = _run(3, 0.04, countries)
     second = _run(3, 0.04, countries)
-    records_a = sorted(first.iter_records(), key=lambda r: r.url)
-    records_b = sorted(second.iter_records(), key=lambda r: r.url)
+    records_a = sorted(iter_records(first), key=lambda r: r.url)
+    records_b = sorted(iter_records(second), key=lambda r: r.url)
     assert records_a == records_b
     assert first.validation.table4() == second.validation.table4()
 
@@ -28,8 +29,8 @@ def test_different_seed_different_measurements():
     countries = ("BR",)
     first = _run(3, 0.04, countries)
     second = _run(4, 0.04, countries)
-    urls_a = {record.url for record in first.iter_records()}
-    urls_b = {record.url for record in second.iter_records()}
+    urls_a = {record.url for record in iter_records(first)}
+    urls_b = {record.url for record in iter_records(second)}
     assert urls_a != urls_b
 
 
@@ -38,9 +39,11 @@ def test_scale_preserves_country_mixes():
     countries = ("US", "BE")
     small = _run(7, 0.03, countries)
     large = _run(7, 0.12, countries)
+    mixes_small = country_breakdown(small)
+    mixes_large = country_breakdown(large)
     for code in countries:
-        mix_small = small.countries[code].category_url_fractions()
-        mix_large = large.countries[code].category_url_fractions()
+        mix_small = mixes_small[code]["urls"]
+        mix_large = mixes_large[code]["urls"]
         for category, share in mix_large.items():
             assert mix_small[category] == pytest.approx(share, abs=0.22), (
                 code, category

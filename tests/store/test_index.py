@@ -1,12 +1,12 @@
-"""Index over store shards == scan-built index, without records.
+"""Index over store shards == scan-built index, without host tables.
 
 The equivalence suite (tests/analysis/test_engine_equivalence.py) pins
 index-backed analyses to the record-loop baselines; this module pins the
 :class:`~repro.analysis.engine.AnalysisIndex` a store attaches (one
 chunk per shard, columns mapped from the shard files) to the scan-built
 index over the same dataset -- same tables, same floats, same orderings
--- and asserts the whole paper report renders without materializing a
-single record, and that no column file is mapped before it is read.
+-- and asserts every report section renders without rebuilding a
+single host table, and that no column file is mapped before it is read.
 """
 
 from __future__ import annotations
@@ -27,9 +27,11 @@ from repro.analysis import (
 from repro.analysis.engine import AnalysisIndex, ensure_index
 from repro.analysis.engine.index import COLUMNS
 from repro.reporting.paper_report import render_paper_report
-from repro.store import DatasetStore, load_store_dataset
+from repro.reporting.sections import SECTION_NAMES, render_report_section
+from repro.store import DatasetStore, ShardReader, load_store_dataset
 from repro.store.codec import KINDS
 from repro.store.format import COLUMN_FILES, INDEX_COLUMN_FILES
+from tests.records import records_of
 
 
 @pytest.fixture(scope="module")
@@ -134,12 +136,18 @@ def test_analyses_match(store_dataset, dataset):
         resilience.single_points_of_failure(dataset)
 
 
-def test_full_report_matches_without_materializing(store_dir, dataset):
+def test_full_report_matches_without_materializing(store_dir, dataset,
+                                                   monkeypatch):
+    expected = render_paper_report(dataset)
+
+    def no_host_table(shard):
+        raise AssertionError(f"the report rebuilt {shard.code}'s host table")
+
+    monkeypatch.setattr(ShardReader, "host_table", no_host_table)
     fresh = load_store_dataset(store_dir)
-    assert render_paper_report(fresh) == render_paper_report(dataset)
-    materialized = [cd.country for cd in fresh.countries.values()
-                    if cd.materialized]
-    assert materialized == []  # the whole report ran record-free
+    assert render_paper_report(fresh) == expected
+    for section in SECTION_NAMES:
+        assert render_report_section(fresh, section)
 
 
 def test_record_count_property(store_index, dataset):
@@ -148,10 +156,10 @@ def test_record_count_property(store_index, dataset):
     )
 
 
-def test_lazy_records_still_work(store_dataset, dataset):
+def test_lazy_records_still_work(store_dir, dataset):
     code = next(iter(dataset.countries))
-    lazy = store_dataset.countries[code]
-    assert not lazy.materialized
-    assert lazy.records == dataset.countries[code].records
-    assert lazy.materialized
+    lazy = load_store_dataset(store_dir).countries[code]
+    assert lazy._table is None  # deferred until first read
+    assert records_of(lazy) == records_of(dataset.countries[code])
+    assert lazy._table is not None
 

@@ -20,6 +20,7 @@ from repro.store import (
     write_store,
 )
 from repro.store.format import MANIFEST_NAME, SHARD_MANIFEST_NAME
+from tests.records import iter_records
 
 
 def test_write_results_and_layout(store_dir, dataset):
@@ -80,9 +81,10 @@ def test_golden_store_bytes(tmp_path):
 
 
 def test_records_roundtrip_exactly(store, dataset):
+    # Country equality compares every URL row and that URL's host row.
+    loaded = store.dataset()
     for code, country_dataset in dataset.countries.items():
-        assert store.shard(code).materialize_records() == \
-            country_dataset.records
+        assert loaded.countries[code] == country_dataset
 
 
 def test_metadata_roundtrip(store, dataset):
@@ -108,7 +110,8 @@ def test_verify_passes_on_intact_store(store):
 
 def test_store_iter_records_streams_everything(store, dataset):
     # Shards keep the dataset's own country order.
-    assert list(store.iter_records()) == list(dataset.iter_records())
+    assert list(iter_records(store.dataset())) == \
+        list(iter_records(dataset))
 
 
 def test_corrupt_column_detected_by_verify(tmp_path, tiny_dataset):
@@ -139,7 +142,7 @@ def test_corrupt_column_fails_when_first_read(tmp_path, tiny_dataset):
         with pytest.raises(StoreError, match=f"{victim}: digest mismatch"):
             store.shard("BR").column("sizes.i64")
         with pytest.raises(StoreError, match="digest mismatch"):
-            list(store.iter_records())
+            [shard.host_table() for shard in store.shards()]
 
 
 def test_truncated_column_detected_at_open(tmp_path, tiny_dataset):
@@ -185,9 +188,11 @@ def test_wrong_format_version_rejected(tmp_path, tiny_dataset):
     (lambda m: m.update(organization_table=None), "organization_table"),
     (lambda m: m["validation"].update(bogus=1), "validation"),
     (lambda m: m.update(record_count=str(m["record_count"])), "record_count"),
+    (lambda m: m["validation"].update(anycast_ap=-1), "anycast_ap"),
 ], ids=["no-record_count", "no-countries", "no-country_table", "no-shards",
         "no-validation", "no-manifest_digest", "null-organization_table",
-        "extra-validation-key", "string-record_count"])
+        "extra-validation-key", "string-record_count",
+        "negative-validation-count"])
 def test_damaged_root_manifest_raises_store_error(tmp_path, tiny_store_dir,
                                                   edit, key):
     target = tmp_path / "damaged.store"
@@ -248,4 +253,4 @@ def test_faulted_dataset_roundtrips(tmp_path):
     write_store(faulted, target)
     loaded = load_store_dataset(target)
     assert loaded.faults.to_dict() == faulted.faults.to_dict()
-    assert list(loaded.iter_records()) == list(faulted.iter_records())
+    assert list(iter_records(loaded)) == list(iter_records(faulted))

@@ -396,6 +396,29 @@ def test_report_damaged_jsonl_header_exits_cleanly(saved_dataset, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["report", "convert"])
+def test_a_mistyped_record_field_fails_with_one_error_line(
+        saved_dataset, tmp_path, capsys, command):
+    """A record value of the wrong JSON type (a number for a server
+    country) stops both readers with one line naming line and field."""
+    damaged = tmp_path / "mistyped.jsonl"
+    header, first, rest = saved_dataset.read_text().split("\n", 2)
+    record = json.loads(first)
+    record["server_country"] = 12
+    damaged.write_text("\n".join([header, json.dumps(record), rest]))
+    argv = {
+        "report": ["report", str(damaged), "--section", "full"],
+        "convert": ["convert", str(damaged), str(tmp_path / "out.store")],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {damaged}:2: ")
+    assert captured.err.count("\n") == 1
+    assert "field 'server_country'" in captured.err
+    assert sorted(tmp_path.iterdir()) == [damaged]
+
+
 @pytest.fixture()
 def flipped_store(saved_dataset, tmp_path, column):
     """A store of the saved dataset with one bit of AE's ``column``

@@ -9,17 +9,24 @@ import pytest
 from repro.core.dataset import GovernmentHostingDataset
 from repro.io import (
     FORMAT_VERSION,
+    RECORD_FIELDS,
+    _record_rows,
     export_csv,
     load_dataset,
-    record_from_dict,
-    record_to_dict,
     save_dataset,
 )
+from tests.records import Record, iter_records, record_dict, records_of
 
 
 def test_record_roundtrip(dataset):
-    record = next(dataset.iter_records())
-    assert record_from_dict(record_to_dict(record)) == record
+    # A record's JSON object, keyed in RECORD_FIELDS order, parses back
+    # to its country, its URL row and its host row.
+    assert Record._fields == tuple(name for name, _ in RECORD_FIELDS)
+    country = next(cd for cd in dataset.countries.values() if cd.url_count)
+    table = country.host_table
+    record = records_of(country)[0]
+    assert _record_rows(record_dict(record)) == (
+        country.country, table.urls[0], table.hosts[table.host_index[0]])
 
 
 def test_save_and_load_roundtrip(tmp_path, dataset):
@@ -34,7 +41,7 @@ def test_save_and_load_roundtrip(tmp_path, dataset):
         assert restored.landing_count == original.landing_count
         assert restored.discarded_url_count == original.discarded_url_count
         assert restored.depth_histogram == original.depth_histogram
-        assert len(restored.records) == len(original.records)
+        assert restored.url_count == original.url_count
     assert loaded.summarize() == dataset.summarize()
     assert loaded.validation.table4() == dataset.validation.table4()
 
@@ -143,14 +150,33 @@ def test_duplicate_country_key_in_header_rejected(tmp_path, tiny_dataset):
         load_dataset(path)
 
 
+def _first_country(header) -> dict:
+    return next(iter(header["countries"].values()))
+
+
 @pytest.mark.parametrize("edit,key", [
     (lambda h: h.pop("countries"), "'countries'"),
     (lambda h: h.pop("validation"), "'validation'"),
-    (lambda h: next(iter(h["countries"].values())).pop("landing_count"),
-     "'landing_count'"),
+    (lambda h: _first_country(h).pop("landing_count"), "'landing_count'"),
     (lambda h: h["validation"].update(bogus=1), "'validation'"),
+    (lambda h: _first_country(h).update(landing_count=True),
+     "'landing_count'"),
+    (lambda h: _first_country(h).update(landing_count=-3),
+     "'landing_count'"),
+    (lambda h: _first_country(h).update(discarded_url_count=1.5),
+     "'discarded_url_count'"),
+    (lambda h: _first_country(h).update(unresolved_hostnames=[1]),
+     "'unresolved_hostnames'"),
+    (lambda h: _first_country(h).update(depth_histogram={"0": "many"}),
+     "'depth_histogram'"),
+    (lambda h: _first_country(h).update(depth_histogram={"top": 1}),
+     "'depth_histogram'"),
+    (lambda h: h["validation"].update(unicast_ap="many"), "'unicast_ap'"),
 ], ids=["no-countries", "no-validation", "no-landing_count",
-        "extra-validation-key"])
+        "extra-validation-key", "bool-landing_count",
+        "negative-landing_count", "float-discarded_url_count",
+        "non-string-unresolved-hostname", "string-depth-count",
+        "non-depth-histogram-key", "string-validation-count"])
 def test_damaged_header_raises_value_error(tmp_path, tiny_dataset, edit, key):
     path = tmp_path / "damaged.jsonl"
     save_dataset(tiny_dataset, path)
@@ -176,6 +202,22 @@ def test_non_object_header_rejected(tmp_path):
     ("category", "no-such-category"),
     ("via", "carrier-pigeon"),
     ("validation", "vibes"),
+    # Every field must hold its JSON type (repro.io.RECORD_FIELDS).
+    ("size_bytes", -5),
+    ("size_bytes", 1.5),
+    ("size_bytes", "34142"),
+    ("depth", "0"),
+    ("depth", -1),
+    ("organization", 7),
+    ("address", "1.2.3.4"),
+    ("address", True),
+    ("gov_operated", "yes"),
+    ("anycast", "no"),
+    ("asn", None),
+    ("country", ["BR"]),
+    ("url", 5),
+    ("hostname", None),
+    ("server_country", 12),
 ])
 def test_out_of_enum_value_reports_line(tmp_path, tiny_dataset, field, bogus):
     path = tmp_path / "enum.jsonl"
@@ -185,8 +227,9 @@ def test_out_of_enum_value_reports_line(tmp_path, tiny_dataset, field, bogus):
     record[field] = bogus
     lines[2] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=":3:"):
+    with pytest.raises(ValueError, match=":3:") as caught:
         load_dataset(path)
+    assert f"field {field!r}" in str(caught.value)
 
 
 def test_large_file_warning(tmp_path, tiny_dataset, monkeypatch, caplog):
@@ -210,16 +253,16 @@ def test_large_file_warning(tmp_path, tiny_dataset, monkeypatch, caplog):
 
 
 def test_export_csv_column_order_roundtrip(tmp_path, tiny_dataset):
-    # The csv.writer rows must line up with record_to_dict's header --
-    # parse the file back and rebuild the records through the dict path.
+    # The csv.writer rows must line up with RECORD_FIELDS, the jsonl
+    # object's key order -- parse the file back into record dicts.
     path = tmp_path / "ordered.csv"
     written = export_csv(tiny_dataset, path)
     with path.open(newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == written
-    originals = list(tiny_dataset.iter_records())
+    originals = list(iter_records(tiny_dataset))
     for row, original in zip(rows, originals):
-        expected = record_to_dict(original)
+        expected = record_dict(original)
         assert list(row) == list(expected)  # same column order
         parsed = {
             key: json.loads(value.lower()) if key in (
@@ -230,7 +273,7 @@ def test_export_csv_column_order_roundtrip(tmp_path, tiny_dataset):
         }
         if parsed["server_country"] == "":
             parsed["server_country"] = None
-        assert record_from_dict(parsed) == original
+        assert parsed == expected
 
 
 def test_export_csv_empty_dataset_keeps_header(tmp_path, dataset):
