@@ -19,7 +19,9 @@ failure (non-retryable domains count every fault as degraded directly).
 from __future__ import annotations
 
 import dataclasses
-from typing import Iterator, Mapping
+import json
+import math
+from typing import Iterator
 
 
 @dataclasses.dataclass
@@ -157,14 +159,42 @@ class FaultReport:
         }
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "FaultReport":
-        """Rebuild a report from :meth:`to_dict` output."""
+    def from_dict(cls, data, where: str, error=ValueError) -> "FaultReport":
+        """Rebuild a report from :meth:`to_dict` output, checked.
+
+        ``data`` is the ``faults`` object of a jsonl header or a store
+        manifest: country -> fault domain -> tally.  Each tally holds
+        exactly the :class:`DomainTally` fields, the counts as
+        non-negative integers and ``backoff_ms`` as a finite
+        non-negative number (a bool is neither).  Anything else raises
+        ``error`` naming ``where`` and the member.
+        """
+        if not isinstance(data, dict):
+            raise error(f"{where}: 'faults' must be an object")
+        names = sorted(field.name for field in dataclasses.fields(DomainTally))
         report = cls()
         for country, domains in data.items():
-            report.countries[country] = {
-                domain: DomainTally(**fields)
-                for domain, fields in domains.items()
-            }
+            if not isinstance(domains, dict):
+                raise error(f"{where}: 'faults' of country {country!r} "
+                            f"must be an object")
+            tallies = report.countries[country] = {}
+            for domain, fields in domains.items():
+                what = f"'faults' tally {country}/{domain}"
+                if not isinstance(fields, dict) or sorted(fields) != names:
+                    raise error(f"{where}: {what} must hold exactly the "
+                                f"keys {names}")
+                for name, value in fields.items():
+                    if name == "backoff_ms":
+                        valid = (type(value) in (int, float)
+                                 and 0 <= value < math.inf)
+                        kind = "finite non-negative number"
+                    else:
+                        valid = type(value) is int and value >= 0
+                        kind = "non-negative integer"
+                    if not valid:
+                        raise error(f"{where}: {what} {name!r} must be a "
+                                    f"{kind}, not {json.dumps(value)}")
+                tallies[domain] = DomainTally(**fields)
         return report
 
 

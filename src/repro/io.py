@@ -361,6 +361,8 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
             )
         validation = validation_from_dict(header.get("validation"),
                                           f"{path}:1")
+        faults = FaultReport.from_dict(header.get("faults", {}),
+                                       f"{path}:1")
         countries: dict[str, CountryDataset] = {}
         #: Per country: host key -> host row position, URL rows, and
         #: each URL row's host row position.
@@ -406,7 +408,7 @@ def load_dataset(path: PathLike) -> GovernmentHostingDataset:
     return GovernmentHostingDataset(
         countries=countries,
         validation=validation,
-        faults=FaultReport.from_dict(header.get("faults", {})),
+        faults=faults,
     )
 
 

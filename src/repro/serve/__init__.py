@@ -11,7 +11,8 @@ Split gateway/service style:
 
 * :class:`DatasetService` (``service.py``) -- the query engine: typed
   request dataclasses (``schemas.py``) validated into one handler per
-  endpoint, each returning its JSON-ready answer dict; structured
+  endpoint, each returning its JSON-ready answer dict, and a bounded
+  memo of each request's encoded body for the gateway; structured
   validation errors (``errors.py``); per-query counters/latency
   histograms/in-flight gauge on a thread-safe :mod:`repro.obs`
   registry (``metrics.py``);

@@ -29,11 +29,18 @@ such a body is unknown, so nothing after it can be read as the next
 request.  GET and POST both read their body before answering: a
 keep-alive connection's next request starts where the body ends.
 
+Answers: a query's 200 body comes from
+:meth:`~repro.serve.service.DatasetService.query_bytes`, which encodes
+an answer once and hands a repeated request the stored bytes.  The
+gateway encodes only error bodies, ``/healthz`` and ``/metrics``.
+
 Tracing: with a trace log, the request runs under its own
-:class:`~repro.obs.Tracer`.  The gateway opens ``serve.request`` around
-the service query (``parse``, ``dispatch``) and a ``render`` span
-around the JSON encoding of the body; without one the same code runs
-its spans through :func:`~repro.serve.tracing.null_span`.
+:class:`~repro.obs.Tracer`.  The gateway opens ``serve.request``
+around the service's ``parse``, ``dispatch`` and ``render`` spans
+(``render`` encodes a missed answer or hands back a stored one); for
+an error it opens the ``render`` span around the error body itself.
+Without a trace log the same code runs its spans through
+:func:`~repro.serve.tracing.null_span`.
 
 Wire: every response -- status line, headers and body -- leaves in one
 socket write, and accepted connections set TCP_NODELAY.  Two writes
@@ -303,22 +310,23 @@ class _Handler(BaseHTTPRequestHandler):
         status, error = 200, None
         with span("serve.request", endpoint=endpoint):
             try:
-                answer = self.server.service.query(endpoint, payload,
-                                                   tracer=tracer)
+                body = self.server.service.query_bytes(endpoint, payload,
+                                                       tracer=tracer)
             except RequestError as exc:
                 error = exc
             except Exception:
                 error = RequestError("internal", "internal server error",
                                      status=500)
             if error is not None:
-                status, answer = error.status, {"error": error.to_dict()}
-            with span("render"):
-                body = json.dumps(answer, sort_keys=True).encode("utf-8")
+                status = error.status
+                with span("render"):
+                    body = json.dumps({"error": error.to_dict()},
+                                      sort_keys=True).encode("utf-8")
         self._send(status, body, "application/json")
         if trace_log is not None:
             trace_log.record(endpoint, payload=dict(payload), tracer=tracer,
                              duration_ms=measure_ms(start_ns), status=status,
-                             error=None if error is None else answer["error"])
+                             error=None if error is None else error.to_dict())
 
 
 def _json_object(raw: bytes) -> Mapping:

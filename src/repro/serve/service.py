@@ -11,6 +11,17 @@ byte-identical to ``repro-gov report`` output -- concurrency safety
 comes from the index's locked memoization (see the engine's
 concurrency contract), not from copies.
 
+Encoded answers: the dataset never changes while it is served, so a
+request has one answer.  :meth:`DatasetService.query_bytes`, the entry
+point the gateway uses, keeps the encoded 200 body of each validated
+request (keyed by the endpoint and the frozen request the schema
+returns) and hands a repeated request those bytes without running its
+handler again.  The memo is filled only by requests, never evicts, and
+stores nothing that would take what it holds past
+:data:`BODY_MEMO_BYTES`; error answers are never stored.
+:meth:`DatasetService.query` returns the answer dict and does not use
+the memo.
+
 Validation layering: the schemas reject structurally bad requests
 before the service sees them; the service adds the semantic checks
 that need the dataset (is this country in the sample?) and raises the
@@ -19,6 +30,9 @@ same :class:`~repro.serve.errors.RequestError` with ``status=404``.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import sys
 import threading
 from typing import Mapping, Optional, Sequence, Union
 
@@ -39,6 +53,21 @@ from repro.serve.schemas import (
     TrendsRequest,
 )
 from repro.serve.tracing import null_span
+
+#: Cap on the bytes the memo of encoded answers keeps alive: each
+#: stored body plus its request's field values (:func:`_entry_bytes`).
+#: An entry that would take the total past it is sent but not stored,
+#: and nothing is ever evicted.  The cap counts bytes, not entries,
+#: because a ``crossborder`` request may list up to the gateway's 1 MiB
+#: body limit of ``sources``, which its key holds as ~10 bytes of
+#: string objects per byte of JSON and its answer echoes.  At scale
+#: 0.05 the largest answer of the benchmark mix (the full report) is
+#: ~3.8 KB, the whole cross-border table ~7.3 KB, and 1,900 distinct
+#: ``providers`` and ``crossborder`` answers take ~1.7 MB, so 16 MiB
+#: keeps every answer of any realistic mix of repeated queries, while
+#: the most a flood of distinct requests can pin is a quarter of the
+#: ~70 MB resident set of a server over that dataset.
+BODY_MEMO_BYTES = 16 << 20
 
 
 class DatasetService:
@@ -88,6 +117,12 @@ class DatasetService:
             "report": self.report,
             "trends": self.trends,
         }
+        #: (endpoint, validated request) -> encoded 200 body; inserts
+        #: and the bytes they hold (:func:`_entry_bytes`) are counted
+        #: under the lock.
+        self._bodies: dict[tuple, bytes] = {}
+        self._memo_bytes = 0
+        self._bodies_lock = threading.Lock()
         self._closed = False
         self._close_lock = threading.Lock()
 
@@ -102,18 +137,40 @@ class DatasetService:
               tracer: Optional[Tracer] = None) -> dict:
         """Validate ``payload`` against ``endpoint``'s schema and answer.
 
-        The single entry point used by the gateway and the benchmark
-        harness; raises :class:`RequestError` for anything the client
-        got wrong.  The answer is a fresh JSON-ready dict: mutating it
-        never changes a later answer.  With ``tracer`` the validation
-        runs under a ``parse`` span and the handler under a
-        ``dispatch`` span, nested in whatever span the caller has open
-        (the gateway's ``serve.request``).  The dispatch span is tagged
-        with the memo events the handler caused: ``memo_builds`` names
-        the tables it built (empty when every table was warm) and
-        ``memo_hits`` counts the hits reported.  Tracing is measurement
-        only and never changes the answer (held by ``tests/serve``).
+        Raises :class:`RequestError` for anything the client got wrong.
+        The answer is a fresh JSON-ready dict: mutating it never changes
+        a later answer.  With ``tracer`` the validation runs under a
+        ``parse`` span and the handler under a ``dispatch`` span, nested
+        in whatever span the caller has open.  The dispatch span is
+        tagged with the memo events the handler caused: ``memo_builds``
+        names the index tables it built (empty when every table was
+        warm) and ``memo_hits`` counts the hits reported.  Tracing is
+        measurement only and never changes the answer (held by
+        ``tests/serve``).
         """
+        return self._serve(endpoint, payload, tracer, encode=False)
+
+    def query_bytes(self, endpoint: str, payload: Mapping, *,
+                    tracer: Optional[Tracer] = None) -> bytes:
+        """The answer of :meth:`query`, encoded as the gateway sends it.
+
+        The body is ``json.dumps(answer, sort_keys=True)`` in UTF-8.  A
+        request whose (endpoint, validated request) already has a stored
+        body gets those bytes without its handler running; a miss runs
+        the handler, encodes the answer and stores the body while the
+        memo's total stays within :data:`BODY_MEMO_BYTES`.  Errors raise
+        as in :meth:`query` and are never stored.  With ``tracer`` the
+        spans are ``parse``, ``dispatch`` (the lookup, and on a miss the
+        handler) and ``render`` (on a miss the encoding; on a hit it
+        only hands back the stored bytes), and ``dispatch`` is also
+        tagged ``body``: ``"hit"`` or ``"built"``.
+        """
+        return self._serve(endpoint, payload, tracer, encode=True)
+
+    def _serve(self, endpoint: str, payload: Mapping,
+               tracer: Optional[Tracer], encode: bool) -> Union[dict, bytes]:
+        """Validate and dispatch one request under ``metrics.track``:
+        the answer dict, or with ``encode`` its (memoized) body."""
         try:
             schema = QUERY_ENDPOINTS[endpoint]
         except KeyError:
@@ -129,16 +186,45 @@ class DatasetService:
         with self.metrics.track(endpoint):
             with span("parse"):
                 request = schema.from_mapping(payload)
+            key = (endpoint, request)
             with span("dispatch") as dispatch, \
                     obs_events.collecting() as events:
-                answer = self._handlers[endpoint](request)
+                body = self._bodies.get(key) if encode else None
+                if body is None:
+                    answer = self._handlers[endpoint](request)
                 if dispatch is not None:
                     dispatch.tags["memo_builds"] = sorted(
                         event.payload.get("table", "?") for event in events
                         if event.kind == "memo.build")
                     dispatch.tags["memo_hits"] = sum(
                         1 for event in events if event.kind == "memo.hit")
-        return answer
+                    if encode:
+                        dispatch.tags["body"] = \
+                            "built" if body is None else "hit"
+            if not encode:
+                return answer
+            with span("render"):
+                if body is None:
+                    body = self._remember(key, json.dumps(
+                        answer, sort_keys=True).encode("utf-8"))
+        return body
+
+    def _remember(self, key: tuple, body: bytes) -> bytes:
+        """Store ``body`` under ``key`` if the memo has room for it.
+
+        Returns the body to send: the one already stored when a
+        concurrent miss of the same key stored first (the bytes are
+        equal either way).
+        """
+        size = _entry_bytes(key[1], body)
+        with self._bodies_lock:
+            stored = self._bodies.get(key)
+            if stored is not None:
+                return stored
+            if self._memo_bytes + size <= BODY_MEMO_BYTES:
+                self._bodies[key] = body
+                self._memo_bytes += size
+        return body
 
     def summary(self, request: SummaryRequest) -> dict:
         return {"summary": dict(vars(self._index.summary()))}
@@ -298,4 +384,17 @@ class DatasetService:
         return normalized
 
 
-__all__ = ["DatasetService"]
+def _entry_bytes(request, body: bytes) -> int:
+    """The bytes a memo entry keeps alive: its body, and each field
+    value of its request (a tuple field's items included, so a long
+    ``sources`` list counts whole)."""
+    size = len(body)
+    for field in dataclasses.fields(request):
+        value = getattr(request, field.name)
+        size += sys.getsizeof(value)
+        if isinstance(value, tuple):
+            size += sum(map(sys.getsizeof, value))
+    return size
+
+
+__all__ = ["BODY_MEMO_BYTES", "DatasetService"]

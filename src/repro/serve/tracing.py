@@ -3,9 +3,10 @@
 When the gateway is started with a trace directory, every HTTP query
 is executed under its own :class:`~repro.obs.Tracer` and the finished
 span tree — the gateway's ``serve.request`` wrapping the service's
-``parse`` and ``dispatch`` and the gateway's ``render`` (the JSON
-encoding of the body), with the dispatch span tagged by the
-index-table memo builds and hits it triggered — is written to a
+``parse``, ``dispatch`` and ``render`` (the JSON encoding of a missed
+answer, or the hand-back of a stored body), with the dispatch span
+tagged by the index-table memo builds and hits it triggered and by
+where the body came from — is written to a
 **bounded on-disk ring**: slot files ``request-NNNN.json`` reused
 modulo the ring size, so an always-on server traces every request with
 a hard cap on disk.  Each slot is replaced whole (a temp sibling and

@@ -449,7 +449,10 @@ class DatasetStore:
 
     @property
     def faults(self) -> FaultReport:
-        return FaultReport.from_dict(self.manifest.get("faults", {}))
+        return FaultReport.from_dict(
+            self.manifest.get("faults", {}),
+            str(self.store_dir / MANIFEST_NAME), StoreError,
+        )
 
     def verify(self) -> None:
         """Full integrity pass: re-hash every column file of every shard."""

@@ -129,7 +129,7 @@ def test_merge_fault_reports_reduces_any_iterable():
 def test_report_round_trips_through_dict():
     report = _report(("BR", "dns", 3, 3, 0), ("US", "vpn", 2, 1, 1))
     report.tally("US", "vpn").backoff_ms = 300.0
-    assert FaultReport.from_dict(report.to_dict()) == report
+    assert FaultReport.from_dict(report.to_dict(), "report") == report
 
 
 def test_consistency_invariant():

@@ -75,6 +75,54 @@ def test_soak_matches_serial(tiny_dataset):
     # deterministically.
 
 
+def test_bytes_soak_from_a_cold_memo_matches_serial(tiny_dataset):
+    """The soak over the gateway's entry point: a cold index and an empty
+    memo, and every thread sends the queries in one order, so the first
+    requests of each query race each other to build its tables and to
+    store its body.  Every body equals the serial encoded answer, and
+    the memo ends with one body per query, its byte count their sum (a
+    body counted twice breaks it).  A short switch interval makes the
+    threads interleave inside the memo's check-then-store."""
+    import dataclasses
+    import sys
+
+    from repro.serve.service import _entry_bytes
+
+    reference = DatasetService(dataclasses.replace(tiny_dataset))
+    serial = [_canonical(reference.query(endpoint, payload)).encode("utf-8")
+              for endpoint, payload in MIXED_QUERIES]
+    service = DatasetService(dataclasses.replace(tiny_dataset))
+
+    barrier = threading.Barrier(THREADS)
+
+    def worker(worker_id: int):
+        barrier.wait()
+        bodies = []
+        for _ in range(ROUNDS):
+            for position, (endpoint, payload) in enumerate(MIXED_QUERIES):
+                bodies.append(
+                    (position, service.query_bytes(endpoint, payload)))
+        return bodies
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            all_bodies = list(pool.map(worker, range(THREADS), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+
+    for bodies in all_bodies:
+        for position, body in bodies:
+            assert body == serial[position]
+    assert sorted(service._bodies.values()) == sorted(serial)
+    assert service._memo_bytes == sum(
+        _entry_bytes(request, body)
+        for (_, request), body in service._bodies.items())
+    assert service.metrics_snapshot()["counters"]["serve.requests"] == \
+        THREADS * ROUNDS * len(MIXED_QUERIES)
+
+
 def test_inflight_peak_tracks_concurrency(tiny_dataset):
     """Two queries held inside the service at once must register as an
     inflight peak of 2 — synchronized with a barrier, not timing."""

@@ -5,17 +5,27 @@ over the session ``tiny_dataset`` (scale 0.05, seed 7, BR/US/FR).
 A change to how answers are built must reproduce every digest; a change
 that means to move an answer's bytes updates its digest here and says
 why.  Error bodies are hashed as the gateway writes them,
-``{"error": exc.to_dict()}``.
+``{"error": exc.to_dict()}``.  The digests hold for the dict
+``query`` returns and for the bytes a gateway writes, whether its
+service builds the body (the first request) or hands back the stored
+one (the second).
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import threading
 
 import pytest
 
-from repro.serve import RequestError
+from repro.serve import (
+    QUERY_ENDPOINTS,
+    DatasetService,
+    RequestError,
+    create_server,
+)
 
 #: (endpoint, payload, sha256 of the answer's canonical JSON).
 PINNED_ANSWERS = [
@@ -110,3 +120,61 @@ def test_mutating_an_answer_leaves_the_next_answer_unchanged(
     before = _sha256(service.query(endpoint, payload))
     mutate(service.query(endpoint, payload))
     assert _sha256(service.query(endpoint, payload)) == before
+
+
+@pytest.fixture(scope="module")
+def memo_gateway(tiny_dataset):
+    """A gateway over its own service, so its memo starts empty."""
+    service = DatasetService(tiny_dataset)
+    server = create_server(service, workers=2)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+
+
+def _post_twice(server, endpoint: str, payload: dict) -> list:
+    """(status, body) of the same POST sent twice on one connection."""
+    conn = http.client.HTTPConnection(*server.server_address[:2],
+                                      timeout=10)
+    answers = []
+    for _ in range(2):
+        conn.request("POST", f"/v1/{endpoint}", body=json.dumps(payload),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        answers.append((response.status, response.read()))
+    conn.close()
+    return answers
+
+
+@pytest.mark.parametrize(
+    "endpoint, payload, digest", PINNED_ANSWERS,
+    ids=[f"{endpoint}-{json.dumps(payload, sort_keys=True)}"
+         for endpoint, payload, _ in PINNED_ANSWERS])
+def test_served_bytes_are_pinned_built_and_stored(memo_gateway, endpoint,
+                                                  payload, digest):
+    service = memo_gateway.service
+    key = (endpoint, QUERY_ENDPOINTS[endpoint].from_mapping(payload))
+    assert key not in service._bodies  # the first request builds
+    (built_status, built), (stored_status, stored) = \
+        _post_twice(memo_gateway, endpoint, payload)
+    assert built_status == stored_status == 200
+    assert hashlib.sha256(built).hexdigest() == digest
+    assert hashlib.sha256(stored).hexdigest() == digest
+    assert service._bodies[key] == built
+
+
+@pytest.mark.parametrize(
+    "endpoint, payload, code, digest", PINNED_ERRORS,
+    ids=[code for _, _, code, _ in PINNED_ERRORS])
+def test_served_error_bytes_are_pinned_and_never_stored(
+        memo_gateway, endpoint, payload, code, digest):
+    service = memo_gateway.service
+    stored = dict(service._bodies)
+    for status, body in _post_twice(memo_gateway, endpoint, payload):
+        assert status >= 400
+        assert json.loads(body)["error"]["code"] == code
+        assert hashlib.sha256(body).hexdigest() == digest
+    assert service._bodies == stored

@@ -91,6 +91,24 @@ def test_trace_documents_cover_the_request_phases(traced_server):
         ["parse", "dispatch", "render"]
 
 
+def test_a_stored_answer_keeps_the_request_phases(traced_server,
+                                                  tiny_dataset):
+    server, log = traced_server
+    server.service = DatasetService(tiny_dataset)  # an empty memo
+    for _ in range(2):
+        _raw_get(_url(server), "/v1/crossborder?sources=BR,US")
+    assert _wait_for(log, 2) == 2
+
+    dispatch_tags = []
+    for document in log.traces():
+        (request_span,) = document["trace"]["spans"]
+        assert [child["name"] for child in request_span["children"]] == \
+            ["parse", "dispatch", "render"]
+        dispatch_tags.append(request_span["children"][1]["tags"])
+    assert [tags["body"] for tags in dispatch_tags] == ["built", "hit"]
+    assert dispatch_tags[1]["memo_builds"] == []
+
+
 def test_query_opens_parse_and_dispatch_under_the_caller_s_span(service):
     tracer = Tracer()
     with tracer.span("outer"):

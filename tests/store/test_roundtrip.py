@@ -177,6 +177,16 @@ def test_wrong_format_version_rejected(tmp_path, tiny_dataset):
         DatasetStore(target)
 
 
+def _faults(**fields) -> dict:
+    """A ``faults`` object of one BR dns tally, with ``fields`` replacing
+    (or, set to ``None``, dropping) its members."""
+    tally = {"injected": 1, "retried": 1, "recovered": 1, "degraded": 0,
+             "backoff_ms": 100.0}
+    tally.update(fields)
+    return {"BR": {"dns": {name: value for name, value in tally.items()
+                           if value is not None}}}
+
+
 @pytest.mark.parametrize("edit,key", [
     (lambda m: m.pop("record_count"), "record_count"),
     (lambda m: m.pop("countries"), "countries"),
@@ -189,10 +199,18 @@ def test_wrong_format_version_rejected(tmp_path, tiny_dataset):
     (lambda m: m["validation"].update(bogus=1), "validation"),
     (lambda m: m.update(record_count=str(m["record_count"])), "record_count"),
     (lambda m: m["validation"].update(anycast_ap=-1), "anycast_ap"),
+    (lambda m: m.update(faults=[1]), "faults"),
+    (lambda m: m.update(faults={"BR": "dns"}), "faults"),
+    (lambda m: m.update(faults=_faults(retried=None)), "faults"),
+    (lambda m: m.update(faults=_faults(injected="lots")), "injected"),
+    (lambda m: m.update(faults=_faults(degraded=-2)), "degraded"),
+    (lambda m: m.update(faults=_faults(backoff_ms=False)), "backoff_ms"),
 ], ids=["no-record_count", "no-countries", "no-country_table", "no-shards",
         "no-validation", "no-manifest_digest", "null-organization_table",
         "extra-validation-key", "string-record_count",
-        "negative-validation-count"])
+        "negative-validation-count", "list-faults", "string-country-faults",
+        "tally-missing-key", "string-injected", "negative-degraded",
+        "bool-backoff_ms"])
 def test_damaged_root_manifest_raises_store_error(tmp_path, tiny_store_dir,
                                                   edit, key):
     target = tmp_path / "damaged.store"

@@ -491,6 +491,22 @@ def test_serve_missing_dataset_exits_cleanly(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_serve_damaged_faults_header_exits_before_listening(
+        saved_dataset, tmp_path, capsys, monkeypatch):
+    from repro.serve.gateway import DatasetHTTPServer
+
+    monkeypatch.setattr(DatasetHTTPServer, "serve_forever", _listening)
+    damaged = tmp_path / "faults.jsonl"
+    header, rest = saved_dataset.read_text().split("\n", 1)
+    header = json.loads(header)
+    header["faults"] = [1]
+    damaged.write_text(json.dumps(header) + "\n" + rest)
+    assert main(["serve", "--dataset", str(damaged), "--port", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {damaged}:1: 'faults' must be an object\n"
+
+
 def test_serve_rejects_bad_workers(saved_dataset, capsys):
     assert main(["serve", "--dataset", str(saved_dataset),
                  "--workers", "0"]) == 2

@@ -154,6 +154,16 @@ def _first_country(header) -> dict:
     return next(iter(header["countries"].values()))
 
 
+def _faults(**fields) -> dict:
+    """A ``faults`` object of one BR congestion tally, with ``fields``
+    replacing (or, set to ``None``, dropping) its members."""
+    tally = {"injected": 2, "retried": 0, "recovered": 0, "degraded": 2,
+             "backoff_ms": 0.0}
+    tally.update(fields)
+    return {"BR": {"congestion": {name: value for name, value
+                                  in tally.items() if value is not None}}}
+
+
 @pytest.mark.parametrize("edit,key", [
     (lambda h: h.pop("countries"), "'countries'"),
     (lambda h: h.pop("validation"), "'validation'"),
@@ -172,11 +182,27 @@ def _first_country(header) -> dict:
     (lambda h: _first_country(h).update(depth_histogram={"top": 1}),
      "'depth_histogram'"),
     (lambda h: h["validation"].update(unicast_ap="many"), "'unicast_ap'"),
+    (lambda h: h.update(faults=[1]), "'faults'"),
+    (lambda h: h.update(faults={"BR": [1]}), "'faults'"),
+    (lambda h: h.update(faults={"BR": {"congestion": 2}}), "'faults'"),
+    (lambda h: h.update(faults=_faults(degraded=None)), "'faults'"),
+    (lambda h: h.update(faults=_faults(extra=1)), "'faults'"),
+    (lambda h: h.update(faults=_faults(injected="lots")), "'injected'"),
+    (lambda h: h.update(faults=_faults(retried=-1)), "'retried'"),
+    (lambda h: h.update(faults=_faults(recovered=True)), "'recovered'"),
+    (lambda h: h.update(faults=_faults(degraded=1.5)), "'degraded'"),
+    (lambda h: h.update(faults=_faults(backoff_ms=True)), "'backoff_ms'"),
+    (lambda h: h.update(faults=_faults(backoff_ms=-0.5)), "'backoff_ms'"),
+    (lambda h: h.update(faults=_faults(backoff_ms="1")), "'backoff_ms'"),
 ], ids=["no-countries", "no-validation", "no-landing_count",
         "extra-validation-key", "bool-landing_count",
         "negative-landing_count", "float-discarded_url_count",
         "non-string-unresolved-hostname", "string-depth-count",
-        "non-depth-histogram-key", "string-validation-count"])
+        "non-depth-histogram-key", "string-validation-count",
+        "list-faults", "list-country-faults", "number-tally",
+        "tally-missing-key", "tally-extra-key", "string-injected",
+        "negative-retried", "bool-recovered", "float-degraded",
+        "bool-backoff_ms", "negative-backoff_ms", "string-backoff_ms"])
 def test_damaged_header_raises_value_error(tmp_path, tiny_dataset, edit, key):
     path = tmp_path / "damaged.jsonl"
     save_dataset(tiny_dataset, path)
@@ -189,6 +215,19 @@ def test_damaged_header_raises_value_error(tmp_path, tiny_dataset, edit, key):
         load_dataset(path)
     assert f"{path}:1:" in str(caught.value)
     assert key in str(caught.value)
+
+
+def test_header_faults_load_as_written(tmp_path, tiny_dataset):
+    """A well-formed ``faults`` object loads (an integral backoff
+    included), so the damaged cases above fail on their damage."""
+    path = tmp_path / "faulted.jsonl"
+    save_dataset(tiny_dataset, path)
+    header, rest = path.read_text().split("\n", 1)
+    header = json.loads(header)
+    header["faults"] = _faults(backoff_ms=100)
+    path.write_text(json.dumps(header) + "\n" + rest)
+    tally = load_dataset(path).faults.countries["BR"]["congestion"]
+    assert (tally.injected, tally.degraded, tally.backoff_ms) == (2, 2, 100)
 
 
 def test_non_object_header_rejected(tmp_path):
