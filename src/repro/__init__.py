@@ -15,16 +15,7 @@ and figure.
 
 import logging
 
-from repro.categories import HostingCategory, CATEGORY_ORDER
-from repro.datagen.config import WorldConfig
-from repro.datagen.generator import SyntheticWorld, GroundTruth, HostTruth
-from repro.core.pipeline import Pipeline
-from repro.core.dataset import (
-    CountryDataset,
-    DatasetSummary,
-    GovernmentHostingDataset,
-)
-from repro.exec import ProcessExecutor, SerialExecutor
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -32,18 +23,16 @@ __version__ = "1.0.0"
 # (the CLI's -v/-q flags do; see repro.cli).
 logging.getLogger("repro").addHandler(logging.NullHandler())
 
-__all__ = [
-    "HostingCategory",
-    "CATEGORY_ORDER",
-    "WorldConfig",
-    "SyntheticWorld",
-    "GroundTruth",
-    "HostTruth",
-    "Pipeline",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "CountryDataset",
-    "DatasetSummary",
-    "GovernmentHostingDataset",
-    "__version__",
-]
+# Resolved on first use: a command that never builds a world (a warm
+# run, a report) never imports the generator and the scan stack.
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro": ["__version__"],
+    "repro.categories": ["HostingCategory", "CATEGORY_ORDER"],
+    "repro.datagen.config": ["WorldConfig"],
+    "repro.datagen.generator": ["SyntheticWorld", "GroundTruth", "HostTruth"],
+    "repro.core.pipeline": ["Pipeline"],
+    "repro.core.dataset": [
+        "CountryDataset", "DatasetSummary", "GovernmentHostingDataset"],
+    "repro.exec.processes": ["ProcessExecutor"],
+    "repro.exec.serial": ["SerialExecutor"],
+})

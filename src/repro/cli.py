@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import logging
 import math
@@ -37,9 +38,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from repro import Pipeline, SyntheticWorld, WorldConfig
-from repro.exec import make_executor
-from repro.faults import FAULT_PROFILE_NAMES
+from repro.datagen.config import WorldConfig
+from repro.faults.plan import FAULT_PROFILE_NAMES
 from repro.reporting.sections import SECTION_NAMES
 from repro.reporting.tables import render_table
 
@@ -334,6 +334,41 @@ def _world_config(args: argparse.Namespace,
     return config
 
 
+def _output_problem(path: str, directory: bool) -> Optional[str]:
+    """Why ``path`` cannot be written as a file, or as a directory that
+    is created with its parents on write; None if it can."""
+    import pathlib
+
+    target = pathlib.Path(path)
+    if directory:
+        for part in (target, *target.parents):
+            if part.exists() and not part.is_dir():
+                return f"{part} is not a directory"
+        return None
+    if target.is_dir():
+        return "is a directory"
+    if not target.parent.is_dir():
+        if target.parent.exists():
+            return f"{target.parent} is not a directory"
+        return f"directory {target.parent} does not exist"
+    return None
+
+
+def _unwritable(files: Sequence[tuple[str, Optional[str]]] = (),
+                directories: Sequence[tuple[str, Optional[str]]] = ()
+                ) -> bool:
+    """Whether an ``(option, path)`` output of a batch command cannot be
+    written, after printing one error line naming the option and the
+    path.  Checked before any work, so a run never ends on it."""
+    for outputs, directory in ((files, False), (directories, True)):
+        for option, path in outputs:
+            problem = path and _output_problem(path, directory)
+            if problem:
+                print(f"error: {option} {path}: {problem}", file=sys.stderr)
+                return True
+    return False
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     config = _world_config(
         args,
@@ -352,6 +387,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if args.cache_clear and not args.cache_dir:
         print("error: --cache-clear requires --cache-dir", file=sys.stderr)
+        return 2
+    files = [("--out", args.out), ("--csv", args.csv),
+             ("--trace-out", args.trace_out),
+             ("--metrics-out", args.metrics_out)]
+    if args.trace_out:
+        files.append(("--trace-out", _chrome_trace_path(args.trace_out)))
+    if args.manifest:
+        from repro.obs import manifest_path_for
+
+        files.append(("--manifest", str(manifest_path_for(args.out))))
+    if _unwritable(files=files,
+                   directories=[("--store-dir", args.store_dir),
+                                ("--cache-dir", args.cache_dir),
+                                ("--registry", args.registry)]):
         return 2
     registry = None
     if args.registry:
@@ -379,6 +428,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         obs = Observability(
             progress=_progress_printer if args.progress else None
         )
+    from repro.core.pipeline import Pipeline
+    from repro.exec import make_executor
+
     executor = make_executor(args.workers)
     pipeline = Pipeline(config, obs=obs)
     try:
@@ -506,6 +558,7 @@ def _demo_matrix(config: WorldConfig):
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import pathlib
 
+    from repro.exec import make_executor
     from repro.reporting.scenarios import render_sweep_report
     from repro.scenarios import (
         MatrixError,
@@ -519,6 +572,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     config = _world_config(args, countries=args.countries or None)
     if config is None:
+        return 2
+    if _unwritable(files=[("--json", args.json_out)],
+                   directories=[("--out-dir", args.out_dir),
+                                ("--cache-dir", args.cache_dir),
+                                ("--registry", args.registry)]):
         return 2
     try:
         if args.matrix:
@@ -647,6 +705,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
     from repro.analysis.longitudinal import compute_trends
     from repro.evolve import SnapshotSeries
+    from repro.exec import make_executor
     from repro.reporting.sections import render_trend_report
 
     if args.snapshots < 1:
@@ -660,6 +719,10 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         return 2
     config = _world_config(args, countries=args.countries or None)
     if config is None:
+        return 2
+    if _unwritable(directories=[("--out-dir", args.out_dir),
+                                ("--cache-dir", args.cache_dir),
+                                ("--registry", args.registry)]):
         return 2
     registry = None
     if args.registry:
@@ -956,6 +1019,10 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    from repro.core.pipeline import Pipeline
+    from repro.datagen.generator import SyntheticWorld
+    from repro.netsim.ipaddr import format_ip
+
     config = _world_config(args)
     if config is None:
         return 2
@@ -970,8 +1037,6 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     info = pipeline.mapper.map_host(hostname, vantage)
     verdict = pipeline.geolocator.locate(info.address, truth.country)
     ownership = pipeline.ownership.classify(info.asn)
-    from repro.netsim.ipaddr import format_ip
-
     rows = [
         ["hostname", hostname],
         ["government", truth.country],
@@ -1021,7 +1086,8 @@ def _configure_logging(verbose: int, quiet: bool) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point for the ``repro-gov`` console script."""
+    """Run one command; returns its exit status.  Called in process
+    (tests, notebooks), it leaves the collector as it found it."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a value starting with "-" for a missing one, so a
     # negative age, size or scale is joined to its option to reach its
@@ -1042,6 +1108,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
+    except OSError as exc:
+        # An output the checks before the work could not foresee (a full
+        # disk, a permission) fails with one line, not a traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return status
 
 
@@ -1061,8 +1132,6 @@ def _batch_collection():
     in-process callers, ``serve`` and the library keep theirs; a pool
     worker forked inside the command inherits the raised ones.
     """
-    import gc
-
     found = gc.get_threshold()
     gc.set_threshold(*BATCH_GC_THRESHOLDS)
     try:
@@ -1088,5 +1157,21 @@ def _dispatch(args: argparse.Namespace) -> int:
         return command(args)
 
 
+def entry() -> int:
+    """The process entry: ``python -m repro.cli`` and the ``repro-gov``
+    console script.
+
+    When :func:`main` is done (argparse's exits included), every live
+    object moves to the collector's permanent generation, so the
+    collections that run while the interpreter finalizes skip the heap
+    the command built.  Exit handlers, logging's shutdown and the final
+    flush still run.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(entry())

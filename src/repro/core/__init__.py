@@ -9,33 +9,17 @@ The crawl files the :class:`~repro.har.HarEntry` objects the sites'
 pages hold, once per URL, and the URL filter decides per hostname.
 """
 
-from repro.core.gathering import GovernmentDirectory, compile_directory
-from repro.core.crawler import Crawler, CrawlResult
-from repro.core.urlfilter import GovernmentUrlFilter, FilterVia
-from repro.core.infrastructure import InfrastructureMapper, HostInfrastructure
-from repro.core.asclassify import GovernmentASClassifier, Evidence
-from repro.core.geolocation import Geolocator, GeoVerdict, ValidationMethod, ValidationStats
-from repro.core.classification import categorize
-from repro.core.dataset import CountryDataset, GovernmentHostingDataset
-from repro.core.pipeline import Pipeline
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "GovernmentDirectory",
-    "compile_directory",
-    "Crawler",
-    "CrawlResult",
-    "GovernmentUrlFilter",
-    "FilterVia",
-    "InfrastructureMapper",
-    "HostInfrastructure",
-    "GovernmentASClassifier",
-    "Evidence",
-    "Geolocator",
-    "GeoVerdict",
-    "ValidationMethod",
-    "ValidationStats",
-    "categorize",
-    "CountryDataset",
-    "GovernmentHostingDataset",
-    "Pipeline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.core.gathering": ["GovernmentDirectory", "compile_directory"],
+    "repro.core.crawler": ["Crawler", "CrawlResult"],
+    "repro.core.urlfilter": ["GovernmentUrlFilter", "FilterVia"],
+    "repro.core.infrastructure": ["InfrastructureMapper", "HostInfrastructure"],
+    "repro.core.asclassify": ["GovernmentASClassifier", "Evidence"],
+    "repro.core.geolocation": [
+        "Geolocator", "GeoVerdict", "ValidationMethod", "ValidationStats"],
+    "repro.core.classification": ["categorize"],
+    "repro.core.dataset": ["CountryDataset", "GovernmentHostingDataset"],
+    "repro.core.pipeline": ["Pipeline"],
+})

@@ -11,10 +11,12 @@ from __future__ import annotations
 import collections
 import dataclasses
 import operator
+from typing import TYPE_CHECKING
 
-from repro.har import HarEntry
-from repro.measure.vpn import VantagePoint
-from repro.websim.webserver import GeoBlockedError, PageNotFoundError, WebFabric
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.har import HarEntry
+    from repro.measure.vpn import VantagePoint
+    from repro.websim.webserver import WebFabric
 
 #: Crawl depth used by the study.
 DEFAULT_MAX_DEPTH = 7
@@ -66,6 +68,8 @@ class Crawler:
         observation of a URL wins, at the depth of its first referring
         page.
         """
+        from repro.websim.webserver import GeoBlockedError, PageNotFoundError
+
         fetch = self._web.fetch
         country = vantage.country
         urls: dict[str, tuple[HarEntry, int]] = {}

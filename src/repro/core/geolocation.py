@@ -24,16 +24,13 @@ import dataclasses
 import enum
 from typing import TYPE_CHECKING, Optional
 
-from repro.measure.atlas import AtlasClient
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.session import FaultSession
-from repro.measure.hoiho import HoihoExtractor
-from repro.measure.ipinfo import IpInfoDatabase
-from repro.measure.ipmap import IpMapCache
-from repro.measure.manycast import MAnycastSnapshot
-from repro.netsim.latency import country_threshold_ms
-from repro.world.geography import road_span_km
+    from repro.measure.atlas import AtlasClient
+    from repro.measure.hoiho import HoihoExtractor
+    from repro.measure.ipinfo import IpInfoDatabase
+    from repro.measure.ipmap import IpMapCache
+    from repro.measure.manycast import MAnycastSnapshot
 
 #: Acceptance radius for the single-radius fallback: the target must be
 #: within a few hundred kilometres of some probe.
@@ -278,6 +275,9 @@ class Geolocator:
             return self._fixed_threshold_ms
         threshold = self._thresholds.get(country)
         if threshold is None:
+            from repro.netsim.latency import country_threshold_ms
+            from repro.world.geography import road_span_km
+
             threshold = country_threshold_ms(
                 road_span_km(country), slack_ms=self._slack_ms
             )

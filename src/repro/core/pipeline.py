@@ -38,38 +38,32 @@ import time
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, ContextManager, Optional, Sequence, Union
 
-from repro.core.asclassify import GovernmentASClassifier
 from repro.core.classification import ProviderFootprint, categorize
-from repro.core.crawler import Crawler
 from repro.core.dataset import (
     CountryDataset,
     GovernmentHostingDataset,
     HostRow,
     HostTable,
 )
-from repro.core.gathering import compile_directory
 from repro.core.geolocation import GeoVerdict, Geolocator
-from repro.core.infrastructure import InfrastructureMapper
-from repro.core.urlfilter import FilterVia, GovernmentUrlFilter
+from repro.core.urlfilter import FilterVia
 from repro.datagen.config import WorldConfig
-from repro.datagen.generator import SyntheticWorld
-from repro.datagen.seeds import derive_rng
-from repro.exec import (
-    ExecutionStrategy,
-    SerialExecutor,
+from repro.exec.base import ExecutionStrategy, scan_keyed
+from repro.exec.partials import (
+    CountryPartial,
+    HostAnnotation,
+    UrlObservation,
     merge_faults,
     merge_footprints,
     merge_validation,
-    scan_keyed,
 )
-from repro.exec.partials import CountryPartial, HostAnnotation, UrlObservation
-from repro.faults import FaultPlan, FaultReport, FaultSession
-from repro.measure.atlas import AtlasClient
-from repro.netsim.latency import LatencyModel
-from repro.world.cities import all_location_codes
+from repro.exec.serial import SerialExecutor
+from repro.faults.plan import FaultPlan
+from repro.faults.report import FaultReport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache import ScanCache
+    from repro.datagen.generator import SyntheticWorld
     from repro.obs import Observability
     from repro.obs.scan import ScanObs
 
@@ -149,11 +143,11 @@ class Pipeline:
 
     def __init__(
         self,
-        source: Union[SyntheticWorld, WorldConfig],
+        source: Union["SyntheticWorld", WorldConfig],
         geolocator: Optional[Geolocator] = None,
         obs: Optional["Observability"] = None,
     ) -> None:
-        world = source if isinstance(source, SyntheticWorld) else None
+        world = None if isinstance(source, WorldConfig) else source
         if world is None and geolocator is not None:
             raise ValueError("a custom geolocator needs the world it "
                              "locates in: build the pipeline from it")
@@ -180,15 +174,24 @@ class Pipeline:
         #: its partials can be neither keyed nor rebuilt from the config.
         self.supports_caching = geolocator is None
         #: The world the substrates below are bound to.
-        self._scanning: Optional[SyntheticWorld] = None
+        self._scanning: Optional["SyntheticWorld"] = None
         if world is not None:
             self._bind(world, geolocator)
 
-    def _bind(self, world: SyntheticWorld,
+    def _bind(self, world: "SyntheticWorld",
               geolocator: Optional[Geolocator] = None) -> None:
         """Scan in ``world``'s substrates from now on, under this
         pipeline's config; a scan wave binds a config-built pipeline to
-        the world it generated for it."""
+        the world it generated for it.  The scan stack loads here, so a
+        run whose every scan the cache serves never imports it."""
+        from repro.core.asclassify import GovernmentASClassifier
+        from repro.core.crawler import Crawler
+        from repro.core.infrastructure import InfrastructureMapper
+        from repro.datagen.seeds import derive_rng
+        from repro.measure.atlas import AtlasClient
+        from repro.netsim.latency import LatencyModel
+        from repro.world.cities import all_location_codes
+
         self._scanning = world
         self.crawler = Crawler(world.web)
         self.mapper = InfrastructureMapper(world.resolver, world.whois)
@@ -238,6 +241,10 @@ class Pipeline:
             raise RuntimeError("a pipeline built from a config scans in the "
                                "worlds run() generates; build it from a "
                                "world to scan one country alone")
+        from repro.core.gathering import compile_directory
+        from repro.core.urlfilter import GovernmentUrlFilter
+        from repro.faults.session import FaultSession
+
         started = time.perf_counter()
         session = (
             FaultSession(self.fault_plan, code)
@@ -383,6 +390,8 @@ class Pipeline:
         codes = ([c.upper() for c in countries] if countries
                  else self.config.country_codes())
         if self.world is not None:
+            from repro.core.gathering import compile_directory
+
             # Checked before dispatch, so every executor (and a cache
             # holding the country's key) answers alike.
             for code in codes:

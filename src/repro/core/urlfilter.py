@@ -19,11 +19,13 @@ filtered through three cascaded heuristics:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-from repro.core.gathering import GovernmentDirectory
-from repro.netsim.tls import CertificateStore
 from repro.urltools import labels_of
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.gathering import GovernmentDirectory
+    from repro.netsim.tls import CertificateStore
 
 #: Government TLD tokens from Table 1 of the paper.
 GOV_TLD_TOKENS = frozenset({

@@ -6,15 +6,10 @@ per-country hosting profiles.  Everything derives from a single master
 seed, so worlds are fully reproducible.
 """
 
-from repro.datagen.config import WorldConfig
-from repro.datagen.seeds import derive_seed, derive_rng
-from repro.datagen.generator import SyntheticWorld, GroundTruth, HostTruth
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "WorldConfig",
-    "derive_seed",
-    "derive_rng",
-    "SyntheticWorld",
-    "GroundTruth",
-    "HostTruth",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.datagen.config": ["WorldConfig"],
+    "repro.datagen.seeds": ["derive_seed", "derive_rng"],
+    "repro.datagen.generator": ["SyntheticWorld", "GroundTruth", "HostTruth"],
+})

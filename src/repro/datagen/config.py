@@ -10,6 +10,7 @@ quick runs; ``scale=1.0`` approximates the paper's full dataset size
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 from typing import Optional, Sequence
 
@@ -290,4 +291,17 @@ class WorldConfig:
         return codes
 
 
-__all__ = ["CountryOverride", "WorldConfig"]
+def world_key(config: WorldConfig) -> str:
+    """Identity of the generator input ``config`` describes: the
+    generator never reads the fault fields, and no country's slice
+    depends on which others are generated, so configs differing only
+    in those share one world over all they scan."""
+    neutral = dataclasses.replace(
+        config,
+        countries=None,
+        fault_rate=0.0, fault_profile="mixed", fault_seed=None,
+    )
+    return json.dumps(neutral.canonical_dict(), sort_keys=True)
+
+
+__all__ = ["CountryOverride", "WorldConfig", "world_key"]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
 import math
 import random
 from random import NV_MAGICCONST
@@ -157,19 +156,6 @@ class SyntheticWorld:
     def generate(cls, config: Optional[WorldConfig] = None) -> "SyntheticWorld":
         """Build a world from a configuration (defaults if omitted)."""
         return _Generator(config or WorldConfig()).run()
-
-
-def world_key(config: WorldConfig) -> str:
-    """Identity of the generator input ``config`` describes: the
-    generator never reads the fault fields, and no country's slice
-    depends on which others are generated, so configs differing only
-    in those share one world over all they scan."""
-    neutral = dataclasses.replace(
-        config,
-        countries=None,
-        fault_rate=0.0, fault_profile="mixed", fault_seed=None,
-    )
-    return json.dumps(neutral.canonical_dict(), sort_keys=True)
 
 
 class _Generator:
@@ -1516,5 +1502,4 @@ class _Generator:
 
 __all__ = [
     "HostTruth", "GroundTruth", "SyntheticWorld", "SYNTHETIC_ASN_BASE",
-    "world_key",
 ]

@@ -14,18 +14,14 @@ validation stats) are merged with order-independent functions in
 :mod:`repro.exec.partials`.
 """
 
-from typing import Optional
+from __future__ import annotations
 
-from repro.exec.base import ExecutionStrategy, ScanIntegrityError, scan_keyed
-from repro.exec.partials import (
-    CountryPartial,
-    HostAnnotation,
-    merge_faults,
-    merge_footprints,
-    merge_validation,
-)
-from repro.exec.processes import ProcessExecutor
-from repro.exec.serial import SerialExecutor
+from typing import TYPE_CHECKING, Optional
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.exec.base import ExecutionStrategy
 
 
 def make_executor(workers: Optional[int] = None) -> ExecutionStrategy:
@@ -37,20 +33,20 @@ def make_executor(workers: Optional[int] = None) -> ExecutionStrategy:
     if workers is not None and workers < 1:
         raise ValueError("workers must be a positive integer")
     if workers is None or workers == 1:
+        from repro.exec.serial import SerialExecutor
+
         return SerialExecutor()
+    from repro.exec.processes import ProcessExecutor
+
     return ProcessExecutor(workers=workers)
 
 
-__all__ = [
-    "ExecutionStrategy",
-    "ScanIntegrityError",
-    "SerialExecutor",
-    "ProcessExecutor",
-    "CountryPartial",
-    "HostAnnotation",
-    "merge_faults",
-    "merge_footprints",
-    "merge_validation",
-    "make_executor",
-    "scan_keyed",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.exec": ["make_executor"],
+    "repro.exec.base": ["ExecutionStrategy", "ScanIntegrityError", "scan_keyed"],
+    "repro.exec.partials": [
+        "CountryPartial", "HostAnnotation",
+        "merge_faults", "merge_footprints", "merge_validation"],
+    "repro.exec.processes": ["ProcessExecutor"],
+    "repro.exec.serial": ["SerialExecutor"],
+})

@@ -18,8 +18,7 @@ import abc
 import dataclasses
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from repro.datagen.config import WorldConfig
-from repro.datagen.generator import world_key
+from repro.datagen.config import WorldConfig, world_key
 from repro.exec.partials import CountryPartial
 from repro.world.countries import COUNTRIES
 
@@ -86,7 +85,7 @@ def plan_wave(
 
     A pipeline built from a world scans in that world, so its units
     carry the world's own config.  Pipelines built from configs with one
-    :func:`~repro.datagen.generator.world_key` share worlds generated
+    :func:`~repro.datagen.config.world_key` share worlds generated
     over exactly the countries they scan (a country's partial does not
     depend on which others its world holds); those countries are dealt
     by size over at most ``parts`` units, one world each.

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
-from repro.datagen.generator import SyntheticWorld
 from repro.exec.base import ExecutionStrategy, plan_wave
 from repro.exec.partials import CountryPartial
 
@@ -25,6 +24,8 @@ class SerialExecutor(ExecutionStrategy):
         for world_config, members in plan_wave(groups):
             sharing = [groups[index][0] for index, _ in members]
             if sharing[0].world is None:
+                from repro.datagen.generator import SyntheticWorld
+
                 world = SyntheticWorld.generate(world_config)
                 for pipeline in sharing:
                     pipeline._bind(world)

@@ -21,24 +21,12 @@ how the Table 2/Table 4 numbers shift under measurement loss.  A run
 at rate 0 is byte-identical to an unfaulted run.
 """
 
-from repro.faults.plan import (
-    FAULT_DOMAINS,
-    FAULT_PROFILE_NAMES,
-    FAULT_PROFILES,
-    FaultPlan,
-)
-from repro.faults.report import DomainTally, FaultReport, merge_fault_reports
-from repro.faults.session import Episode, FaultSession, SimClock
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FAULT_DOMAINS",
-    "FAULT_PROFILES",
-    "FAULT_PROFILE_NAMES",
-    "FaultPlan",
-    "DomainTally",
-    "FaultReport",
-    "merge_fault_reports",
-    "Episode",
-    "FaultSession",
-    "SimClock",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.faults.plan": [
+        "FAULT_DOMAINS", "FAULT_PROFILE_NAMES", "FAULT_PROFILES", "FaultPlan"],
+    "repro.faults.report": [
+        "DomainTally", "FaultReport", "merge_fault_reports"],
+    "repro.faults.session": ["Episode", "FaultSession", "SimClock"],
+})

@@ -7,20 +7,12 @@ geography -- plus the per-country hosting profiles that drive the
 synthetic Internet generator.
 """
 
-from repro.world.regions import Region, Continent
-from repro.world.countries import Country, COUNTRIES, get_country, iter_countries
-from repro.world.geography import haversine_km, country_distance_km
-from repro.world.profiles import HostingProfile, get_profile
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Region",
-    "Continent",
-    "Country",
-    "COUNTRIES",
-    "get_country",
-    "iter_countries",
-    "haversine_km",
-    "country_distance_km",
-    "HostingProfile",
-    "get_profile",
-]
+__all__, __getattr__, __dir__ = lazy_exports(globals(), {
+    "repro.world.regions": ["Region", "Continent"],
+    "repro.world.countries": [
+        "Country", "COUNTRIES", "get_country", "iter_countries"],
+    "repro.world.geography": ["haversine_km", "country_distance_km"],
+    "repro.world.profiles": ["HostingProfile", "get_profile"],
+})

@@ -770,3 +770,86 @@ def test_serve_trace_ring_must_be_positive(saved_dataset, tmp_path, capsys):
                  "--trace-dir", str(tmp_path / "traces"),
                  "--trace-ring", "0"]) == 2
     assert "--trace-ring" in capsys.readouterr().err
+
+
+#: ``(command, option, path under tmp_path)``: each output a batch
+#: command writes, pointed where it cannot be written.  ``file`` is a
+#: regular file, ``missing`` does not exist and ``.`` is tmp_path.
+UNWRITABLE = [
+    (["run"], "--out", "missing/x.jsonl"),
+    (["run"], "--out", "."),
+    (["run"], "--out", "file/x.jsonl"),
+    (["run"], "--csv", "missing/x.csv"),
+    (["run"], "--trace-out", "missing/trace.json"),
+    (["run"], "--metrics-out", "missing/metrics.json"),
+    (["run"], "--store-dir", "file/s"),
+    (["run"], "--cache-dir", "file"),
+    (["run"], "--registry", "file"),
+    (["sweep", "--demo"], "--out-dir", "file/x"),
+    (["sweep", "--demo"], "--json", "missing/sweep.json"),
+    (["sweep", "--demo"], "--cache-dir", "file/c"),
+    (["sweep", "--demo"], "--registry", "file"),
+    (["evolve", "--snapshots", "2"], "--out-dir", "file/x"),
+    (["evolve", "--snapshots", "2"], "--cache-dir", "file"),
+    (["evolve", "--snapshots", "2"], "--registry", "file/r"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, option, relative", UNWRITABLE,
+    ids=[f"{command[0]}{option}={relative}"
+         for command, option, relative in UNWRITABLE])
+def test_an_unwritable_output_exits_2_before_any_work(
+        command, option, relative, tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("not a directory")
+
+    def no_world(config):
+        raise AssertionError("generated a world before checking outputs")
+
+    monkeypatch.setattr(SyntheticWorld, "generate", staticmethod(no_world))
+    path = str(tmp_path / relative)
+    assert main([*command, "--scale", "0.01", option, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {option} {path}: ")
+    assert (tmp_path / "file").read_text() == "not a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("option, written", [
+    ("--trace-out", "trace.chrome.json"),
+    ("--manifest", "d.jsonl.manifest.json"),
+])
+def test_an_unwritable_sibling_output_exits_2_before_any_work(
+        option, written, tmp_path, capsys, monkeypatch):
+    """``--trace-out`` also writes a Chrome trace beside its file, and
+    ``--manifest`` a manifest beside ``--out``."""
+    (tmp_path / written).mkdir()
+
+    def no_world(config):
+        raise AssertionError("generated a world before checking outputs")
+
+    monkeypatch.setattr(SyntheticWorld, "generate", staticmethod(no_world))
+    assert main(["run", "--scale", "0.01", "--out", str(tmp_path / "d.jsonl"),
+                 "--manifest", "--trace-out", str(tmp_path / "trace.json")
+                 ]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {option} {tmp_path / written}: is a directory"]
+
+
+def test_an_error_while_writing_is_one_line_and_exit_1(tmp_path, capsys,
+                                                       monkeypatch):
+    import errno
+
+    import repro.io
+
+    def full_disk(dataset, path):
+        raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+    monkeypatch.setattr(repro.io, "save_dataset", full_disk)
+    out = tmp_path / "d.jsonl"
+    assert main(["run", "--scale", "0.01", "--countries", "UY",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno {errno.ENOSPC}] No space left on device: '{out}'"]

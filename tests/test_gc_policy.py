@@ -4,17 +4,25 @@
 thresholds for their length, a pool worker forked inside them inherits
 the raised ones, and every command hands back the thresholds it found.
 ``serve``, ``report``, ``convert`` and the library run at whatever the
-caller set.
+caller set.  Only the process entry (``python -m repro.cli``, the
+``repro-gov`` script) freezes the heap once the command is done; a
+command called in process freezes nothing.
+
+The module imports nothing that needs numpy, so the process-entry test
+runs where only pytest is installed.
 """
 
 import gc
 import os
+import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
+import repro
 import repro.cli
-import repro.serve
-import repro.store
 from repro import Pipeline, SyntheticWorld, WorldConfig
 from repro.cli import BATCH_GC_THRESHOLDS, main
 
@@ -73,6 +81,7 @@ def test_batch_commands_raise_the_thresholds_and_hand_them_back(
     assert seen
     assert {thresholds for _, thresholds in seen} == {BATCH_GC_THRESHOLDS}
     assert gc.get_threshold() == FOUND
+    assert gc.get_freeze_count() == 0
 
 
 @pytest.mark.parametrize("command", [["run", "--scale", "nan"],
@@ -114,6 +123,9 @@ def dataset(tmp_path_factory):
 
 def test_report_convert_and_serve_keep_the_found_thresholds(
         dataset, monkeypatch, tmp_path, capsys):
+    import repro.serve
+    import repro.store
+
     seen = []
     monkeypatch.setattr(repro.cli, "_load_any_dataset",
                         _recording(repro.cli._load_any_dataset, seen))
@@ -138,6 +150,7 @@ def test_report_convert_and_serve_keep_the_found_thresholds(
     assert main(["serve", "--dataset", str(dataset)]) == 0
     assert seen == [FOUND] * 4
     assert gc.get_threshold() == FOUND
+    assert gc.get_freeze_count() == 0
 
 
 def test_the_library_keeps_the_found_thresholds(scan_thresholds):
@@ -147,3 +160,37 @@ def test_the_library_keeps_the_found_thresholds(scan_thresholds):
     seen = scan_thresholds()
     assert seen
     assert {thresholds for _, thresholds in seen} == {FOUND}
+
+
+#: Runs ``repro.cli`` as ``python -m`` does, after registering an exit
+#: handler that reports how many objects are frozen when exit handlers
+#: run: after the command, before the interpreter finalizes.
+FREEZE_PROBE = """
+import atexit, gc, runpy, sys
+
+atexit.register(lambda: print("frozen at exit:", gc.get_freeze_count(),
+                              file=sys.stderr))
+runpy.run_module("repro.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_the_process_entry_freezes_the_heap_before_exit(tmp_path, capsys):
+    args = ["run", *SMALL, "--out"]
+    assert main(args + [str(tmp_path / "in-process.jsonl")]) == 0
+    printed = capsys.readouterr().out
+    assert gc.get_freeze_count() == 0
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    out = tmp_path / "process.jsonl"
+    done = subprocess.run(
+        [sys.executable, "-c", FREEZE_PROBE, *args, str(out)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    frozen = re.fullmatch(r"frozen at exit: (\d+)\n", done.stderr)
+    assert frozen is not None, done.stderr
+    assert int(frozen.group(1)) > 0
+    assert done.stdout == printed.replace("in-process.jsonl", "process.jsonl")
+    assert out.read_bytes() == (tmp_path / "in-process.jsonl").read_bytes()

@@ -4,18 +4,25 @@
 report layer imports them where a section is rendered, and the world
 generator builds from checked-in constants.  scipy loads only where the
 full report's regression and the clustering run.  The scan cache loads
-none of the dataset store, the analysis layer and numpy.  The checks
-run in a fresh interpreter, because other tests load all of these into
-the test process.
+none of the dataset store, the analysis layer and numpy.  The scan
+stack (the generator, the measurement, network and web substrates)
+loads only where a world is generated or bound, so start-up, ``--help``
+and a fully warm run never load it; the package ``__init__``s resolve
+their re-exports on first use.  The checks run in a fresh interpreter,
+because other tests load all of these into the test process.
 """
 
+import importlib
 import json
 import os
 import pathlib
 import subprocess
 import sys
 
+import pytest
+
 import repro
+from repro.cli import main
 
 PROBE = """
 import contextlib, io, json, sys
@@ -46,27 +53,68 @@ print(json.dumps({"after_run": after_run,
 UNUSED_BY_RUN = ("numpy", "repro.analysis", "repro.store",
                  "repro.reporting.paper_report")
 
+#: Prefixes of the scan stack: what generating or scanning a world
+#: loads, and start-up, ``--help`` and a fully warm run never call.
+SCAN_STACK = ("repro.datagen.generator", "repro.datagen.sitebuilder",
+              "repro.datagen.names", "repro.measure", "repro.netsim",
+              "repro.websim", "repro.har", "repro.world.cities",
+              "repro.world.geography", "repro.world.profiles",
+              "repro.core.asclassify", "repro.core.gathering",
+              "repro.core.infrastructure")
+
 LOADED = """
-def unused_by_run():
+UNUSED_BY_RUN, SCAN_STACK = %r, %r
+
+
+def loaded(prefixes):
     return sorted(
         name for name in sys.modules
         if sys.modules[name] is not None
-        and any(name == p or name.startswith(p + ".") for p in %r))
-""" % (UNUSED_BY_RUN,)
+        and any(name == p or name.startswith(p + ".") for p in prefixes))
+""" % (UNUSED_BY_RUN, SCAN_STACK)
 
 HELP_PROBE = """
 import contextlib, io, json, sys
 """ + LOADED + """
 import repro.cli
 
-after_import = unused_by_run()
+after_import = loaded(UNUSED_BY_RUN + SCAN_STACK)
 with contextlib.redirect_stdout(io.StringIO()):
     try:
         repro.cli.main(["--help"])
     except SystemExit as done:
         assert done.code == 0
-print(json.dumps({"import": after_import, "help": unused_by_run()}))
+print(json.dumps({"import": after_import,
+                  "help": loaded(UNUSED_BY_RUN + SCAN_STACK)}))
 """
+
+WARM_PROBE = """
+import contextlib, io, json, sys
+""" + LOADED + """
+import repro.cli
+
+with contextlib.redirect_stdout(io.StringIO()) as stdout:
+    assert repro.cli.main(["run", "--scale", "0.01", "--seed", "7",
+                           "--cache-dir", sys.argv[1],
+                           "--out", sys.argv[2]]) == 0
+print(json.dumps({"scan_stack": loaded(SCAN_STACK),
+                  "printed": stdout.getvalue()}))
+"""
+
+#: The packages whose ``__init__`` resolves its re-exports on first use.
+LAZY_PACKAGES = ("repro", "repro.core", "repro.datagen", "repro.exec",
+                 "repro.faults", "repro.reporting", "repro.world")
+
+#: Re-exports without a ``__module__`` of their own, by defining module.
+CONSTANTS = {
+    "CATEGORY_ORDER": "repro.categories",
+    "COUNTRIES": "repro.world.countries",
+    "FAULT_DOMAINS": "repro.faults.plan",
+    "FAULT_PROFILES": "repro.faults.plan",
+    "FAULT_PROFILE_NAMES": "repro.faults.plan",
+    "SECTION_NAMES": "repro.reporting.sections",
+    "__version__": "repro",
+}
 
 #: ``run`` variants, in order, into one output directory (``{d}``).
 #: ``cache-warm`` reruns ``cache-cold`` against the cache it filled.
@@ -90,17 +138,33 @@ if sys.argv[1] == "block":
 """ + LOADED + """
 import repro.cli
 
+#: What ``block`` also takes away from the ``cache-warm`` variant,
+#: with every submodule that earlier variants loaded.
+SCAN_BLOCK = ("repro.datagen.generator", "repro.measure", "repro.netsim",
+              "repro.websim")
+
 out_dir, variants = sys.argv[2], json.loads(sys.argv[3])
-loaded, printed = {}, {}
+unused, printed = {}, {}
 for name, args in variants.items():
+    blocked = {}
+    if sys.argv[1] == "block" and name == "cache-warm":
+        blocked = {module: sys.modules.get(module) for module in
+                   {*SCAN_BLOCK, *(m for m in sys.modules
+                                   if m.startswith(SCAN_BLOCK))}}
+        sys.modules.update(dict.fromkeys(blocked))
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
         code = repro.cli.main(
             ["run", "--scale", "0.01", "--seed", "7"]
             + [arg.format(d=out_dir) for arg in args])
+    for module, held in blocked.items():
+        if held is None:
+            del sys.modules[module]
+        else:
+            sys.modules[module] = held
     assert code == 0, (name, code)
-    loaded[name] = unused_by_run()
+    unused[name] = loaded(UNUSED_BY_RUN)
     printed[name] = stdout.getvalue()
-print(json.dumps({"loaded": loaded, "printed": printed}))
+print(json.dumps({"loaded": unused, "printed": printed}))
 """
 
 
@@ -132,6 +196,46 @@ def test_no_command_imports_scipy_until_an_analysis_needs_it(tmp_path):
 def test_start_up_and_help_load_no_numpy_analysis_or_store():
     probe = _probe(HELP_PROBE)
     assert probe == {"import": [], "help": []}
+
+
+def test_a_warm_run_loads_none_of_the_scan_stack(tmp_path):
+    cache, cold, warm = (str(tmp_path / name)
+                         for name in ("cache", "cold.jsonl", "warm.jsonl"))
+    assert main(["run", "--scale", "0.01", "--seed", "7",
+                 "--cache-dir", cache, "--out", cold]) == 0
+    probe = _probe(WARM_PROBE, cache, warm)
+    assert "0 misses" in probe["printed"]
+    assert probe["scan_stack"] == []
+    assert (tmp_path / "warm.jsonl").read_bytes() == (
+        tmp_path / "cold.jsonl").read_bytes()
+
+
+def test_importing_the_lazy_packages_loads_none_of_their_exports():
+    loaded = _probe(
+        "import json, sys\n"
+        f"import {', '.join(LAZY_PACKAGES)}\n"
+        "print(json.dumps(sorted(name for name in sys.modules\n"
+        "                        if name.startswith('repro'))))\n"
+    )
+    assert loaded == sorted({*LAZY_PACKAGES, "repro._lazy"})
+
+
+@pytest.mark.parametrize("name", LAZY_PACKAGES)
+def test_a_lazy_package_resolves_each_export_to_its_defining_object(name):
+    package = importlib.import_module(name)
+    listed = dir(package)
+    for export in package.__all__:
+        value = getattr(package, export)
+        assert export in listed
+        origin = CONSTANTS.get(export) or value.__module__
+        assert origin == name or origin.startswith(name + ".")
+        defined = getattr(importlib.import_module(origin),
+                          getattr(value, "__qualname__", export))
+        assert defined is value, (name, export)
+    with pytest.raises(AttributeError, match="has no attribute 'nope'"):
+        package.nope
+    with pytest.raises(ImportError):
+        exec(f"from {name} import nope", {})
 
 
 def test_run_loads_no_numpy_and_writes_the_same_bytes_without_it(tmp_path):
