@@ -11,9 +11,12 @@ footprints, and single-provider dependency.
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 from repro.analysis.engine.index import DatasetOrIndex, ensure_index
-from repro.datagen.generator import SyntheticWorld
+
+if TYPE_CHECKING:
+    from repro.datagen.generator import SyntheticWorld
 
 
 @dataclasses.dataclass(frozen=True)

@@ -10,11 +10,13 @@ store and the crawled hostname set.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.analysis.engine.index import DatasetOrIndex, underlying_dataset
-from repro.datagen.generator import SyntheticWorld
 from repro.world.countries import get_country
+
+if TYPE_CHECKING:
+    from repro.datagen.generator import SyntheticWorld
 
 
 @dataclasses.dataclass(frozen=True)

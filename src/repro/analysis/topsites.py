@@ -12,19 +12,19 @@ numbers.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.categories import HostingCategory
-from repro.core.crawler import Crawler
-from repro.core.geolocation import Geolocator
 from repro.analysis.engine.index import DatasetOrIndex, ensure_index
 from repro.analysis.providers import global_provider_asns
 from repro.analysis.registration import LocationSplit, _split
-from repro.datagen.generator import SyntheticWorld
-from repro.netsim.dns import DnsError
 from repro.urltools import registrable_domain
 from repro.websim.topsites import COMPARISON_COUNTRIES, TopsiteHosting
 from repro.world.countries import get_country
+
+if TYPE_CHECKING:
+    from repro.core.geolocation import Geolocator
+    from repro.datagen.generator import SyntheticWorld
 
 #: Government categories mapped onto the comparison's four labels.
 _GOV_TO_COMPARISON = {
@@ -101,6 +101,8 @@ class TopsiteAnalyzer:
         geolocator: Geolocator,
         global_asns: set[int],
     ) -> None:
+        from repro.core.crawler import Crawler
+
         self._world = world
         self._geolocator = geolocator
         self._global_asns = global_asns
@@ -108,6 +110,8 @@ class TopsiteAnalyzer:
 
     def analyze_site(self, topsite) -> Optional[TopsiteRecord]:
         """Measure a single topsite (None if it cannot be resolved)."""
+        from repro.netsim.dns import DnsError
+
         world = self._world
         vantage = world.vpn.vantage_for(topsite.country)
         crawl = self._crawler.crawl([topsite.landing_url], vantage)
@@ -168,6 +172,8 @@ def analyze_topsites(
     ``dataset`` supplies the measured Global-provider footprints; a
     fresh geolocator is built when none is passed.
     """
+    from repro.netsim.dns import DnsError
+
     if geolocator is None:
         from repro.core.pipeline import Pipeline
 

@@ -18,16 +18,31 @@ see the same behavior.  Every client error is a structured body
 unexpected server failures answer 500 with code ``internal`` and no
 traceback leakage.
 
-Errors that ``http.server`` raises itself before a handler runs (an
-unsupported method answers 501, an over-long request line 414, too
-many or too long headers 431, a malformed request line 400) use the
-same error shape, with one stable code per status, and close the
-connection as stdlib does.  So does a request body the gateway cannot
-frame: a ``Content-Length`` that is unusable (400) or too large (413),
-or any ``Transfer-Encoding`` (411, ``length-required``).  The end of
-such a body is unknown, so nothing after it can be read as the next
-request.  GET and POST both read their body before answering: a
-keep-alive connection's next request starts where the body ends.
+The request head: :class:`_Handler` reads the request line and the
+header fields itself into a dict of lower-cased names (the first of a
+repeated field wins) and writes each response head itself; no request
+reaches ``http.client.parse_headers``, the ``email`` parser,
+``send_response`` or ``send_header``.  The gateway reads five fields:
+``Content-Length``, ``Transfer-Encoding``, ``Connection``, ``Expect``
+and ``Accept``.  It refuses, in the same error shape, with one stable
+code per status, and closing the connection: an unsupported method
+(501), an over-long request line (414), a header line over 65,536
+bytes or 100 header lines or more (431), an ``HTTP/2`` or later
+version (505), and a malformed request line or header block (400).  A
+header block is malformed if a line has no colon, or anything but
+visible ASCII before it (whitespace before the colon, an obs-fold
+continuation line), if a line holds a bare CR, or if
+``Content-Length`` is repeated: a proxy could frame such a request
+differently and read its body as a second request.  A request body
+the gateway cannot frame closes the connection too: a
+``Content-Length`` that is unusable (400) or too large (413), or any
+``Transfer-Encoding`` (411, ``length-required``).  The end of such a
+body is unknown, so nothing after it can be read as the next request.
+GET and POST both read their body before answering: a keep-alive
+connection's next request starts where the body ends.  As in
+``http.server``, a line may end in CRLF or a bare LF, HTTP/1.0 closes
+after its answer unless it asks for ``Connection: keep-alive``, and a
+two-word request line is HTTP/0.9: a GET, answered with its body only.
 
 Answers: a query's 200 body comes from
 :meth:`~repro.serve.service.DatasetService.query_bytes`, which encodes
@@ -45,7 +60,10 @@ Without a trace log the same code runs its spans through
 Wire: every response -- status line, headers and body -- leaves in one
 socket write, and accepted connections set TCP_NODELAY.  Two writes
 would let Nagle hold the second until the client's delayed ACK
-(~40 ms per keep-alive request).
+(~40 ms per keep-alive request).  The head keeps ``http.server``'s
+bytes -- status line, ``Server``, ``Date``, an optional ``Connection:
+close``, ``Content-Type``, ``Content-Length`` -- and its ``Date`` is
+formatted at most once a second.
 
 Concurrency: ``ThreadingHTTPServer`` spawns unboundedly by default, so
 :class:`DatasetHTTPServer` routes connections through a bounded
@@ -61,9 +79,11 @@ works for closed-loop load generators.
 from __future__ import annotations
 
 import json
+import re
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
+from email.utils import formatdate
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Mapping, Optional
@@ -82,8 +102,8 @@ MAX_BODY_BYTES = 1 << 20
 #: gateway closes it and frees its pool thread.
 IDLE_TIMEOUT_S = 5.0
 
-#: The error code of each status answered through ``send_error``: the
-#: errors ``http.server`` raises itself, and unframeable request bodies.
+#: The error code of each status answered through ``send_error``:
+#: refused request lines and heads, and unframeable request bodies.
 SEND_ERROR_CODES = {
     HTTPStatus.BAD_REQUEST: "bad-request",
     HTTPStatus.LENGTH_REQUIRED: "length-required",
@@ -92,6 +112,26 @@ SEND_ERROR_CODES = {
     HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE: "headers-too-large",
     HTTPStatus.NOT_IMPLEMENTED: "unsupported-method",
     HTTPStatus.HTTP_VERSION_NOT_SUPPORTED: "unsupported-version",
+}
+
+#: Longest request or header line, and most lines in a head (its blank
+#: line included): ``http.server``'s limits.
+_MAX_LINE_BYTES = 65536
+_MAX_HEAD_LINES = 100
+
+#: A header field line: a name of visible ASCII but ``:``, the colon,
+#: optional blanks, then the value up to a CRLF or bare LF (or EOF).
+#: A line that does not match -- no colon, whitespace or a control byte
+#: before it, an obs-fold continuation, a bare CR -- is refused.
+_FIELD_LINE = re.compile(r"([!-9;-~]*):[ \t]*([^\r\n]*)\r?\n?")
+
+#: Each status's line and the ``Server`` header that follows it.
+_STATUS_HEADS = {
+    status.value: b"HTTP/1.1 %d %s\r\nServer: %s %s\r\n" % (
+        status.value, status.phrase.encode("latin-1"),
+        BaseHTTPRequestHandler.server_version.encode("latin-1"),
+        BaseHTTPRequestHandler.sys_version.encode("latin-1"))
+    for status in HTTPStatus
 }
 
 
@@ -112,6 +152,19 @@ class DatasetHTTPServer(ThreadingHTTPServer):
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="serve"
         )
+        #: (second, its ``Date`` header line), replaced whole so that a
+        #: request thread never reads one second's number with another
+        #: second's line.
+        self._date = (0, b"")
+
+    def date_line(self) -> bytes:
+        """This second's ``Date`` header line, formatted once a second."""
+        second = int(time.time())
+        current = self._date
+        if current[0] != second:
+            current = self._date = (second, b"Date: %s\r\n" % formatdate(
+                second, usegmt=True).encode("ascii"))
+        return current[1]
 
     def process_request(self, request, client_address) -> None:
         # Submit to the bounded pool instead of one-thread-per-request.
@@ -142,49 +195,131 @@ class _Handler(BaseHTTPRequestHandler):
         """
         return IDLE_TIMEOUT_S
 
+    # ------------------------------------------------------------- head
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the header fields after it.
+
+        Sets ``command``, ``path``, ``request_version``, ``headers`` (a
+        dict of lower-cased names) and ``close_connection`` as
+        ``http.server`` does; returns False once a refusal is sent, or
+        for an empty request line.
+        """
+        self.command = None
+        self.request_version = "HTTP/0.9"  # until the version parses
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            major, dot, minor = version[5:].partition(".")
+            if not (version.startswith("HTTP/") and dot
+                    and major.isdecimal() and minor.isdecimal()
+                    and len(major) <= 10 and len(minor) <= 10):
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad request version ({version!r})")
+                return False
+            number = int(major), int(minor)
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        # A target starting "//" would read as a scheme-relative URL.
+        self.command = command
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+
+        headers = {}
+        for _ in range(_MAX_HEAD_LINES):
+            line = self.rfile.readline(_MAX_LINE_BYTES + 1)
+            if len(line) > _MAX_LINE_BYTES:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                                "Line too long")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            field = _FIELD_LINE.fullmatch(str(line, "iso-8859-1"))
+            if field is None:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "malformed header line")
+                return False
+            name, value = field.groups()
+            name = name.lower()
+            if name == "content-length" and name in headers:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                "repeated Content-Length")
+                return False
+            if name and name not in headers:  # ": x" names nothing
+                headers[name] = value
+        else:
+            self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE,
+                            "Too many headers")
+            return False
+        self.headers = headers
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        # The version compares as a string, as in http.server.
+        if (headers.get("expect", "").lower() == "100-continue"
+                and self.request_version >= "HTTP/1.1"):
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        return True
+
     # --------------------------------------------------------- plumbing
 
     def log_message(self, format: str, *args) -> None:
         # Per-request stderr chatter off; /metrics is the signal.
         pass
 
-    def _send(self, status: int, body: bytes, content_type: str, *,
+    def _send(self, status: int, body: bytes,
+              content_type: bytes = b"application/json", *,
               close: bool = False) -> None:
         """Write one response -- status line, headers, body -- at once."""
-        self.send_response(status)
         if close:
-            self.send_header("Connection", "close")
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        # What end_headers() would send on its own, joined to the body.
-        head = b""
-        if self.request_version != "HTTP/0.9":  # 0.9 answers have no head
-            head = b"".join(self._headers_buffer) + b"\r\n"
-            self._headers_buffer = []
+            self.close_connection = True
+        if self.request_version == "HTTP/0.9":  # 0.9 answers have no head
+            self.wfile.write(body)
+            return
+        head = b"%s%s%sContent-Type: %s\r\nContent-Length: %d\r\n\r\n" % (
+            _STATUS_HEADS[status], self.server.date_line(),
+            b"Connection: close\r\n" if close else b"", content_type,
+            len(body))
         self.wfile.write(head if self.command == "HEAD" else head + body)
 
     def _send_json(self, status: int, payload: dict, *,
                    close: bool = False) -> None:
         body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self._send(status, body, "application/json", close=close)
+        self._send(status, body, close=close)
 
     def _send_error_json(self, error: RequestError) -> None:
         self._send_json(error.status, {"error": error.to_dict()})
 
     def send_error(self, code: int, message: Optional[str] = None,
                    explain: Optional[str] = None) -> None:
-        """Answer an error in the JSON error shape and close.
+        """Answer a refused request in the JSON error shape and close.
 
-        ``http.server`` calls this for requests it refuses before a
-        ``do_*`` method runs.  Statuses that carry no body (1xx, 204,
-        205, 304) keep stdlib's headers-only answer.
+        ``http.server``'s ``handle_one_request`` calls this for a method
+        without a ``do_*`` (501) and an over-long request line (414);
+        :meth:`parse_request` and :meth:`_read_body` for the rest.
         """
         status = HTTPStatus(code)
-        if status < 200 or status in (HTTPStatus.NO_CONTENT,
-                                      HTTPStatus.RESET_CONTENT,
-                                      HTTPStatus.NOT_MODIFIED):
-            super().send_error(code, message, explain)
-            return
         error = RequestError(SEND_ERROR_CODES.get(status, "http-error"),
                              message or status.phrase)
         self._send_json(status, {"error": error.to_dict()}, close=True)
@@ -192,12 +327,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _read_body(self) -> Optional[bytes]:
         """The request body; None (answered, closing) if it cannot be
         framed by its ``Content-Length``."""
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             self.send_error(HTTPStatus.LENGTH_REQUIRED,
                             "Transfer-Encoding is not supported; "
                             "send Content-Length")
             return None
-        length = self.headers.get("Content-Length")
+        length = self.headers.get("content-length")
         if length is None:
             return b""
         try:
@@ -213,21 +348,6 @@ class _Handler(BaseHTTPRequestHandler):
             return None
         return self.rfile.read(size)
 
-    def _query_params(self) -> dict:
-        parsed = urllib.parse.urlsplit(self.path)
-        return {
-            key: values[-1]
-            for key, values in urllib.parse.parse_qs(
-                parsed.query, keep_blank_values=True
-            ).items()
-        }
-
-    def _endpoint(self) -> Optional[str]:
-        path = urllib.parse.urlsplit(self.path).path
-        if path.startswith("/v1/"):
-            return path[len("/v1/"):]
-        return None
-
     # ---------------------------------------------------------- methods
 
     def do_GET(self) -> None:
@@ -235,27 +355,25 @@ class _Handler(BaseHTTPRequestHandler):
         # request starts where it ends.
         if self._read_body() is None:
             return
-        path = urllib.parse.urlsplit(self.path).path
+        target = urllib.parse.urlsplit(self.path)
+        path = target.path
         if path == "/healthz":
             self._send_json(200, self.server.service.healthz())
-            return
-        if path == "/metrics":
-            self._send_metrics()
-            return
-        endpoint = self._endpoint()
-        if endpoint is None:
+        elif path == "/metrics":
+            self._send_metrics(target.query)
+        elif path.startswith("/v1/"):
+            self._answer(path[len("/v1/"):], _query_params(target.query))
+        else:
             self._send_error_json(RequestError(
                 "not-found", f"no such path {path!r}; queries live under "
                 f"/v1/<endpoint>", status=404))
-            return
-        self._answer(endpoint, self._query_params())
 
     def do_POST(self) -> None:
         raw = self._read_body()
         if raw is None:
             return
-        endpoint = self._endpoint()
-        if endpoint is None:
+        path = urllib.parse.urlsplit(self.path).path
+        if not path.startswith("/v1/"):
             self._send_error_json(RequestError(
                 "not-found",
                 "POST queries live under /v1/<endpoint>", status=404))
@@ -265,9 +383,9 @@ class _Handler(BaseHTTPRequestHandler):
         except RequestError as exc:
             self._send_error_json(exc)
             return
-        self._answer(endpoint, payload)
+        self._answer(path[len("/v1/"):], payload)
 
-    def _send_metrics(self) -> None:
+    def _send_metrics(self, query: str) -> None:
         """Answer /metrics with content negotiation.
 
         Explicit ``?format=json|prometheus`` wins; otherwise an
@@ -275,9 +393,9 @@ class _Handler(BaseHTTPRequestHandler):
         scraper) gets exposition text, and everything else keeps the
         original JSON body for backward compatibility.
         """
-        requested = self._query_params().get("format")
+        requested = _query_params(query).get("format")
         if requested is None:
-            accept = self.headers.get("Accept", "")
+            accept = self.headers.get("accept", "")
             requested = ("prometheus"
                          if "text/plain" in accept
                          and "application/json" not in accept
@@ -289,7 +407,7 @@ class _Handler(BaseHTTPRequestHandler):
                 200,
                 render_prometheus(
                     self.server.service.metrics_snapshot()).encode("utf-8"),
-                PROMETHEUS_CONTENT_TYPE,
+                PROMETHEUS_CONTENT_TYPE.encode("latin-1"),
             )
         else:
             self._send_error_json(RequestError(
@@ -322,11 +440,16 @@ class _Handler(BaseHTTPRequestHandler):
                 with span("render"):
                     body = json.dumps({"error": error.to_dict()},
                                       sort_keys=True).encode("utf-8")
-        self._send(status, body, "application/json")
+        self._send(status, body)
         if trace_log is not None:
             trace_log.record(endpoint, payload=dict(payload), tracer=tracer,
                              duration_ms=measure_ms(start_ns), status=status,
                              error=None if error is None else error.to_dict())
+
+
+def _query_params(query: str) -> dict:
+    """A query string's fields; the last of a repeated field wins."""
+    return dict(urllib.parse.parse_qsl(query, keep_blank_values=True))
 
 
 def _json_object(raw: bytes) -> Mapping:

@@ -6,7 +6,9 @@ The serve layer has many request threads hitting one registry, so
 the registry itself (one implementation, shared with anything else
 that needs a fenced registry), not in a wrapper re-implementing every
 mutator behind a second lock.  The only state the tracker still guards
-itself is the in-flight counter, which is not a monoid value.
+itself is the in-flight counter, which is not a monoid value.  A
+finished query's updates go in under one acquisition of the registry's
+lock.
 
 :meth:`ServiceMetrics.track` records everything a query produces:
 
@@ -35,7 +37,7 @@ import contextlib
 import threading
 import time
 
-from repro.obs import ThreadSafeMetricsRegistry
+from repro.obs import MetricsRegistry, ThreadSafeMetricsRegistry
 
 
 def latency_bucket(milliseconds: float) -> int:
@@ -58,6 +60,9 @@ class ServiceMetrics:
     def track(self, endpoint: str):
         """Record one query: count, latency bucket, errors, inflight peak.
 
+        A finished query is recorded under one acquisition of the
+        registry's lock, the in-flight level it started at included (so
+        the peak shows once the query that reached it has finished).
         Exceptions propagate after being counted, so the gateway still
         maps them to responses.
         """
@@ -65,13 +70,11 @@ class ServiceMetrics:
         with self._inflight_lock:
             self._inflight += 1
             inflight = self._inflight
-        self.registry.gauge("serve.inflight.peak", inflight)
+        code = None
         try:
             yield
         except Exception as exc:
             code = getattr(exc, "code", exc.__class__.__name__)
-            self.registry.count("serve.errors")
-            self.registry.count(f"serve.errors.{code}")
             raise
         finally:
             # max(0, ...) is belt and braces: perf_counter_ns is
@@ -81,12 +84,22 @@ class ServiceMetrics:
             elapsed_ms = max(0, time.perf_counter_ns() - start_ns) / 1e6
             with self._inflight_lock:
                 self._inflight -= 1
-            self.registry.count("serve.requests")
-            self.registry.count(f"serve.requests.{endpoint}")
-            self.registry.observe(f"serve.latency_ms.{endpoint}",
-                                  latency_bucket(elapsed_ms))
-            self.registry.count(f"serve.latency_sum_ms.{endpoint}",
-                                round(elapsed_ms, 6))
+            registry = self.registry
+            # The base class's mutators take no lock of their own.
+            count = MetricsRegistry.count
+            with registry._metrics_lock:
+                MetricsRegistry.gauge(registry, "serve.inflight.peak",
+                                      inflight)
+                if code is not None:
+                    count(registry, "serve.errors")
+                    count(registry, f"serve.errors.{code}")
+                count(registry, "serve.requests")
+                count(registry, f"serve.requests.{endpoint}")
+                MetricsRegistry.observe(registry,
+                                        f"serve.latency_ms.{endpoint}",
+                                        latency_bucket(elapsed_ms))
+                count(registry, f"serve.latency_sum_ms.{endpoint}",
+                      round(elapsed_ms, 6))
 
     def inflight(self) -> int:
         """Queries currently executing (for ``/healthz``)."""

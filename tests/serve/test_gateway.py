@@ -1,16 +1,21 @@
 """HTTP gateway behavior: JSON endpoints, structured 4xx errors,
-byte-equality between what travels over the wire and the service, and
-the wire itself: one write per response, keep-alive, idle release."""
+byte-equality between what travels over the wire and the service, the
+wire itself (one write per response, keep-alive, idle release) and the
+gateway's own request-head parser and response heads."""
 
 from __future__ import annotations
 
+import email.utils
+import hashlib
 import http.client
 import json
+import platform
 import socket
 import statistics
 import threading
 import time
 import urllib.parse
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
@@ -18,6 +23,7 @@ from repro.reporting import render_report_section
 from repro.serve import DatasetHTTPServer, create_server, gateway
 
 from .conftest import http_get, http_post, raw_exchange, read_response
+from .test_pinned_answers import PINNED_ANSWERS
 
 
 def test_healthz(base_url, tiny_dataset):
@@ -325,3 +331,208 @@ def test_idle_keepalive_connection_is_released(service, monkeypatch):
         server.server_close()
         thread.join(timeout=5)
     assert not thread.is_alive()
+
+
+# ------------------------------------------------------- the request head
+
+#: Sent after each request on the same connection: it is answered only
+#: if the answers before it left the connection open.
+FOLLOW_UP = b"GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
+
+#: A request sent as another request's body: answered as a request of
+#: its own wherever the gateway frames that body too short.
+SMUGGLED = b"GET /v1/providers?top=2 HTTP/1.1\r\nHost: t\r\n\r\n"
+
+
+def read_answers(address, request: bytes) -> list:
+    """Every answer to ``request`` then :data:`FOLLOW_UP` on one
+    connection, read to EOF without ``http.client``: (status line,
+    [(name, value), ...], body) each.  An HTTP/0.9 answer, a body
+    alone up to EOF, has the status line None."""
+    answers = []
+    with socket.create_connection(address, timeout=3) as sock, \
+            sock.makefile("rb") as stream:
+        sock.sendall(request + FOLLOW_UP)
+        while line := stream.readline():
+            if not line.startswith(b"HTTP/1.1 "):
+                answers.append((None, [], line + stream.read()))
+                break
+            fields = []
+            while (field := stream.readline()) != b"\r\n":
+                name, _, value = field.decode("latin-1").partition(":")
+                fields.append((name, value.strip()))
+            length = int(dict(fields).get("Content-Length", 0))
+            answers.append((line.decode("latin-1").rstrip("\r\n"), fields,
+                            stream.read(length)))
+    return answers
+
+
+def _head(lines: bytes, body: bytes = b"", *,
+          request_line: bytes = b"POST /v1/summary HTTP/1.1") -> bytes:
+    """A request: ``request_line``, ``Host`` and the field ``lines``,
+    then a ``Content-Length`` framing ``body``."""
+    return (request_line + b"\r\nHost: t\r\n" + lines
+            + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+#: (request, its answers before EOF): each a (status, what) pair, the
+#: status None for an HTTP/0.9 answer.  ``what`` is the error code of
+#: an error body, or the endpoint whose answer the body is.
+HEAD_RULES = {
+    "99-field-lines": (
+        b"GET /v1/summary HTTP/1.1\r\nHost: t\r\n" + b"X: y\r\n" * 98
+        + b"\r\n", [(200, "summary"), (200, "healthz")]),
+    "100-field-lines": (
+        b"GET /v1/summary HTTP/1.1\r\nHost: t\r\n" + b"X: y\r\n" * 99
+        + b"\r\n", [(431, "headers-too-large")]),
+    "101-field-lines": (
+        b"GET /v1/summary HTTP/1.1\r\n" + b"X: y\r\n" * 101 + b"\r\n",
+        [(431, "headers-too-large")]),
+    "65537-byte-field-line": (
+        b"GET /v1/summary HTTP/1.1\r\nX: " + b"a" * 65_532 + b"\r\n\r\n",
+        [(431, "headers-too-large")]),
+    "65536-byte-field-line": (
+        b"GET /v1/summary HTTP/1.1\r\nX: " + b"a" * 65_531 + b"\r\n\r\n",
+        [(200, "summary"), (200, "healthz")]),
+    "empty-request-line": (b"\r\n", []),
+    "HTTP/2.0": (b"GET /v1/summary HTTP/2.0\r\nHost: t\r\n\r\n",
+                 [(None, "unsupported-version")]),
+    "HTTX/1.1": (b"GET /v1/summary HTTX/1.1\r\nHost: t\r\n\r\n",
+                 [(None, "bad-request")]),
+    "HTTP/1.1.1": (b"GET /v1/summary HTTP/1.1.1\r\nHost: t\r\n\r\n",
+                   [(None, "bad-request")]),
+    "four-words": (b"GET /v1/summary x HTTP/1.1\r\nHost: t\r\n\r\n",
+                   [(400, "bad-request")]),
+    "two-word-get": (b"GET /v1/summary\r\nHost: t\r\n\r\n",
+                     [(None, "summary")]),
+    "two-word-post": (b"POST /v1/summary\r\nHost: t\r\n\r\n",
+                      [(None, "bad-request")]),
+    "double-slash": (b"GET //v1/summary HTTP/1.1\r\nHost: t\r\n\r\n",
+                     [(200, "summary"), (200, "healthz")]),
+    "no-colon": (_head(b"bogus\r\n", b"{}"), [(400, "bad-request")]),
+    "space-before-colon": (_head(b"X-A : b\r\n", b"{}"),
+                           [(400, "bad-request")]),
+    "obs-fold": (_head(b"X-A: b\r\n c\r\n", b"{}"), [(400, "bad-request")]),
+    "bare-cr": (_head(b"X-A: b\rc\r\n", b"{}"), [(400, "bad-request")]),
+    "empty-name": (_head(b": b\r\n", b"{}"),
+                   [(200, "summary"), (200, "healthz")]),
+    "bare-lf": (b"POST /v1/summary HTTP/1.1\nHost: t\nContent-Length: 2"
+                b"\n\n{}", [(200, "summary"), (200, "healthz")]),
+    "HTTP/1.0": (_head(b"", request_line=b"GET /v1/summary HTTP/1.0"),
+                 [(200, "summary")]),
+    "HTTP/1.0-keep-alive": (
+        _head(b"Connection: keep-alive\r\n",
+              request_line=b"GET /v1/summary HTTP/1.0"),
+        [(200, "summary"), (200, "healthz")]),
+    "HTTP/1.1-close": (_head(b"Connection: close\r\n",
+                             request_line=b"GET /v1/summary HTTP/1.1"),
+                       [(200, "summary")]),
+    "expect-100-continue": (_head(b"Expect: 100-continue\r\n", b"{}"),
+                            [(100, None), (200, "summary"), (200, "healthz")]),
+}
+
+
+@pytest.mark.parametrize("request_bytes, expected", HEAD_RULES.values(),
+                         ids=HEAD_RULES)
+def test_each_head_rule_keeps_its_answer(http_server, service, request_bytes,
+                                         expected):
+    answers = read_answers(http_server.server_address, request_bytes)
+    summary = json.dumps(service.query("summary", {}),
+                         sort_keys=True).encode("utf-8")
+    got = []
+    for status_line, fields, body in answers:
+        status = None if status_line is None else int(status_line.split()[1])
+        if status == 100:
+            what = None
+        elif body == summary:
+            what = "summary"
+        elif "error" in json.loads(body):
+            what = json.loads(body)["error"]["code"]
+            # A refused head closes: the answer says so unless it is
+            # an HTTP/0.9 one, which has no head.
+            assert status is None or ("Connection", "close") in fields
+        else:
+            what = "healthz" if json.loads(body)["status"] == "ok" else body
+        got.append((status, what))
+    assert got == expected
+
+
+@pytest.mark.parametrize("fields, body", [
+    (b"Content-Length: 2\r\nContent-Length: %d\r\n" % (2 + len(SMUGGLED)),
+     b"{}" + SMUGGLED),
+    (b"bogus\r\nContent-Length: %d\r\n" % len(SMUGGLED), SMUGGLED),
+    (b"X-A : b\r\nContent-Length: %d\r\n" % len(SMUGGLED), SMUGGLED),
+], ids=["repeated-content-length", "no-colon", "space-before-colon"])
+def test_a_request_body_is_never_answered_as_a_request(http_server, fields,
+                                                       body):
+    # A proxy framing the body by the other Content-Length (or reading
+    # every field line) sees one request; so does the gateway now.
+    request = b"POST /v1/summary HTTP/1.1\r\nHost: t\r\n" + fields \
+        + b"\r\n" + body
+    ((status_line, head, answer),) = read_answers(
+        http_server.server_address, request)
+    assert status_line == "HTTP/1.1 400 Bad Request"
+    assert ("Connection", "close") in head
+    assert json.loads(answer)["error"]["code"] == "bad-request"
+
+
+@pytest.mark.parametrize("request_line, status_line, content_type, close", [
+    (b"GET /v1/summary", "HTTP/1.1 200 OK", "application/json", False),
+    (b"GET /v1/categories?country=ZZ", "HTTP/1.1 404 Not Found",
+     "application/json", False),
+    (b"PUT /v1/summary", "HTTP/1.1 501 Not Implemented", "application/json",
+     True),
+    (b"GET /metrics?format=prometheus", "HTTP/1.1 200 OK",
+     "text/plain; version=0.0.4; charset=utf-8", False),
+], ids=["answer", "request-error", "refusal", "prometheus"])
+def test_response_heads_keep_their_fields_and_order(
+        http_server, request_line, status_line, content_type, close):
+    started = time.time()
+    (got_line, fields, body), *_ = read_answers(
+        http_server.server_address,
+        request_line + b" HTTP/1.1\r\nHost: t\r\n\r\n")
+    assert got_line == status_line
+    assert [name for name, _ in fields] == (
+        ["Server", "Date"] + ["Connection"] * close
+        + ["Content-Type", "Content-Length"])
+    values = dict(fields)
+    assert values["Server"] == f"BaseHTTP/0.6 Python/{platform.python_version()}"
+    date = email.utils.parsedate_to_datetime(values["Date"])
+    assert values["Date"].endswith(" GMT")
+    assert int(started) - 1 <= date.timestamp() <= time.time() + 1
+    assert values.get("Connection", "close") == "close"
+    assert values["Content-Type"] == content_type
+    assert values["Content-Length"] == str(len(body))
+
+
+def test_the_date_is_formatted_once_a_second(http_server, monkeypatch):
+    formatted = []
+
+    def formatdate(*args, **kwargs):
+        formatted.append(args)
+        return email.utils.formatdate(*args, **kwargs)
+
+    monkeypatch.setattr(gateway, "formatdate", formatdate)
+    started = int(time.time())
+    lines = {http_server.date_line() for _ in range(1000)}
+    assert len(formatted) == len(lines) <= int(time.time()) - started + 1
+    for line in lines:
+        assert line.startswith(b"Date: ") and line.endswith(b" GMT\r\n")
+
+
+def test_no_request_takes_the_stdlib_head_path(http_server, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the http.server head path ran")
+
+    monkeypatch.setattr(http.client, "parse_headers", refuse)
+    monkeypatch.setattr(BaseHTTPRequestHandler, "send_response", refuse)
+    monkeypatch.setattr(BaseHTTPRequestHandler, "send_header", refuse)
+    requests = b"".join(
+        _head(b"", json.dumps(payload).encode("utf-8"),
+              request_line=b"POST /v1/%s HTTP/1.1" % endpoint.encode())
+        for endpoint, payload, _ in PINNED_ANSWERS)
+    answers = read_answers(http_server.server_address, requests)
+    assert [(line, hashlib.sha256(body).hexdigest())
+            for line, _, body in answers[:-1]] == [
+        ("HTTP/1.1 200 OK", digest) for _, _, digest in PINNED_ANSWERS]
+    assert json.loads(answers[-1][2])["status"] == "ok"

@@ -1,6 +1,7 @@
 """Serve metrics clock discipline and the shared thread-safe registry."""
 
 import inspect
+import sys
 import threading
 
 import pytest
@@ -102,23 +103,31 @@ def test_thread_safe_merge_in_does_not_deadlock():
 
 
 def test_concurrent_tracking_is_exact():
+    # A tiny switch interval makes a thread switch inside an unlocked
+    # read-modify-write of a counter likely, so a lost update shows.
     tracker = ServiceMetrics()
 
     def hammer():
-        for _ in range(100):
+        for _ in range(3000):
             with tracker.track("summary"):
                 pass
 
     threads = [threading.Thread(target=hammer) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
     snapshot = tracker.snapshot()
-    assert snapshot["counters"]["serve.requests"] == 800
-    assert snapshot["counters"]["serve.requests.summary"] == 800
+    assert snapshot["counters"]["serve.requests"] == 24000
+    assert snapshot["counters"]["serve.requests.summary"] == 24000
     assert sum(snapshot["histograms"][
-        "serve.latency_ms.summary"].values()) == 800
+        "serve.latency_ms.summary"].values()) == 24000
     assert tracker.inflight() == 0
     assert snapshot["gauges"]["serve.inflight.peak"] >= 1
 

@@ -4,9 +4,12 @@ text aside), an ``error.code`` on every non-200, and never a 500 or a
 dropped connection -- and it keeps answering afterwards.  A request on
 a connection the first answer left open is answered as itself (the
 first request's body, whatever its framing, was consumed or refused);
-a connection the answer closes carries nothing more.
+a connection the answer closes carries nothing more.  A head with a
+repeated ``Content-Length`` or a line without a colon answers 400 and
+closes.  Lines end in CRLF or a bare LF; HTTP/1.0 stays open only with
+``Connection: keep-alive``, HTTP/1.1 unless it sends ``close``.
 
-Only versions that parse are drawn: for an unparseable one stdlib
+Only versions that parse are drawn: for an unparseable one the gateway
 answers as HTTP/0.9, which has no status line.
 """
 
@@ -49,9 +52,32 @@ class RawRequest:
     #: ``exact``, a negative number, or a non-numeric string.
     length: str = "exact"
     transfer_encoding: Optional[str] = None
+    #: A second ``Content-Length`` value, sent after the first.
+    repeated_length: Optional[str] = None
+    #: A field line without a colon, sent after ``Host``.
+    no_colon: Optional[str] = None
+    connection: Optional[str] = None
+    newline: str = "\r\n"
+
+    @property
+    def malformed(self) -> bool:
+        """Whether the head is one the gateway refuses with 400."""
+        return self.no_colon is not None or (
+            self.body is not None and self.repeated_length is not None)
+
+    @property
+    def keep_alive(self) -> bool:
+        """Whether the request leaves its connection open."""
+        if self.connection is not None:
+            return self.connection == "keep-alive"
+        return self.version == "HTTP/1.1"
 
     def encode(self) -> bytes:
         lines = [f"{self.method} {self.target} {self.version}", "Host: t"]
+        if self.no_colon is not None:
+            lines.append(self.no_colon)
+        if self.connection is not None:
+            lines.append(f"Connection: {self.connection}")
         if self.accept is not None:
             lines.append(f"Accept: {self.accept}")
         if self.transfer_encoding is not None:
@@ -60,7 +86,9 @@ class RawRequest:
             length = (str(len(self.body)) if self.length == "exact"
                       else self.length)
             lines.append(f"Content-Length: {length}")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+            if self.repeated_length is not None:
+                lines.append(f"Content-Length: {self.repeated_length}")
+        head = self.newline.join(lines + ["", ""]).encode("latin-1")
         return head + (self.body or b"")
 
 
@@ -99,6 +127,10 @@ def raw_requests(draw) -> RawRequest:
     query = draw(st.dictionaries(st.sampled_from(FIELDS) | st.text(max_size=8),
                                  st.text(max_size=12), max_size=3))
     body = draw(st.none() | bodies)
+    repeated_length = None
+    if body is not None:
+        repeated_length = draw(st.none() | st.just(str(len(body)))
+                               | st.integers(min_value=0).map(str))
     return RawRequest(
         method=method,
         target=path + ("?" + urllib.parse.urlencode(query) if query else ""),
@@ -109,6 +141,11 @@ def raw_requests(draw) -> RawRequest:
         length=draw(lengths) if body is not None else "exact",
         transfer_encoding=draw(st.none() | st.sampled_from(
             ["chunked", "gzip, chunked", "identity"]) | HEADER_TEXT),
+        repeated_length=repeated_length,
+        no_colon=draw(st.none() | st.text(alphabet=TOKEN + " ", min_size=1,
+                                          max_size=12)),
+        connection=draw(st.sampled_from([None, "keep-alive", "close"])),
+        newline=draw(st.sampled_from(["\r\n", "\n"])),
     )
 
 
@@ -123,7 +160,7 @@ def wire_server(service):
     thread.join(timeout=5)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(request=raw_requests())
 @example(request=RawRequest("PUT", "/v1/summary"))
 @example(request=RawRequest("POST", "/v1/summary", body=b"{}", length="-1"))
@@ -133,6 +170,15 @@ def wire_server(service):
 @example(request=RawRequest("POST", "/v1/summary",
                             body=b"2\r\n{}\r\n0\r\n\r\n",
                             transfer_encoding="chunked"))
+@example(request=RawRequest("POST", "/v1/summary", body=b"{}" + SECOND_REQUEST,
+                            length="2",
+                            repeated_length=str(2 + len(SECOND_REQUEST))))
+@example(request=RawRequest("POST", "/v1/summary", body=SECOND_REQUEST,
+                            no_colon="bogus"))
+@example(request=RawRequest("POST", "/v1/summary", body=b"{}", newline="\n"))
+@example(request=RawRequest("GET", "/v1/summary", version="HTTP/1.0",
+                            connection="keep-alive"))
+@example(request=RawRequest("GET", "/v1/summary", connection="close"))
 def test_every_request_gets_a_structured_answer(wire_server, service,
                                                 request):
     address = wire_server.server_address[:2]
@@ -141,6 +187,9 @@ def test_every_request_gets_a_structured_answer(wire_server, service,
         sock.sendall(request.encode())
         status, headers, body = read_response(stream, method=request.method)
         assert status == 200 or 400 <= status < 500 or status == 501, status
+        if request.malformed:
+            assert status == 400
+            assert headers["Connection"] == "close"
         if request.method == "HEAD":
             assert body == b""
         elif headers["Content-Type"] == PROMETHEUS_CONTENT_TYPE:
@@ -152,10 +201,9 @@ def test_every_request_gets_a_structured_answer(wire_server, service,
             if status != 200:
                 assert isinstance(answer["error"]["code"], str)
 
-        # HTTP/1.0 connections close after one answer; HTTP/1.1 ones
-        # unless the answer says so.
-        if request.version == "HTTP/1.1" and \
-                headers.get("Connection") != "close":
+        # A connection stays open if the request asked for it and the
+        # answer does not say otherwise.
+        if request.keep_alive and headers.get("Connection") != "close":
             sock.sendall(SECOND_REQUEST)
             status, _, body = read_response(stream)
             assert status == 200

@@ -6,9 +6,9 @@ generator builds from checked-in constants.  scipy loads only where the
 full report's regression and the clustering run.  The scan cache loads
 none of the dataset store, the analysis layer and numpy.  The scan
 stack (the generator, the measurement, network and web substrates)
-loads only where a world is generated or bound, so start-up, ``--help``
-and a fully warm run never load it; the package ``__init__``s resolve
-their re-exports on first use.  The checks run in a fresh interpreter,
+loads only where a world is generated or bound, so start-up, ``--help``,
+a fully warm run and serving or reporting a store never load it; the
+package ``__init__``s resolve their re-exports on first use.  The checks run in a fresh interpreter,
 because other tests load all of these into the test process.
 """
 
@@ -62,8 +62,13 @@ SCAN_STACK = ("repro.datagen.generator", "repro.datagen.sitebuilder",
               "repro.core.asclassify", "repro.core.gathering",
               "repro.core.infrastructure")
 
+#: What CI sets to ``None`` in ``sys.modules`` for a warm run and the
+#: query service: the generator and the substrate packages.
+SCAN_BLOCK = ("repro.datagen.generator", "repro.measure", "repro.netsim",
+              "repro.websim")
+
 LOADED = """
-UNUSED_BY_RUN, SCAN_STACK = %r, %r
+UNUSED_BY_RUN, SCAN_STACK, SCAN_BLOCK = %r, %r, %r
 
 
 def loaded(prefixes):
@@ -71,7 +76,7 @@ def loaded(prefixes):
         name for name in sys.modules
         if sys.modules[name] is not None
         and any(name == p or name.startswith(p + ".") for p in prefixes))
-""" % (UNUSED_BY_RUN, SCAN_STACK)
+""" % (UNUSED_BY_RUN, SCAN_STACK, SCAN_BLOCK)
 
 HELP_PROBE = """
 import contextlib, io, json, sys
@@ -101,9 +106,27 @@ print(json.dumps({"scan_stack": loaded(SCAN_STACK),
                   "printed": stdout.getvalue()}))
 """
 
+SERVE_PROBE = """
+import contextlib, io, json, sys
+""" + LOADED + """
+import repro.serve
+
+after_import = loaded(SCAN_BLOCK)
+service = repro.serve.DatasetService.open(sys.argv[1])
+served = json.loads(service.query_bytes("report", {"section": "full"}))
+import repro.cli
+
+with contextlib.redirect_stdout(io.StringIO()) as report:
+    assert repro.cli.main(["report", sys.argv[1], "--section", "full"]) == 0
+print(json.dumps({"import": after_import, "after": loaded(SCAN_BLOCK),
+                  "served": served["text"] + "\\n",
+                  "printed": report.getvalue()}))
+"""
+
 #: The packages whose ``__init__`` resolves its re-exports on first use.
-LAZY_PACKAGES = ("repro", "repro.core", "repro.datagen", "repro.exec",
-                 "repro.faults", "repro.reporting", "repro.world")
+LAZY_PACKAGES = ("repro", "repro.analysis", "repro.core", "repro.datagen",
+                 "repro.exec", "repro.faults", "repro.reporting",
+                 "repro.world")
 
 #: Re-exports without a ``__module__`` of their own, by defining module.
 CONSTANTS = {
@@ -138,11 +161,8 @@ if sys.argv[1] == "block":
 """ + LOADED + """
 import repro.cli
 
-#: What ``block`` also takes away from the ``cache-warm`` variant,
-#: with every submodule that earlier variants loaded.
-SCAN_BLOCK = ("repro.datagen.generator", "repro.measure", "repro.netsim",
-              "repro.websim")
-
+# ``block`` also takes SCAN_BLOCK away from the ``cache-warm`` variant,
+# with every submodule that earlier variants loaded.
 out_dir, variants = sys.argv[2], json.loads(sys.argv[3])
 unused, printed = {}, {}
 for name, args in variants.items():
@@ -208,6 +228,17 @@ def test_a_warm_run_loads_none_of_the_scan_stack(tmp_path):
     assert probe["scan_stack"] == []
     assert (tmp_path / "warm.jsonl").read_bytes() == (
         tmp_path / "cold.jsonl").read_bytes()
+
+
+def test_serving_and_reporting_a_store_load_none_of_the_scan_stack(
+        tmp_path):
+    store = str(tmp_path / "d.store")
+    assert main(["run", "--scale", "0.01", "--seed", "7", "--store-dir",
+                 store, "--out", str(tmp_path / "d.jsonl")]) == 0
+    probe = _probe(SERVE_PROBE, store)
+    assert probe["import"] == []
+    assert probe["after"] == []
+    assert probe["printed"] == probe["served"]
 
 
 def test_importing_the_lazy_packages_loads_none_of_their_exports():
