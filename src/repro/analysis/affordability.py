@@ -71,9 +71,7 @@ def affordability_ranking(
     return reports
 
 
-def affordability_gap(
-    dataset: GovernmentHostingDataset, quantile: float = 0.25
-) -> float:
+def affordability_gap(dataset: GovernmentHostingDataset) -> float:
     """Relative-cost ratio between the poorest and richest country quartiles.
 
     Habib et al.'s headline: the same page weight costs dramatically
@@ -87,7 +85,7 @@ def affordability_gap(
     by_income = sorted(
         reports, key=lambda report: get_country(report.country).gdp_per_capita_kusd
     )
-    cut = max(1, int(len(by_income) * quantile))
+    cut = max(1, len(by_income) // 4)
     poor = statistics.mean(
         report.cost_share_of_daily_income for report in by_income[:cut]
     )

@@ -16,8 +16,8 @@ a trend engine over any number of snapshots — e.g. a
   share the biggest provider holds.
 
 The original two-snapshot API (:func:`compare_snapshots`,
-:func:`trend_summary`) remains, now with explicit *skip-or-zero*
-semantics for countries present in only one snapshot.
+:func:`trend_summary`) remains; a country present in only one snapshot
+has no delta and is skipped.
 """
 
 from __future__ import annotations
@@ -30,11 +30,6 @@ from repro.analysis.engine.index import DatasetOrIndex, ensure_index
 from repro.analysis.hosting import fractions_of_counts
 from repro.analysis.providers import global_provider_footprints
 from repro.categories import HostingCategory
-
-#: How :func:`compare_snapshots` treats countries measured in only one
-#: snapshot (or with records in only one).
-MISSING_CHOICES = ("skip", "zero")
-
 
 @dataclasses.dataclass(frozen=True)
 class CountryDelta:
@@ -67,35 +62,22 @@ def _third_party_shares(snapshot: DatasetOrIndex) -> dict[str, float]:
 def compare_snapshots(
     before: DatasetOrIndex,
     after: DatasetOrIndex,
-    missing: str = "skip",
 ) -> dict[str, CountryDelta]:
     """Per-country third-party URL-share deltas between two snapshots.
 
     A country measured in only one snapshot — absent from the other, or
-    present with zero records (fully faulted) — never raises.
-    ``missing="skip"`` (the default, and the historical behavior)
-    omits it; ``missing="zero"`` keeps it with the unmeasured side's
-    share as 0.0, so a newly measured country shows up as its full
-    share gained.
+    present with zero records (fully faulted) — never raises: it is
+    omitted, as it has no delta.
     """
-    if missing not in MISSING_CHOICES:
-        raise ValueError(
-            f"missing must be one of {', '.join(MISSING_CHOICES)}, "
-            f"got {missing!r}"
-        )
     before_shares = _third_party_shares(before)
     after_shares = _third_party_shares(after)
-    if missing == "skip":
-        codes = sorted(set(before_shares) & set(after_shares))
-    else:
-        codes = sorted(set(before_shares) | set(after_shares))
     return {
         code: CountryDelta(
             country=code,
-            third_party_before=before_shares.get(code, 0.0),
-            third_party_after=after_shares.get(code, 0.0),
+            third_party_before=before_shares[code],
+            third_party_after=after_shares[code],
         )
-        for code in codes
+        for code in sorted(set(before_shares) & set(after_shares))
     }
 
 
@@ -305,7 +287,6 @@ def compute_trends(
 
 
 __all__ = [
-    "MISSING_CHOICES",
     "CategoryMigration",
     "CountryDelta",
     "TrendPoint",

@@ -161,7 +161,6 @@ class Geolocator:
         hoiho: HoihoExtractor,
         ipmap: IpMapCache,
         single_radius_ms: float = DEFAULT_SINGLE_RADIUS_MS,
-        threshold_slack_ms: float = 10.0,
         #: Ablation switches (see benchmarks/bench_ablation_geolocation.py).
         enable_active_probing: bool = True,
         enable_hoiho: bool = True,
@@ -177,7 +176,6 @@ class Geolocator:
         self._hoiho = hoiho
         self._ipmap = ipmap
         self._single_radius_ms = single_radius_ms
-        self._slack_ms = threshold_slack_ms
         self._enable_ap = enable_active_probing
         self._enable_hoiho = enable_hoiho
         self._enable_ipmap = enable_ipmap
@@ -278,9 +276,7 @@ class Geolocator:
             from repro.netsim.latency import country_threshold_ms
             from repro.world.geography import road_span_km
 
-            threshold = country_threshold_ms(
-                road_span_km(country), slack_ms=self._slack_ms
-            )
+            threshold = country_threshold_ms(road_span_km(country))
             self._thresholds[country] = threshold
         return threshold
 

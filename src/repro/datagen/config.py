@@ -1,10 +1,14 @@
 """Generator configuration.
 
-The defaults encode the error and coverage rates the paper reports for
-its measurement inputs (IPInfo accuracy, ICMP responsiveness, PTR and
-IPmap coverage, PeeringDB coverage).  ``scale`` shrinks the dataset for
-quick runs; ``scale=1.0`` approximates the paper's full dataset size
-(15,878 landing URLs, ~1M internal URLs).
+:data:`CALIBRATION` holds the error and coverage rates the paper
+reports for its measurement inputs (IPInfo accuracy, ICMP
+responsiveness, PTR and IPmap coverage, PeeringDB coverage) and the
+web structure they are measured over: one apparatus, one set of
+values.  :class:`WorldConfig` holds what a caller varies: the seed,
+the scale, the country sample, topsites, drift, fault injection and
+per-country overrides.  ``scale`` shrinks the dataset for quick runs;
+``scale=1.0`` approximates the paper's full dataset size (15,878
+landing URLs, ~1M internal URLs).
 """
 
 from __future__ import annotations
@@ -12,7 +16,85 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
 from typing import Optional, Sequence
+
+#: The synthetic world's calibration, read by the generator.  Every
+#: scan key still covers it: :meth:`WorldConfig.canonical_dict` merges
+#: these entries in under their names, so editing a value here re-keys
+#: every cached scan.
+CALIBRATION = types.MappingProxyType({
+    # --- web structure -----------------------------------------------------
+    #: Topsites per comparison country.
+    "topsites_per_country": 40,
+    #: Share of unique URLs found at each crawl depth (0 = landing page).
+    #: Calibrated to "84% directly on landing pages, 95% within one level".
+    "depth_distribution": (
+        0.84, 0.11, 0.025, 0.012, 0.006, 0.004, 0.002, 0.001,
+    ),
+    #: Extra non-government (contractor/analytics) URLs added per government
+    #: URL; the URL filter must discard these.
+    "external_url_ratio": 0.12,
+    #: Fraction of sites that expose an additional static asset hostname.
+    "static_subdomain_frac": 0.30,
+    #: Fraction of sites reachable only through SAN verification
+    #: (no government TLD, not in the directory).
+    "san_site_frac": 0.004,
+    #: Fraction of sites refusing foreign clients.
+    "geo_restricted_frac": 0.02,
+    #: Mean object size in bytes before category skew.
+    "mean_resource_bytes": 60_000.0,
+
+    # --- address plan ------------------------------------------------------
+    #: Probability a new hostname reuses an existing address of its AS pool.
+    "ip_reuse_prob": 0.70,
+    #: Probability a domestic global deployment uses a geo-DNS record
+    #: instead of a pinned unicast address (when not anycast).
+    "geo_dns_prob": 0.35,
+
+    # --- measurement-substrate fidelity ------------------------------------
+    #: Probability IPInfo places a unicast address in the wrong country.
+    "ipinfo_wrong_country_rate": 0.022,
+    #: Probability IPInfo places it in the wrong city of the right country.
+    "ipinfo_wrong_city_rate": 0.09,
+    #: Probability a true anycast address is flagged by MAnycast2.
+    "manycast_recall": 0.97,
+    #: Probability a unicast address is wrongly flagged as anycast.
+    "manycast_false_positive_rate": 0.002,
+    #: Probability a (non-prominent) unicast address answers ICMP; the top
+    #: quartile of addresses by URL mass always responds (see
+    #: ``_mark_prominent_addresses``), so the effective rate is higher.
+    "unicast_icmp_rate": 0.02,
+    #: Probability an anycast address answers ICMP.
+    "anycast_icmp_rate": 0.95,
+    #: PTR dialect mix (city, ntt, opaque); the remainder has no PTR at all.
+    "ptr_city_rate": 0.60,
+    "ptr_ntt_rate": 0.25,
+    "ptr_opaque_rate": 0.08,
+    #: Probability RIPE IPmap has a cached location for an address.
+    "ipmap_coverage": 0.70,
+    #: Probability an anycast deployment for a country lacks a domestic
+    #: site (its catchment lands abroad and the address gets excluded).
+    "anycast_offshore_rate": 0.15,
+    #: PeeringDB record coverage by operator kind.
+    "peeringdb_gov_coverage": 0.45,
+    "peeringdb_soe_coverage": 0.35,
+    "peeringdb_local_coverage": 0.60,
+    "peeringdb_regional_coverage": 0.80,
+    #: Among government PeeringDB records, share whose name/org fields are
+    #: opaque so only the website reveals ownership.
+    "peeringdb_opaque_gov_rate": 0.25,
+    #: Probability a government/SOE AS has a findable website description
+    #: (the "Google search" fallback of Section 3.4).
+    "websearch_coverage": 0.90,
+})
+
+#: :data:`CALIBRATION` in canonical form (sequences as lists), as
+#: :meth:`WorldConfig.canonical_dict` merges it into every config.
+_CANONICAL_CALIBRATION = {
+    name: list(value) if isinstance(value, tuple) else value
+    for name, value in CALIBRATION.items()
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +158,8 @@ class CountryOverride:
 
 @dataclasses.dataclass(frozen=True)
 class WorldConfig:
-    """All knobs of the synthetic world."""
+    """What a caller varies about the synthetic world; the rest is
+    :data:`CALIBRATION`."""
 
     #: Master seed for every random stream.
     seed: int = 42
@@ -86,8 +169,6 @@ class WorldConfig:
     countries: Optional[Sequence[str]] = None
     #: Generate topsites for the 14 comparison countries (Appendix D).
     include_topsites: bool = True
-    #: Topsites per comparison country.
-    topsites_per_country: int = 40
     #: Longitudinal drift toward third-party hosting: the share of the
     #: Govt&SOE mix migrated to 3P Global (the Kumar et al. follow-up
     #: finds dependencies increasing year over year).  0 = the paper's
@@ -110,91 +191,13 @@ class WorldConfig:
     #: is what lets an evolved snapshot reuse their cached scans.
     country_overrides: tuple[CountryOverride, ...] = ()
 
-    # --- web structure -----------------------------------------------------
-    #: Share of unique URLs found at each crawl depth (0 = landing page).
-    #: Calibrated to "84% directly on landing pages, 95% within one level".
-    depth_distribution: tuple[float, ...] = (
-        0.84, 0.11, 0.025, 0.012, 0.006, 0.004, 0.002, 0.001,
-    )
-    #: Extra non-government (contractor/analytics) URLs added per government
-    #: URL; the URL filter must discard these.
-    external_url_ratio: float = 0.12
-    #: Fraction of sites that expose an additional static asset hostname.
-    static_subdomain_frac: float = 0.30
-    #: Fraction of sites reachable only through SAN verification
-    #: (no government TLD, not in the directory).
-    san_site_frac: float = 0.004
-    #: Fraction of sites refusing foreign clients.
-    geo_restricted_frac: float = 0.02
-    #: Mean object size in bytes before category skew.
-    mean_resource_bytes: float = 60_000.0
-
-    # --- address plan ------------------------------------------------------
-    #: Probability a new hostname reuses an existing address of its AS pool.
-    ip_reuse_prob: float = 0.70
-    #: Probability a domestic global deployment uses a geo-DNS record
-    #: instead of a pinned unicast address (when not anycast).
-    geo_dns_prob: float = 0.35
-
-    # --- measurement-substrate fidelity ------------------------------------
-    #: Probability IPInfo places a unicast address in the wrong country.
-    ipinfo_wrong_country_rate: float = 0.022
-    #: Probability IPInfo places it in the wrong city of the right country.
-    ipinfo_wrong_city_rate: float = 0.09
-    #: Probability a true anycast address is flagged by MAnycast2.
-    manycast_recall: float = 0.97
-    #: Probability a unicast address is wrongly flagged as anycast.
-    manycast_false_positive_rate: float = 0.002
-    #: Probability a (non-prominent) unicast address answers ICMP; the top
-    #: quartile of addresses by URL mass always responds (see
-    #: ``_mark_prominent_addresses``), so the effective rate is higher.
-    unicast_icmp_rate: float = 0.02
-    #: Probability an anycast address answers ICMP.
-    anycast_icmp_rate: float = 0.95
-    #: PTR dialect mix (city, ntt, opaque); the remainder has no PTR at all.
-    ptr_city_rate: float = 0.60
-    ptr_ntt_rate: float = 0.25
-    ptr_opaque_rate: float = 0.08
-    #: Probability RIPE IPmap has a cached location for an address.
-    ipmap_coverage: float = 0.70
-    #: Probability an anycast deployment for a country lacks a domestic
-    #: site (its catchment lands abroad and the address gets excluded).
-    anycast_offshore_rate: float = 0.15
-    #: PeeringDB record coverage by operator kind.
-    peeringdb_gov_coverage: float = 0.45
-    peeringdb_soe_coverage: float = 0.35
-    peeringdb_local_coverage: float = 0.60
-    peeringdb_regional_coverage: float = 0.80
-    #: Among government PeeringDB records, share whose name/org fields are
-    #: opaque so only the website reveals ownership.
-    peeringdb_opaque_gov_rate: float = 0.25
-    #: Probability a government/SOE AS has a findable website description
-    #: (the "Google search" fallback of Section 3.4).
-    websearch_coverage: float = 0.90
-
     def __post_init__(self) -> None:
         if not 0 < self.scale < math.inf:
             raise ValueError(
                 f"scale must be positive and finite, got {self.scale}")
-        if abs(sum(self.depth_distribution) - 1.0) > 1e-6:
-            raise ValueError("depth_distribution must sum to 1")
-        for name in (
-            "external_url_ratio", "static_subdomain_frac", "san_site_frac",
-            "geo_restricted_frac", "ip_reuse_prob", "geo_dns_prob",
-            "ipinfo_wrong_country_rate", "ipinfo_wrong_city_rate",
-            "manycast_recall", "manycast_false_positive_rate",
-            "unicast_icmp_rate", "anycast_icmp_rate", "ptr_city_rate",
-            "ptr_ntt_rate", "ptr_opaque_rate", "ipmap_coverage",
-            "anycast_offshore_rate", "peeringdb_gov_coverage",
-            "peeringdb_soe_coverage", "peeringdb_local_coverage",
-            "peeringdb_regional_coverage", "peeringdb_opaque_gov_rate",
-            "websearch_coverage", "third_party_drift",
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {value}")
-        if self.ptr_city_rate + self.ptr_ntt_rate + self.ptr_opaque_rate > 1.0:
-            raise ValueError("PTR dialect rates must sum to at most 1")
+        if not 0.0 <= self.third_party_drift <= 1.0:
+            raise ValueError(f"third_party_drift must be a probability, "
+                             f"got {self.third_party_drift}")
         if not 0.0 <= self.fault_rate <= 1.0:
             raise ValueError(
                 f"fault_rate must be a probability, got {self.fault_rate}"
@@ -218,7 +221,8 @@ class WorldConfig:
             seen_override_codes.add(code)
 
     def canonical_dict(self) -> dict:
-        """Every field as a JSON-stable dict (the scan-cache key input).
+        """Every field, and every :data:`CALIBRATION` entry under its
+        name, as a JSON-stable dict (the scan-cache key input).
 
         Sequences become lists, country restrictions are uppercased and
         a defaulted ``fault_seed`` is resolved to the stream it derives
@@ -230,11 +234,11 @@ class WorldConfig:
         from repro.faults.plan import FaultPlan
 
         data = dataclasses.asdict(self)
+        data.update(_CANONICAL_CALIBRATION)
         data["countries"] = (
             None if self.countries is None
             else [code.upper() for code in self.countries]
         )
-        data["depth_distribution"] = list(self.depth_distribution)
         data["fault_seed"] = FaultPlan.from_config(self).seed
         data["country_overrides"] = sorted(
             (override.canonical_dict() for override in self.country_overrides
@@ -304,4 +308,4 @@ def world_key(config: WorldConfig) -> str:
     return json.dumps(neutral.canonical_dict(), sort_keys=True)
 
 
-__all__ = ["CountryOverride", "WorldConfig", "world_key"]
+__all__ = ["CALIBRATION", "CountryOverride", "WorldConfig", "world_key"]

@@ -21,7 +21,7 @@ from random import NV_MAGICCONST
 from typing import Optional
 
 from repro.categories import HostingCategory
-from repro.datagen.config import WorldConfig
+from repro.datagen.config import CALIBRATION, WorldConfig
 from repro.datagen.names import (
     LOCAL_PROVIDER_STEMS,
     REGIONAL_PROVIDER_STEMS,
@@ -265,7 +265,7 @@ class _Generator:
         assert self._scope_code is not None
         key = (self._scope_code, autonomous_system.asn, pop.country)
         pool = self._address_pools.setdefault(key, [])
-        if reuse and pool and rng.random() < self.config.ip_reuse_prob:
+        if reuse and pool and rng.random() < CALIBRATION["ip_reuse_prob"]:
             return rng.choice(pool)
         scope, epoch = self._scope_args()
         address = self.registry.allocate_address(
@@ -418,7 +418,7 @@ class _Generator:
             )
             self.registry.register_as(autonomous_system)
             gov_list.append(autonomous_system)
-            if rng.random() < self.config.websearch_coverage:
+            if rng.random() < CALIBRATION["websearch_coverage"]:
                 self.websearch[autonomous_system.website] = (
                     f"{org} is a federal government institution of {country.name}."
                 )
@@ -451,7 +451,7 @@ class _Generator:
             )
             self.registry.register_as(autonomous_system)
             soe_list.append(autonomous_system)
-            if rng.random() < self.config.websearch_coverage:
+            if rng.random() < CALIBRATION["websearch_coverage"]:
                 self.websearch[website] = (
                     f"{org} is a state-owned enterprise; the government of "
                     f"{country.name} holds a majority stake."
@@ -524,7 +524,7 @@ class _Generator:
         groups = self._anycast_groups.setdefault(key, [])
         if groups and rng.random() < 0.6:
             return rng.choice(groups)
-        offshore = rng.random() < self.config.anycast_offshore_rate
+        offshore = rng.random() < CALIBRATION["anycast_offshore_rate"]
         pop_codes = [hub for hub in ANYCAST_HUBS if hub != code]
         if not offshore:
             pop_codes.insert(0, code)
@@ -643,7 +643,7 @@ class _Generator:
                     serving = group.catchment(capital.lat, capital.lon).country
                 elif autonomous_system.has_pop_in(code):
                     domestic_pop = autonomous_system.pops_in(code)[0]
-                    if rng.random() < self.config.geo_dns_prob and len(autonomous_system.pops) > 2:
+                    if rng.random() < CALIBRATION["geo_dns_prob"] and len(autonomous_system.pops) > 2:
                         # Geo-DNS record: domestic PoP plus two hub PoPs.
                         others = [
                             p for p in autonomous_system.pops
@@ -747,7 +747,7 @@ class _Generator:
         """
         multiplier = min(max(multiplier, 0.05), 20.0)
         sigma = 1.0
-        mu = math.log(self.config.mean_resource_bytes * multiplier) - sigma ** 2 / 2.0
+        mu = math.log(CALIBRATION["mean_resource_bytes"] * multiplier) - sigma ** 2 / 2.0
         uniform, exp, log = rng.random, math.exp, math.log
         def sample() -> int:
             while True:
@@ -832,7 +832,7 @@ class _Generator:
         # --- SAN-verified sites ----------------------------------------------
         san_slots: list[_Generator._SiteSlot] = []
         if n_named >= 25:
-            k_san = max(1, round(self.config.san_site_frac * n_named))
+            k_san = max(1, round(CALIBRATION["san_site_frac"] * n_named))
             for index in range(k_san):
                 hostname = self._unique_hostname(
                     f"{next(name_iters[SiteKind.SOE])}-{country.name.split()[0].lower()}.com"
@@ -988,7 +988,7 @@ class _Generator:
                 slot.in_directory
                 and has_suffix
                 and truth.expected_filter == "tld"
-                and rng.random() < self.config.static_subdomain_frac
+                and rng.random() < CALIBRATION["static_subdomain_frac"]
             ):
                 static_hostname = self._unique_hostname(f"static.{slot.hostname}")
                 self.zone.add(static_hostname, StaticARecord(address=truth.address))
@@ -1012,12 +1012,12 @@ class _Generator:
                 internal_budget=slot.budget,
                 size_sampler=self._size_sampler(multiplier, rng),
                 static_hostname=static_hostname,
-                external_ratio=self.config.external_url_ratio,
+                external_ratio=CALIBRATION["external_url_ratio"],
                 external_hosts=_EXTERNAL_HOSTS,
-                geo_restricted=rng.random() < self.config.geo_restricted_frac,
+                geo_restricted=rng.random() < CALIBRATION["geo_restricted_frac"],
                 extra_links=san_landing_urls if slot is anchor_slot else (),
             )
-            site = build_site(spec, self.config.depth_distribution, rng)
+            site = build_site(spec, CALIBRATION["depth_distribution"], rng)
             self.web.register_site(site)
             if slot.in_directory:
                 directory.extend(f"https://{slot.hostname}{p}" for p in landing_paths)
@@ -1172,7 +1172,7 @@ class _Generator:
             size_sampler=self._size_sampler(1.0, rng),
             external_ratio=0.0,
         )
-        site = build_site(spec, self.config.depth_distribution, rng)
+        site = build_site(spec, CALIBRATION["depth_distribution"], rng)
         self.web.register_site(site)
         directory.append(f"https://{hostname}/")
         self.certificates.install(
@@ -1191,6 +1191,14 @@ class _Generator:
         perturb the measurement noise of any other address.
         """
         config = self.config
+        # A draw lands in the first band it falls below: each band's
+        # bound is the running sum of the rates up to it.
+        wrong_country_below = CALIBRATION["ipinfo_wrong_country_rate"]
+        wrong_city_below = (wrong_country_below
+                            + CALIBRATION["ipinfo_wrong_city_rate"])
+        ptr_city_below = CALIBRATION["ptr_city_rate"]
+        ptr_ntt_below = ptr_city_below + CALIBRATION["ptr_ntt_rate"]
+        ptr_opaque_below = ptr_ntt_below + CALIBRATION["ptr_opaque_rate"]
         location_codes = all_location_codes()
         unresponsive: set[int] = set()
         self._mark_prominent_addresses()
@@ -1205,21 +1213,21 @@ class _Generator:
                     address=address, country=hq, city=capital.name,
                     lat=capital.lat, lon=capital.lon,
                 ))
-                if rng.random() < config.manycast_recall:
+                if rng.random() < CALIBRATION["manycast_recall"]:
                     self.manycast.flag(address)
-                if rng.random() > config.anycast_icmp_rate:
+                if rng.random() > CALIBRATION["anycast_icmp_rate"]:
                     unresponsive.add(address)
                 continue
 
             prominent = address in self._prominent_addresses
             draw = 1.0 if prominent else rng.random()
-            if draw < config.ipinfo_wrong_country_rate:
+            if draw < wrong_country_below:
                 other = rng.choice([c for c in location_codes if c != pop.country])
                 capital = capital_of(other)
                 entry = IpInfoEntry(address=address, country=other,
                                     city=capital.name, lat=capital.lat,
                                     lon=capital.lon)
-            elif draw < config.ipinfo_wrong_country_rate + config.ipinfo_wrong_city_rate:
+            elif draw < wrong_city_below:
                 cities = cities_of(pop.country)
                 city = rng.choice(cities)
                 entry = IpInfoEntry(address=address, country=pop.country,
@@ -1229,9 +1237,9 @@ class _Generator:
                                     city=pop.city, lat=pop.lat, lon=pop.lon)
             self.ipinfo.add(entry)
 
-            if rng.random() < config.manycast_false_positive_rate:
+            if rng.random() < CALIBRATION["manycast_false_positive_rate"]:
                 self.manycast.flag(address)
-            if rng.random() > config.unicast_icmp_rate and not prominent:
+            if rng.random() > CALIBRATION["unicast_icmp_rate"] and not prominent:
                 unresponsive.add(address)
 
             as_slug = "".join(
@@ -1239,14 +1247,14 @@ class _Generator:
             ) or f"as{autonomous_system.asn}"
             dialect = rng.random()
             city_token = normalize_city(pop.city)
-            if dialect < config.ptr_city_rate:
+            if dialect < ptr_city_below:
                 self.ptr_table.add(
                     address,
                     f"ae{rng.randint(0, 9)}.cr{rng.randint(1, 4)}."
                     f"{city_token}{rng.randint(1, 9)}.{pop.country.lower()}"
                     f".bb.{as_slug}.net",
                 )
-            elif dialect < config.ptr_city_rate + config.ptr_ntt_rate:
+            elif dialect < ptr_ntt_below:
                 token = (city_token + "xxxx")[:4] + pop.country.lower() + \
                     f"{rng.randint(1, 9):02d}"
                 self.ptr_table.add(
@@ -1254,12 +1262,12 @@ class _Generator:
                     f"ge-{rng.randint(0, 9)}-0-1.a{rng.randint(10, 99)}."
                     f"{token}.{as_slug}-gin.net",
                 )
-            elif dialect < config.ptr_city_rate + config.ptr_ntt_rate + config.ptr_opaque_rate:
+            elif dialect < ptr_opaque_below:
                 self.ptr_table.add(
                     address, f"host-{address & 0xFFFF}.{as_slug}.example.net"
                 )
 
-            if rng.random() < config.ipmap_coverage:
+            if rng.random() < CALIBRATION["ipmap_coverage"]:
                 self.ipmap.store(address, pop.country)
 
         self._build_peeringdb()
@@ -1295,10 +1303,10 @@ class _Generator:
     def _build_peeringdb(self) -> None:
         config = self.config
         coverage_by_kind = {
-            ASKind.GOVERNMENT: config.peeringdb_gov_coverage,
-            ASKind.SOE: config.peeringdb_soe_coverage,
-            ASKind.LOCAL_HOSTING: config.peeringdb_local_coverage,
-            ASKind.REGIONAL_HOSTING: config.peeringdb_regional_coverage,
+            ASKind.GOVERNMENT: CALIBRATION["peeringdb_gov_coverage"],
+            ASKind.SOE: CALIBRATION["peeringdb_soe_coverage"],
+            ASKind.LOCAL_HOSTING: CALIBRATION["peeringdb_local_coverage"],
+            ASKind.REGIONAL_HOSTING: CALIBRATION["peeringdb_regional_coverage"],
             ASKind.GLOBAL_PROVIDER: 1.0,
             ASKind.ISP: 0.7,
         }
@@ -1313,7 +1321,7 @@ class _Generator:
             org = autonomous_system.organization
             notes = ""
             if autonomous_system.kind is ASKind.GOVERNMENT:
-                if rng.random() < config.peeringdb_opaque_gov_rate:
+                if rng.random() < CALIBRATION["peeringdb_opaque_gov_rate"]:
                     name = f"NET-{autonomous_system.asn}"
                     org = f"ORG-{autonomous_system.asn}"
             elif autonomous_system.kind is ASKind.SOE and rng.random() < 0.5:
@@ -1345,7 +1353,7 @@ class _Generator:
             rng = derive_rng(self.config.seed, "topsites", code)
             sites: list[TopSite] = []
             hosts: list[str] = []
-            for rank in range(1, self.config.topsites_per_country + 1):
+            for rank in range(1, CALIBRATION["topsites_per_country"] + 1):
                 stem = TOPSITE_STEMS[(rank - 1) % len(TOPSITE_STEMS)]
                 tld = country.cctld if rng.random() < 0.6 else "com"
                 label = f"{stem}{rank}" if tld != "com" else f"{stem}{rank}-{country.cctld}"

@@ -24,8 +24,11 @@ from repro.netsim.latency import LatencyModel
 from repro.world.cities import cities_of
 from repro.world.geography import haversine_km
 
-DEFAULT_PING_COUNT = 3
-DEFAULT_PROBES_PER_COUNTRY = 5
+#: Pings per probe per target: the paper's ping train.
+PING_COUNT = 3
+#: Probes the mesh places in each country (fewer where it has fewer
+#: cities): the paper's "up to five".
+PROBES_PER_COUNTRY = 5
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,7 +69,6 @@ class AtlasClient:
         latency: LatencyModel,
         country_codes: Sequence[str],
         rng: random.Random,
-        probes_per_country: int = DEFAULT_PROBES_PER_COUNTRY,
     ) -> None:
         self._fabric = fabric
         self._latency = latency
@@ -77,13 +79,13 @@ class AtlasClient:
         # serial run bit-for-bit (repro.exec), and makes the ping memo
         # below a sound cache rather than a behavior change.
         self._seed = rng.getrandbits(64)
-        self._ping_cache: dict[tuple[int, int, int], PingResult] = {}
+        self._ping_cache: dict[tuple[int, int], PingResult] = {}
         self._probes: dict[str, list[AtlasProbe]] = {}
         next_id = 1
         for code in country_codes:
             probes: list[AtlasProbe] = []
             cities = cities_of(code)
-            for index in range(min(probes_per_country, max(len(cities), 1))):
+            for index in range(min(PROBES_PER_COUNTRY, max(len(cities), 1))):
                 city = cities[index % len(cities)]
                 probes.append(
                     AtlasProbe(
@@ -97,9 +99,9 @@ class AtlasClient:
                 next_id += 1
             self._probes[code] = probes
 
-    def probes_in(self, country_code: str, limit: int = DEFAULT_PROBES_PER_COUNTRY) -> list[AtlasProbe]:
-        """Up to ``limit`` probes located in ``country_code`` (may be empty)."""
-        return self._probes.get(country_code.upper(), [])[:limit]
+    def probes_in(self, country_code: str) -> list[AtlasProbe]:
+        """The probes located in ``country_code`` (may be empty)."""
+        return list(self._probes.get(country_code.upper(), ()))
 
     def all_probes(self) -> list[AtlasProbe]:
         """Every probe in the mesh."""
@@ -109,10 +111,10 @@ class AtlasClient:
         self,
         probe: AtlasProbe,
         address: int,
-        count: int = DEFAULT_PING_COUNT,
         faults: Optional["FaultSession"] = None,
     ) -> PingResult:
-        """Send ``count`` pings from ``probe`` to ``address`` (memoized).
+        """Send :data:`PING_COUNT` pings from ``probe`` to ``address``
+        (memoized).
 
         With a fault session, the ping train is subject to injected
         probe timeouts (retried with simulated backoff; exhausting the
@@ -121,7 +123,7 @@ class AtlasClient:
         outcomes are scoped to the scanning country — while the shared
         cache keeps serving the fault-free path untouched.
         """
-        key = (probe.probe_id, address, count)
+        key = (probe.probe_id, address)
         if faults is None:
             cached = self._ping_cache.get(key)
         else:
@@ -153,7 +155,7 @@ class AtlasClient:
                         else 0.0
                     ),
                 )
-                for sample in range(count)
+                for sample in range(PING_COUNT)
             )
             result = PingResult(probe=probe, address=address, rtts_ms=rtts)
         if faults is None:
@@ -166,8 +168,6 @@ class AtlasClient:
         self,
         country_code: str,
         address: int,
-        probe_limit: int = DEFAULT_PROBES_PER_COUNTRY,
-        count: int = DEFAULT_PING_COUNT,
         faults: Optional["FaultSession"] = None,
     ) -> Optional[float]:
         """Minimum RTT to ``address`` over all probes of a country.
@@ -176,8 +176,8 @@ class AtlasClient:
         responds.
         """
         best: Optional[float] = None
-        for probe in self.probes_in(country_code, probe_limit):
-            result = self.ping(probe, address, count, faults=faults)
+        for probe in self.probes_in(country_code):
+            result = self.ping(probe, address, faults=faults)
             if result.min_rtt_ms is None:
                 continue
             if best is None or result.min_rtt_ms < best:
@@ -187,7 +187,6 @@ class AtlasClient:
     def nearest_probe_rtt(
         self,
         address: int,
-        count: int = DEFAULT_PING_COUNT,
         faults: Optional["FaultSession"] = None,
     ) -> Optional[PingResult]:
         """Single-radius helper: the probe with the smallest RTT to ``address``.
@@ -198,7 +197,7 @@ class AtlasClient:
         """
         best: Optional[PingResult] = None
         for probe in self.all_probes():
-            result = self.ping(probe, address, count, faults=faults)
+            result = self.ping(probe, address, faults=faults)
             if result.min_rtt_ms is None:
                 continue
             if best is None or result.min_rtt_ms < (best.min_rtt_ms or float("inf")):
@@ -207,8 +206,8 @@ class AtlasClient:
 
 
 __all__ = [
-    "DEFAULT_PING_COUNT",
-    "DEFAULT_PROBES_PER_COUNTRY",
+    "PING_COUNT",
+    "PROBES_PER_COUNTRY",
     "AtlasProbe",
     "PingResult",
     "AtlasClient",

@@ -22,6 +22,9 @@ PATH_INFLATION = 1.45
 #: Fixed per-hop processing overhead in milliseconds.
 BASE_OVERHEAD_MS = 1.0
 
+#: Queueing-jitter allowance added to every country threshold (ms).
+THRESHOLD_SLACK_MS = 10.0
+
 
 def propagation_rtt_ms(distance_km: float) -> float:
     """Deterministic component of the RTT over ``distance_km``."""
@@ -73,20 +76,21 @@ class LatencyModel:
         return base + jitter
 
 
-def country_threshold_ms(road_span_km: float, slack_ms: float = 10.0) -> float:
+def country_threshold_ms(road_span_km: float) -> float:
     """Latency threshold for 'is this server within the country?'.
 
     Converts the intercity road distance between the two furthest cities
-    of a country into an RTT bound (Section 3.5), plus a small slack for
-    queueing jitter.
+    of a country into an RTT bound (Section 3.5), plus
+    :data:`THRESHOLD_SLACK_MS` for queueing jitter.
     """
-    return propagation_rtt_ms(road_span_km) + slack_ms
+    return propagation_rtt_ms(road_span_km) + THRESHOLD_SLACK_MS
 
 
 __all__ = [
     "FIBER_KM_PER_MS",
     "PATH_INFLATION",
     "BASE_OVERHEAD_MS",
+    "THRESHOLD_SLACK_MS",
     "propagation_rtt_ms",
     "LatencyModel",
     "country_threshold_ms",

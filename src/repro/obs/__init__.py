@@ -41,11 +41,7 @@ from repro.obs.manifest import (
     manifest_path_for,
     tool_version,
 )
-from repro.obs.metrics import (
-    MetricsRegistry,
-    ThreadSafeMetricsRegistry,
-    merge_metrics,
-)
+from repro.obs.metrics import MetricsRegistry, merge_metrics
 from repro.obs.exposition import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.obs.registry import (
     ManifestDiff,
@@ -211,7 +207,6 @@ __all__ = [
     "RunRegistry",
     "ScanObs",
     "Span",
-    "ThreadSafeMetricsRegistry",
     "Tracer",
     "diff_manifests",
     "diff_runs",

@@ -22,7 +22,6 @@ reduction is order-independent.
 
 from __future__ import annotations
 
-import threading
 from typing import Mapping, Optional, Union
 
 Number = Union[int, float]
@@ -158,69 +157,6 @@ class MetricsRegistry:
         return registry
 
 
-class ThreadSafeMetricsRegistry(MetricsRegistry):
-    """A :class:`MetricsRegistry` whose mutators and snapshots lock.
-
-    The base class stays lock-free on purpose — pipeline shards own
-    their registries exclusively and merge after the fact.  Long-lived
-    shared registries (the serve layer's per-query metrics) use this
-    subclass instead: every mutator, merge and snapshot read runs under
-    one internal lock, so concurrent request threads never interleave a
-    half-applied update or export a torn snapshot.  The algebra is
-    unchanged — it is the same monoid, just fenced.
-    """
-
-    __slots__ = ("_metrics_lock",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        # Reentrant: the base merge_in dispatches back through the
-        # overridden gauge/observe_all while the lock is already held.
-        self._metrics_lock = threading.RLock()
-
-    # Mutators --------------------------------------------------------
-
-    def count(self, name: str, value: Number = 1) -> None:
-        with self._metrics_lock:
-            super().count(name, value)
-
-    def gauge(self, name: str, value: Number) -> None:
-        with self._metrics_lock:
-            super().gauge(name, value)
-
-    def observe(self, name: str, bucket: Union[int, str],
-                count: Number = 1) -> None:
-        with self._metrics_lock:
-            super().observe(name, bucket, count)
-
-    def observe_all(self, name: str,
-                    buckets: Mapping[Union[int, str], Number]) -> None:
-        with self._metrics_lock:
-            super().observe_all(name, buckets)
-
-    def merge_in(self, other: "MetricsRegistry") -> None:
-        with self._metrics_lock:
-            super().merge_in(other)
-
-    # Snapshot reads --------------------------------------------------
-
-    def counter(self, name: str) -> Number:
-        with self._metrics_lock:
-            return super().counter(name)
-
-    def gauge_value(self, name: str) -> Optional[Number]:
-        with self._metrics_lock:
-            return super().gauge_value(name)
-
-    def histogram(self, name: str) -> dict[Union[int, str], Number]:
-        with self._metrics_lock:
-            return super().histogram(name)
-
-    def to_dict(self) -> dict:
-        with self._metrics_lock:
-            return super().to_dict()
-
-
 def merge_metrics(registries) -> MetricsRegistry:
     """Reduce any iterable of registries with the monoid merge."""
     merged = MetricsRegistry()
@@ -229,4 +165,4 @@ def merge_metrics(registries) -> MetricsRegistry:
     return merged
 
 
-__all__ = ["MetricsRegistry", "ThreadSafeMetricsRegistry", "merge_metrics"]
+__all__ = ["MetricsRegistry", "merge_metrics"]

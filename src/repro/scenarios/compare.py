@@ -35,6 +35,9 @@ from repro.scenarios.runner import ScenarioResult, SweepResult
 #: by an outage (the resilience analysis' threshold).
 OUTAGE_THRESHOLD = 0.10
 
+#: Per-country HHI movers a divergence lists.
+TOP_MOVERS = 5
+
 
 @dataclasses.dataclass(frozen=True)
 class OutageBlastRadius:
@@ -87,7 +90,8 @@ class ScenarioDivergence:
     third_party_delta: float
     #: Mean per-country serving-network HHI delta.
     hhi_mean_delta: float
-    #: Largest absolute per-country HHI movers, biggest first.
+    #: The :data:`TOP_MOVERS` largest absolute per-country HHI movers,
+    #: biggest first.
     hhi_top_movers: tuple[tuple[str, float], ...]
     #: Blast radius, for outage scenarios only.
     outage: Optional[OutageBlastRadius] = None
@@ -145,7 +149,6 @@ def _category_shares(dataset: GovernmentHostingDataset) -> dict[str, float]:
 def compare_scenario(
     result: ScenarioResult,
     baseline: ScenarioResult,
-    top_movers: int = 5,
 ) -> ScenarioDivergence:
     """Divergence of one swept scenario from the sweep's baseline."""
     scenario = result.scenario
@@ -198,7 +201,7 @@ def compare_scenario(
         hhi_movers = tuple(sorted(
             ((code, delta) for code, delta in deltas.items() if delta),
             key=lambda item: (-abs(item[1]), item[0]),
-        )[:top_movers])
+        )[:TOP_MOVERS])
 
     outage = None
     if scenario.outage_asns:
@@ -241,19 +244,17 @@ def compare_scenario(
     )
 
 
-def compare_sweep(
-    sweep: SweepResult, top_movers: int = 5
-) -> tuple[ScenarioDivergence, ...]:
+def compare_sweep(sweep: SweepResult) -> tuple[ScenarioDivergence, ...]:
     """Divergence of every non-baseline scenario, in sweep order."""
     baseline = sweep.baseline
     return tuple(
-        compare_scenario(result, baseline, top_movers=top_movers)
-        for result in sweep.results[1:]
+        compare_scenario(result, baseline) for result in sweep.results[1:]
     )
 
 
 __all__ = [
     "OUTAGE_THRESHOLD",
+    "TOP_MOVERS",
     "OutageBlastRadius",
     "ScenarioDivergence",
     "compare_scenario",

@@ -13,10 +13,10 @@ Endpoints::
 ``<endpoint>`` is one of the :data:`~repro.serve.schemas.QUERY_ENDPOINTS`
 names.  GET and POST validate identically (the schemas coerce
 query-string forms), so ``curl`` one-liners and programmatic clients
-see the same behavior.  Every client error is a structured body
-``{"error": {"code", "message"[, "field"]}}`` with a 4xx status;
-unexpected server failures answer 500 with code ``internal`` and no
-traceback leakage.
+see the same behavior; ``HEAD`` answers as ``GET`` does, head only.
+Every client error is a structured body ``{"error": {"code",
+"message"[, "field"]}}`` with a 4xx status; unexpected server failures
+answer 500 with code ``internal`` and no traceback leakage.
 
 The request head: :class:`_Handler` reads the request line and the
 header fields itself into a dict of lower-cased names (the first of a
@@ -42,7 +42,9 @@ GET and POST both read their body before answering: a keep-alive
 connection's next request starts where the body ends.  As in
 ``http.server``, a line may end in CRLF or a bare LF, HTTP/1.0 closes
 after its answer unless it asks for ``Connection: keep-alive``, and a
-two-word request line is HTTP/0.9: a GET, answered with its body only.
+two-word request line is HTTP/0.9: a GET, answered with its body only,
+after which the connection closes whatever its ``Connection`` field
+says (a body-only answer ends only at EOF).
 
 Answers: a query's 200 body comes from
 :meth:`~repro.serve.service.DatasetService.query_bytes`, which encodes
@@ -274,7 +276,8 @@ class _Handler(BaseHTTPRequestHandler):
         connection = headers.get("connection", "").lower()
         if connection == "close":
             self.close_connection = True
-        elif connection == "keep-alive":
+        elif (connection == "keep-alive"
+              and self.request_version != "HTTP/0.9"):
             self.close_connection = False
         # The version compares as a string, as in http.server.
         if (headers.get("expect", "").lower() == "100-continue"
@@ -367,6 +370,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error_json(RequestError(
                 "not-found", f"no such path {path!r}; queries live under "
                 f"/v1/<endpoint>", status=404))
+
+    # ``_send`` writes a HEAD answer's head alone.
+    do_HEAD = do_GET
 
     def do_POST(self) -> None:
         raw = self._read_body()

@@ -1,14 +1,10 @@
-"""Per-query metrics over one thread-safe :mod:`repro.obs` registry.
+"""Per-query metrics over one :mod:`repro.obs` registry.
 
 The serve layer has many request threads hitting one registry, so
-:class:`ServiceMetrics` records straight into a
-:class:`~repro.obs.ThreadSafeMetricsRegistry` — the locking lives in
-the registry itself (one implementation, shared with anything else
-that needs a fenced registry), not in a wrapper re-implementing every
-mutator behind a second lock.  The only state the tracker still guards
-itself is the in-flight counter, which is not a monoid value.  A
-finished query's updates go in under one acquisition of the registry's
-lock.
+:class:`ServiceMetrics` guards a plain
+:class:`~repro.obs.MetricsRegistry` and the in-flight level (which is
+not a monoid value) with one lock: a query takes it once as it starts
+and once as it finishes, and a snapshot takes it once.
 
 :meth:`ServiceMetrics.track` records everything a query produces:
 
@@ -37,7 +33,7 @@ import contextlib
 import threading
 import time
 
-from repro.obs import MetricsRegistry, ThreadSafeMetricsRegistry
+from repro.obs import MetricsRegistry
 
 
 def latency_bucket(milliseconds: float) -> int:
@@ -49,25 +45,26 @@ def latency_bucket(milliseconds: float) -> int:
 
 
 class ServiceMetrics:
-    """Request-thread metrics over one shared thread-safe registry."""
+    """Request-thread metrics: one registry and the in-flight level,
+    under one lock."""
 
     def __init__(self) -> None:
-        self.registry = ThreadSafeMetricsRegistry()
+        self.registry = MetricsRegistry()
         self._inflight = 0
-        self._inflight_lock = threading.Lock()
+        self._lock = threading.Lock()
 
     @contextlib.contextmanager
     def track(self, endpoint: str):
         """Record one query: count, latency bucket, errors, inflight peak.
 
-        A finished query is recorded under one acquisition of the
-        registry's lock, the in-flight level it started at included (so
-        the peak shows once the query that reached it has finished).
-        Exceptions propagate after being counted, so the gateway still
-        maps them to responses.
+        A finished query is recorded under one acquisition of the lock,
+        the in-flight level it started at included (so the peak shows
+        once the query that reached it has finished).  Exceptions
+        propagate after being counted, so the gateway still maps them to
+        responses.
         """
         start_ns = time.perf_counter_ns()
-        with self._inflight_lock:
+        with self._lock:
             self._inflight += 1
             inflight = self._inflight
         code = None
@@ -82,33 +79,29 @@ class ServiceMetrics:
             # platform clock is broken — and then we record 0, not a
             # negative latency.
             elapsed_ms = max(0, time.perf_counter_ns() - start_ns) / 1e6
-            with self._inflight_lock:
-                self._inflight -= 1
             registry = self.registry
-            # The base class's mutators take no lock of their own.
-            count = MetricsRegistry.count
-            with registry._metrics_lock:
-                MetricsRegistry.gauge(registry, "serve.inflight.peak",
-                                      inflight)
+            with self._lock:
+                self._inflight -= 1
+                registry.gauge("serve.inflight.peak", inflight)
                 if code is not None:
-                    count(registry, "serve.errors")
-                    count(registry, f"serve.errors.{code}")
-                count(registry, "serve.requests")
-                count(registry, f"serve.requests.{endpoint}")
-                MetricsRegistry.observe(registry,
-                                        f"serve.latency_ms.{endpoint}",
-                                        latency_bucket(elapsed_ms))
-                count(registry, f"serve.latency_sum_ms.{endpoint}",
-                      round(elapsed_ms, 6))
+                    registry.count("serve.errors")
+                    registry.count(f"serve.errors.{code}")
+                registry.count("serve.requests")
+                registry.count(f"serve.requests.{endpoint}")
+                registry.observe(f"serve.latency_ms.{endpoint}",
+                                 latency_bucket(elapsed_ms))
+                registry.count(f"serve.latency_sum_ms.{endpoint}",
+                               round(elapsed_ms, 6))
 
     def inflight(self) -> int:
         """Queries currently executing (for ``/healthz``)."""
-        with self._inflight_lock:
+        with self._lock:
             return self._inflight
 
     def snapshot(self) -> dict:
         """Point-in-time JSON-ready copy (the ``/metrics`` body)."""
-        return self.registry.to_dict()
+        with self._lock:
+            return self.registry.to_dict()
 
 
 __all__ = ["ServiceMetrics", "latency_bucket"]

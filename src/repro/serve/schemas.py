@@ -142,7 +142,9 @@ class CategoryMixRequest:
 class CrossborderRequest:
     """Cross-border flows of a source-country set (Figure 9 slice).
 
-    An empty ``sources`` means every country in the dataset.
+    An empty ``sources`` means every country in the dataset.  Each
+    source is kept once, as first spelled: codes compare upper-cased,
+    as the service matches them to the dataset's countries.
     """
 
     sources: tuple[str, ...] = ()
@@ -151,8 +153,11 @@ class CrossborderRequest:
     @classmethod
     def from_mapping(cls, data: Mapping) -> "CrossborderRequest":
         _reject_unknown_fields(data, ("sources", "basis"))
+        first = {}
+        for code in _string_list(data, "sources"):
+            first.setdefault(code.upper(), code)
         return cls(
-            sources=_string_list(data, "sources"),
+            sources=tuple(first.values()),
             basis=_string(data, "basis", default="server",
                           choices=BASIS_CHOICES),
         )

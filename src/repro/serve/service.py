@@ -19,8 +19,8 @@ returns) and hands a repeated request those bytes without running its
 handler again.  The memo is filled only by requests, never evicts, and
 stores nothing that would take what it holds past
 :data:`BODY_MEMO_BYTES`; error answers are never stored.
-:meth:`DatasetService.query` returns the answer dict and does not use
-the memo.
+:meth:`DatasetService.query` decodes the same bytes, so the dict an
+in-process caller gets is the body the gateway sends.
 
 Validation layering: the schemas reject structurally bad requests
 before the service sees them; the service adds the semantic checks
@@ -58,11 +58,11 @@ from repro.serve.tracing import null_span
 #: stored body plus its request's field values (:func:`_entry_bytes`).
 #: An entry that would take the total past it is sent but not stored,
 #: and nothing is ever evicted.  The cap counts bytes, not entries,
-#: because a ``crossborder`` request may list up to the gateway's 1 MiB
-#: body limit of ``sources``, which its key holds as ~10 bytes of
-#: string objects per byte of JSON and its answer echoes.  At scale
-#: 0.05 the largest answer of the benchmark mix (the full report) is
-#: ~3.8 KB, the whole cross-border table ~7.3 KB, and 1,900 distinct
+#: because answers differ in size by orders of magnitude; a
+#: ``crossborder`` request holds each source once, so its key and the
+#: list its answer echoes are bounded by the dataset's countries.  At
+#: scale 0.05 the largest answer of the benchmark mix (the full report)
+#: is ~3.8 KB, the whole cross-border table ~7.3 KB, and 1,900 distinct
 #: ``providers`` and ``crossborder`` answers take ~1.7 MB, so 16 MiB
 #: keeps every answer of any realistic mix of repeated queries, while
 #: the most a flood of distinct requests can pin is a quarter of the
@@ -135,42 +135,32 @@ class DatasetService:
 
     def query(self, endpoint: str, payload: Mapping, *,
               tracer: Optional[Tracer] = None) -> dict:
-        """Validate ``payload`` against ``endpoint``'s schema and answer.
-
-        Raises :class:`RequestError` for anything the client got wrong.
-        The answer is a fresh JSON-ready dict: mutating it never changes
-        a later answer.  With ``tracer`` the validation runs under a
-        ``parse`` span and the handler under a ``dispatch`` span, nested
-        in whatever span the caller has open.  The dispatch span is
-        tagged with the memo events the handler caused: ``memo_builds``
-        names the index tables it built (empty when every table was
-        warm) and ``memo_hits`` counts the hits reported.  Tracing is
-        measurement only and never changes the answer (held by
-        ``tests/serve``).
+        """The answer of :meth:`query_bytes`, decoded: a fresh
+        JSON-ready dict, so mutating it never changes a later answer.
         """
-        return self._serve(endpoint, payload, tracer, encode=False)
+        return json.loads(self.query_bytes(endpoint, payload, tracer=tracer))
 
     def query_bytes(self, endpoint: str, payload: Mapping, *,
                     tracer: Optional[Tracer] = None) -> bytes:
-        """The answer of :meth:`query`, encoded as the gateway sends it.
+        """Validate ``payload`` against ``endpoint``'s schema and answer
+        with the body the gateway sends.
 
-        The body is ``json.dumps(answer, sort_keys=True)`` in UTF-8.  A
-        request whose (endpoint, validated request) already has a stored
-        body gets those bytes without its handler running; a miss runs
-        the handler, encodes the answer and stores the body while the
-        memo's total stays within :data:`BODY_MEMO_BYTES`.  Errors raise
-        as in :meth:`query` and are never stored.  With ``tracer`` the
-        spans are ``parse``, ``dispatch`` (the lookup, and on a miss the
-        handler) and ``render`` (on a miss the encoding; on a hit it
-        only hands back the stored bytes), and ``dispatch`` is also
-        tagged ``body``: ``"hit"`` or ``"built"``.
+        Raises :class:`RequestError` for anything the client got wrong;
+        errors are never stored.  The body is
+        ``json.dumps(answer, sort_keys=True)`` in UTF-8.  A request
+        whose (endpoint, validated request) already has a stored body
+        gets those bytes without its handler running; a miss runs the
+        handler, encodes the answer and stores the body while the memo's
+        total stays within :data:`BODY_MEMO_BYTES`.  With ``tracer`` the
+        spans are ``parse`` (the validation), ``dispatch`` (the lookup,
+        and on a miss the handler) and ``render`` (on a miss the
+        encoding; on a hit it only hands back the stored bytes), nested
+        in whatever span the caller has open.  ``dispatch`` is tagged
+        ``body``: ``"hit"`` or ``"built"``, ``memo_builds`` (the index
+        tables the handler built, empty when every table was warm) and
+        ``memo_hits`` (the hits reported).  Tracing is measurement only
+        and never changes the answer (held by ``tests/serve``).
         """
-        return self._serve(endpoint, payload, tracer, encode=True)
-
-    def _serve(self, endpoint: str, payload: Mapping,
-               tracer: Optional[Tracer], encode: bool) -> Union[dict, bytes]:
-        """Validate and dispatch one request under ``metrics.track``:
-        the answer dict, or with ``encode`` its (memoized) body."""
         try:
             schema = QUERY_ENDPOINTS[endpoint]
         except KeyError:
@@ -189,7 +179,7 @@ class DatasetService:
             key = (endpoint, request)
             with span("dispatch") as dispatch, \
                     obs_events.collecting() as events:
-                body = self._bodies.get(key) if encode else None
+                body = self._bodies.get(key)
                 if body is None:
                     answer = self._handlers[endpoint](request)
                 if dispatch is not None:
@@ -198,11 +188,7 @@ class DatasetService:
                         if event.kind == "memo.build")
                     dispatch.tags["memo_hits"] = sum(
                         1 for event in events if event.kind == "memo.hit")
-                    if encode:
-                        dispatch.tags["body"] = \
-                            "built" if body is None else "hit"
-            if not encode:
-                return answer
+                    dispatch.tags["body"] = "built" if body is None else "hit"
             with span("render"):
                 if body is None:
                     body = self._remember(key, json.dumps(
@@ -257,10 +243,10 @@ class DatasetService:
         rows = self._index.crossborder_flow_table(request.basis)
         if sources:
             # The table is sorted by source, so a source set is a
-            # concatenation of contiguous slices -- walking unique
+            # concatenation of contiguous slices -- walking the (unique)
             # sources in order preserves the full table's ordering.
             slices = self._index.crossborder_flow_slices(request.basis)
-            rows = [row for source in sorted(set(sources))
+            rows = [row for source in sorted(sources)
                     if source in slices
                     for row in rows[slice(*slices[source])]]
         return {
@@ -386,8 +372,7 @@ class DatasetService:
 
 def _entry_bytes(request, body: bytes) -> int:
     """The bytes a memo entry keeps alive: its body, and each field
-    value of its request (a tuple field's items included, so a long
-    ``sources`` list counts whole)."""
+    value of its request (a tuple field's items included)."""
     size = len(body)
     for field in dataclasses.fields(request):
         value = getattr(request, field.name)

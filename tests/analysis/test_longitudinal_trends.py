@@ -31,28 +31,14 @@ def snapshots():
 # ------------------------------------------- one-sided compare_snapshots
 
 def test_compare_skips_country_in_only_one_snapshot():
-    """Satellite fix: a country measured in just one snapshot must not
-    raise; the default semantics omit it."""
+    """A country measured in just one snapshot must not raise: it has
+    no delta and is omitted."""
     before = _measure(("BR", "US"))
     after = _measure(("BR", "US", "FR"))
     deltas = compare_snapshots(before, after)
     assert set(deltas) == {"BR", "US"}
     reverse = compare_snapshots(after, before)
     assert set(reverse) == {"BR", "US"}
-
-
-def test_compare_zero_semantics_includes_one_sided():
-    before = _measure(("BR", "US"))
-    after = _measure(("BR", "US", "FR"))
-    deltas = compare_snapshots(before, after, missing="zero")
-    assert set(deltas) == {"BR", "US", "FR"}
-    assert deltas["FR"].third_party_before == 0.0
-    assert deltas["FR"].delta == deltas["FR"].third_party_after > 0.0
-
-
-def test_compare_missing_choice_validated(tiny_dataset):
-    with pytest.raises(ValueError):
-        compare_snapshots(tiny_dataset, tiny_dataset, missing="explode")
 
 
 def test_compare_identical_snapshots_all_zero(tiny_dataset):

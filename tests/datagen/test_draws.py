@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from repro.datagen.config import WorldConfig
+from repro.datagen import generator as generator_module
+from repro.datagen.config import CALIBRATION, WorldConfig
 from repro.datagen.generator import _EXTERNAL_HOSTS, _Generator
 from repro.datagen.sitebuilder import (
     _RESOURCE_EXTENSIONS,
@@ -28,13 +29,16 @@ SEEDS = range(256)
 MULTIPLIERS = (0.01, 0.05, 0.3, 1.0, 4.2, 20.0, 35.0)
 
 
-@pytest.mark.parametrize("mean_bytes", [60_000.0, 2.0 ** 70],
+@pytest.mark.parametrize("mean_bytes", [CALIBRATION["mean_resource_bytes"],
+                                        2.0 ** 70],
                          ids=["config-mean", "exact-floats"])
-def test_sizes_match_lognormvariate(mean_bytes):
+def test_sizes_match_lognormvariate(mean_bytes, monkeypatch):
     # At a mean of 2**70 every draw is above 2**53, where each float is
     # an integer: int() keeps all of its bits, so equal sizes are equal
     # floats.
-    generator = _Generator(WorldConfig(mean_resource_bytes=mean_bytes))
+    monkeypatch.setattr(generator_module, "CALIBRATION", {
+        **CALIBRATION, "mean_resource_bytes": mean_bytes})
+    generator = _Generator(WorldConfig())
     for seed in SEEDS:
         for multiplier in MULTIPLIERS:
             inline, stdlib = random.Random(seed), random.Random(seed)

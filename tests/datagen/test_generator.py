@@ -4,6 +4,7 @@ import pytest
 
 from repro import SyntheticWorld, WorldConfig
 from repro.categories import HostingCategory
+from repro.datagen.config import CALIBRATION
 from repro.netsim.asn import ASKind
 from repro.urltools import hostname_of
 
@@ -144,7 +145,7 @@ def test_topsites_generated_for_comparison_countries(world):
 
     assert set(world.topsites) == set(COMPARISON_COUNTRIES)
     for code, sites in world.topsites.items():
-        assert len(sites) == world.config.topsites_per_country
+        assert len(sites) == CALIBRATION["topsites_per_country"]
         for topsite in sites:
             assert world.web.site_of(topsite.hostname) is not None
 

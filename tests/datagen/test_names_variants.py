@@ -5,6 +5,8 @@ import itertools
 import pytest
 
 from repro import Pipeline, SyntheticWorld, WorldConfig
+from repro.datagen import generator as generator_module
+from repro.datagen.config import CALIBRATION
 from repro.datagen.names import (
     AGENCY_NAMES,
     MINISTRY_SECTORS,
@@ -62,10 +64,16 @@ def test_no_anycast_variant():
     assert dataset.summarize().total_unique_urls > 0
 
 
-def test_zero_geo_dns_variant():
+def _calibrated(monkeypatch, **rates) -> None:
+    """Generate under ``CALIBRATION`` with ``rates`` replaced."""
+    monkeypatch.setattr(generator_module, "CALIBRATION",
+                        {**CALIBRATION, **rates})
+
+
+def test_zero_geo_dns_variant(monkeypatch):
+    _calibrated(monkeypatch, geo_dns_prob=0.0)
     world = SyntheticWorld.generate(WorldConfig(
         seed=9, scale=0.03, countries=("US",), include_topsites=False,
-        geo_dns_prob=0.0,
     ))
     from repro.netsim.dns import GeoARecord
 
@@ -76,10 +84,10 @@ def test_zero_geo_dns_variant():
     assert geo_records == []
 
 
-def test_full_external_ratio_zero():
+def test_full_external_ratio_zero(monkeypatch):
+    _calibrated(monkeypatch, external_url_ratio=0.0)
     world = SyntheticWorld.generate(WorldConfig(
         seed=9, scale=0.03, countries=("UY",), include_topsites=False,
-        external_url_ratio=0.0,
     ))
     for site in world.web.iter_sites():
         for page in site.iter_pages():

@@ -1,5 +1,6 @@
 """HOIHO accuracy over the whole generated PTR corpus."""
 
+from repro.datagen.config import CALIBRATION
 from repro.measure.hoiho import HoihoExtractor
 
 
@@ -28,8 +29,8 @@ def test_extractor_never_returns_wrong_country(world):
 
 
 def test_ptr_coverage_tracks_config(world):
-    config = world.config
-    expected = config.ptr_city_rate + config.ptr_ntt_rate + config.ptr_opaque_rate
+    expected = (CALIBRATION["ptr_city_rate"] + CALIBRATION["ptr_ntt_rate"]
+                + CALIBRATION["ptr_opaque_rate"])
     unicast_total = sum(
         1 for truth in world.truth.hosts.values() if not truth.anycast
     )

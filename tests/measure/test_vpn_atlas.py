@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.datagen.seeds import derive_rng
-from repro.measure.atlas import AtlasClient
+from repro.measure.atlas import PING_COUNT, PROBES_PER_COUNTRY, AtlasClient
 from repro.measure.vpn import VpnCatalog
 from repro.netsim.anycast import AnycastGroup, AnycastIndex
 from repro.netsim.asn import ASKind, AutonomousSystem, PoP
@@ -62,7 +62,7 @@ def test_probes_exist_in_every_location(probing_setup):
     atlas, *_ = probing_setup
     for code in ("DE", "SG", "NC", "US"):
         assert atlas.probes_in(code), code
-    assert len(atlas.probes_in("US")) <= 5
+    assert len(atlas.probes_in("US")) <= PROBES_PER_COUNTRY == 5
 
 
 def test_domestic_ping_below_threshold(probing_setup):
@@ -110,7 +110,8 @@ def test_nearest_probe_none_for_silent_target(probing_setup):
 
 
 def test_ping_count_controls_train_length(probing_setup):
+    # The paper's train: three pings from each probe.
     atlas, domestic, _, _ = probing_setup
     probe = atlas.probes_in("DE")[0]
-    result = atlas.ping(probe, domestic, count=7)
-    assert len(result.rtts_ms) == 7
+    result = atlas.ping(probe, domestic)
+    assert len(result.rtts_ms) == PING_COUNT == 3

@@ -70,6 +70,19 @@ def test_sweep_rejects_bad_matrices(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field", ["ipmap_coverage", "depth_distribution"])
+def test_sweep_rejects_a_base_naming_a_calibration_entry(tmp_path, capsys,
+                                                         field):
+    # The calibration is a constant, not a config field a matrix sets.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"base": {field: 0.5}, "scenarios": []}))
+    assert main(SWEEP_ARGS + ["--matrix", str(bad)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad matrix base config: WorldConfig.__init__() got an "
+        f"unexpected keyword argument '{field}'\n"
+    )
+
+
 def test_sweep_requires_a_matrix_source():
     with pytest.raises(SystemExit):
         main(["sweep"])

@@ -4,6 +4,7 @@ concurrent first requests, and the metrics of requests it answers."""
 from __future__ import annotations
 
 import http.client
+import itertools
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,34 +15,63 @@ from repro.serve import DatasetService, create_server
 from repro.serve import service as service_module
 from repro.serve.schemas import CrossborderRequest
 
+#: Every ordering of every non-empty subset of the dataset's countries:
+#: 15 distinct ``crossborder`` requests.
+_ORDERS = [order for size in (1, 2, 3)
+           for order in itertools.permutations(("BR", "US", "FR"), size)]
 
-def _encoded(service: DatasetService, endpoint: str, payload) -> bytes:
-    return json.dumps(service.query(endpoint, payload),
-                      sort_keys=True).encode("utf-8")
+
+def _encoded(dataset, endpoint: str, payload) -> bytes:
+    """The oracle: the body a fresh service builds for ``payload``."""
+    return DatasetService(dataset).query_bytes(endpoint, payload)
 
 
 def _sources(count: int, variant: int) -> list:
-    """``count + variant`` known codes: one list per ``variant``."""
-    codes = ("BR", "US", "FR")
-    return [codes[index % 3] for index in range(count + variant)]
+    """``count`` codes cycling through the ``variant``-th of
+    :data:`_ORDERS`: a long list that validates to that ordering."""
+    order = _ORDERS[variant]
+    return [order[index % len(order)] for index in range(count)]
 
 
 def test_an_entry_is_charged_its_body_and_its_request(tiny_dataset):
     service = DatasetService(tiny_dataset)
-    payload = {"sources": _sources(1000, 0)}
+    payload = {"sources": _sources(1000, 14)}
     body = service.query_bytes("crossborder", payload)
-    assert body == _encoded(service, "crossborder", payload)
+    assert body == _encoded(tiny_dataset, "crossborder", payload)
     request = CrossborderRequest.from_mapping(payload)
+    assert request.sources == _ORDERS[14]
     # Each source is a string object of its own in the key: counted.
     assert service._memo_bytes == \
-        service_module._entry_bytes(request, body) > len(body) + 1000 * 40
+        service_module._entry_bytes(request, body) > len(body) + 3 * 40
 
 
-def test_long_requests_stop_being_stored_at_the_cap(tiny_dataset):
-    """Distinct long ``sources`` POSTs until the memo refuses one: what it
-    holds never passes the cap, and every answer is still the encoded
-    ``query`` answer, stored or not."""
+def test_repeated_sources_are_stored_once(tiny_dataset):
+    """170,000 spellings of one code (~1 MiB of JSON) validate to one
+    source: the key, the echoed list and the entry hold it once."""
     service = DatasetService(tiny_dataset)
+    payload = {"sources": ["BR", "br", "Br", "bR"] * 42_500}
+    body = service.query_bytes("crossborder", payload)
+    assert CrossborderRequest.from_mapping(payload).sources == ("BR",)
+    assert json.loads(body)["sources"] == ["BR"]
+    assert body == _encoded(tiny_dataset, "crossborder", {"sources": "BR"})
+    ((_, request),) = service._bodies
+    assert request.sources == ("BR",)
+    assert service._memo_bytes < len(body) + 1000
+
+
+def test_long_requests_stop_being_stored_at_the_cap(tiny_dataset,
+                                                    monkeypatch):
+    """Distinct long ``sources`` POSTs until the memo refuses one: what it
+    holds never passes the cap, and every answer is still the body a
+    fresh service builds, stored or not."""
+    service = DatasetService(tiny_dataset)
+    # Room for the first four requests' entries.
+    monkeypatch.setattr(service_module, "BODY_MEMO_BYTES", sum(
+        service_module._entry_bytes(
+            CrossborderRequest.from_mapping({"sources": _ORDERS[variant]}),
+            _encoded(tiny_dataset, "crossborder",
+                     {"sources": _ORDERS[variant]}))
+        for variant in range(4)))
     server = create_server(service, workers=2)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -57,19 +87,19 @@ def test_long_requests_stop_being_stored_at_the_cap(tiny_dataset):
             response = conn.getresponse()
             body = response.read()
             assert response.status == 200
-            assert body == _encoded(service, "crossborder", payload)
+            assert body == _encoded(tiny_dataset, "crossborder", payload)
             assert service._memo_bytes <= service_module.BODY_MEMO_BYTES
             if len(service._bodies) == held:
                 refused.append(payload)
                 if len(refused) == 2:
                     break
         assert refused, "the flood never reached the cap"
-        assert len(service._bodies) >= 2
+        assert len(service._bodies) == 4
         # A refused request is answered again, and still not stored.
         held = dict(service._bodies)
         conn.request("POST", "/v1/crossborder", body=json.dumps(refused[0]))
         response = conn.getresponse()
-        assert response.read() == _encoded(service, "crossborder",
+        assert response.read() == _encoded(tiny_dataset, "crossborder",
                                            refused[0])
         assert service._bodies == held
     finally:
@@ -85,12 +115,13 @@ def test_the_cap_admits_an_entry_that_fills_it_exactly(tiny_dataset,
     payloads = [{"sources": _sources(50, variant)} for variant in range(3)]
     sizes = [service_module._entry_bytes(
         CrossborderRequest.from_mapping(payload),
-        _encoded(service, "crossborder", payload)) for payload in payloads]
+        _encoded(tiny_dataset, "crossborder", payload))
+        for payload in payloads]
     monkeypatch.setattr(service_module, "BODY_MEMO_BYTES",
                         sizes[0] + sizes[1])
     for payload in payloads:
         assert service.query_bytes("crossborder", payload) == \
-            _encoded(service, "crossborder", payload)
+            _encoded(tiny_dataset, "crossborder", payload)
     assert len(service._bodies) == 2
     assert service._memo_bytes == sizes[0] + sizes[1]
     # A small answer that would pass the cap is refused as well.
@@ -112,12 +143,12 @@ def test_keys_are_the_endpoint_and_the_validated_request(tiny_dataset):
     # "3" and 3 validate to one request: one entry, one body.
     assert answers[("providers", "3")] == answers[("providers", 3)]
     assert len(service._bodies) == 4
-    assert answers[("providers", 3)] == _encoded(service, "providers",
+    assert answers[("providers", 3)] == _encoded(tiny_dataset, "providers",
                                                  {"top": 3})
-    assert answers[("providers", 4)] == _encoded(service, "providers",
+    assert answers[("providers", 4)] == _encoded(tiny_dataset, "providers",
                                                  {"top": 4})
     assert answers[("categories", "FR")] == _encoded(
-        service, "categories", {"country": "FR"})
+        tiny_dataset, "categories", {"country": "FR"})
     assert answers[("categories", "BR")] != answers[("categories", "FR")]
 
 
@@ -136,7 +167,7 @@ def test_concurrent_first_requests_store_one_body(tiny_dataset):
     """Two requests inside the handler of one key at once: both answer
     the same bytes, one body is stored, and it is counted once."""
     service = DatasetService(tiny_dataset)
-    expected = _encoded(service, "providers", {"top": 5})
+    expected = _encoded(tiny_dataset, "providers", {"top": 5})
     inside = threading.Barrier(2, timeout=10)
     original = service._handlers["providers"]
 

@@ -405,6 +405,10 @@ HEAD_RULES = {
                    [(400, "bad-request")]),
     "two-word-get": (b"GET /v1/summary\r\nHost: t\r\n\r\n",
                      [(None, "summary")]),
+    # A body-only answer ends at EOF, so the connection closes.
+    "two-word-get-keep-alive": (
+        b"GET /v1/summary\r\nHost: t\r\nConnection: keep-alive\r\n\r\n",
+        [(None, "summary")]),
     "two-word-post": (b"POST /v1/summary\r\nHost: t\r\n\r\n",
                       [(None, "bad-request")]),
     "double-slash": (b"GET //v1/summary HTTP/1.1\r\nHost: t\r\n\r\n",
@@ -455,6 +459,28 @@ def test_each_head_rule_keeps_its_answer(http_server, service, request_bytes,
             what = "healthz" if json.loads(body)["status"] == "ok" else body
         got.append((status, what))
     assert got == expected
+
+
+@pytest.mark.parametrize("target", ["/v1/summary", "/v1/providers?top=2",
+                                    "/v1/categories?country=ZZ", "/healthz"])
+def test_head_answers_the_get_head_and_keeps_the_connection(http_server,
+                                                            target):
+    with socket.create_connection(http_server.server_address,
+                                  timeout=3) as sock, \
+            sock.makefile("rb") as stream:
+        sock.sendall(b"GET %s HTTP/1.1\r\nHost: t\r\n\r\n"
+                     b"HEAD %s HTTP/1.1\r\nHost: t\r\n\r\n"
+                     % (target.encode(), target.encode()) + FOLLOW_UP)
+        get_status, get_headers, get_body = read_response(stream)
+        status, headers, body = read_response(stream, method="HEAD")
+        follow_status, _, follow_body = read_response(stream)
+        assert stream.read() == b""
+    assert (status, body) == (get_status, b"")
+    assert get_body and "Connection" not in headers
+    assert headers["Content-Type"] == get_headers["Content-Type"]
+    assert headers["Content-Length"] == str(len(get_body))
+    assert follow_status == 200
+    assert json.loads(follow_body)["status"] == "ok"
 
 
 @pytest.mark.parametrize("fields, body", [

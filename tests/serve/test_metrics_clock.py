@@ -1,4 +1,4 @@
-"""Serve metrics clock discipline and the shared thread-safe registry."""
+"""Serve metrics clock discipline and the lock over its registry."""
 
 import inspect
 import sys
@@ -7,7 +7,7 @@ import threading
 import pytest
 
 import repro.serve.metrics as metrics_module
-from repro.obs import MetricsRegistry, ThreadSafeMetricsRegistry
+from repro.obs import MetricsRegistry
 from repro.serve.metrics import ServiceMetrics, latency_bucket
 
 
@@ -58,48 +58,16 @@ def test_frozen_monotonic_clock_records_zero_not_negative(monkeypatch):
         "serve.latency_sum_ms.summary"] == 0
 
 
-# ----------------------------------------------- the shared registry
+# ------------------------------------------------- the one lock
 
 
-def test_service_metrics_uses_the_shared_thread_safe_registry():
+def test_service_metrics_guards_a_plain_registry_with_one_lock():
     tracker = ServiceMetrics()
-    assert isinstance(tracker.registry, ThreadSafeMetricsRegistry)
-    # No wrapper re-implementing mutators behind a second lock: the
-    # tracker's only private lock guards the non-monoid inflight count.
+    assert type(tracker.registry) is MetricsRegistry
+    # One lock covers the registry and the in-flight level.
     private_locks = [name for name, value in vars(tracker).items()
                      if "lock" in name.lower()]
-    assert private_locks == ["_inflight_lock"]
-
-
-def test_thread_safe_registry_is_the_same_monoid():
-    safe = ThreadSafeMetricsRegistry()
-    plain = MetricsRegistry()
-    for registry in (safe, plain):
-        registry.count("serve.requests", 3)
-        registry.gauge("serve.inflight.peak", 2)
-        registry.observe("serve.latency_ms.summary", 4, 5)
-    assert safe.to_dict() == plain.to_dict()
-    assert safe == plain
-
-
-def test_thread_safe_merge_in_does_not_deadlock():
-    # merge_in holds the registry lock while dispatching back through
-    # the overridden mutators; a non-reentrant lock would hang here.
-    safe = ThreadSafeMetricsRegistry()
-    other = MetricsRegistry()
-    other.count("serve.requests", 2)
-    other.gauge("serve.inflight.peak", 9)
-    other.observe("serve.latency_ms.summary", 1, 1)
-    done = threading.Event()
-
-    def merge():
-        safe.merge_in(other)
-        done.set()
-
-    thread = threading.Thread(target=merge, daemon=True)
-    thread.start()
-    assert done.wait(timeout=10), "merge_in deadlocked"
-    assert safe.counter("serve.requests") == 2
+    assert private_locks == ["_lock"]
 
 
 def test_concurrent_tracking_is_exact():

@@ -54,6 +54,14 @@ def test_crossborder_sources_accepts_list_and_csv():
     assert CrossborderRequest.from_mapping({}).sources == ()
 
 
+def test_crossborder_keeps_each_source_once_as_first_spelled():
+    request = CrossborderRequest.from_mapping(
+        {"sources": ["br", "US", "BR", "us", "Fr", "br"]})
+    assert request.sources == ("br", "US", "Fr")
+    assert request == CrossborderRequest.from_mapping(
+        {"sources": "br,US,Fr,fR"})
+
+
 def test_crossborder_rejects_bad_basis_and_types():
     error = _error(CrossborderRequest, {"basis": "astral"})
     assert (error.code, error.field) == ("bad-choice", "basis")

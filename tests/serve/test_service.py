@@ -88,6 +88,17 @@ def test_unknown_country_is_structured_404(service):
     with pytest.raises(RequestError) as excinfo:
         service.query("crossborder", {"sources": "BR,XX"})
     assert excinfo.value.field == "sources"
+    # A repeated unknown code is named as first sent.
+    with pytest.raises(RequestError) as excinfo:
+        service.query("crossborder", {"sources": ["br", "xX", "XX"]})
+    assert "'xX'" in excinfo.value.message
+
+
+def test_crossborder_echoes_each_source_once(service):
+    answer = service.query("crossborder",
+                           {"sources": ["fr", "BR", "FR", "br"] * 500})
+    assert answer["sources"] == ["FR", "BR"]
+    assert answer == service.query("crossborder", {"sources": "FR,BR"})
 
 
 def test_unknown_endpoint_is_structured_404(service):

@@ -110,21 +110,24 @@ def test_a_stored_answer_keeps_the_request_phases(traced_server,
 
 
 def test_query_opens_parse_and_dispatch_under_the_caller_s_span(service):
+    # query decodes query_bytes' body, so it opens the same spans.
     tracer = Tracer()
     with tracer.span("outer"):
         service.query("summary", {}, tracer=tracer)
     (outer,) = tracer.roots
-    assert [child.name for child in outer.children] == ["parse", "dispatch"]
+    assert [child.name for child in outer.children] == \
+        ["parse", "dispatch", "render"]
+    assert outer.children[1].tags["body"] in ("built", "hit")
 
 
-def test_dispatch_span_tags_memo_activity(service):
+def test_dispatch_span_tags_memo_activity(tiny_dataset):
     # trends memoizes at the service level: the first traced call
-    # builds the table, later ones hit it.
-    service._trend_report = None  # reset the memo for a cold build
+    # builds the table, a later request of another country hits it.
+    service = DatasetService(tiny_dataset)
     cold = Tracer()
     service.query("trends", {}, tracer=cold)
     warm = Tracer()
-    service.query("trends", {}, tracer=warm)
+    service.query("trends", {"country": "BR"}, tracer=warm)
 
     def dispatch_tags(tracer):
         return tracer.find("dispatch").tags
