@@ -89,6 +89,27 @@ CALIBRATION = types.MappingProxyType({
     "websearch_coverage": 0.90,
 })
 
+#: The :data:`CALIBRATION` entries that are not probabilities.
+_NON_RATES = ("topsites_per_country", "depth_distribution",
+              "mean_resource_bytes")
+
+
+def check_calibration(calibration) -> None:
+    """Raise ``ValueError`` unless ``calibration`` is a usable
+    calibration: every rate a probability, ``depth_distribution``
+    summing to 1 and the PTR dialect rates to at most 1."""
+    if abs(sum(calibration["depth_distribution"]) - 1.0) > 1e-6:
+        raise ValueError("depth_distribution must sum to 1")
+    for name, value in calibration.items():
+        if name not in _NON_RATES and not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must be a probability, got {value}")
+    if (calibration["ptr_city_rate"] + calibration["ptr_ntt_rate"]
+            + calibration["ptr_opaque_rate"]) > 1.0:
+        raise ValueError("PTR dialect rates must sum to at most 1")
+
+
+check_calibration(CALIBRATION)
+
 #: :data:`CALIBRATION` in canonical form (sequences as lists), as
 #: :meth:`WorldConfig.canonical_dict` merges it into every config.
 _CANONICAL_CALIBRATION = {
@@ -308,4 +329,5 @@ def world_key(config: WorldConfig) -> str:
     return json.dumps(neutral.canonical_dict(), sort_keys=True)
 
 
-__all__ = ["CALIBRATION", "CountryOverride", "WorldConfig", "world_key"]
+__all__ = ["CALIBRATION", "CountryOverride", "WorldConfig",
+           "check_calibration", "world_key"]

@@ -5,7 +5,7 @@ import dataclasses
 
 import pytest
 
-from repro.datagen.config import CALIBRATION, WorldConfig
+from repro.datagen.config import CALIBRATION, WorldConfig, check_calibration
 from repro.datagen.seeds import derive_rng, derive_seed
 
 
@@ -66,6 +66,23 @@ def test_calibration_invariants():
     assert CALIBRATION["mean_resource_bytes"] > 0
     with pytest.raises(TypeError):
         CALIBRATION["ipmap_coverage"] = 0.5
+    check_calibration(CALIBRATION)
+
+
+def test_config_rejects_bad_probability():
+    with pytest.raises(ValueError, match="unicast_icmp_rate must be a prob"):
+        check_calibration({**CALIBRATION, "unicast_icmp_rate": 1.5})
+
+
+def test_config_rejects_bad_depth_distribution():
+    with pytest.raises(ValueError, match="depth_distribution must sum to 1"):
+        check_calibration({**CALIBRATION, "depth_distribution": (0.5, 0.1)})
+
+
+def test_config_rejects_overfull_ptr_rates():
+    with pytest.raises(ValueError, match="PTR dialect rates"):
+        check_calibration({**CALIBRATION, "ptr_city_rate": 0.6,
+                           "ptr_ntt_rate": 0.3, "ptr_opaque_rate": 0.2})
 
 
 def test_calibration_is_no_config_field_but_keys_every_scan():
