@@ -36,12 +36,16 @@ import logging
 import math
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.datagen.config import WorldConfig
 from repro.faults.plan import FAULT_PROFILE_NAMES
 from repro.reporting.sections import SECTION_NAMES
 from repro.reporting.tables import render_table
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.dataset import GovernmentHostingDataset
+    from repro.obs import RunRegistry
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -57,14 +61,33 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="suppress warnings (errors only)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    # The options run, evolve and sweep share, each with one wording.
+    batch = argparse.ArgumentParser(add_help=False)
+    batch.add_argument("--seed", type=int, default=42,
+                       help="seed of the synthetic world (default: 42)")
+    batch.add_argument("--scale", type=float, default=0.05,
+                       help="fraction of the paper's dataset size "
+                            "(default: 0.05)")
+    batch.add_argument("--countries", nargs="*", metavar="CC",
+                       help="restrict to these country codes")
+    batch.add_argument("--workers", type=int, default=None, metavar="N",
+                       help="worker processes for the per-country scans "
+                            "(default: 1, serial; N >= 2 runs a pool of N)")
+    batch.add_argument("--cache-dir", metavar="PATH", default=None,
+                       help="persistent scan cache: per-country scan "
+                            "results are stored here and served to every "
+                            "run, snapshot or scenario with the same key "
+                            "(default: no caching)")
+    batch.add_argument("--registry", metavar="DIR", default=None,
+                       help="append provenance manifests to the "
+                            "cross-run registry journal under DIR, one per "
+                            "run, snapshot or distinct swept config (query "
+                            "it with `repro-gov obs runs`/`obs diff`)")
+
     run = subparsers.add_parser(
-        "run", help="generate a synthetic world, measure it, save the dataset"
+        "run", parents=[batch],
+        help="generate a synthetic world, measure it, save the dataset"
     )
-    run.add_argument("--seed", type=int, default=42)
-    run.add_argument("--scale", type=float, default=0.05,
-                     help="fraction of the paper's dataset size")
-    run.add_argument("--countries", nargs="*", metavar="CC",
-                     help="restrict to these country codes")
     run.add_argument("--out", metavar="PATH",
                      help="write the dataset as JSON lines")
     run.add_argument("--csv", metavar="PATH",
@@ -72,9 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--store-dir", metavar="PATH",
                      help="write the dataset as a sharded columnar store "
                           "(mmap-backed analyses; see `repro-gov convert`)")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="worker processes for the per-country scans "
-                          "(default: 1, serial; N >= 2 runs a pool of N)")
     run.add_argument("--fault-rate", type=float, default=0.0, metavar="R",
                      help="probability in [0, 1] that a measurement "
                           "operation fails and must be retried or degraded "
@@ -86,10 +106,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--fault-seed", type=int, default=None, metavar="SEED",
                      help="seed for fault decisions (default: derived "
                           "from --seed, so faulted runs stay reproducible)")
-    run.add_argument("--cache-dir", metavar="PATH", default=None,
-                     help="persistent scan cache: per-country phase-1 "
-                          "results are stored here and re-served on "
-                          "matching re-runs (default: no caching)")
     run.add_argument("--cache-clear", action="store_true",
                      help="empty the cache under --cache-dir before "
                           "running")
@@ -105,53 +121,29 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--progress", action="store_true",
                      help="print a per-country heartbeat to stderr as "
                           "scans complete")
-    run.add_argument("--registry", metavar="DIR", default=None,
-                     help="append this run's provenance manifest to the "
-                          "cross-run registry journal under DIR (query it "
-                          "with `repro-gov obs runs`/`obs diff`)")
 
     evolve = subparsers.add_parser(
-        "evolve", help="run a longitudinal snapshot series: evolve the "
-                       "world per snapshot and re-scan only what changed"
+        "evolve", parents=[batch],
+        help="run a longitudinal snapshot series: evolve the world per "
+             "snapshot and re-scan only what changed"
     )
-    evolve.add_argument("--seed", type=int, default=42)
-    evolve.add_argument("--scale", type=float, default=0.05,
-                        help="fraction of the paper's dataset size")
-    evolve.add_argument("--countries", nargs="*", metavar="CC",
-                        help="restrict to these country codes")
     evolve.add_argument("--snapshots", type=int, default=3, metavar="N",
                         help="series length including the base snapshot "
                              "(default: 3)")
     evolve.add_argument("--evolve-seed", type=int, default=1, metavar="SEED",
                         help="seed of the mutation model (default: 1)")
-    evolve.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="shared scan cache; unchanged countries of "
-                             "each snapshot are served from it instead of "
-                             "re-scanned (default: no caching, every "
-                             "snapshot runs cold)")
     evolve.add_argument("--out-dir", metavar="PATH", default=None,
                         help="write each snapshot as "
                              "<out-dir>/snapshot-N.jsonl")
     evolve.add_argument("--manifest", action="store_true",
                         help="write a provenance manifest per snapshot, "
                              "chained to its parent (requires --out-dir)")
-    evolve.add_argument("--workers", type=int, default=None, metavar="N",
-                        help="worker processes for the per-country scans "
-                             "(default: 1, serial; N >= 2 runs a pool "
-                             "of N)")
-    evolve.add_argument("--registry", metavar="DIR", default=None,
-                        help="append every snapshot's manifest to the "
-                             "cross-run registry journal under DIR")
 
     sweep = subparsers.add_parser(
-        "sweep", help="run a scenario matrix as one deduplicated scan "
-                      "wave and compare every scenario to the baseline"
+        "sweep", parents=[batch],
+        help="run a scenario matrix as one deduplicated scan wave and "
+             "compare every scenario to the baseline"
     )
-    sweep.add_argument("--seed", type=int, default=42)
-    sweep.add_argument("--scale", type=float, default=0.05,
-                       help="fraction of the paper's dataset size")
-    sweep.add_argument("--countries", nargs="*", metavar="CC",
-                       help="restrict to these country codes")
     matrix_source = sweep.add_mutually_exclusive_group(required=True)
     matrix_source.add_argument("--matrix", metavar="PATH",
                                help="JSON scenario matrix (schema: see "
@@ -160,13 +152,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="use a built-in matrix exercising all "
                                     "three axes (dns faults, provider "
                                     "outage, evolution)")
-    sweep.add_argument("--cache-dir", metavar="PATH", default=None,
-                       help="persistent scan cache shared across the "
-                            "whole sweep (and with `repro-gov run`)")
-    sweep.add_argument("--workers", type=int, default=None, metavar="N",
-                       help="worker processes for the deduplicated scan "
-                            "wave (default: 1, serial; N >= 2 runs a "
-                            "pool of N)")
     sweep.add_argument("--out-dir", metavar="PATH", default=None,
                        help="write each scenario's dataset as "
                             "<out-dir>/<scenario>.jsonl")
@@ -174,9 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="write the accounting and per-scenario "
                             "divergences as JSON")
-    sweep.add_argument("--registry", metavar="DIR", default=None,
-                       help="append one manifest per distinct swept "
-                            "config to the cross-run registry under DIR")
 
     cache = subparsers.add_parser(
         "cache", help="inspect or prune a persistent scan cache"
@@ -307,6 +289,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class CommandError(Exception):
+    """A refused command: :func:`main` reports the message as one
+    ``error:`` line on stderr and returns ``status`` (2 for a usage
+    error, 1 for unusable input)."""
+
+    def __init__(self, message: str, status: int = 2) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+@contextlib.contextmanager
+def _refuse(*errors: type, status: int):
+    """Refuse the command with ``status`` on any of ``errors`` raised in
+    the block, with the error's message."""
+    try:
+        yield
+    except errors as exc:
+        raise CommandError(str(exc), status) from exc
+
+
 def _progress_printer(country: str, seconds: float, completed: int,
                       expected: Optional[int]) -> None:
     """Per-country heartbeat for ``run --progress`` (stderr, flushed)."""
@@ -316,21 +318,20 @@ def _progress_printer(country: str, seconds: float, completed: int,
 
 
 def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write ``payload`` as indented JSON through a temp sibling, so a
+    failed write leaves ``path`` as it was."""
+    from repro.io import open_replacement
+
+    with open_replacement(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=False)
         handle.write("\n")
 
 
-def _world_config(args: argparse.Namespace,
-                  **fields) -> Optional[WorldConfig]:
-    """The command's validated ``WorldConfig`` (country codes included),
-    or None after printing why it is invalid."""
-    try:
+def _world_config(args: argparse.Namespace, **fields) -> WorldConfig:
+    """The command's validated ``WorldConfig`` (country codes included)."""
+    with _refuse(ValueError, status=2):
         config = WorldConfig(seed=args.seed, scale=args.scale, **fields)
         config.country_codes()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
     return config
 
 
@@ -354,40 +355,69 @@ def _output_problem(path: str, directory: bool) -> Optional[str]:
     return None
 
 
-def _unwritable(files: Sequence[tuple[str, Optional[str]]] = (),
-                directories: Sequence[tuple[str, Optional[str]]] = ()
-                ) -> bool:
-    """Whether an ``(option, path)`` output of a batch command cannot be
-    written, after printing one error line naming the option and the
-    path.  Checked before any work, so a run never ends on it."""
+def _open_registry(path: Optional[str]) -> Optional["RunRegistry"]:
+    """The run registry under ``path`` (None for no path).  Every
+    command opens it here, before any work, so a damaged journal
+    refuses the command."""
+    if path is None:
+        return None
+    from repro.obs import RegistryError, RunRegistry
+
+    with _refuse(RegistryError, status=1):
+        return RunRegistry(path)
+
+
+def _prepare(args: argparse.Namespace,
+             files: Sequence[tuple[str, Optional[str]]] = (),
+             directories: Sequence[tuple[str, Optional[str]]] = (),
+             **fields) -> WorldConfig:
+    """Check a batch command's shared options before any work; returns
+    its world config.
+
+    Refuses ``--workers`` below 1, an invalid world config (``fields``
+    added to the shared options) and any ``(option, path)`` output that
+    cannot be written: the files, then the directories, ``--cache-dir``
+    and ``--registry``.  The command opens ``--registry`` next, after
+    its own checks.
+    """
+    if args.workers is not None and args.workers < 1:
+        raise CommandError("--workers must be at least 1")
+    config = _world_config(args, countries=args.countries or None, **fields)
+    directories = [*directories, ("--cache-dir", args.cache_dir),
+                   ("--registry", args.registry)]
     for outputs, directory in ((files, False), (directories, True)):
         for option, path in outputs:
             problem = path and _output_problem(path, directory)
             if problem:
-                print(f"error: {option} {path}: {problem}", file=sys.stderr)
-                return True
-    return False
+                raise CommandError(f"{option} {path}: {problem}")
+    return config
+
+
+def _write_datasets(
+    out_dir: str, named: Sequence[tuple[str, "GovernmentHostingDataset"]]
+) -> list:
+    """Write each ``(name, dataset)`` as ``<out_dir>/<name>.jsonl``, one
+    line each on stdout; returns the paths written."""
+    import pathlib
+
+    from repro.io import save_dataset
+
+    directory = pathlib.Path(out_dir)
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name, dataset in named:
+        path = directory / f"{name}.jsonl"
+        written = save_dataset(dataset, path)
+        print(f"wrote {written:,} records to {path}")
+        paths.append(path)
+    return paths
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _world_config(
-        args,
-        countries=args.countries or None,
-        fault_rate=args.fault_rate,
-        fault_profile=args.fault_profile,
-        fault_seed=args.fault_seed,
-    )
-    if config is None:
-        return 2
     if args.manifest and not args.out:
-        print("error: --manifest requires --out", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
+        raise CommandError("--manifest requires --out")
     if args.cache_clear and not args.cache_dir:
-        print("error: --cache-clear requires --cache-dir", file=sys.stderr)
-        return 2
+        raise CommandError("--cache-clear requires --cache-dir")
     files = [("--out", args.out), ("--csv", args.csv),
              ("--trace-out", args.trace_out),
              ("--metrics-out", args.metrics_out)]
@@ -397,20 +427,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.obs import manifest_path_for
 
         files.append(("--manifest", str(manifest_path_for(args.out))))
-    if _unwritable(files=files,
-                   directories=[("--store-dir", args.store_dir),
-                                ("--cache-dir", args.cache_dir),
-                                ("--registry", args.registry)]):
-        return 2
-    registry = None
-    if args.registry:
-        from repro.obs import RegistryError, RunRegistry
-
-        try:
-            registry = RunRegistry(args.registry)
-        except RegistryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    config = _prepare(
+        args, files=files, directories=[("--store-dir", args.store_dir)],
+        fault_rate=args.fault_rate, fault_profile=args.fault_profile,
+        fault_seed=args.fault_seed,
+    )
+    registry = _open_registry(args.registry)
     cache = None
     if args.cache_dir:
         from repro.cache import ScanCache
@@ -431,12 +453,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.core.pipeline import Pipeline
     from repro.exec import make_executor
 
-    executor = make_executor(args.workers)
-    pipeline = Pipeline(config, obs=obs)
-    try:
-        dataset = pipeline.run(executor=executor, cache=cache)
-    finally:
-        executor.close()
+    with make_executor(args.workers) as executor:
+        dataset = Pipeline(config, obs=obs).run(executor=executor,
+                                                cache=cache)
     summary = dataset.summarize()
     print(f"measured {summary.total_unique_urls:,} URLs over "
           f"{summary.unique_hostnames:,} hostnames "
@@ -469,29 +488,29 @@ def _cmd_run(args: argparse.Namespace) -> int:
         result = write_store(dataset, args.store_dir, overwrite=True)
         print(f"wrote {result.record_count:,} records over "
               f"{result.shard_count} shards to {args.store_dir}")
-    if obs is not None:
-        if args.trace_out:
-            _write_json(args.trace_out, obs.tracer.to_dict())
-            chrome_path = _chrome_trace_path(args.trace_out)
-            _write_json(chrome_path, obs.tracer.to_chrome())
-            print(f"wrote trace to {args.trace_out} (+ {chrome_path})")
-        if args.metrics_out:
-            _write_json(args.metrics_out, obs.metrics.to_dict())
-            print(f"wrote metrics to {args.metrics_out}")
-        if args.manifest or args.registry:
-            from repro.obs import RunManifest, manifest_path_for
+    if args.trace_out:
+        _write_json(args.trace_out, obs.tracer.to_dict())
+        chrome_path = _chrome_trace_path(args.trace_out)
+        _write_json(chrome_path, obs.tracer.to_chrome())
+        print(f"wrote trace to {args.trace_out} (+ {chrome_path})")
+    if args.metrics_out:
+        _write_json(args.metrics_out, obs.metrics.to_dict())
+        print(f"wrote metrics to {args.metrics_out}")
+    if args.manifest or registry is not None:
+        from repro.obs import RunManifest, manifest_path_for
 
-            manifest = RunManifest.collect(
-                pipeline, dataset, executor=executor, cache=cache, obs=obs
-            )
-            if args.manifest:
-                path = manifest.write(manifest_path_for(args.out))
-                print(f"wrote manifest to {path}")
-            if registry is not None:
-                run, created = registry.record(manifest)
-                verb = "recorded" if created else "already recorded as"
-                print(f"registry: {verb} run #{run.seq} {run.id[:12]} "
-                      f"in {args.registry}")
+        manifest = RunManifest.collect(
+            config, dataset, executor=executor,
+            cache_stats=cache.stats if cache is not None else None, obs=obs,
+        )
+        if args.manifest:
+            path = manifest.write(manifest_path_for(args.out))
+            print(f"wrote manifest to {path}")
+        if registry is not None:
+            run, created = registry.record(manifest)
+            verb = "recorded" if created else "already recorded as"
+            print(f"registry: {verb} run #{run.seq} {run.id[:12]} "
+                  f"in {args.registry}")
     return 0
 
 
@@ -556,8 +575,6 @@ def _demo_matrix(config: WorldConfig):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    import pathlib
-
     from repro.exec import make_executor
     from repro.reporting.scenarios import render_sweep_report
     from repro.scenarios import (
@@ -567,68 +584,42 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         compare_sweep,
     )
 
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    config = _world_config(args, countries=args.countries or None)
-    if config is None:
-        return 2
-    if _unwritable(files=[("--json", args.json_out)],
-                   directories=[("--out-dir", args.out_dir),
-                                ("--cache-dir", args.cache_dir),
-                                ("--registry", args.registry)]):
-        return 2
-    try:
+    config = _prepare(args, files=[("--json", args.json_out)],
+                      directories=[("--out-dir", args.out_dir)])
+    with _refuse(MatrixError, status=2):
         if args.matrix:
             with open(args.matrix, "r", encoding="utf-8") as handle:
                 matrix = ScenarioMatrix.from_json(handle.read(), base=config)
         else:
             matrix = _demo_matrix(config)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    registry = _open_registry(args.registry)
     cache = None
     if args.cache_dir:
         from repro.cache import ScanCache
 
         cache = ScanCache(args.cache_dir)
-    registry = None
-    if args.registry:
-        from repro.obs import RegistryError, RunRegistry
-
-        try:
-            registry = RunRegistry(args.registry)
-        except RegistryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    executor = make_executor(args.workers)
-    try:
-        runner = SweepRunner(matrix, cache=cache, executor=executor,
-                             registry=registry)
-        sweep = runner.run()
-    except MatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        executor.close()
+    with make_executor(args.workers) as executor:
+        sweep = SweepRunner(matrix, cache=cache, executor=executor).run()
     divergences = compare_sweep(sweep)
     print(render_sweep_report(sweep, divergences))
     if cache is not None:
         print(f"cache: {cache.stats.summary()}")
     if registry is not None:
+        from repro.obs import RunManifest
+
+        # One manifest per distinct config, without cache accounting:
+        # the shared cache's stats describe the whole wave.
+        distinct = {}
+        for result in sweep.results:
+            distinct.setdefault(result.run_fp, result)
+        for result in distinct.values():
+            registry.record(RunManifest.collect(
+                result.scenario.config, result.dataset, executor=executor,
+            ))
         print(f"registry: {len(registry)} runs in {args.registry}")
     if args.out_dir:
-        from repro.io import save_dataset
-
-        out_dir = pathlib.Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for result in sweep.results:
-            path = out_dir / f"{result.name}.jsonl"
-            written = save_dataset(result.dataset, path)
-            print(f"wrote {written:,} records to {path}")
+        _write_datasets(args.out_dir, [(result.name, result.dataset)
+                                       for result in sweep.results])
     if args.json_out:
         _write_json(args.json_out, {
             "accounting": sweep.accounting.to_dict(),
@@ -676,10 +667,8 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     if args.cache_command == "prune":
         if args.max_bytes is None and args.older_than is None:
-            print("error: prune needs --max-bytes and/or --older-than",
-                  file=sys.stderr)
-            return 2
-        try:
+            raise CommandError("prune needs --max-bytes and/or --older-than")
+        with _refuse(ValueError, status=2):
             max_bytes = (
                 _parse_size(args.max_bytes)
                 if args.max_bytes is not None else None
@@ -688,9 +677,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
                 _parse_duration(args.older_than)
                 if args.older_than is not None else None
             )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
         result = cache.prune(
             max_bytes=max_bytes, older_than_s=older_than_s,
             dry_run=args.dry_run,
@@ -701,51 +687,22 @@ def _cmd_cache(args: argparse.Namespace) -> int:
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
-    import pathlib
-
     from repro.analysis.longitudinal import compute_trends
     from repro.evolve import SnapshotSeries
     from repro.exec import make_executor
     from repro.reporting.sections import render_trend_report
 
     if args.snapshots < 1:
-        print("error: --snapshots must be at least 1", file=sys.stderr)
-        return 2
+        raise CommandError("--snapshots must be at least 1")
     if args.manifest and not args.out_dir:
-        print("error: --manifest requires --out-dir", file=sys.stderr)
-        return 2
-    if args.workers is not None and args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
-    config = _world_config(args, countries=args.countries or None)
-    if config is None:
-        return 2
-    if _unwritable(directories=[("--out-dir", args.out_dir),
-                                ("--cache-dir", args.cache_dir),
-                                ("--registry", args.registry)]):
-        return 2
-    registry = None
-    if args.registry:
-        from repro.obs import RegistryError, RunRegistry
-
-        try:
-            registry = RunRegistry(args.registry)
-        except RegistryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    executor = make_executor(args.workers)
-    series = SnapshotSeries(
-        config, args.snapshots,
-        evolution_seed=args.evolve_seed,
-        cache=args.cache_dir,
-        executor=executor,
-        collect_manifests=args.manifest,
-        registry=registry,
-    )
-    try:
+        raise CommandError("--manifest requires --out-dir")
+    config = _prepare(args, directories=[("--out-dir", args.out_dir)])
+    registry = _open_registry(args.registry)
+    with make_executor(args.workers) as executor:
+        series = SnapshotSeries(config, args.snapshots,
+                                evolution_seed=args.evolve_seed,
+                                cache=args.cache_dir, executor=executor)
         records = series.run()
-    finally:
-        executor.close()
     for record in records:
         changed = ", ".join(record.changed_countries) or "none"
         if record.cache_stats is not None:
@@ -757,20 +714,31 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
                   f"(changed: {changed})")
     if args.cache_dir:
         print(f"series total: {series.total_stats.summary()}")
+    manifests = []
+    if args.manifest or registry is not None:
+        from repro.obs import RunManifest
+
+        manifests = [
+            RunManifest.collect(
+                record.config, record.dataset, executor=executor,
+                cache_stats=record.cache_stats,
+                evolution=series.evolution_provenance(record),
+            )
+            for record in records
+        ]
     if registry is not None:
+        for manifest in manifests:
+            registry.record(manifest)
         print(f"registry: {len(registry)} runs in {args.registry}")
     if args.out_dir:
-        from repro.io import save_dataset
-        from repro.obs import manifest_path_for
+        paths = _write_datasets(args.out_dir, [
+            (f"snapshot-{record.step}", record.dataset) for record in records
+        ])
+        if args.manifest:
+            from repro.obs import manifest_path_for
 
-        out_dir = pathlib.Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for record in records:
-            path = out_dir / f"snapshot-{record.step}.jsonl"
-            written = save_dataset(record.dataset, path)
-            print(f"wrote {written:,} records to {path}")
-            if record.manifest is not None:
-                record.manifest.write(manifest_path_for(path))
+            for manifest, path in zip(manifests, paths):
+                manifest.write(manifest_path_for(path))
     print()
     print(render_trend_report(compute_trends(
         [record.dataset for record in records],
@@ -790,36 +758,27 @@ def _load_any_dataset(path: str):
     """Open a jsonl export or store directory for a read-only command.
 
     Returns a ``repro.serve.loader.LoadedDataset`` (close it when
-    done), or ``None`` after printing a one-line error -- the same
-    ``FileNotFoundError``/``StoreError``/``ValueError`` mapping
-    ``repro-gov convert`` uses, so every command that reads a dataset
-    fails with exit 1 and a message instead of a traceback.  A store
-    column that fails its digest when first read later raises
-    ``StoreError`` too; the commands map that the same way.
+    done).  A malformed dataset (``StoreError`` is a ``ValueError``)
+    refuses the command with exit 1, and a missing one raises
+    ``FileNotFoundError``, which :func:`main` reports like any
+    ``OSError``: every command that reads a dataset fails with one line
+    instead of a traceback.  A store column that fails its digest when
+    first read later raises ``StoreError`` too; the commands map that
+    the same way.
     """
     from repro.serve.loader import open_any_dataset
-    from repro.store import StoreError
 
-    try:
+    with _refuse(ValueError, status=1):
         return open_any_dataset(path)
-    except (FileNotFoundError, StoreError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.reporting.sections import render_report_section
     from repro.store import StoreError
 
-    loaded = _load_any_dataset(args.dataset)
-    if loaded is None:
-        return 1
-    with loaded:
-        try:
-            text = render_report_section(loaded.dataset, args.section)
-        except StoreError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    with _load_any_dataset(args.dataset) as loaded, \
+            _refuse(StoreError, status=1):
+        text = render_report_section(loaded.dataset, args.section)
     print(text)
     return 0
 
@@ -829,36 +788,28 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.store import StoreError
 
     if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
+        raise CommandError("--workers must be at least 1")
     with contextlib.ExitStack() as opened:
-        datasets = []
-        for path in [args.dataset or args.store_dir, *args.history]:
-            item = _load_any_dataset(path)
-            if item is None:
-                return 1
-            datasets.append(opened.enter_context(item))
+        datasets = [
+            opened.enter_context(_load_any_dataset(path))
+            for path in [args.dataset or args.store_dir, *args.history]
+        ]
         loaded, *history = datasets
         trace_log = None
         if args.trace_dir:
             from repro.serve import RequestTraceLog
 
             if args.trace_ring < 1:
-                print("error: --trace-ring must be at least 1",
-                      file=sys.stderr)
-                return 2
+                raise CommandError("--trace-ring must be at least 1")
             trace_log = RequestTraceLog(args.trace_dir,
                                         ring_size=args.trace_ring,
                                         slow_ms=args.slow_ms)
-        try:
+        with _refuse(StoreError, status=1):
             # Every store file, not only those the warm-up reads: a
             # damaged column fails here, before the server listens.
             for item in datasets:
                 item.verify()
             service = DatasetService(loaded, history=history)
-        except StoreError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         server = create_server(service, host=args.host, port=args.port,
                                workers=args.workers, trace_log=trace_log)
         host, port = server.server_address[:2]
@@ -887,7 +838,6 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
     from repro.store import (
         DatasetStore,
-        StoreError,
         is_store_path,
         jsonl_to_store,
         store_to_jsonl,
@@ -895,7 +845,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
     src = pathlib.Path(args.src)
     dst = pathlib.Path(args.dst)
-    try:
+    with _refuse(ValueError, status=1):  # StoreError is a ValueError
         if is_store_path(src):
             with DatasetStore(src) as store:
                 if args.verify:
@@ -903,9 +853,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                     print(f"verified {store.record_count:,} records over "
                           f"{len(store.countries)} shards in {src}")
                 if dst.exists() and not args.overwrite:
-                    print(f"error: {dst} exists (pass --overwrite)",
-                          file=sys.stderr)
-                    return 2
+                    raise CommandError(f"{dst} exists (pass --overwrite)")
                 written = store_to_jsonl(store, dst)
             print(f"wrote {written:,} records to {dst}")
         else:
@@ -916,25 +864,12 @@ def _cmd_convert(args: argparse.Namespace) -> int:
                 with DatasetStore(dst) as store:
                     store.verify()
                 print(f"verified {dst} against its manifest digests")
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (StoreError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     return 0
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from repro.obs import RegistryError, RunRegistry
-
     if args.obs_command == "runs":
-        try:
-            registry = RunRegistry(args.registry)
-        except RegistryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        runs = registry.runs()
+        runs = _open_registry(args.registry).runs()
         if args.json_out:
             json.dump([run.to_dict() for run in runs], sys.stdout,
                       indent=2)
@@ -946,15 +881,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0
 
     if args.obs_command == "diff":
-        from repro.obs import diff_runs
+        from repro.obs import RegistryError, diff_runs
 
-        try:
-            registry = RunRegistry(args.registry)
+        registry = _open_registry(args.registry)
+        with _refuse(RegistryError, status=1):
             run_a = registry.get(args.a)
             run_b = registry.get(args.b)
-        except RegistryError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         diff = diff_runs(run_a, run_b)
         if args.json_out:
             json.dump(diff.to_dict(), sys.stdout, indent=2)
@@ -970,18 +902,11 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     if args.obs_command == "bench":
         from repro.obs.sentinel import SentinelError, check, trajectory
 
-        try:
+        with _refuse(SentinelError, status=1):
             checks = check(args.benches)
-        except SentinelError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
         findings = ()
         if args.registry:
-            try:
-                findings = trajectory(RunRegistry(args.registry))
-            except RegistryError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
+            findings = trajectory(_open_registry(args.registry))
         if args.json_out:
             json.dump({
                 "checks": [item.to_dict() for item in checks],
@@ -1023,16 +948,12 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.datagen.generator import SyntheticWorld
     from repro.netsim.ipaddr import format_ip
 
-    config = _world_config(args)
-    if config is None:
-        return 2
-    world = SyntheticWorld.generate(config)
+    world = SyntheticWorld.generate(_world_config(args))
     pipeline = Pipeline(world)
     hostname = args.hostname.lower()
     truth = world.truth.hosts.get(hostname)
     if truth is None:
-        print(f"error: unknown hostname {hostname!r}", file=sys.stderr)
-        return 1
+        raise CommandError(f"unknown hostname {hostname!r}", status=1)
     vantage = world.vpn.vantage_for(truth.country)
     info = pipeline.mapper.map_host(hostname, vantage)
     verdict = pipeline.geolocator.locate(info.address, truth.country)
@@ -1090,10 +1011,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     (tests, notebooks), it leaves the collector as it found it."""
     argv = list(sys.argv[1:] if argv is None else argv)
     # argparse takes a value starting with "-" for a missing one, so a
-    # negative age, size or scale is joined to its option to reach its
-    # check.
+    # negative age, size, scale or fault rate is joined to its option to
+    # reach its check.
     for at in range(len(argv) - 1, 0, -1):
-        if (argv[at - 1] in ("--older-than", "--max-bytes", "--scale")
+        if (argv[at - 1] in ("--older-than", "--max-bytes", "--scale",
+                             "--fault-rate")
                 and argv[at].startswith("-") and argv[at][1:2] != "-"):
             argv[at - 1:at + 1] = [f"{argv[at - 1]}={argv[at]}"]
     args = _build_parser().parse_args(argv)
@@ -1109,8 +1031,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 1
     except OSError as exc:
-        # An output the checks before the work could not foresee (a full
-        # disk, a permission) fails with one line, not a traceback.
+        # A file the checks before the work could not foresee (a missing
+        # dataset or matrix, a full disk, a permission) fails with one
+        # line, not a traceback.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return status
@@ -1148,13 +1071,16 @@ _COMMANDS = {
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    """Run the parsed command; returns its exit status.  The batch
-    commands run under :func:`_batch_collection`."""
-    command = _COMMANDS[args.command]
-    if args.command not in ("run", "sweep", "evolve"):
-        return command(args)
-    with _batch_collection():
-        return command(args)
+    """Run the parsed command; returns its exit status, after printing
+    the one ``error:`` line of a refused command.  The batch commands
+    run under :func:`_batch_collection`."""
+    batch = args.command in ("run", "sweep", "evolve")
+    try:
+        with _batch_collection() if batch else contextlib.nullcontext():
+            return _COMMANDS[args.command](args)
+    except CommandError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.status
 
 
 def entry() -> int:

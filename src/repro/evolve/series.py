@@ -20,11 +20,12 @@ Each snapshot is identified by its configuration alone: its keys and
 run fingerprint come from :mod:`repro.cache.fingerprint`.  Each
 snapshot's accounting is a fresh :class:`~repro.cache.CacheStats` (the
 shared cache's cumulative stats are preserved in
-:attr:`SnapshotSeries.total_stats`).  With ``collect_manifests`` the
-runner emits one :class:`~repro.obs.RunManifest` per snapshot whose
-``evolution`` block chains it to its parent: the parent's run
-fingerprint, the mutation seed, the step number and the
-changed-country list.
+:attr:`SnapshotSeries.total_stats`).  The runner only measures; a
+caller that records provenance (``repro-gov evolve --manifest``) takes
+each snapshot's :class:`~repro.obs.RunManifest` ``evolution`` block
+from :meth:`SnapshotSeries.evolution_provenance`, which chains it to
+its parent: the parent's run fingerprint, the mutation seed, the step
+number and the changed-country list.
 """
 
 from __future__ import annotations
@@ -41,8 +42,6 @@ from repro.evolve.mutations import Mutation
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.dataset import GovernmentHostingDataset
     from repro.exec import ExecutionStrategy
-    from repro.obs import RunManifest
-    from repro.obs.registry import RunRegistry
 
 
 @dataclasses.dataclass
@@ -68,8 +67,6 @@ class SnapshotRecord:
     changed_countries: tuple[str, ...]
     #: The previous snapshot's fingerprint (None for the base).
     parent_fingerprint: Optional[str]
-    #: Provenance manifest, when the series collects them.
-    manifest: Optional["RunManifest"] = None
 
     @property
     def expected_hit_rate(self) -> Optional[float]:
@@ -98,8 +95,6 @@ class SnapshotSeries:
         rates: Optional[EvolutionRates] = None,
         cache: Optional[Union[ScanCache, str]] = None,
         executor: Optional["ExecutionStrategy"] = None,
-        collect_manifests: bool = False,
-        registry: Optional["RunRegistry"] = None,
     ) -> None:
         if snapshots < 1:
             raise ValueError(f"snapshots must be >= 1, got {snapshots}")
@@ -108,11 +103,6 @@ class SnapshotSeries:
         self.model = EvolutionModel(evolution_seed, rates)
         self.cache = ScanCache(cache) if isinstance(cache, str) else cache
         self.executor = executor
-        self.collect_manifests = collect_manifests
-        #: When set, every snapshot's manifest (built even if
-        #: ``collect_manifests`` is off) is appended to this cross-run
-        #: registry, chaining the whole series into queryable history.
-        self.registry = registry
         #: Aggregated cache accounting across every snapshot run so far.
         self.total_stats = CacheStats()
 
@@ -148,18 +138,18 @@ class SnapshotSeries:
         mutations: tuple[Mutation, ...],
         parent_fingerprint: Optional[str],
     ) -> SnapshotRecord:
-        pipeline = Pipeline(config)
         snapshot_stats: Optional[CacheStats] = None
         if self.cache is not None:
             # Fresh per-snapshot accounting; the cumulative view lives
             # in total_stats.
             self.cache.stats = CacheStats()
-        dataset = pipeline.run(executor=self.executor, cache=self.cache)
+        dataset = Pipeline(config).run(executor=self.executor,
+                                       cache=self.cache)
         if self.cache is not None:
             snapshot_stats = self.cache.stats
             self._accumulate(snapshot_stats)
         changed = tuple(sorted({m.country for m in mutations}))
-        record = SnapshotRecord(
+        return SnapshotRecord(
             step=step,
             label=f"T+{step}",
             config=config,
@@ -170,19 +160,6 @@ class SnapshotSeries:
             changed_countries=changed,
             parent_fingerprint=parent_fingerprint,
         )
-        if self.collect_manifests or self.registry is not None:
-            from repro.obs import RunManifest
-
-            manifest = RunManifest.collect(
-                pipeline, dataset, executor=self.executor,
-                cache=self.cache,
-                evolution=self.evolution_provenance(record),
-            )
-            if self.collect_manifests:
-                record.manifest = manifest
-            if self.registry is not None:
-                self.registry.record(manifest)
-        return record
 
     def evolution_provenance(self, record: SnapshotRecord) -> Optional[dict]:
         """The manifest ``evolution`` block chaining ``record`` to its

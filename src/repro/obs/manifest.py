@@ -26,9 +26,9 @@ import sys
 from typing import TYPE_CHECKING, Mapping, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cache import ScanCache
+    from repro.cache import CacheStats
     from repro.core.dataset import GovernmentHostingDataset
-    from repro.core.pipeline import Pipeline
+    from repro.datagen.config import WorldConfig
     from repro.exec import ExecutionStrategy
     from repro.obs import Observability
 
@@ -135,18 +135,19 @@ class RunManifest:
     @classmethod
     def collect(
         cls,
-        pipeline: "Pipeline",
+        config: "WorldConfig",
         dataset: "GovernmentHostingDataset",
         executor: Optional["ExecutionStrategy"] = None,
-        cache: Optional["ScanCache"] = None,
+        cache_stats: Optional["CacheStats"] = None,
         obs: Optional["Observability"] = None,
         evolution: Optional[dict] = None,
     ) -> "RunManifest":
-        """Assemble the manifest for one completed ``Pipeline.run``."""
+        """Assemble the manifest of one completed run of ``config``."""
         from repro.cache.fingerprint import run_fingerprint
         from repro.core.crawler import DEFAULT_MAX_DEPTH
+        from repro.faults.plan import FaultPlan
 
-        config = pipeline.config
+        fault_plan = FaultPlan.from_config(config)
         summary = dataset.summarize()
         stage_seconds: dict[str, float] = {}
         if obs is not None:
@@ -166,7 +167,7 @@ class RunManifest:
             max_depth=DEFAULT_MAX_DEPTH,
             fault_rate=config.fault_rate,
             fault_profile=config.fault_profile,
-            fault_seed=pipeline.fault_plan.seed if pipeline.fault_plan.enabled
+            fault_seed=fault_plan.seed if fault_plan.enabled
             else config.fault_seed,
             summary={
                 field: getattr(summary, field)
@@ -175,7 +176,7 @@ class RunManifest:
                               "unique_addresses")
             },
             stage_seconds=stage_seconds,
-            cache=cache.stats.to_dict() if cache is not None else None,
+            cache=cache_stats.to_dict() if cache_stats is not None else None,
             faults={
                 "injected": fault_total.injected,
                 "retried": fault_total.retried,

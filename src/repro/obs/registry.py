@@ -40,12 +40,9 @@ import logging
 import pathlib
 import threading
 import time
-from typing import TYPE_CHECKING, Iterable, Optional, Union
+from typing import Iterable, Optional, Union
 
 from repro.obs.manifest import RunManifest
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 PathLike = Union[str, pathlib.Path]
 

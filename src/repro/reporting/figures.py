@@ -41,15 +41,11 @@ def render_region_table(
     values: Mapping[object, float],
     value_name: str,
     title: str = "",
-    as_percent: bool = True,
 ) -> str:
-    """One value per region, descending (e.g. Table 5)."""
+    """One value per region in percent, descending (e.g. Table 5)."""
     headers = ["Region", value_name]
     items = sorted(values.items(), key=lambda item: -item[1])
-    rows = [
-        [str(region), f"{value * 100:.2f}" if as_percent else format_fraction(value)]
-        for region, value in items
-    ]
+    rows = [[str(region), f"{value * 100:.2f}"] for region, value in items]
     return render_table(headers, rows, title=title)
 
 
@@ -57,17 +53,16 @@ def render_histogram(
     labels: Sequence[str],
     counts: Sequence[int],
     title: str = "",
-    bar_char: str = "#",
-    max_width: int = 50,
 ) -> str:
-    """An ASCII histogram (the Figure 10 provider counts)."""
+    """An ASCII histogram of ``#`` bars, the longest 50 wide (the
+    Figure 10 provider counts)."""
     if len(labels) != len(counts):
         raise ValueError("labels and counts must align")
     peak = max(counts) if counts else 1
     lines = [title] if title else []
     width = max((len(label) for label in labels), default=0)
     for label, count in zip(labels, counts):
-        bar = bar_char * max(1, round(count / peak * max_width)) if count else ""
+        bar = "#" * max(1, round(count / peak * 50)) if count else ""
         lines.append(f"{label.ljust(width)}  {str(count).rjust(4)}  {bar}")
     return "\n".join(lines)
 

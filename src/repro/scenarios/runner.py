@@ -57,7 +57,6 @@ from repro.scenarios.matrix import Scenario, ScenarioMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cache import ScanCache
-    from repro.obs.registry import RunRegistry
 
 logger = logging.getLogger(__name__)
 
@@ -160,7 +159,6 @@ class SweepRunner:
         matrix: Union[ScenarioMatrix, Sequence[Scenario]],
         cache: Optional["ScanCache"] = None,
         executor: Optional[ExecutionStrategy] = None,
-        registry: Optional["RunRegistry"] = None,
     ) -> None:
         scenarios = (
             matrix.compile() if isinstance(matrix, ScenarioMatrix)
@@ -183,9 +181,6 @@ class SweepRunner:
         self.codes = base_codes
         self.cache = cache
         self._executor = executor
-        #: When set, one manifest per distinct config is recorded into
-        #: this cross-run registry after assembly.
-        self.registry = registry
 
     # -------------------------------------------------------------- run
 
@@ -236,18 +231,6 @@ class SweepRunner:
         datasets: dict[str, GovernmentHostingDataset] = {}
         for fp, tasks in tasks_by_fp.items():
             datasets[fp] = assemble([partials[key] for _, key in tasks])
-
-        if self.registry is not None:
-            from repro.obs import RunManifest
-
-            # One manifest per distinct config.  cache=None on purpose:
-            # the shared cache's stats describe the whole wave, and
-            # stamping sweep-wide accounting onto every per-config
-            # manifest would misattribute it.
-            for fp, pipeline in pipelines.items():
-                self.registry.record(RunManifest.collect(
-                    pipeline, datasets[fp], executor=strategy, cache=None,
-                ))
 
         baseline_fp = scenario_fps[0]
         baseline_keys = dict(tasks_by_fp[baseline_fp])

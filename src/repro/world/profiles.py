@@ -132,10 +132,6 @@ class HostingProfile:
     #: Hetzner serving 57% of a Scandinavian government's bytes).
     foreign_byte_boost: float = 1.0
 
-    def category_share(self, category: HostingCategory) -> float:
-        """URL share of one category."""
-        return self.url_mix[category]
-
     def dominant_category(self, by_bytes: bool = True) -> HostingCategory:
         """The category serving the largest share (bytes by default)."""
         mix = self.byte_mix if by_bytes else self.url_mix

@@ -1,4 +1,5 @@
-"""SnapshotSeries: incremental hit rates, byte identity, manifest chain."""
+"""SnapshotSeries: incremental hit rates, byte identity, evolution
+provenance."""
 
 from __future__ import annotations
 
@@ -25,10 +26,22 @@ def _base_config() -> WorldConfig:
 def series_records(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("series-cache")
     series = SnapshotSeries(
-        _base_config(), 3, evolution_seed=11,
-        cache=str(cache_dir), collect_manifests=True,
+        _base_config(), 3, evolution_seed=11, cache=str(cache_dir),
     )
     return series, series.run()
+
+
+def _manifests(series_records):
+    """Each snapshot's manifest, collected as ``repro-gov evolve`` does."""
+    from repro.obs import RunManifest
+
+    series, records = series_records
+    return [
+        RunManifest.collect(record.config, record.dataset,
+                            cache_stats=record.cache_stats,
+                            evolution=series.evolution_provenance(record))
+        for record in records
+    ]
 
 
 def test_series_shape(series_records):
@@ -63,13 +76,14 @@ def test_total_stats_accumulate(series_records):
 
 def test_manifest_chain(series_records):
     _, records = series_records
-    assert records[0].manifest.evolution is None
+    manifests = _manifests(series_records)
+    assert manifests[0].evolution is None
     for position, record in enumerate(records[1:], start=1):
-        evolution = record.manifest.evolution
+        evolution = manifests[position].evolution
         assert evolution["parent_fingerprint"] == \
             records[position - 1].fingerprint
         assert evolution["parent_fingerprint"] == \
-            records[position - 1].manifest.fingerprint
+            manifests[position - 1].fingerprint
         assert evolution["seed"] == 11
         assert evolution["step"] == position
         assert evolution["changed_countries"] == \
@@ -79,11 +93,11 @@ def test_manifest_chain(series_records):
 def test_manifest_evolution_round_trips(series_records, tmp_path):
     from repro.obs import RunManifest
 
-    _, records = series_records
+    manifest = _manifests(series_records)[1]
     path = tmp_path / "snapshot.manifest.json"
-    records[1].manifest.write(path)
+    manifest.write(path)
     loaded = RunManifest.read(path)
-    assert loaded.evolution == records[1].manifest.evolution
+    assert loaded.evolution == manifest.evolution
 
 
 def _dataset_bytes(dataset, tmp_path, name: str) -> bytes:

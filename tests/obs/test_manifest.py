@@ -30,7 +30,7 @@ def observed_run():
 
 def test_collect_records_run_identity(observed_run):
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset, obs=pipeline.obs)
+    manifest = RunManifest.collect(pipeline.config, dataset, obs=pipeline.obs)
     assert manifest.seed == CONFIG.seed
     assert manifest.scale == CONFIG.scale
     assert manifest.countries == sorted(COUNTRIES)
@@ -47,14 +47,25 @@ def test_collect_records_run_identity(observed_run):
 
 def test_collect_fingerprint_matches_cache_derivation(observed_run):
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     assert manifest.fingerprint == run_fingerprint(CONFIG)
+
+
+def test_collect_records_the_given_cache_accounting(observed_run):
+    from repro.cache import CacheStats
+
+    pipeline, dataset = observed_run
+    stats = CacheStats(hits=2, misses=1, stores=1, bytes_read=10)
+    manifest = RunManifest.collect(pipeline.config, dataset,
+                                   cache_stats=stats)
+    assert manifest.cache == stats.to_dict()
+    assert manifest.cache["hit_rate"] == pytest.approx(2 / 3)
 
 
 def test_fingerprint_is_stable_and_input_sensitive(observed_run):
     pipeline, dataset = observed_run
-    first = RunManifest.collect(pipeline, dataset)
-    second = RunManifest.collect(pipeline, dataset)
+    first = RunManifest.collect(pipeline.config, dataset)
+    second = RunManifest.collect(pipeline.config, dataset)
     assert first.fingerprint == second.fingerprint
 
     other_config = WorldConfig(seed=22, scale=0.02, countries=COUNTRIES,
@@ -64,17 +75,17 @@ def test_fingerprint_is_stable_and_input_sensitive(observed_run):
 
 def test_stage_seconds_come_from_the_trace(observed_run):
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset, obs=pipeline.obs)
+    manifest = RunManifest.collect(pipeline.config, dataset, obs=pipeline.obs)
     assert set(manifest.stage_seconds) == {"total", "scan", "merge",
                                            "finalize"}
     assert manifest.stage_seconds["total"] >= manifest.stage_seconds["scan"]
-    untraced = RunManifest.collect(pipeline, dataset)
+    untraced = RunManifest.collect(pipeline.config, dataset)
     assert untraced.stage_seconds == {}
 
 
 def test_versions_cover_the_reproducibility_surface(observed_run):
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     assert set(manifest.versions) >= {"repro", "python", "numpy",
                                       "implementation"}
 
@@ -86,7 +97,7 @@ def test_numpy_version_is_read_from_package_metadata(observed_run,
     import numpy
 
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     assert manifest.versions["numpy"] == numpy.__version__
 
     def not_installed(name):
@@ -94,13 +105,13 @@ def test_numpy_version_is_read_from_package_metadata(observed_run,
 
     # A run needs no numpy, so its absence is recorded, not raised.
     monkeypatch.setattr(importlib.metadata, "version", not_installed)
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     assert manifest.versions["numpy"] == "not installed"
 
 
 def test_write_read_round_trip(observed_run, tmp_path):
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset, obs=pipeline.obs)
+    manifest = RunManifest.collect(pipeline.config, dataset, obs=pipeline.obs)
     path = manifest.write(tmp_path / "ds.jsonl.manifest.json")
     restored = RunManifest.read(path)
     assert restored == manifest
@@ -111,7 +122,7 @@ def test_write_read_round_trip(observed_run, tmp_path):
 
 def test_read_rejects_unknown_format(observed_run, tmp_path):
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     path = manifest.write(tmp_path / "m.json")
     payload = json.loads(path.read_text())
     payload["format"] = 99
@@ -122,7 +133,7 @@ def test_read_rejects_unknown_format(observed_run, tmp_path):
 
 def test_from_dict_ignores_unknown_fields(observed_run):
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     payload = manifest.to_dict()
     payload["added_in_a_future_version"] = True
     assert RunManifest.from_dict(payload) == manifest
@@ -130,7 +141,7 @@ def test_from_dict_ignores_unknown_fields(observed_run):
 
 def test_collected_manifest_records_the_tool_version(observed_run):
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     assert manifest.format == MANIFEST_FORMAT_VERSION == 2
     assert manifest.tool_version == tool_version()
     assert manifest.tool_version != "unknown"
@@ -140,7 +151,7 @@ def test_read_accepts_old_format_without_tool_version(observed_run,
                                                       tmp_path):
     """Backward: a format-1 manifest (pre-tool_version) still loads."""
     pipeline, dataset = observed_run
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     payload = manifest.to_dict()
     payload["format"] = 1
     del payload["tool_version"]
@@ -156,7 +167,7 @@ def test_read_accepts_old_format_without_tool_version(observed_run,
 def test_from_dict_preserves_an_explicit_tool_version(observed_run):
     """Forward: a newer writer's tool_version survives the round trip."""
     pipeline, dataset = observed_run
-    payload = RunManifest.collect(pipeline, dataset).to_dict()
+    payload = RunManifest.collect(pipeline.config, dataset).to_dict()
     payload["tool_version"] = "9.9.9"
     assert RunManifest.from_dict(payload).tool_version == "9.9.9"
 
@@ -177,7 +188,7 @@ def test_faulted_run_manifest_accounts_faults():
     world = SyntheticWorld.generate(config)
     pipeline = Pipeline(world)
     dataset = pipeline.run(list(COUNTRIES))
-    manifest = RunManifest.collect(pipeline, dataset)
+    manifest = RunManifest.collect(pipeline.config, dataset)
     assert manifest.fault_rate == 0.2
     assert manifest.faults["injected"] > 0
     assert manifest.fault_seed == pipeline.fault_plan.seed

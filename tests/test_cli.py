@@ -201,10 +201,13 @@ def test_workers_below_one_exit_2(command, capsys):
     ["sweep", "--demo", "--scale", "nan"],
     ["evolve", "--scale", "inf"],
     ["run", "--fault-rate", "2"],
+    ["run", "--fault-rate", "-1e-3"],
+    ["run", "--fault-rate", "-inf"],
     ["inspect", "--hostname", "gouv.nc", "--scale", "0"],
 ], ids=["run-country", "evolve-country", "sweep-country", "run-scale",
         "evolve-scale", "run-scale-nan", "run-scale-inf", "run-scale-neg-inf",
         "sweep-scale-nan", "evolve-scale-inf", "run-fault-rate",
+        "run-fault-rate-negative", "run-fault-rate-neg-inf",
         "inspect-scale"])
 def test_invalid_world_config_exits_2_with_one_error_line(command, capsys):
     assert main(command) == 2
@@ -599,6 +602,48 @@ def registry_dir(tmp_path_factory):
     return registry
 
 
+def test_evolve_and_sweep_record_one_manifest_per_run(tmp_path, capsys):
+    """evolve records each snapshot's manifest, chained to its parent;
+    sweep one per distinct config in scenario order, without cache
+    accounting."""
+    from repro.obs import RunManifest, RunRegistry, manifest_path_for
+
+    world = ["--seed", "7", "--scale", "0.01",
+             "--countries", "US", "DE", "EE", "UY"]
+    out_dir = tmp_path / "snaps"
+    series = tmp_path / "series"
+    assert main(["evolve", *world, "--snapshots", "3", "--evolve-seed", "5",
+                 "--out-dir", str(out_dir), "--manifest",
+                 "--registry", str(series)]) == 0
+    assert f"registry: 3 runs in {series}" in capsys.readouterr().out
+    runs = RunRegistry(series).runs()
+    assert len(runs) == 3
+    for step, run in enumerate(runs):
+        assert run.manifest == RunManifest.read(
+            manifest_path_for(out_dir / f"snapshot-{step}.jsonl"))
+        evolution = run.manifest.evolution
+        if step == 0:
+            assert evolution is None
+            continue
+        assert evolution["parent_fingerprint"] == runs[step - 1].fingerprint
+        assert evolution["step"] == step
+        assert evolution["seed"] == 5
+
+    sweeps = tmp_path / "sweeps"
+    summary = tmp_path / "sweep.json"
+    assert main(["sweep", "--demo", *world, "--cache-dir",
+                 str(tmp_path / "cache"), "--json", str(summary),
+                 "--registry", str(sweeps)]) == 0
+    scenarios = json.loads(summary.read_text())["scenarios"]
+    distinct = list(dict.fromkeys(item["run_fp"] for item in scenarios))
+    assert len(distinct) < len(scenarios)
+    assert f"registry: {len(distinct)} runs in {sweeps}" in \
+        capsys.readouterr().out
+    runs = RunRegistry(sweeps).runs()
+    assert [run.fingerprint for run in runs] == distinct
+    assert all(run.manifest.cache is None for run in runs)
+
+
 def test_run_registry_records_each_execution(tmp_path, capsys):
     registry = tmp_path / "registry"
     args = ["run", "--seed", "5", "--scale", "0.05", "--countries", "UY",
@@ -853,3 +898,73 @@ def test_an_error_while_writing_is_one_line_and_exit_1(tmp_path, capsys,
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         f"error: [Errno {errno.ENOSPC}] No space left on device: '{out}'"]
+
+
+def test_a_failed_json_write_keeps_the_old_file(tmp_path, capsys,
+                                                monkeypatch):
+    """A JSON artifact goes through a temp sibling: a write that fails
+    after its first chunk leaves the old file and no temp file."""
+    import errno
+
+    metrics = tmp_path / "metrics.json"
+    metrics.write_text("old bytes\n")
+
+    def full_disk(payload, handle, **kwargs):
+        handle.write('{"counters": {')
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", full_disk)
+    assert main(["run", "--scale", "0.01", "--countries", "UY",
+                 "--metrics-out", str(metrics)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: [Errno {errno.ENOSPC}] No space left on device"]
+    assert metrics.read_text() == "old bytes\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["metrics.json"]
+
+
+#: ``(argv, exit status, error message)`` of refusals pinned nowhere
+#: else; ``{tmp}`` is tmp_path, ``{dataset}`` a saved jsonl dataset and
+#: ``{store}`` its columnar store.  ``{tmp}/exists.jsonl`` exists.
+REFUSALS = {
+    "convert-onto-existing": (
+        ["convert", "{store}", "{tmp}/exists.jsonl"], 2,
+        "{tmp}/exists.jsonl exists (pass --overwrite)"),
+    "serve-trace-ring-0": (
+        ["serve", "--dataset", "{dataset}", "--trace-dir", "{tmp}/traces",
+         "--trace-ring", "0"], 2,
+        "--trace-ring must be at least 1"),
+    "cache-prune-without-limit": (
+        ["cache", "prune", "--cache-dir", "{tmp}/cache"], 2,
+        "prune needs --max-bytes and/or --older-than"),
+    "evolve-no-snapshots": (
+        ["evolve", "--snapshots", "0"], 2,
+        "--snapshots must be at least 1"),
+    "evolve-manifest-without-out-dir": (
+        ["evolve", "--manifest"], 2,
+        "--manifest requires --out-dir"),
+    "sweep-missing-matrix": (
+        ["sweep", "--matrix", "{tmp}/missing.json"], 1,
+        "[Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    "obs-runs-registry-is-a-file": (
+        ["obs", "runs", "--registry", "{tmp}/exists.jsonl"], 1,
+        "[Errno 17] File exists: '{tmp}/exists.jsonl'"),
+}
+
+
+@pytest.mark.parametrize("argv, status, message", REFUSALS.values(),
+                         ids=REFUSALS.keys())
+def test_a_refused_command_prints_one_error_line(argv, status, message,
+                                                 saved_dataset, tmp_path,
+                                                 capsys):
+    exists = tmp_path / "exists.jsonl"
+    exists.write_text("old")
+    names = {"tmp": tmp_path, "dataset": saved_dataset,
+             "store": tmp_path / "d.store"}
+    if "{store}" in argv:
+        assert main(["convert", str(saved_dataset), str(names["store"])]) == 0
+        capsys.readouterr()
+    assert main([arg.format(**names) for arg in argv]) == status
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message.format(**names)}"]
+    assert exists.read_text() == "old"

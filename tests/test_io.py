@@ -357,10 +357,9 @@ class _FailingHandle:
 
 
 def _write_manifest(tiny_world, dataset, path):
-    from repro import Pipeline
     from repro.obs.manifest import RunManifest
 
-    return RunManifest.collect(Pipeline(tiny_world), dataset).write(path)
+    return RunManifest.collect(tiny_world.config, dataset).write(path)
 
 
 def _write_store_jsonl(tiny_world, dataset, path):
